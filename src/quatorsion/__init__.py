@@ -14,9 +14,6 @@ Subpackages and modules:
   quaternionic multiplication.
 * :mod:`quatorsion.genus2` — the explicit genus-2 family and torsion
   certification of concrete curves.
-* :mod:`quatorsion.lmfdb` — LMFDB HTTP client with a local cache.
-* :mod:`quatorsion.suites` — orchestrated verification suites.
-* :mod:`quatorsion.cli` — the ``qt`` command-line entry point.
 """
 
 from __future__ import annotations

@@ -222,19 +222,22 @@ def _count_model(coeffs, p: int, n: int) -> int:
 
     # F_{p^2} = F_p(s) with s^2 = r a non-residue; x = u + v s, and
     # a = A + B s is a nonzero square iff its norm A^2 - r B^2 is a
-    # nonzero square in F_p.
+    # nonzero square in F_p.  Rows v and p - v hold conjugate x, whose
+    # values f(x) are conjugate with equal norms: only rows
+    # v = 0..(p-1)/2 are evaluated, and rows v >= 1 count twice.
     r = 2
     while chi[r]:
         r += 1
     u, v = np.meshgrid(
-        np.arange(p, dtype=np.int64), np.arange(p, dtype=np.int64)
+        np.arange(p, dtype=np.int64), np.arange((p + 1) // 2, dtype=np.int64)
     )
     A = np.full_like(u, c[deg])
     B = np.zeros_like(u)
     for i in range(deg - 1, -1, -1):
         A, B = (A * u + r * (B * v) % p + c[i]) % p, (A * v + B * u) % p
     norm = (A * A - r * (B * B) % p) % p
-    affine = 2 * int(chi[norm].sum()) + int(np.count_nonzero(norm == 0))
+    sols = 2 * chi[norm] + (norm == 0)
+    affine = 2 * int(sols.sum()) - int(sols[0].sum())
     infinity = 1 if deg == 5 else 2
     return affine + infinity
 

@@ -2,10 +2,31 @@
 
 Divisor classes on y^2 = f(x) with f monic of degree 5 are written in
 Mumford form (u, v): u monic of degree <= 2, deg v < deg u, and
-u | f - v^2.  Cantor's composition-and-reduction algorithm realizes the
-group law; combined with the group order from the zeta function this
-recovers the abstract structure of J(F_p) by order probing on random
-classes plus the exact 2-rank read off the factorization type of f.
+u | f - v^2.  The group law is Cantor's composition and reduction, and
+the reduced representative of a class is unique, so any correct route
+to the sum gives the same pair.
+
+``cantor_add`` takes explicit straight-line formulas (after Lange,
+"Formulae for arithmetic on genus 2 hyperelliptic curves", 2005) in the
+common cases: two classes with deg u1 = deg u2 = 2 and gcd(u1, u2) = 1,
+and the doubling of a class with deg u = 2 and gcd(u, v) = 1.  Both
+compose to (U, V) with U = u1 u2 (or u^2) and V = v1 + s u1, where s of
+degree <= 1 costs one inverse mod p, and reduce in one step to
+u' = monic((f - V^2) / U), v' = -V mod u'.  D + (-D), the sum of two
+points and the doubling of W + P with W a Weierstrass point (2P) are
+closed forms too.  The rest -- a point plus a weight-two class, u1 != u2
+with a common root, u1 = u2 with v1 != +-v2 -- goes through the generic
+polynomial Cantor algorithm (``_cantor_generic``), which is also the
+test oracle for the formulas.
+
+Combined with the group order from the zeta function this recovers the
+abstract structure of J(F_p) by order probing on random classes plus
+the exact 2-rank read off the factorization type of f mod p (found by
+distinct-degree factorization).  The order of a class takes one ladder
+per prime ell | #J(F_p): [#J / ell^v] D, then multiplications by ell
+until the identity.  Probing stops as soon as the exponent reaches the
+largest one the order and the 2-rank allow, after which no further
+probe could change it.
 
 Degree-6 models are handled by passing to an odd-degree model: move a
 rational Weierstrass point to infinity (x = a + 1/z) when the sextic has
@@ -106,6 +127,18 @@ def _gcdext(f, g, p: int):
     return _monic(r0, p), _mul(scale, s0, p), _mul(scale, t0, p)
 
 
+def _powmod(f, n: int, m, p: int) -> tuple[int, ...]:
+    """f^n mod m."""
+    acc, base = (1,), _divmod(f, m, p)[1]
+    while n:
+        if n & 1:
+            acc = _divmod(_mul(acc, base, p), m, p)[1]
+        n >>= 1
+        if n:
+            base = _divmod(_mul(base, base, p), m, p)[1]
+    return acc
+
+
 def _eval(f, x: int, p: int) -> int:
     acc = 0
     for c in reversed(f):
@@ -165,9 +198,127 @@ def divisor_from_point(f5, p: int, x: int, y: int) -> MumfordDivisor:
 def cantor_add(
     d1: MumfordDivisor, d2: MumfordDivisor, f5
 ) -> MumfordDivisor:
-    """Sum of two divisor classes on y^2 = f5(x)."""
-    if d1.p != d2.p:
+    """Sum of two divisor classes on y^2 = f5(x).
+
+    The inputs must be reduced Mumford pairs on this curve.  On a monic
+    quintic, D + (-D), sums of two points and weight-two sums use
+    explicit formulas; the rest use the generic Cantor algorithm.
+    """
+    p = d1.p
+    if p != d2.p:
         raise ValueError("divisors live over different prime fields")
+    if d1.u == (1,):
+        return d2
+    if d2.u == (1,):
+        return d1
+    if d1.u == d2.u and d2.v == _neg(d1.v, p):
+        return identity_divisor(p)
+    if len(f5) == 6 and f5[5] % p == 1:
+        out = None
+        if len(d1.u) == 3 and len(d2.u) == 3:
+            out = _add_weight_two(d1, d2, f5)
+        elif len(d1.u) == 2 and len(d2.u) == 2:
+            out = _add_points(f5, p, -d1.u[0], (d1.v or (0,))[0],
+                              -d2.u[0], (d2.v or (0,))[0])
+        if out is not None:
+            return out
+    return _cantor_generic(d1, d2, f5)
+
+
+def _add_points(f5, p: int, x1: int, y1: int, x2: int, y2: int) -> MumfordDivisor:
+    """(x1, y1) + (x2, y2) - 2 infinity, for affine points with P2 != -P1.
+
+    u = (x - x1)(x - x2) and v the line through both points, or the
+    tangent at P1 when P2 = P1 (then y1 != 0).
+    """
+    if (x1 - x2) % p:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    else:
+        slope = 0  # f'(x1)
+        for i in range(5, 0, -1):
+            slope = (slope * x1 + i * f5[i]) % p
+        lam = slope * pow(2 * y1, -1, p) % p
+    c = (y1 - lam * x1) % p
+    v = (c, lam) if lam else ((c,) if c else ())
+    return MumfordDivisor(p, (x1 * x2 % p, -(x1 + x2) % p, 1), v)
+
+
+def _add_weight_two(
+    d1: MumfordDivisor, d2: MumfordDivisor, f5
+) -> MumfordDivisor | None:
+    """Explicit sum of two weight-two classes on a monic quintic, or None.
+
+    D2 = -D1 must have been ruled out by the caller.
+
+    None means the case is not covered: u1 = u2 with v1 != +-v2, or a
+    common root of u1 and u2.
+    """
+    p = d1.p
+    a0, a1, _ = d1.u
+    b0, b1 = (d1.v + (0, 0))[:2]
+    if d1.u != d2.u:
+        # s = (v2 - v1) / u1 mod u2.  With u1 = u2 + r mod u2, r = r1 x + r0,
+        # r (t1 x + t0) = res mod u2 and res = Res(u2, r) != 0 iff coprime.
+        c0, c1, _ = d2.u
+        e0, e1 = (d2.v + (0, 0))[:2]
+        r1, r0 = a1 - c1, a0 - c0
+        t1, t0 = -r1, r0 - r1 * c1
+        res = (r0 * t0 + r1 * r1 * c0) % p
+        if res == 0:
+            return None
+        w1, w0 = e1 - b1, e0 - b0
+    elif d1.v == d2.v:
+        # doubling: s = k / (2 v) mod u with k = (f - v^2) / u reduced mod u
+        c0, c1 = a0, a1
+        k2 = f5[4] - a1
+        k1 = f5[3] - a1 * k2 - a0
+        k0 = f5[2] - b1 * b1 - a1 * k1 - a0 * k2
+        w1 = k1 + a1 * a1 - a0 - k2 * a1
+        w0 = k0 + a1 * a0 - k2 * a0
+        t1, t0 = -b1, b0 - b1 * a1
+        res = 2 * (b0 * t0 + b1 * b1 * a0) % p
+        if res == 0:
+            # v = b1 (x - alpha) vanishes at a root alpha of u, so D = W + P
+            # with W = (alpha, 0) of order 2, P = (beta, v(beta)), 2D = 2P
+            beta = (b0 * pow(b1, -1, p) - a1) % p
+            y = (b1 * beta + b0) % p
+            return _add_points(f5, p, beta, y, beta, y)
+    else:
+        return None
+    # s = (w1 x + w0)(t1 x + t0) / res mod (x^2 + c1 x + c0)
+    inv = pow(res, -1, p)
+    s1 = (w1 * t0 + w0 * t1 - w1 * t1 * c1) * inv % p
+    s0 = (w0 * t0 - w1 * t1 * c0) * inv % p
+    # V = v1 + s u1 = s1 x^3 + v2 x^2 + v1 x + v0
+    v2 = s1 * a1 + s0
+    v1 = s1 * a0 + s0 * a1 + b1
+    v0 = s0 * a0 + b0
+    if s1 == 0:
+        # deg V <= 2: (f - V^2) / U = x + m0, and v' = -V(-m0)
+        m0 = (f5[4] - a1 - s0 * s0 - c1) % p
+        n0 = -((v2 * m0 - v1) * m0 + v0) % p
+        return MumfordDivisor(p, (m0, 1), (n0,) if n0 else ())
+    # (f - V^2) / (u1 u2) = (k - s (2 v1 + s u1)) / u2 with
+    # k = (f - v1^2) / u1 monic cubic, so the quotient's three coefficients
+    # need only the top three of the quartic k - s (2 v1 + s u1).
+    ss = s1 * s1
+    q2 = -ss
+    q1 = 1 - ss * a1 - 2 * s0 * s1 - q2 * c1
+    q0 = f5[4] - a1 - ss * a0 - 2 * s0 * s1 * a1 - 2 * s1 * b1 - s0 * s0
+    q0 -= q1 * c1 + q2 * c0
+    lead = pow(q2, -1, p)
+    m1, m0 = q1 * lead % p, q0 * lead % p
+    # v' = -V mod x^2 + m1 x + m0, with x^3 = (m1^2 - m0) x + m1 m0
+    n1 = -(v1 + s1 * (m1 * m1 - m0) - v2 * m1) % p
+    n0 = -(v0 + s1 * m1 * m0 - v2 * m0) % p
+    v = (n0, n1) if n1 else ((n0,) if n0 else ())
+    return MumfordDivisor(p, (m0, m1, 1), v)
+
+
+def _cantor_generic(
+    d1: MumfordDivisor, d2: MumfordDivisor, f5
+) -> MumfordDivisor:
+    """Cantor composition and reduction with polynomial arithmetic."""
     p = d1.p
     f = tuple(c % p for c in f5)
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
@@ -175,8 +326,7 @@ def cantor_add(
     g1, e1, e2 = _gcdext(u1, u2, p)
     d, c1, c2 = _gcdext(g1, _add(v1, v2, p), p)
     # s1 u1 + s2 u2 + s3 (v1 + v2) = d with s1 = c1 e1 etc.
-    u, rem = _divmod(_mul(u1, u2, p), _mul(d, d, p), p)
-    assert not rem
+    u = _exact_div(_mul(u1, u2, p), _mul(d, d, p), p)
     num = _add(
         _mul(_mul(c1, e1, p), _mul(u1, v2, p), p),
         _add(
@@ -186,17 +336,21 @@ def cantor_add(
         ),
         p,
     )
-    q, rem = _divmod(num, d, p)
-    assert not rem
-    v = _mod_poly(q, u, p)
+    v = _mod_poly(_exact_div(num, d, p), u, p)
 
     while _deg(u) > 2:
-        u_next, rem = _divmod(_sub(f, _mul(v, v, p), p), u, p)
-        assert not rem
-        u_next = _monic(u_next, p)
+        u_next = _monic(_exact_div(_sub(f, _mul(v, v, p), p), u, p), p)
         v = _neg(_mod_poly(v, u_next, p), p)
         u = u_next
     return MumfordDivisor(p, u, v)
+
+
+def _exact_div(f, g, p: int) -> tuple[int, ...]:
+    q, rem = _divmod(f, g, p)
+    if rem:
+        raise ValueError("inexact division in Cantor's algorithm: "
+                         "the inputs are not reduced divisors on this curve")
+    return q
 
 
 def _mod_poly(f, g, p: int) -> tuple[int, ...]:
@@ -223,14 +377,27 @@ def cantor_mul(n: int, d: MumfordDivisor, f5) -> MumfordDivisor:
 
 
 def divisor_order(d: MumfordDivisor, f5, group_order: int) -> int:
-    """Exact order of the class, given a multiple of it (the group order)."""
-    if not cantor_mul(group_order, d, f5).is_identity:
+    """Exact order of the class, given a multiple of it (the group order).
+
+    One ladder per prime: for ell^v || N, Q = [N / ell^v] D is multiplied
+    by ell until it vanishes, which takes at most v steps when N
+    annihilates D; otherwise ValueError.
+    """
+    if group_order < 1:
+        raise ValueError("group_order must be a positive integer")
+    if group_order == 1 and not d.is_identity:
         raise ValueError("group_order does not annihilate the divisor")
-    order = group_order
-    for ell in sympy.factorint(group_order):
+    order = 1
+    for ell, v in sympy.factorint(group_order).items():
         ell = int(ell)
-        while order % ell == 0 and cantor_mul(order // ell, d, f5).is_identity:
-            order //= ell
+        q = cantor_mul(group_order // ell**v, d, f5)
+        k = 0
+        while not q.is_identity:
+            if k == v:
+                raise ValueError("group_order does not annihilate the divisor")
+            q = cantor_mul(ell, q, f5)
+            k += 1
+        order *= ell**k
     return order
 
 
@@ -273,12 +440,15 @@ def odd_degree_model(curve: GenusTwoCurve, p: int):
         else:
             return None
         taylor = _taylor_coeffs(c, a, p)
-        assert taylor[0] == 0 and taylor[1] != 0
+        if taylor[0] != 0 or taylor[1] == 0:
+            raise ArithmeticError(
+                f"x = {a} is not a simple root of the sextic mod {p}")
         quintic = [taylor[6 - j] for j in range(6)]
     # rescale x -> x / lead, y -> y / lead^2 to make the quintic monic
     lead = quintic[5]
     model = tuple(quintic[i] * pow(lead, 4 - i, p) % p for i in range(6))
-    assert model[5] == 1
+    if model[5] != 1:
+        raise ArithmeticError(f"rescaled quintic mod {p} is not monic")
     return model
 
 
@@ -316,10 +486,28 @@ class JacobianGroup:
 
 
 def _factor_degrees(curve: GenusTwoCurve, p: int) -> list[int]:
-    x = sympy.Symbol("x")
-    f = sum(int(c % p) * x**i for i, c in enumerate(curve.coeffs))
-    poly = sympy.Poly(f, x, modulus=p)
-    return [int(g.degree()) for g, _ in poly.factor_list()[1]]
+    """Degrees of the irreducible factors of f mod a good prime p.
+
+    Distinct-degree factorization of the squarefree f: the degree-k
+    factors of what is left divide x^(p^k) - x.  A remainder with no
+    factor of degree <= deg/2 is irreducible.
+    """
+    f = _monic(_trim([c % p for c in curve.coeffs]), p)
+    x = (0, 1)
+    degrees: list[int] = []
+    h = x  # x^(p^k) mod f
+    k = 0
+    while _deg(f) >= 2 * (k + 1):
+        k += 1
+        h = _powmod(h, p, f, p)
+        g = _gcdext(f, _sub(h, x, p), p)[0]
+        if _deg(g) > 0:
+            degrees += [k] * (_deg(g) // k)
+            f = _exact_div(f, g, p)
+            h = _mod_poly(h, f, p)
+    if _deg(f) > 0:
+        degrees.append(_deg(f))
+    return degrees
 
 
 def _group_invariants(
@@ -327,10 +515,13 @@ def _group_invariants(
 ) -> tuple[int, ...]:
     """Invariant factors from order, probed exponent, and exact 2-rank.
 
-    For odd primes the rank is taken minimal given the exponent; this is
-    the only structure consistent with the probe whenever the exponent is
-    correct.  Inconsistencies raise ValueError (a sign the randomized
-    probe missed a component; rerun with a different seed).
+    For odd primes the rank is a choice: the smallest one the exponent
+    allows, with as many cyclic factors of the full exponent as fit.
+    Order and exponent fix the ell-part only while v_ell(#J) <= 3; from
+    v_ell(#J) = 4 on they do not (Z/ell^2 x Z/ell^2 and Z/ell x Z/ell x
+    Z/ell^2 share order and exponent), and the answer may be wrong there.
+    Inconsistencies raise ValueError (a sign the randomized probe missed
+    a component; rerun with a different seed).
     """
     if order == 1:
         return ()
@@ -356,7 +547,8 @@ def _group_invariants(
             take = min(e, rem - (rank - 1 - s))
             parts.append(take)
             rem -= take
-        assert rem == 0 and parts[0] == e and min(parts) >= 1
+        if rem != 0 or parts[0] != e or min(parts) < 1:
+            raise ArithmeticError(f"no {ell}-parts for {tot} with rank {rank}")
         parts_by_prime[ell] = sorted(parts)
     k = max(len(v) for v in parts_by_prime.values())
     ds = []
@@ -366,7 +558,8 @@ def _group_invariants(
             padded = [0] * (k - len(parts)) + parts
             d *= ell ** padded[i]
         ds.append(d)
-    assert prod(ds) == order
+    if prod(ds) != order:
+        raise ArithmeticError(f"invariants {ds} do not multiply to {order}")
     return validate_invariants(ds)
 
 
@@ -377,7 +570,9 @@ def jacobian_group_mod_p(
 
     The order comes from the zeta function, the 2-rank from the
     factorization type of f mod p, and the exponent from order probing on
-    16 pseudorandom classes (seeded, hence deterministic).
+    at most 16 pseudorandom classes (seeded, hence deterministic).  The
+    probing stops early once the exponent equals the largest one possible,
+    #J / 2^(two_rank - 1): further probes could not change it.
     """
     order = curve_lpoly(curve, p).point_count()
     two_rank = two_torsion_count(_factor_degrees(curve, p)).bit_length() - 1
@@ -385,11 +580,12 @@ def jacobian_group_mod_p(
     if f5 is None:
         return JacobianGroup(p, order, None, two_rank)
     rng = random.Random(seed)
+    largest = order >> (two_rank - 1) if two_rank else order
     exponent = 1
     for _ in range(16):
         d = random_divisor(f5, p, rng)
         exponent = lcm(exponent, divisor_order(d, f5, order))
-        if exponent == order:
+        if exponent == largest:
             break
     invariants = _group_invariants(order, exponent, two_rank)
     return JacobianGroup(p, order, invariants, two_rank)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import collections
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from pathlib import Path
 
 import pytest
 import sympy
@@ -426,6 +432,21 @@ def test_divisor_order_rejects_non_annihilating_multiple():
         d = random_divisor(f5, 11, rng)
     with pytest.raises(ValueError, match="annihilate"):
         divisor_order(d, f5, 1)
+    # a proper divisor of the order, also for a class of prime-power order,
+    # in J(F_19) = Z/20 x Z/20
+    f5 = odd_degree_model(QUINTIC, 19)
+    d = random_divisor(f5, 19, rng)
+    while divisor_order(d, f5, 400) % 4:
+        d = random_divisor(f5, 19, rng)
+    o = divisor_order(d, f5, 400)
+    for ell, v in sympy.factorint(o).items():
+        with pytest.raises(ValueError, match="annihilate"):
+            divisor_order(d, f5, o // ell)
+        part = cantor_mul(o // ell**v, d, f5)
+        assert divisor_order(part, f5, ell**v) == ell**v
+        if v >= 2:
+            with pytest.raises(ValueError, match="annihilate"):
+                divisor_order(part, f5, ell ** (v - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +546,152 @@ def test_group_invariants_reconstruction():
         jacobian._group_invariants(24, 6, 2)  # 2-part 8 with rank 2, exp 2
     with pytest.raises(ValueError, match="inconsistent"):
         jacobian._group_invariants(16, 4, 1)
+
+
+def test_divisor_order_edge_cases():
+    f5 = F5_MOD7
+    assert divisor_order(identity_divisor(7), f5, 1) == 1
+    with pytest.raises(ValueError, match="positive"):
+        divisor_order(identity_divisor(7), f5, 0)
+
+
+def test_jacobian_probing_stops_at_largest_exponent(monkeypatch):
+    # (Z/2)^2 row at p = 5: J = Z/2 x Z/2 x Z/6, so no class has order
+    # 24 and the probing stops at exponent 24 / 2^(3 - 1) = 6
+    probes = []
+    probe = jacobian.random_divisor
+
+    def counted(*args):
+        probes.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(jacobian, "random_divisor", counted)
+    g = jacobian_group_mod_p(TABLE[1].curve, 5)
+    assert g.invariants == (2, 2, 6)
+    assert len(probes) < 16
+
+
+def test_factor_degrees_match_sympy():
+    x = sympy.Symbol("x")
+    for row in TABLE:
+        for p in good_primes(row.curve, 100):
+            f = sum(int(c) * x**i for i, c in enumerate(row.curve.coeffs))
+            poly = sympy.Poly(f, x, modulus=p)
+            expected = sorted(int(g.degree()) for g, _ in poly.factor_list()[1])
+            assert sorted(jacobian._factor_degrees(row.curve, p)) == expected
+
+
+# ---------------------------------------------------------------------------
+# explicit formulas against the generic Cantor algorithm
+# ---------------------------------------------------------------------------
+
+ORACLE_PRIMES = (3, 5, 7, 11, 13, 29, 53, 97)
+
+
+def _oracle_models():
+    """(p, monic quintic) for every odd-degree model of the table curves."""
+    for row in TABLE:
+        for p in ORACLE_PRIMES:
+            if good_prime(row.curve, p):
+                f5 = odd_degree_model(row.curve, p)
+                if f5 is not None:
+                    yield p, f5
+
+
+def _oracle_pairs(f5, p: int, rng: random.Random):
+    """Pairs of reduced classes, by the case of the addition they exercise."""
+    pts = [(x, y) for x in range(p) for y in range(p)
+           if (y * y - jacobian._eval(f5, x, p)) % p == 0]
+    weierstrass = [pt for pt in pts if pt[1] == 0]
+    by_x = {x: (x, y) for x, y in pts if y}  # one point with y != 0 per x
+
+    def point(pt):
+        return divisor_from_point(f5, p, *pt)
+
+    def opposite(pt):
+        return pt[0], -pt[1] % p
+
+    def two(a, b):
+        return jacobian._cantor_generic(point(a), point(b), f5)
+
+    cases = collections.defaultdict(list)
+    for _ in range(6):
+        d, e = random_divisor(f5, p, rng), random_divisor(f5, p, rng)
+        a, b = rng.choice(pts), rng.choice(pts)
+        cases["random"].append((d, e))
+        cases["doubling"].append((d, d))
+        cases["D + (-D)"].append((d, cantor_neg(d)))
+        # D + (P - D) = P: a sum of weight one
+        cases["weight-one sum"].append(
+            (d, jacobian._cantor_generic(point(a), cantor_neg(d), f5)))
+        cases["deg u = 1"] += [(point(a), d), (d, point(a)), (point(a), point(b)),
+                               (point(a), point(a)), (point(a), point(opposite(a)))]
+        if len(by_x) >= 3:
+            a, b, c = (by_x[x] for x in rng.sample(sorted(by_x), 3))
+            cases["u1 = u2, v1 != +-v2"].append((two(a, b), two(a, opposite(b))))
+            cases["one shared root"] += [(two(a, b), two(a, c)),
+                                         (two(a, b), two(opposite(a), c))]
+        if weierstrass and by_x:
+            w, a = rng.choice(weierstrass), by_x[rng.choice(sorted(by_x))]
+            cases["Res(u, v) = 0"] += [(two(w, a), two(w, a)), (two(w, a), d)]
+        if len(weierstrass) >= 2:
+            w1, w2 = rng.sample(weierstrass, 2)
+            cases["Res(u, v) = 0"].append((two(w1, w2), two(w1, w2)))
+    return cases
+
+
+def test_cantor_add_matches_generic_cantor():
+    rng = random.Random(2)
+    seen = collections.Counter()
+    for p, f5 in _oracle_models():
+        for case, pairs in _oracle_pairs(f5, p, rng).items():
+            for d, e in pairs:
+                out = cantor_add(d, e, f5)
+                assert out == jacobian._cantor_generic(d, e, f5), (case, p, d, e)
+                seen[case] += 1
+                if case in ("random", "doubling", "weight-one sum") and (
+                        len(d.u) == len(e.u) == 3 and e != cantor_neg(d)):
+                    seen["weight two"] += 1
+                    seen["explicit"] += jacobian._add_weight_two(d, e, f5) is not None
+    assert len(seen) == 10 and min(seen.values()) >= 10, seen
+    assert seen["explicit"] >= 0.8 * seen["weight two"], seen
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_jacobian_group_matches_generic_path(seed, monkeypatch):
+    groups = {
+        (i, p): jacobian_group_mod_p(row.curve, p, seed)
+        for i, row in enumerate(TABLE)
+        for p in good_primes(row.curve, 100)
+    }
+    monkeypatch.setattr(jacobian, "cantor_add", jacobian._cantor_generic)
+    for (i, p), g in groups.items():
+        assert jacobian_group_mod_p(TABLE[i].curve, p, seed) == g
+
+
+def test_jacobian_module_has_no_asserts():
+    tree = ast.parse(Path(jacobian.__file__).read_text())
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
+
+
+def test_divisor_order_check_survives_python_O():
+    code = (
+        "import sys\n"
+        "from quatorsion.genus2.curve import parse_curve\n"
+        "from quatorsion.genus2.jacobian import (\n"
+        "    divisor_from_point, divisor_order, odd_degree_model)\n"
+        "f5 = odd_degree_model(parse_curve('x^5 + 1'), 7)\n"
+        "try:\n"
+        "    divisor_order(divisor_from_point(f5, 7, 1, 3), f5, 1)\n"
+        "except ValueError as exc:\n"
+        "    print(sys.flags.optimize, 'ValueError', exc)\n"
+    )
+    src = str(Path(jacobian.__file__).resolve().parents[2])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("1 ValueError group_order does not annihilate")
 
 
 # ---------------------------------------------------------------------------
