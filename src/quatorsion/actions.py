@@ -19,13 +19,16 @@ Generator presentations (O maximal):
   D6  <[1-w],[j]>    same data; [1-w] has norm 3, forcing 3 | disc(B)
 
 Conjugation by a class acts on O/NO through an integer matrix in the
-order basis; fixed subgroups are reported as abelian invariants, by
-exhaustive enumeration for N <= 4 and through the Smith form of the
-stacked (conjugation - identity) maps otherwise.
+order basis, computed once per class from the order's multiplication
+table; fixed subgroups are reported as abelian invariants read off the
+Smith form of the stacked (conjugation - identity) maps, for every N.
+Products, twists and norms in O/NO are likewise computed from the table
+and the norm Gram matrix in integer arithmetic.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,16 +41,13 @@ from sympy.ntheory import factorint
 from .exact import (
     fundamental_discriminant,
     rational_square_class,
+    rref_mod,
     smith_diagonal,
-    smith_invariants,
 )
 from .quat import (
     QuatElt,
     QuatOrder,
-    _hnf_rows,
-    _mat_inverse,
     discriminant,
-    is_in_normalizer,
     is_maximal,
     order_from_json,
     order_to_json,
@@ -66,11 +66,13 @@ class AutClass:
     """A class [b] in N_{B*}(O)/Q*, acting on O by x |-> b^-1 x b.
 
     The representative is primitive in the order basis with positive
-    leading coordinate, so equal classes compare equal.
+    leading coordinate, so equal classes compare equal.  ``matrix`` is the
+    conjugation matrix, computed once at construction.
     """
 
     order: QuatOrder
     rep: QuatElt
+    matrix: tuple[tuple[int, ...], ...] = dataclasses.field(compare=False, repr=False)
 
     @classmethod
     def from_element(cls, order: QuatOrder, x: QuatElt) -> "AutClass":
@@ -79,26 +81,20 @@ class AutClass:
         rep, coords = primitive_in_order(order, x)
         if next(c for c in coords if c) < 0:
             rep = -rep
-        if not is_in_normalizer(order, rep):
+        rows = order.conjugation_rows(coords)
+        if rows is None:
             raise ValueError(f"{x} does not normalize the order")
-        return cls(order, rep)
+        return cls(order, rep, tuple(tuple(row) for row in rows))
 
     def is_identity(self) -> bool:
         return self.rep.is_scalar()
 
-    def conjugation_matrix(self, modulus: int | None = None) -> list[list[int]]:
+    def conjugation_matrix(self) -> list[list[int]]:
         """Integer matrix of x |-> b^-1 x b on the order basis.
 
         Coordinate row vectors transform by right multiplication.
         """
-        inv = self.rep.inverse()
-        rows = []
-        for e in self.order.basis:
-            coords = self.order.coordinates(inv * e * self.rep)
-            assert all(c.denominator == 1 for c in coords)  # rep normalizes
-            row = [int(c) for c in coords]
-            rows.append([v % modulus for v in row] if modulus else row)
-        return rows
+        return [list(row) for row in self.matrix]
 
     def __mul__(self, other: "AutClass") -> "AutClass":
         if self.order != other.order:
@@ -125,11 +121,9 @@ class DihedralAction:
 
 def _scalar_square(x: QuatElt, name: str) -> int:
     sq = x * x
-    if not sq.is_scalar():
+    if not sq.is_scalar() or sq.coords[0].denominator != 1:
         raise ValueError(f"relation violated: {name}^2 must be an integer")
-    value = sq.scalar_part()
-    assert value.denominator == 1
-    return int(value)
+    return int(sq.coords[0])
 
 
 def _check_divides(m: int, disc: int, name: str) -> None:
@@ -195,7 +189,8 @@ def build_dihedral_action(
         _check_divides(m, disc, "j")
         if i_elt * v != -(v * i_elt):
             raise ValueError("relation violated: ij = -ji")
-        assert disc % 2 == 0  # nrd(1+i) = 2 normalizes, so 2 ramifies
+        if disc % 2:  # nrd(1+i) = 2 normalizes, so 2 ramifies
+            raise ArithmeticError(f"a D4 action on an order of discriminant {disc}")
         return DihedralAction(kind, tuple(classes), (m,))
 
     # D3 / D6: rotation 1+w (nrd 1, trd 1) or 1-w (nrd 3, trd 3).
@@ -210,8 +205,8 @@ def build_dihedral_action(
     _check_divides(m, disc, "j")
     if omega * v != v * (-order.algebra.one - omega):
         raise ValueError("relation violated: wj = j(-1-w)")
-    if kind == "D6":
-        assert disc % 3 == 0  # nrd(1-w) = 3 normalizes, so 3 ramifies
+    if kind == "D6" and disc % 3:  # nrd(1-w) = 3 normalizes, so 3 ramifies
+        raise ArithmeticError(f"a D6 action on an order of discriminant {disc}")
     return DihedralAction(kind, tuple(classes), (m,))
 
 
@@ -232,64 +227,28 @@ def _vec_mat_mod(vec: Sequence[int], mat: Sequence[Sequence[int]], n: int) -> tu
     return tuple(sum(vec[r] * mat[r][c] for r in range(4)) % n for c in range(4))
 
 
-def _fixed_invariants_enumerate(mats: Sequence[Sequence[Sequence[int]]], n: int) -> list[int]:
-    """Invariants of the common fixed subgroup of (Z/n)^4 by enumeration."""
-    fixed = [
-        vec
-        for vec in itertools.product(range(n), repeat=4)
-        if all(_vec_mat_mod(vec, mat, n) == vec for mat in mats)
-    ]
-    # the subgroup is L/nZ^4 for the lattice L spanned by lifts and nZ^4
-    rows = [list(vec) for vec in fixed]
-    rows += [[n if r == c else 0 for c in range(4)] for r in range(4)]
-    basis = _hnf_rows(rows)
-    assert len(basis) == 4
-    inv = _mat_inverse([[Fraction(v) for v in row] for row in basis])
-    rel = []
-    for r in range(4):
-        row = []
-        for c in range(4):
-            entry = n * inv[r][c]
-            assert entry.denominator == 1  # nZ^4 lies inside L
-            row.append(int(entry))
-        rel.append(row)
-    return list(smith_invariants(rel))
-
-
-def _fixed_invariants_smith(mats: Sequence[Sequence[Sequence[int]]], n: int) -> list[int]:
-    """Invariants via the Smith form of the stacked (M - 1) maps over Z.
-
-    Writing the stack A = U D V with U, V unimodular, the kernel of
-    x |-> xA on (Z/n)^4 is the direct sum of Z/gcd(d_i, n) over the four
-    diagonal entries of D (zeros included, with gcd(0, n) = n).
-    """
-    stacked = [
-        [mat[r][c] - (1 if r == c else 0) for mat in mats for c in range(4)]
-        for r in range(4)
-    ]
-    diag = [d for d in smith_diagonal(stacked) if d != 0]
-    assert len(diag) <= 4
-    diag += [0] * (4 - len(diag))
-    return [g for d in diag if (g := math.gcd(d, n)) > 1]
-
-
 def residue_fixed_subgroup(
     action: DihedralAction | Iterable[AutClass], modulus: int
 ) -> list[int]:
     """Abelian invariants of {x in O/NO : g^-1 x g = x for all generators}.
 
     Accepts a DihedralAction or any iterable of AutClass generators (for
-    cyclic subgroups such as <[1+i]>).  For N <= 4 the kernel is found by
-    exhaustive enumeration; otherwise through the Smith normal form of
-    the stacked conjugation-minus-identity maps.
+    cyclic subgroups such as <[1+i]>).  The fixed subgroup is the kernel
+    of x |-> xA on (Z/N)^4, with A the stacked (M - 1) maps over Z; writing
+    A = U D V with U, V unimodular, that kernel is the direct sum of
+    Z/gcd(d_i, N) over the four diagonal entries of D (zeros included,
+    with gcd(0, N) = N).
     """
     if modulus < 2:
         raise ValueError("the modulus must be at least 2")
-    classes = _generator_classes(action)
-    mats = [c.conjugation_matrix() for c in classes]
-    if modulus <= 4:
-        return _fixed_invariants_enumerate(mats, modulus)
-    return _fixed_invariants_smith(mats, modulus)
+    mats = [c.matrix for c in _generator_classes(action)]
+    stacked = [
+        [mat[r][c] - (1 if r == c else 0) for mat in mats for c in range(4)]
+        for r in range(4)
+    ]
+    diag = [d for d in smith_diagonal(stacked) if d != 0]
+    diag += [0] * (4 - len(diag))
+    return [g for d in diag if (g := math.gcd(d, modulus)) > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -321,41 +280,30 @@ def classify_involution_mod2(order: QuatOrder, b: QuatElt) -> tuple[list[int], b
     fixed = residue_fixed_subgroup([cls], 2)
     criterion = fixed == [2, 2, 2]
     disc = discriminant(order.algebra)
-    assert criterion == (disc % 2 == 0 and m % 4 == 3)
+    if criterion != (disc % 2 == 0 and m % 4 == 3):
+        raise ArithmeticError(
+            f"mod-2 lemma violated: fixed points {fixed} for b^2 = {m}, disc(B) = {disc}"
+        )
     return fixed, criterion
 
 
-def search_mod4_anticommutator(
-    order: QuatOrder, b: QuatElt, full_scan: bool = False
-) -> QuatElt | None:
+def search_mod4_anticommutator(order: QuatOrder, b: QuatElt) -> QuatElt | None:
     """Search O/4O for x = 1 mod 2O with b^-1 x b x = -1; expected empty.
 
-    With ``full_scan`` the congruence condition on x is dropped and all
-    4^4 residues are scanned (a sanity mode in which witnesses may
-    exist).  Requires b to have (Z/2)^3 fixed points mod 2; under that
-    precondition the restricted search provably finds nothing.
+    Requires b to have (Z/2)^3 fixed points mod 2; under that
+    precondition the search provably finds nothing.  The twist b^-1 x b
+    is the coordinate vector of x times the conjugation matrix of [b], and
+    the product comes from the multiplication table, all in integers.
     """
     _, criterion = classify_involution_mod2(order, b)
     if not criterion:
         raise ValueError("b must have (Z/2)^3 fixed points on O/2O")
-    alg = order.algebra
-    b_inv = b.inverse()
-    if full_scan:
-        candidates = itertools.product(range(4), repeat=4)
-    else:
-        candidates = (
-            (1 + 2 * c0, 2 * c1, 2 * c2, 2 * c3)
-            for c0, c1, c2, c3 in itertools.product(range(2), repeat=4)
-        )
-    for coords in candidates:
-        x = order.element(coords)
-        if x.is_zero():
-            continue
-        residual = b_inv * x * b * x + alg.one
-        res_coords = order.coordinates(residual)
-        assert all(c.denominator == 1 for c in res_coords)
-        if all(int(c) % 4 == 0 for c in res_coords):
-            return x
+    mat = AutClass.from_element(order, b).matrix
+    for c0, c1, c2, c3 in itertools.product(range(2), repeat=4):
+        coords = (1 + 2 * c0, 2 * c1, 2 * c2, 2 * c3)
+        residual = order.multiply(_vec_mat_mod(coords, mat, 4), coords)
+        if (residual[0] + 1) % 4 == 0 and all(v % 4 == 0 for v in residual[1:]):
+            return order.element(coords)
     return None
 
 
@@ -371,7 +319,10 @@ def classify_c2c2_mod2(action: DihedralAction) -> tuple[list[int], bool]:
     criterion = fixed == [2, 2, 2]
     m, n = action.params
     disc = discriminant(action.order.algebra)
-    assert criterion == (disc % 2 == 0 and m % 4 == 3 and n % 4 == 3)
+    if criterion != (disc % 2 == 0 and m % 4 == 3 and n % 4 == 3):
+        raise ArithmeticError(
+            f"mod-2 lemma violated: fixed points {fixed} for squares {m}, {n}, disc(B) = {disc}"
+        )
     return fixed, criterion
 
 
@@ -379,55 +330,24 @@ def classify_c2c2_mod2(action: DihedralAction) -> tuple[list[int], bool]:
 # left submodules of O/lO
 
 
-def _structure_constants(order: QuatOrder) -> list[list[list[int]]]:
-    """Integer coordinates of e_i e_j in the order basis."""
-    consts = []
-    for e in order.basis:
-        row = []
-        for f in order.basis:
-            coords = order.coordinates(e * f)
-            assert all(c.denominator == 1 for c in coords)
-            row.append([int(c) for c in coords])
-        consts.append(row)
-    return consts
-
-
-def _rref_mod(rows: Iterable[Sequence[int]], p: int) -> list[tuple[int, ...]]:
-    """Reduced row echelon basis of the span of rows over F_p."""
-    basis: list[list[int]] = []
-    for row in rows:
-        row = [v % p for v in row]
-        for b in basis:
-            pivot = next(c for c in range(4) if b[c])
-            if row[pivot]:
-                factor = row[pivot]
-                row = [(v - factor * w) % p for v, w in zip(row, b)]
-        if any(row):
-            lead = next(c for c in range(4) if row[c])
-            inv = pow(row[lead], -1, p)
-            row = [v * inv % p for v in row]
-            basis.append(row)
-    basis.sort(key=lambda b: next(c for c in range(4) if b[c]))
-    # clear entries above each pivot for a canonical form
-    for idx, b in enumerate(basis):
-        pivot = next(c for c in range(4) if b[c])
-        for other in basis[:idx]:
-            if other[pivot]:
-                factor = other[pivot]
-                other[:] = [(v - factor * w) % p for v, w in zip(other, b)]
-    return [tuple(b) for b in basis]
-
-
 def _left_ideal_basis(
-    consts: Sequence[Sequence[Sequence[int]]], coords: Sequence[int], p: int
+    table: Sequence[Sequence[Sequence[int]]], coords: Sequence[int], p: int
 ) -> list[tuple[int, ...]]:
     rows = []
     for i in range(4):
         # coordinates of e_i * x where x has the given coordinates
         rows.append(
-            [sum(coords[j] * consts[i][j][c] for j in range(4)) % p for c in range(4)]
+            [sum(coords[j] * table[i][j][c] for j in range(4)) % p for c in range(4)]
         )
-    return _rref_mod(rows, p)
+    return rref_mod(rows, p)
+
+
+def _line_representatives(p: int) -> Iterable[tuple[int, ...]]:
+    """Zero and the vectors of F_p^4 whose first nonzero coordinate is 1."""
+    yield (0, 0, 0, 0)
+    for lead in range(4):
+        for tail in itertools.product(range(p), repeat=3 - lead):
+            yield (0,) * lead + (1,) + tail
 
 
 def _span(basis: Sequence[Sequence[int]], p: int) -> frozenset[tuple[int, ...]]:
@@ -444,8 +364,7 @@ def generated_by(order: QuatOrder, ell: int, coords: Sequence[int]) -> frozenset
     """The left submodule of O/lO generated by the element with given coordinates."""
     if not isprime(ell):
         raise ValueError("the modulus must be prime")
-    consts = _structure_constants(order)
-    basis = _left_ideal_basis(consts, [v % ell for v in coords], ell)
+    basis = _left_ideal_basis(order.table, [v % ell for v in coords], ell)
     return _span(basis, ell)
 
 
@@ -455,15 +374,16 @@ def submodule_lattice_mod_ell(order: QuatOrder, ell: int) -> list[frozenset[tupl
     For l not dividing disc(B) the module is Mat_2(F_l): the zero module,
     l+1 minimal submodules of order l^2, and the full module.  For l
     dividing disc(B) there is a unique proper nonzero submodule, of
-    order l^2.  Every submodule is principal, so the enumeration scans
-    generated_by over all l^4 elements.
+    order l^2.  Every submodule is principal, and O x = O (c x) for every
+    unit c of F_l, so the enumeration scans generated_by over one element
+    of each line: zero and the (l^4 - 1)/(l - 1) vectors whose first
+    nonzero coordinate is 1.
     """
     if not isprime(ell):
         raise ValueError("the modulus must be prime")
-    consts = _structure_constants(order)
     seen: dict[tuple[tuple[int, ...], ...], None] = {}
-    for coords in itertools.product(range(ell), repeat=4):
-        key = tuple(_left_ideal_basis(consts, coords, ell))
+    for coords in _line_representatives(ell):
+        key = tuple(_left_ideal_basis(order.table, coords, ell))
         seen.setdefault(key, None)
     modules = [_span(key, ell) for key in seen]
     modules.sort(key=lambda mod: (len(mod), sorted(mod)))
@@ -477,22 +397,20 @@ def three_dim_generator_check(
 
     Scans the subspace in lexicographic coefficient order over the given
     basis.  Existence is guaranteed (a 3-dimensional subspace cannot
-    avoid the generators), so exhaustion raises an internal assertion.
+    avoid the generators), so exhaustion raises ArithmeticError.
     """
     if not isprime(ell):
         raise ValueError("the modulus must be prime")
     basis = [tuple(v % ell for v in row) for row in subspace]
-    if len(basis) != 3 or len(_rref_mod(basis, ell)) != 3:
+    if len(basis) != 3 or len(rref_mod(basis, ell)) != 3:
         raise ValueError("the subspace must be 3-dimensional")
-    consts = _structure_constants(order)
     for coeffs in itertools.product(range(ell), repeat=3):
         coords = tuple(
             sum(c * b[col] for c, b in zip(coeffs, basis)) % ell for col in range(4)
         )
-        if len(_left_ideal_basis(consts, coords, ell)) == 4:
-            assert len(generated_by(order, ell, coords)) == ell**4
+        if len(_left_ideal_basis(order.table, coords, ell)) == 4:
             return coords
-    raise AssertionError("a 3-dimensional subspace must contain a module generator")
+    raise ArithmeticError("a 3-dimensional subspace must contain a module generator")
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +436,7 @@ class EnhancedElement:
         if modulus < 2:
             raise ValueError("the modulus must be at least 2")
         reduced = tuple(int(c) % modulus for c in coords)
-        norm = gamma.order.element(reduced).nrd()
-        assert norm.denominator == 1
-        if math.gcd(int(norm), modulus) != 1:
+        if math.gcd(gamma.order.nrd(reduced), modulus) != 1:
             raise ValueError("x must be a unit of O/NO (nrd a unit mod N)")
         return cls(gamma, reduced, modulus)
 
@@ -534,13 +450,9 @@ def enhanced_mul(e1: EnhancedElement, e2: EnhancedElement) -> EnhancedElement:
     """The semidirect product law (g1, x1)(g2, x2) = (g1 g2, x1^{g2} x2)."""
     if e1.gamma.order != e2.gamma.order or e1.modulus != e2.modulus:
         raise ValueError("operands must share the order and the modulus")
-    order, n = e1.gamma.order, e1.modulus
-    mat = e2.gamma.conjugation_matrix()
-    twisted = _vec_mat_mod(e1.coords, mat, n)
-    product = order.element(twisted) * order.element(e2.coords)
-    coords = order.coordinates(product)
-    assert all(c.denominator == 1 for c in coords)
-    return EnhancedElement.create(e1.gamma * e2.gamma, [int(c) for c in coords], n)
+    twisted = _vec_mat_mod(e1.coords, e2.gamma.matrix, e1.modulus)
+    product = e1.gamma.order.multiply(twisted, e2.coords)
+    return EnhancedElement.create(e1.gamma * e2.gamma, product, e1.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +478,8 @@ def polarization_analysis(
     square class of the degree of the associated line bundle — and
     ``subfield_disc`` the discriminant of Q(mu) = Q(sqrt(mu^2)).  The
     polarization is principal (degree class 1) exactly when Q(mu) is
-    Q(sqrt(-disc B)); in jacobian mode this equivalence is asserted.
+    Q(sqrt(-disc B)); in jacobian mode a failure of this equivalence
+    raises ArithmeticError.
     When the fixed-point data of an associated D2 action is supplied and
     equals (Z/2)^3, a principal polarization is impossible, so an even
     degree class is required for consistency.
@@ -581,8 +494,10 @@ def polarization_analysis(
     subfield_disc = fundamental_discriminant(mu_squared)
     matches_minus_disc = subfield_disc == fundamental_discriminant(-disc)
     consistent = (degree_class == 1) == matches_minus_disc
-    if jacobian_mode:
-        assert consistent  # both sides compare the same square classes
+    if jacobian_mode and not consistent:  # both sides compare the same square classes
+        raise ArithmeticError(
+            f"degree class {degree_class} and Q(mu) of discriminant {subfield_disc} disagree"
+        )
     if c2c2_fixed is not None and list(c2c2_fixed) == [2, 2, 2]:
         consistent = consistent and degree_class % 2 == 0
     return PolarizationReport(degree_class, subfield_disc, consistent)
@@ -617,7 +532,8 @@ def distinguished_subring(action: DihedralAction) -> DistinguishedRing:
         m, n = action.params
         squares = [rational_square_class(v)[0] for v in (m, n, -m * n)]
         negatives = [d for d in squares if d < 0]
-        assert len(negatives) == 1  # B is indefinite
+        if len(negatives) != 1:  # B is indefinite
+            raise ArithmeticError(f"square classes {squares}: expected exactly one negative")
         d = negatives[0]
     elif action.kind == "D4":
         d = -1
@@ -629,7 +545,8 @@ def distinguished_subring(action: DihedralAction) -> DistinguishedRing:
     else:
         index_bound = 2 if d % 4 == 1 else 1
     for p in factorint(abs(ring_disc)):
-        assert (6 * disc) % int(p) == 0  # unramified away from 6 disc(B)
+        if (6 * disc) % int(p):  # unramified away from 6 disc(B)
+            raise ArithmeticError(f"Q(sqrt {d}) ramifies at {p}, which does not divide 6 disc(B)")
     return DistinguishedRing(d, ring_disc, index_bound, d > 0)
 
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: symbols, square classes, Smith forms, factoring.
+"""Exact arithmetic substrate: symbols, square classes, linear algebra, factoring.
 
 Conventions
 -----------
@@ -13,6 +13,12 @@ Conventions
 * ``hilbert_symbol(a, b, v)`` is the symbol of the quaternion algebra
   ``(a, b)`` at the place ``v``: ``+1`` when the algebra splits locally,
   ``-1`` when it ramifies.  The real place is ``math.inf``.
+* The linear-algebra section holds the exact matrix routines of the
+  package, all on row vectors: the row-style Hermite normal form of an
+  integer matrix (:func:`hnf_rows`), the inverse of a rational matrix
+  (:func:`mat_inverse`), Smith forms over Z (:func:`smith_diagonal`,
+  :func:`smith_invariants`) and the reduced row echelon form over F_p
+  (:func:`rref_mod`).
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ __all__ = [
     "hilbert_symbol",
     "rational_square_class",
     "padic_valuation",
+    "hnf_rows",
+    "mat_inverse",
+    "rref_mod",
     "smith_diagonal",
     "smith_invariants",
     "validate_invariants",
@@ -172,7 +181,96 @@ def padic_valuation(x: int | Fraction, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# linear algebra: Hermite form, rational inverse, Smith forms, F_p echelon
+
+
+def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form of an integer matrix.
+
+    Returns the nonzero rows: upper echelon, positive pivots, entries above
+    each pivot reduced to [0, pivot).
+    """
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivot_row = 0
+    pivots: list[tuple[int, int]] = []
+    for col in range(ncols):
+        # euclidean elimination below pivot_row in this column
+        while True:
+            nonzero = [r for r in range(pivot_row, nrows) if m[r][col] != 0]
+            if not nonzero:
+                break
+            r_min = min(nonzero, key=lambda r: abs(m[r][col]))
+            m[pivot_row], m[r_min] = m[r_min], m[pivot_row]
+            if len(nonzero) == 1:
+                break
+            p = m[pivot_row][col]
+            for r in range(pivot_row + 1, nrows):
+                if m[r][col]:
+                    q = m[r][col] // p
+                    m[r] = [x - q * y for x, y in zip(m[r], m[pivot_row])]
+        if pivot_row < nrows and m[pivot_row][col] != 0:
+            if m[pivot_row][col] < 0:
+                m[pivot_row] = [-x for x in m[pivot_row]]
+            pivots.append((pivot_row, col))
+            pivot_row += 1
+            if pivot_row == nrows:
+                break
+    # reduce entries above the pivots
+    for r, col in reversed(pivots):
+        p = m[r][col]
+        for r2 in range(r):
+            q = m[r2][col] // p
+            if q:
+                m[r2] = [x - q * y for x, y in zip(m[r2], m[r])]
+    return [row for row in m if any(row)]
+
+
+def mat_inverse(rows: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [
+        [_as_fraction(c) for c in row] + [Fraction(1) if i == r else Fraction(0) for i in range(n)]
+        for r, row in enumerate(rows)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [c / aug[col][col] for c in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [c - factor * d for c, d in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def rref_mod(rows: Iterable[Sequence[int]], p: int) -> list[tuple[int, ...]]:
+    """Reduced row echelon basis of the span of rows over F_p."""
+    basis: list[list[int]] = []
+    for row in rows:
+        row = [v % p for v in row]
+        for b in basis:
+            pivot = next(c for c in range(len(b)) if b[c])
+            if row[pivot]:
+                factor = row[pivot]
+                row = [(v - factor * w) % p for v, w in zip(row, b)]
+        if any(row):
+            lead = next(c for c in range(len(row)) if row[c])
+            inv = pow(row[lead], -1, p)
+            row = [v * inv % p for v in row]
+            basis.append(row)
+    basis.sort(key=lambda b: next(c for c in range(len(b)) if b[c]))
+    # clear entries above each pivot for a canonical form
+    for idx, b in enumerate(basis):
+        pivot = next(c for c in range(len(b)) if b[c])
+        for other in basis[:idx]:
+            if other[pivot]:
+                factor = other[pivot]
+                other[:] = [(v - factor * w) % p for v, w in zip(other, b)]
+    return [tuple(b) for b in basis]
+
 
 
 def smith_diagonal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 from sympy.ntheory import factorint
 
-from .exact import hilbert_symbol, padic_valuation
+from .exact import hilbert_symbol, hnf_rows, mat_inverse
 
 __all__ = [
     "QuatAlgebra",
@@ -50,9 +51,6 @@ __all__ = [
     "order_to_json",
     "order_from_json",
 ]
-
-_Q = Fraction
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -216,8 +214,10 @@ def ramified_places(alg: QuatAlgebra) -> tuple[frozenset[int], bool]:
         candidates.update(int(p) for p in factorint(value) if p > 0)
     finite = frozenset(p for p in candidates if hilbert_symbol(a, b, p) == -1)
     at_infinity = hilbert_symbol(a, b, math.inf) == -1
-    # product formula: ramification at an even number of places
-    assert (len(finite) + int(at_infinity)) % 2 == 0
+    if (len(finite) + int(at_infinity)) % 2:
+        raise ArithmeticError(
+            f"product formula violated: {alg!r} ramifies at an odd number of places"
+        )
     return finite, at_infinity
 
 
@@ -228,59 +228,14 @@ def discriminant(alg: QuatAlgebra) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer lattice utilities (row-style Hermite form)
-
-
-def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form of an integer matrix.
-
-    Returns the nonzero rows: upper echelon, positive pivots, entries above
-    each pivot reduced to [0, pivot).
-    """
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivot_row = 0
-    pivots: list[tuple[int, int]] = []
-    for col in range(ncols):
-        # euclidean elimination below pivot_row in this column
-        while True:
-            nonzero = [r for r in range(pivot_row, nrows) if m[r][col] != 0]
-            if not nonzero:
-                break
-            r_min = min(nonzero, key=lambda r: abs(m[r][col]))
-            m[pivot_row], m[r_min] = m[r_min], m[pivot_row]
-            if len(nonzero) == 1:
-                break
-            p = m[pivot_row][col]
-            for r in range(pivot_row + 1, nrows):
-                if m[r][col]:
-                    q = m[r][col] // p
-                    m[r] = [x - q * y for x, y in zip(m[r], m[pivot_row])]
-        if pivot_row < nrows and m[pivot_row][col] != 0:
-            if m[pivot_row][col] < 0:
-                m[pivot_row] = [-x for x in m[pivot_row]]
-            pivots.append((pivot_row, col))
-            pivot_row += 1
-            if pivot_row == nrows:
-                break
-    # reduce entries above the pivots
-    for r, col in reversed(pivots):
-        p = m[r][col]
-        for r2 in range(r):
-            q = m[r2][col] // p
-            if q:
-                m[r2] = [x - q * y for x, y in zip(m[r2], m[r])]
-    return [row for row in m if any(row)]
+# integer lattice utilities
 
 
 def _lattice_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of the lattice spanned by rational row vectors, via HNF."""
-    den = 1
-    for row in rows:
-        for c in row:
-            den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for row in rows for c in row))
     int_rows = [[int(c * den) for c in row] for row in rows]
-    hnf = _hnf_rows(int_rows)
+    hnf = hnf_rows(int_rows)
     return [[Fraction(x, den) for x in row] for row in hnf]
 
 
@@ -304,7 +259,8 @@ def _complete_unimodular(vec: Sequence[int]) -> list[list[int]]:
         v[j] -= q * v[i]
         w[i] = [x + q * y for x, y in zip(w[i], w[j])]
     idx = next(s for s in range(n) if v[s] != 0)
-    assert abs(v[idx]) == 1  # vec is primitive
+    if abs(v[idx]) != 1:
+        raise ValueError("only a primitive vector completes to a unimodular matrix")
     if v[idx] < 0:
         w[idx] = [-x for x in w[idx]]
     w[0], w[idx] = w[idx], w[0]
@@ -323,14 +279,10 @@ def _canonical_order_rows(
     """
     completion = _complete_unimodular(one_coeffs)
     mixed = [
-        [sum(_Q(completion[r][s]) * basis_rows[s][c] for s in range(4)) for c in range(4)]
+        [sum(completion[r][s] * basis_rows[s][c] for s in range(4)) for c in range(4)]
         for r in range(4)
     ]
-    assert mixed[0] == [_Q(1), _Q(0), _Q(0), _Q(0)]
-    den = 1
-    for row in mixed[1:]:
-        for c in row:
-            den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for row in mixed[1:] for c in row))
     # Hermite-reduce with column priority (x, y, z, t): pivots land in the
     # pure part, which has full rank because the kernel of the projection
     # is exactly Z * 1.
@@ -338,9 +290,8 @@ def _canonical_order_rows(
         [int(row[1] * den), int(row[2] * den), int(row[3] * den), int(row[0] * den)]
         for row in mixed[1:]
     ]
-    hnf = _hnf_rows(permuted)
-    assert len(hnf) == 3 and all(any(row[:3]) for row in hnf)
-    rows4 = [[_Q(1), _Q(0), _Q(0), _Q(0)]]
+    hnf = hnf_rows(permuted)
+    rows4 = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]
     for row in hnf:
         t = Fraction(row[3], den)
         t -= math.floor(t)
@@ -359,13 +310,20 @@ class QuatOrder:
     ``basis`` lists four elements whose Z-span is the order; the first
     basis element is always 1.  Construct through :meth:`from_basis`,
     which canonicalizes and validates.
+
+    Two integer fields carry the arithmetic of the order, and everything
+    else (Gram matrices, products, norms, conjugation) is derived from
+    them in integer arithmetic:
+
+    * ``table[i][j]`` holds the coordinates of ``e_i e_j`` in the basis;
+    * ``traces[i]`` is ``trd(e_i)``, so ``traces[0] == 2``.
     """
 
     algebra: QuatAlgebra
     basis: tuple[QuatElt, QuatElt, QuatElt, QuatElt]
-    basis_inv: tuple[tuple[Fraction, ...], ...] = dataclasses.field(
-        default=None, compare=False, repr=False
-    )
+    basis_inv: tuple[tuple[Fraction, ...], ...] = dataclasses.field(compare=False, repr=False)
+    table: tuple[tuple[tuple[int, ...], ...], ...] = dataclasses.field(compare=False, repr=False)
+    traces: tuple[int, int, int, int] = dataclasses.field(compare=False, repr=False)
 
     @classmethod
     def from_basis(cls, algebra: QuatAlgebra, rows: Iterable[Sequence[Fraction]]) -> "QuatOrder":
@@ -376,147 +334,124 @@ class QuatOrder:
         basis_rows = _lattice_basis(matrix)
         if len(basis_rows) != 4:
             raise ValueError("order basis must have rank 4")
-        coeffs = _solve_in_lattice(basis_rows, [_Q(1), _Q(0), _Q(0), _Q(0)])
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+        # the coordinates of 1 = (1, 0, 0, 0) form row 0 of the inverse
+        one = mat_inverse(basis_rows)[0]
+        if any(c.denominator != 1 for c in one):
             raise ValueError("an order must contain 1")
-        ints = [int(c) for c in coeffs]
+        ints = [int(c) for c in one]
         if math.gcd(*ints) != 1:
             # 1/n lies in the lattice for some n >= 2, so nrd is non-integral
             raise ValueError("an order must contain 1 as a primitive vector")
         rows4 = _canonical_order_rows(basis_rows, ints)
-        inv = _mat_inverse(rows4)
-        order = cls(algebra, tuple(QuatElt(algebra, tuple(row)) for row in rows4), inv)
-        order._validate()
-        return order
+        basis = tuple(QuatElt(algebra, tuple(row)) for row in rows4)
+        for e in basis:
+            if e.trd().denominator != 1 or e.nrd().denominator != 1:
+                raise ValueError("order basis elements must be integral")
+        inv = mat_inverse(rows4)
+        table = []
+        for e in basis:
+            row = []
+            for f in basis:
+                coords = _vec_mat((e * f).coords, inv)
+                if any(c.denominator != 1 for c in coords):
+                    raise ValueError("order basis is not closed under multiplication")
+                row.append(tuple(int(c) for c in coords))
+            table.append(tuple(row))
+        traces = tuple(int(e.trd()) for e in basis)
+        return cls(algebra, basis, inv, tuple(table), traces)
 
     # -- linear algebra over the basis ---------------------------------------
 
     def basis_matrix(self) -> list[list[Fraction]]:
         return [list(e.coords) for e in self.basis]
 
-    def coordinates(self, x: QuatElt) -> tuple[Fraction, Fraction, Fraction, Fraction] | None:
+    def coordinates(self, x: QuatElt) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """Coordinates of x in the order basis (the basis is a Q-basis of B)."""
         if x.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        inv = self.basis_inv if self.basis_inv is not None else _mat_inverse(self.basis_matrix())
-        return tuple(
-            sum(x.coords[r] * inv[r][c] for r in range(4)) for c in range(4)
-        )
+        return _vec_mat(x.coords, self.basis_inv)
 
     def contains(self, x: QuatElt) -> bool:
-        sol = self.coordinates(x)
-        return sol is not None and all(c.denominator == 1 for c in sol)
+        return all(c.denominator == 1 for c in self.coordinates(x))
 
     def element(self, coords: Sequence[int | Fraction]) -> QuatElt:
         """The element with the given coordinates in the order basis."""
-        out = self.algebra.element()
-        for c, e in zip(coords, self.basis):
-            out = out + e.scale(_frac(c))
-        return out
+        return QuatElt(self.algebra, _vec_mat([_frac(c) for c in coords], self.basis_matrix()))
 
-    def _validate(self) -> None:
-        if not self.contains(self.algebra.one):
-            raise ValueError("an order must contain 1")
-        for e in self.basis:
-            if e.trd().denominator != 1 or e.nrd().denominator != 1:
-                raise ValueError("order basis elements must be integral")
-        for e in self.basis:
-            for f in self.basis:
-                prod = e * f
-                if not self.contains(prod):
-                    raise ValueError("order basis is not closed under multiplication")
-                if prod.trd().denominator != 1:
-                    raise ValueError("order has a non-integral trace pairing")
-
-    # -- convenience ----------------------------------------------------------
+    # -- integer arithmetic from the multiplication table ----------------------
 
     def gram_trd(self) -> list[list[int]]:
-        """Integer matrix trd(e_i e_j) over the basis."""
-        gram = []
-        for e in self.basis:
-            row = []
-            for f in self.basis:
-                t = (e * f).trd()
-                if t.denominator != 1:
-                    raise ValueError("non-integral lattice: trd(e_i e_j) not in Z")
-                row.append(int(t))
-            gram.append(row)
-        return gram
+        """Integer matrix trd(e_i e_j) = sum_k table[i][j][k] trd(e_k)."""
+        return [
+            [sum(c * t for c, t in zip(prod, self.traces)) for prod in row]
+            for row in self.table
+        ]
 
     def norm_gram(self) -> list[list[int]]:
         """Integer Gram matrix of the bilinear form trd(x conj(y)).
 
-        ``nrd(sum c_i e_i) = (1/2) c G c^T``; the diagonal carries
-        ``2 nrd(e_i)``.
+        Since conj(e_j) = trd(e_j) - e_j, the entry is
+        ``trd(e_i) trd(e_j) - trd(e_i e_j)``.  ``nrd(sum c_i e_i) = (1/2)
+        c G c^T``; the diagonal carries ``2 nrd(e_i)``.
         """
-        gram = []
-        for e in self.basis:
+        t = self.traces
+        return [
+            [t[i] * t[j] - g for j, g in enumerate(row)]
+            for i, row in enumerate(self.gram_trd())
+        ]
+
+    def nrd(self, coords: Sequence[int]) -> int:
+        """Reduced norm of the element with integer coordinates ``coords``."""
+        return _eval_gram(self.norm_gram(), coords) // 2
+
+    def multiply(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int, int]:
+        """Coordinates of x y for x, y with integer coordinates u, v."""
+        out = [0, 0, 0, 0]
+        for i, ui in enumerate(u):
+            if ui:
+                row = self.table[i]
+                for j, vj in enumerate(v):
+                    if vj:
+                        c = ui * vj
+                        for k, entry in enumerate(row[j]):
+                            out[k] += c * entry
+        return tuple(out)
+
+    def conjugation_rows(self, beta: Sequence[int]) -> list[list[int]] | None:
+        """Integer matrix of x |-> b^-1 x b for b with integer coordinates beta.
+
+        Row i holds the coordinates of conj(b) e_i b divided exactly by
+        nrd(b); coordinate row vectors transform by right multiplication.
+        Returns None when nrd(b) = 0 or a division leaves a remainder, that
+        is, when b does not normalize the order (conjugation preserves
+        covolume, so b^-1 O b inside O already means equality).
+        """
+        n = self.nrd(beta)
+        if n == 0:
+            return None
+        conj = [-c for c in beta]  # conj(b) = trd(b) - b
+        conj[0] += sum(c * t for c, t in zip(beta, self.traces))
+        rows = []
+        for i in range(4):
+            unit = [1 if r == i else 0 for r in range(4)]
             row = []
-            for f in self.basis:
-                t = (e * f.conj()).trd()
-                assert t.denominator == 1
-                row.append(int(t))
-            gram.append(row)
-        return gram
+            for c in self.multiply(self.multiply(conj, unit), beta):
+                q, rem = divmod(c, n)
+                if rem:
+                    return None
+                row.append(q)
+            rows.append(row)
+        return rows
 
     def __repr__(self) -> str:
         return f"QuatOrder({self.algebra!r}, basis={[str(e) for e in self.basis]})"
 
 
-def _mat_inverse(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
-    n = len(rows)
-    aug = [
-        [_frac(c) for c in row] + [_Q(1) if i == r else _Q(0) for i in range(n)]
-        for r, row in enumerate(rows)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [c / aug[col][col] for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [c - factor * d for c, d in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _solve_in_lattice(
-    rows: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve c . rows = target over Q by Gaussian elimination."""
-    n = len(rows)
-    aug = [[_frac(c) for c in row] + [_Q(1) if i == r else _Q(0) for i in range(n)] for r, row in enumerate(rows)]
-    tgt = [_frac(c) for c in target]
-    width = len(rows[0])
-    # eliminate to row echelon, tracking transformations
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(width):
-        piv = next((rr for rr in range(r, n) if aug[rr][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [c / aug[r][col] for c in aug[r]]
-        for rr in range(n):
-            if rr != r and aug[rr][col] != 0:
-                factor = aug[rr][col]
-                aug[rr] = [c - factor * d for c, d in zip(aug[rr], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-    coeffs = [_Q(0)] * n
-    residual = list(tgt)
-    for rr, col in enumerate(pivot_cols):
-        factor = residual[col]
-        if factor != 0:
-            residual = [c - factor * d for c, d in zip(residual, aug[rr][:width])]
-            for idx in range(n):
-                coeffs[idx] += factor * aug[rr][width + idx]
-    if any(c != 0 for c in residual):
-        return None
-    return coeffs
+def _vec_mat(vec: Sequence[Fraction], mat: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+    """The row vector vec times the 4x4 matrix mat."""
+    return tuple(
+        sum((v * mat[r][c] for r, v in enumerate(vec) if v), Fraction(0)) for c in range(4)
+    )
 
 
 def standard_order(alg: QuatAlgebra) -> QuatOrder:
@@ -565,54 +500,54 @@ def is_maximal(order: QuatOrder) -> bool:
 def saturate_to_maximal(order: QuatOrder) -> QuatOrder:
     """A maximal order containing the given one.
 
-    At each prime p with p^2 dividing the reduced discriminant, every
-    residue v of O/pO is tested: if O + Z(v/p) is again an order the
-    lattice is enlarged, dividing the reduced discriminant by p^2;
+    At each prime p dividing the index disc(O) / disc(B), every residue v
+    of O/pO is tested: if O + Z(v/p) is again an order the lattice is
+    enlarged with index p, dividing the reduced discriminant by p;
     iteration stops when the discriminant reaches the algebra's.
     """
     current = order
     target = discriminant(order.algebra)
     disc = reduced_discriminant(current)
     while disc != target:
-        assert disc % target == 0
-        index_sq = disc // target
-        enlarged = False
-        for p in sorted(int(q) for q in factorint(index_sq)):
+        if disc % target:
+            raise ArithmeticError(
+                f"reduced discriminant {disc} is not a multiple of disc(B) = {target}"
+            )
+        candidate = None
+        for p in sorted(int(q) for q in factorint(disc // target)):
             candidate = _enlarge_at(current, p)
             if candidate is not None:
-                current = candidate
-                enlarged = True
                 break
-        if not enlarged:
-            raise AssertionError(
+        if candidate is None:
+            raise ArithmeticError(
                 f"saturation stalled at reduced discriminant {disc} (target {target})"
             )
+        current = candidate
         disc = reduced_discriminant(current)
     return current
 
 
 def _enlarge_at(order: QuatOrder, p: int) -> QuatOrder | None:
-    """Try to enlarge the order by v/p for a residue v of O/pO."""
+    """The first order O + Z(v/p), for residues v of O/pO in lexicographic order.
+
+    Each residue with coordinates c is screened in integers before any
+    quaternion is built: trd(v/p) = sum c_i trd(e_i) / p and nrd(v/p) =
+    c G c^T / (2 p^2), with G the norm Gram matrix, must both be integers.
+    O + Z(v/p) strictly contains O, so its reduced discriminant is smaller.
+    """
     basis_rows = order.basis_matrix()
-    for c1 in range(p):
-        for c2 in range(p):
-            for c3 in range(p):
-                for c4 in range(p):
-                    if c1 == c2 == c3 == c4 == 0:
-                        continue
-                    w = order.element((Fraction(c1, p), Fraction(c2, p), Fraction(c3, p), Fraction(c4, p)))
-                    if w.trd().denominator != 1 or w.nrd().denominator != 1:
-                        continue
-                    candidate_rows = basis_rows + [list(w.coords)]
-                    new_rows = _lattice_basis(candidate_rows)
-                    if len(new_rows) != 4:
-                        continue
-                    try:
-                        candidate = QuatOrder.from_basis(order.algebra, new_rows)
-                    except ValueError:
-                        continue
-                    if reduced_discriminant(candidate) < reduced_discriminant(order):
-                        return candidate
+    traces = order.traces
+    gram = order.norm_gram()
+    for c in itertools.product(range(p), repeat=4):
+        if not any(c):
+            continue
+        if sum(ci * ti for ci, ti in zip(c, traces)) % p or _eval_gram(gram, c) % (2 * p * p):
+            continue
+        w = order.element([Fraction(ci, p) for ci in c])
+        try:
+            return QuatOrder.from_basis(order.algebra, _lattice_basis(basis_rows + [list(w.coords)]))
+        except ValueError:
+            continue
     return None
 
 
@@ -629,11 +564,8 @@ def is_in_normalizer(order: QuatOrder, b: QuatElt) -> bool:
     """Whether b O b^{-1} = O (containment suffices: conjugation preserves covolume)."""
     if b.is_zero():
         raise ValueError("the normalizer test requires b != 0")
-    n = b.nrd()
-    if n == 0:
-        return False
-    b_inv = b.inverse()
-    return all(order.contains(b * e * b_inv) for e in order.basis)
+    _, beta = primitive_in_order(order, b)
+    return order.conjugation_rows(beta) is not None
 
 
 def primitive_in_order(order: QuatOrder, b: QuatElt) -> tuple[QuatElt, tuple[int, int, int, int]]:
@@ -641,8 +573,6 @@ def primitive_in_order(order: QuatOrder, b: QuatElt) -> tuple[QuatElt, tuple[int
     if b.is_zero():
         raise ValueError("cannot normalize the zero element")
     coords = order.coordinates(b)
-    if coords is None:
-        raise ValueError("element does not lie in the rational span of the order")
     den = math.lcm(*(c.denominator for c in coords))
     ints = [int(c * den) for c in coords]
     content = math.gcd(*ints)
@@ -657,10 +587,8 @@ def norm_divides_discriminant(order: QuatOrder, b: QuatElt) -> bool:
     |nrd(b)| divides the algebra discriminant.  For maximal orders this is
     equivalent to membership in the normalizer.
     """
-    prim, _ = primitive_in_order(order, b)
-    n = prim.nrd()
-    assert n.denominator == 1
-    n = abs(int(n))
+    _, coords = primitive_in_order(order, b)
+    n = abs(order.nrd(coords))
     if n == 0:
         return False
     return discriminant(order.algebra) % n == 0
@@ -701,9 +629,11 @@ def atkin_lehner_group(order: QuatOrder, max_height: int = 12) -> dict[int, Quat
         n2 = _eval_gram(gram, coords)  # 2 nrd
         m = abs(n2) // 2
         if m in remaining:
-            w = order.element(coords)
-            assert is_in_normalizer(order, w)
-            reps[m] = w
+            if order.conjugation_rows(coords) is None:
+                raise ArithmeticError(
+                    f"{order.element(coords)} has norm dividing disc(B) but does not normalize"
+                )
+            reps[m] = order.element(coords)
             remaining.discard(m)
     if remaining:
         missing = min(remaining)
@@ -735,8 +665,7 @@ def find_trace_zero(order: QuatOrder, m: int, height: int = 30) -> list[QuatElt]
     if m == 0:
         raise ValueError("m must be a nonzero integer")
     g = order.norm_gram()
-    traces = [int(e.trd()) for e in order.basis]
-    assert traces[0] == 2  # basis starts with 1
+    traces = order.traces
     # nrd(c) = c1^2 + c1*(g12 c2 + g13 c3 + g14 c4) + C(c2, c3, c4); all integer
     out: list[tuple[int, int, int, int]] = []
     rng = range(-height, height + 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -15,9 +16,7 @@ from quatorsion.actions import (
     DistinguishedRing,
     EnhancedElement,
     PolarizationReport,
-    _fixed_invariants_enumerate,
-    _fixed_invariants_smith,
-    _rref_mod,
+    _line_representatives,
     action_from_json,
     action_to_json,
     build_dihedral_action,
@@ -33,6 +32,7 @@ from quatorsion.actions import (
     submodule_lattice_mod_ell,
     three_dim_generator_check,
 )
+from quatorsion.exact import hnf_rows, mat_inverse, rref_mod, smith_invariants
 from quatorsion.quat import (
     QuatAlgebra,
     QuatOrder,
@@ -95,12 +95,6 @@ def test_class_multiplication_matches_element_product(omax_1_6):
     gjk = AutClass.from_element(omax_1_6, jk2)
     assert gi * gjk == AutClass.from_element(omax_1_6, b.i * jk2)
     assert (gi * gi).is_identity()
-
-
-def test_conjugation_matrix_reduces_mod_n(omax_1_6):
-    cls = AutClass.from_element(omax_1_6, omax_1_6.algebra.i)
-    full = cls.conjugation_matrix()
-    assert cls.conjugation_matrix(3) == [[v % 3 for v in row] for row in full]
 
 
 def test_conjugation_matrix_acts_as_conjugation(omax_1_6):
@@ -270,19 +264,47 @@ def test_fixed_points_of_cyclic_rotation_subgroup(omax_1_6):
     assert residue_fixed_subgroup([cls], 5) == [5, 5]
 
 
+def _vec_mat_mod(vec, mat, n):
+    return tuple(sum(vec[r] * mat[r][c] for r in range(4)) % n for c in range(4))
+
+
+def _fixed_invariants_enumerate(mats, n):
+    """Invariants of the common fixed subgroup of (Z/n)^4 by enumeration."""
+    fixed = [
+        vec
+        for vec in itertools.product(range(n), repeat=4)
+        if all(_vec_mat_mod(vec, mat, n) == vec for mat in mats)
+    ]
+    # the subgroup is L/nZ^4 for the lattice L spanned by lifts and nZ^4
+    rows = [list(vec) for vec in fixed]
+    rows += [[n if r == c else 0 for c in range(4)] for r in range(4)]
+    basis = hnf_rows(rows)
+    assert len(basis) == 4
+    inv = mat_inverse(basis)
+    rel = []
+    for r in range(4):
+        row = []
+        for c in range(4):
+            entry = n * inv[r][c]
+            assert entry.denominator == 1  # nZ^4 lies inside L
+            row.append(int(entry))
+        rel.append(row)
+    return list(smith_invariants(rel))
+
+
 def test_fixed_point_paths_agree(all_actions):
+    # the Smith path against the enumeration oracle
     for kind, act in all_actions.items():
         mats = [c.conjugation_matrix() for c in act.generators]
-        for n in (2, 3, 4):
-            enumerated = _fixed_invariants_enumerate(mats, n)
-            smith = _fixed_invariants_smith(mats, n)
-            assert enumerated == smith, (kind, n)
+        for n in range(2, 9):
+            assert residue_fixed_subgroup(act, n) == _fixed_invariants_enumerate(mats, n), (
+                kind,
+                n,
+            )
 
 
 def test_fixed_points_against_direct_enumeration(all_actions):
     # independent oracle: count fixed residues by quaternion arithmetic
-    import itertools
-
     for kind, act in all_actions.items():
         order = act.order
         count = 0
@@ -311,8 +333,6 @@ def test_fixed_points_reject_bad_modulus(all_actions):
 
 
 def _centralizer_size_mod2(order, b) -> int:
-    import itertools
-
     b_inv = b.inverse()
     count = 0
     for coords in itertools.product(range(2), repeat=4):
@@ -361,10 +381,26 @@ def test_mod_four_search_is_empty_in_the_congruence_class(omax_1_6):
     assert search_mod4_anticommutator(omax_1_6, omax_1_6.algebra.i) is None
 
 
+def _table_product(order, u, v):
+    return [
+        sum(u[i] * v[j] * order.table[i][j][k] for i in range(4) for j in range(4))
+        for k in range(4)
+    ]
+
+
 def test_mod_four_full_scan_finds_a_witness(omax_1_6):
+    # dropping the congruence x = 1 mod 2O, a scan of all of O/4O finds
+    # solutions of b^-1 x b x = -1
     b = omax_1_6.algebra
-    x = search_mod4_anticommutator(omax_1_6, b.i, full_scan=True)
-    assert x is not None
+    mat = AutClass.from_element(omax_1_6, b.i).conjugation_matrix()
+
+    def solves(coords):
+        residual = _table_product(omax_1_6, _vec_mat_mod(coords, mat, 4), coords)
+        residual[0] += 1
+        return all(v % 4 == 0 for v in residual)
+
+    witness = next(c for c in itertools.product(range(4), repeat=4) if solves(c))
+    x = omax_1_6.element(witness)
     residual = b.i.inverse() * x * b.i * x + b.one
     assert all(int(c) % 4 == 0 for c in omax_1_6.coordinates(residual))
     # the witness must fall outside x = 1 mod 2O, or the restricted
@@ -426,6 +462,26 @@ def test_submodules_are_left_ideals(omax_1_6):
                     assert reduced in module
 
 
+def test_line_representatives_meet_each_line_once():
+    for p in (2, 3, 5):
+        reps = list(_line_representatives(p))
+        assert len(reps) == (p**4 - 1) // (p - 1) + 1
+        lines = {
+            frozenset(tuple(c * v % p for v in vec) for c in range(1, p)) for vec in reps
+        }
+        assert len(lines) == len(reps)
+        assert set().union(*lines) == set(itertools.product(range(p), repeat=4))
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_submodules_match_the_full_scan(omax_1_6, omax_2_5, ell):
+    # the scan over one generator per line against generated_by on all of O/lO
+    for order in (omax_1_6, omax_2_5):
+        every = {generated_by(order, ell, c) for c in itertools.product(range(ell), repeat=4)}
+        modules = submodule_lattice_mod_ell(order, ell)
+        assert set(modules) == every and len(modules) == len(every)
+
+
 def test_generated_by_matches_membership(omax_1_6):
     zero = generated_by(omax_1_6, 3, (0, 0, 0, 0))
     assert zero == frozenset({(0, 0, 0, 0)})
@@ -439,7 +495,7 @@ def test_generated_by_matches_membership(omax_1_6):
 
 def test_three_dim_subspace_contains_a_generator(omax_1_6):
     proper = submodule_lattice_mod_ell(omax_1_6, 3)[1]
-    basis = _rref_mod(sorted(proper), 3)
+    basis = rref_mod(sorted(proper), 3)
     assert len(basis) == 2
     subspace = [(1, 0, 0, 0)] + basis
     coords = three_dim_generator_check(omax_1_6, 3, subspace)
@@ -488,6 +544,18 @@ def test_enhanced_twist_is_on_the_left_factor(omax_1_6):
     e2 = omax_1_6.element(e2_coords)
     twisted = omax_1_6.coordinates(b.i.inverse() * e2 * b.i)
     assert left.coords == tuple(int(c) % 4 for c in twisted)
+
+
+def test_enhanced_product_keeps_the_factor_order(omax_1_6):
+    # with trivial automorphisms the law is multiplication in O/4O, which
+    # does not commute
+    one = AutClass.from_element(omax_1_6, omax_1_6.algebra.one)
+    u, v = (0, 0, 1, 0), (0, 0, 1, 1)
+    x, y = (EnhancedElement.create(one, c, 4) for c in (u, v))
+    product = omax_1_6.element(u) * omax_1_6.element(v)
+    expected = tuple(int(c) % 4 for c in omax_1_6.coordinates(product))
+    assert enhanced_mul(x, y).coords == expected
+    assert enhanced_mul(y, x).coords != expected
 
 
 def test_enhanced_rejects_non_units(omax_1_6):

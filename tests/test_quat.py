@@ -216,6 +216,29 @@ def test_order_coordinates_round_trip(c):
     assert order.coordinates(x) == tuple(Fraction(v) for v in c)
 
 
+@given(coord_ints, coord_ints)
+def test_table_arithmetic_matches_quaternion_arithmetic(omax_3_6, u, v):
+    # products, norms and traces from the integer table against Fraction arithmetic
+    x, y = omax_3_6.element(u), omax_3_6.element(v)
+    assert omax_3_6.element(omax_3_6.multiply(u, v)) == x * y
+    assert omax_3_6.nrd(u) == x.nrd()
+    assert sum(c * t for c, t in zip(u, omax_3_6.traces)) == x.trd()
+
+
+@given(coord_ints)
+def test_conjugation_rows_match_quaternion_arithmetic(omax_1_6, c):
+    if not any(c):
+        return
+    b = omax_1_6.element(c)
+    rows = omax_1_6.conjugation_rows(c)
+    assert (rows is not None) == quat.norm_divides_discriminant(omax_1_6, b)
+    if rows is None:
+        return
+    b_inv = b.inverse()
+    for e, row in zip(omax_1_6.basis, rows):
+        assert omax_1_6.element(row) == b_inv * e * b
+
+
 # ---------------------------------------------------------------------------
 # reduced discriminant
 
@@ -363,6 +386,42 @@ def test_atkin_lehner_composition_law(omax_1_6):
         for n, wn in group.items():
             target = m * n // math.gcd(m, n) ** 2
             assert _unit_class(omax_1_6, wm * wn * group[target].inverse())
+
+
+# Canonical bases and representatives as computed before orders carried an
+# integer multiplication table; a change of the canonical form shows here
+# and not in the reduced discriminant, which every maximal order shares.
+PINNED_MAXIMAL_ORDERS = {
+    (-1, 6): [["1", "0", "0", "0"], ["1/2", "1/2", "0", "1/2"], ["0", "0", "1/2", "1/2"],
+              ["0", "0", "0", "1"]],
+    (-3, 6): [["1", "0", "0", "0"], ["1/2", "1/2", "0", "0"], ["0", "0", "1/2", "1/6"],
+              ["0", "0", "0", "1/3"]],
+    (-2, 5): [["1", "0", "0", "0"], ["0", "1/2", "0", "1/2"], ["1/2", "0", "1/2", "0"],
+              ["0", "0", "0", "1"]],
+    (-3, 5): [["1", "0", "0", "0"], ["1/2", "1/2", "0", "0"], ["0", "0", "1/2", "1/2"],
+              ["0", "0", "0", "1"]],
+    (-13, 23): [["1", "0", "0", "0"], ["1/2", "1/26", "1/2", "11/26"], ["0", "0", "1", "0"],
+                ["0", "0", "0", "1"]],
+}
+
+PINNED_ATKIN_LEHNER = {
+    (-1, 6): {1: ["1", "0", "0", "0"], 2: ["-1", "0", "-1/2", "-1/2"],
+              3: ["0", "0", "-1/2", "-1/2"], 6: ["0", "0", "0", "-1"]},
+    (-2, 5): {1: ["1", "0", "0", "0"], 2: ["0", "-1/2", "0", "-1/2"],
+              5: ["-5/2", "0", "-1/2", "-1"], 10: ["0", "0", "0", "-1"]},
+}
+
+
+@pytest.mark.parametrize("a, b", list(PINNED_MAXIMAL_ORDERS))
+def test_maximal_order_canonical_basis_is_pinned(a, b):
+    doc = quat.order_to_json(quat.maximal_order(quat.QuatAlgebra(a, b)))
+    assert doc == {"algebra": [str(a), str(b)], "basis": PINNED_MAXIMAL_ORDERS[a, b]}
+
+
+@pytest.mark.parametrize("a, b", list(PINNED_ATKIN_LEHNER))
+def test_atkin_lehner_representatives_are_pinned(a, b):
+    group = quat.atkin_lehner_group(quat.maximal_order(quat.QuatAlgebra(a, b)))
+    assert {m: [str(c) for c in w.coords] for m, w in group.items()} == PINNED_ATKIN_LEHNER[a, b]
 
 
 def test_atkin_lehner_reports_missing_divisor(omax_1_6):
