@@ -28,9 +28,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from sympy import Matrix, Poly, ZZ, factor_list, symbols
+from sympy import Poly, factor_list, symbols
 from sympy import kronecker_symbol as _kronecker
-from sympy.matrices.normalforms import invariant_factors as _invariant_factors
 from sympy.ntheory import factorint, isprime, multiplicity
 
 __all__ = [
@@ -272,6 +271,47 @@ def rref_mod(rows: Iterable[Sequence[int]], p: int) -> list[tuple[int, ...]]:
     return [tuple(b) for b in basis]
 
 
+def _smith_nonzero(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The nonzero Smith entries d1 | d2 | ... | d_rank of an integer matrix.
+
+    Integer elimination: move an entry of least absolute value to the
+    pivot, reduce its row and column by it, and repeat until both are
+    clear; then drop them.  The diagonal so found becomes a divisor chain
+    by replacing pairs (a, b) with (gcd, lcm), which keeps the class of
+    diag(a, b).
+    """
+    m = [[int(c) for c in row] for row in rows]
+    diag: list[int] = []
+    while m := [row for row in m if any(row)]:
+        r0, c0 = min(
+            ((r, c) for r, row in enumerate(m) for c, x in enumerate(row) if x),
+            key=lambda rc: abs(m[rc[0]][rc[1]]),
+        )
+        pivot_row = m[r0]
+        p = pivot_row[c0]
+        clear = True
+        for r, row in enumerate(m):
+            if r != r0 and row[c0]:
+                f = row[c0] // p
+                m[r] = [x - f * y for x, y in zip(row, pivot_row)]
+                clear = clear and not m[r][c0]
+        for c, x in enumerate(pivot_row):
+            if c != c0 and x:
+                f = x // p
+                for row in m:
+                    row[c] -= f * row[c0]
+                clear = clear and not pivot_row[c]
+        if clear:
+            diag.append(abs(p))
+            del m[r0]
+            for row in m:
+                del row[c0]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
+
 
 def smith_diagonal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, padded with zeros to ncols.
@@ -280,10 +320,9 @@ def smith_diagonal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     lattice of the matrix viewed as a map ``Z^ncols -> Z^nrows`` acting on
     column vectors; trailing zeros record rank deficiency in the columns.
     """
-    mat = Matrix([[int(c) for c in row] for row in rows])
-    diag = [abs(int(d)) for d in _invariant_factors(mat, domain=ZZ)]
-    diag += [0] * (mat.cols - len(diag))
-    return tuple(diag)
+    diag = _smith_nonzero(rows)
+    ncols = len(rows[0]) if rows else 0
+    return tuple(diag + [0] * (ncols - len(diag)))
 
 
 def smith_invariants(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -293,10 +332,8 @@ def smith_invariants(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     (full row rank), otherwise the free part cannot be reported as
     invariant factors and a ValueError is raised.
     """
-    mat = Matrix([[int(c) for c in row] for row in rows])
-    diag = [abs(int(d)) for d in _invariant_factors(mat, domain=ZZ)]
-    rank = sum(1 for d in diag if d != 0)
-    if rank < mat.rows:
+    diag = _smith_nonzero(rows)
+    if len(diag) < len(rows):
         raise ValueError("cokernel has positive free rank; not a finite group")
     invariants = tuple(d for d in diag if d > 1)
     validate_invariants(invariants)

@@ -16,6 +16,17 @@ coefficient strings encode a1 and a2 in base 26 (a = 0, ..., z = 25,
 with a leading 'a' before further letters marking negation, so
 "ac" = -2).
 
+Base change to F_{q^n} replaces the roots by their n-th powers.  The
+power sums s_k of the four roots obey the linear recurrence
+
+    s_k = -a1 s_{k-1} - a2 s_{k-2} - q a1 s_{k-3} - q^2 s_{k-4}
+
+(Newton's identities for k <= 4), so one pass gives s_1..s_m.  Over
+F_{q^n} the coefficients are a1 = -s_n and a2 = (s_n^2 - s_{2n}) / 2;
+the other two, q^n a1 and q^{2n}, are forced by the functional equation.
+The split test over every F_{q^n}, n <= nmax, reads s_n and s_{2n} from
+the one list s_1..s_{2 nmax} of the class.
+
 Not every valid f is the polynomial of an actual surface: Honda-Tate
 theory excludes a handful of pairs over non-prime fields.  The engine
 flags admissibility against packaged per-q class lists (regenerable with
@@ -39,8 +50,12 @@ _FIXTURE_DIR = Path(__file__).parent / "fixtures" / "av"
 SUPPORTED_Q = (2, 3, 4, 5, 7, 9)
 
 
+@lru_cache(maxsize=1024)
 def prime_power_base(q: int) -> tuple[int, int]:
-    """The pair (p, n) with q = p^n; raises unless q is a prime power."""
+    """The pair (p, n) with q = p^n; raises unless q is a prime power.
+
+    Cached by q: every WeilPoly2 and WeilPoly1 checks its field size here.
+    """
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     factors = {int(p): int(e) for p, e in factorint(q).items()}
@@ -194,7 +209,8 @@ def _load_fixture(q: int) -> tuple[tuple[int, int], ...]:
     pairs = []
     for entry in entries:
         pair = (int(entry["a1"]), int(entry["a2"]))
-        assert parse_label(entry["label"]) == WeilPoly2(q, *pair)
+        if parse_label(entry["label"]) != WeilPoly2(q, *pair):
+            raise ValueError(f"{path.name}: label {entry['label']} does not encode {pair}")
         pairs.append(pair)
     return tuple(pairs)
 
@@ -225,9 +241,12 @@ def enumerate_surfaces(q: int) -> list[SurfaceClass]:
             w = WeilPoly2(q, a1, a2)
             if is_weil_valid(w):
                 out.append(SurfaceClass(w, format_label(w), (a1, a2) in admissible))
-    assert [s.poly for s in out if s.honda_tate_admissible] == [
-        WeilPoly2(q, *pair) for pair in sorted(admissible)
-    ]
+    found = {(s.poly.a1, s.poly.a2) for s in out if s.honda_tate_admissible}
+    if found != admissible:
+        raise ValueError(
+            f"the q = {q} class list has pairs that are not Weil-valid: "
+            f"{sorted(admissible - found)}"
+        )
     return out
 
 
@@ -236,44 +255,41 @@ def enumerate_surfaces(q: int) -> list[SurfaceClass]:
 
 
 def _power_sums(w: WeilPoly2, count: int) -> list[int]:
-    """Power sums s_1..s_count of the roots, by Newton's identities."""
-    e = [-w.a1, w.a2, -w.q * w.a1, w.q**2]
-    sums: list[int] = []
-    for k in range(1, count + 1):
-        total = 0
-        for i in range(1, min(k, 4) + 1):
-            term = e[i - 1] * (sums[k - i - 1] if k > i else k)
-            total += term if i % 2 else -term
-        sums.append(total)
-    return sums
+    """Power sums s_1..s_count of the four roots of f.
+
+    Newton's identities give s_1..s_4; from k = 5 on the roots satisfy
+    f, so s_k = -a1 s_{k-1} - a2 s_{k-2} - q a1 s_{k-3} - q^2 s_{k-4}.
+    """
+    c1, c2, c3, c4 = -w.a1, -w.a2, -w.q * w.a1, -w.q * w.q
+    sums = [c1, c1 * c1 + 2 * c2]
+    sums.append(c1 * sums[1] + c2 * sums[0] + 3 * c3)
+    sums.append(c1 * sums[2] + c2 * sums[1] + c3 * sums[0] + 4 * c4)
+    for _ in range(count - 4):
+        sums.append(c1 * sums[-1] + c2 * sums[-2] + c3 * sums[-3] + c4 * sums[-4])
+    return sums[:count]
+
+
+def _base_change_pair(sums: Sequence[int], n: int) -> tuple[int, int]:
+    """(a1, a2) over F_{q^n} from the power sums s_1..s_{2n} of f."""
+    s_n, s_2n = sums[n - 1], sums[2 * n - 1]
+    twice_a2 = s_n * s_n - s_2n
+    if twice_a2 % 2:
+        raise ArithmeticError(f"s_{n}^2 - s_{2 * n} = {twice_a2} is odd")
+    return -s_n, twice_a2 // 2
 
 
 def base_change(w: WeilPoly2, n: int) -> WeilPoly2:
     """The Weil polynomial over F_{q^n}, with roots the n-th powers.
 
-    Computed exactly over Z via Newton power sums: the new power sums
-    are s_{n k}, and the elementary symmetric functions are recovered by
-    the inverse identities (all divisions exact).
+    Computed exactly over Z from the power sums s_n and s_{2n}; the
+    coefficients q^n a1 and q^{2n} follow from a1 by the functional
+    equation.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n == 1:
         return w
-    sums = _power_sums(w, 4 * n)
-    s = [sums[n * k - 1] for k in range(1, 5)]
-    e: list[int] = []
-    for k in range(1, 5):
-        total = s[k - 1] if k % 2 else -s[k - 1]
-        for i in range(1, k):
-            term = e[i - 1] * s[k - i - 1]
-            total += term if (k - i) % 2 else -term
-        quotient, remainder = divmod(total, k)
-        assert remainder == 0
-        e.append(quotient)
-    qn = w.q**n
-    out = WeilPoly2(qn, -e[0], e[1])
-    assert e[2] == -qn * out.a1 and e[3] == qn * qn
-    return out
+    return WeilPoly2(w.q**n, *_base_change_pair(_power_sums(w, 2 * n), n))
 
 
 def geometric_split_analysis(
@@ -284,15 +300,22 @@ def geometric_split_analysis(
     Returns (n, a), or None when no base change in range is the square
     of an elliptic Weil polynomial — the class is then not geometrically
     isogenous to the square of an elliptic curve within the window.
+    One list of power sums s_1..s_{2 nmax} serves every n.
     """
     if nmax < 1:
         raise ValueError("nmax must be a positive integer")
+    sums = _power_sums(w, 2 * nmax)
+    qn = 1
     for n in range(1, nmax + 1):
-        b = base_change(w, n)
-        if b.a1 % 2 == 0:
-            a = b.a1 // 2
-            if b.a2 == a * a + 2 * b.q:
-                assert a * a <= 4 * b.q  # roots keep absolute value sqrt(q^n)
+        qn *= w.q
+        a1, a2 = _base_change_pair(sums, n)
+        if a1 % 2 == 0:
+            a = a1 // 2
+            if a2 == a * a + 2 * qn:
+                if a * a > 4 * qn:
+                    raise ArithmeticError(
+                        f"|{a}| exceeds 2 sqrt({w.q}^{n}): {format_label(w)} is not Weil-valid"
+                    )
                 return n, a
     return None
 
@@ -338,6 +361,7 @@ def qm_prime_bound(q: int) -> set[int]:
     out: set[int] = set()
     for a in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1):
         count = 1 + a + q
-        assert count > 0
+        if count <= 0:
+            raise ArithmeticError(f"1 + {a} + {q} is not a positive point count")
         out.update(int(p) for p in primefactors(count))
     return out

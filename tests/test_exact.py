@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, Poly, symbols
+from sympy import GF, ZZ, Matrix, Poly, symbols
+from sympy.matrices.normalforms import invariant_factors
 from sympy.ntheory import factorint, primerange
 
 from quatorsion import exact
@@ -245,6 +246,54 @@ def test_smith_diagonal_unimodular_invariance(entries, ops):
     rows = [entries[0:3], entries[3:6], entries[6:9]]
     transformed = _apply_unimodular_ops(rows, ops)
     assert exact.smith_diagonal(rows) == exact.smith_diagonal(transformed)
+
+
+def _sympy_smith_diagonal(rows):
+    """Oracle: sympy's invariant factors, padded with zeros to ncols."""
+    mat = Matrix(rows)
+    diag = [abs(int(d)) for d in invariant_factors(mat, domain=ZZ)]
+    return tuple(diag + [0] * (mat.cols - len(diag)))
+
+
+@st.composite
+def smith_matrices(draw):
+    """4 x n integer matrices, 4 <= n <= 12, some rank-deficient, some transposed.
+
+    The last ``deficiency`` rows are integer combinations of the others,
+    and row multipliers give nontrivial invariant factors.
+    """
+    ncols = draw(st.integers(4, 12))
+    entry = st.integers(-9, 9)
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(4)]
+    for r in range(4):
+        scale = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
+        rows[r] = [scale * x for x in rows[r]]
+    kept = 4 - draw(st.integers(0, 3))
+    for r in range(kept, 4):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=kept, max_size=kept))
+        rows[r] = [sum(c * rows[i][k] for i, c in enumerate(coeffs)) for k in range(ncols)]
+    if draw(st.booleans()):
+        rows = [list(col) for col in zip(*rows)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(smith_matrices())
+def test_smith_forms_against_sympy_oracle(rows):
+    expected = _sympy_smith_diagonal(rows)
+    assert exact.smith_diagonal(rows) == expected
+    if sum(1 for d in expected if d) < len(rows):
+        with pytest.raises(ValueError, match="free rank"):
+            exact.smith_invariants(rows)
+    else:
+        assert exact.smith_invariants(rows) == tuple(d for d in expected if d > 1)
+
+
+def test_smith_diagonal_of_zero_and_deficient_matrices():
+    assert exact.smith_diagonal([[0, 0, 0], [0, 0, 0]]) == (0, 0, 0)
+    assert exact.smith_diagonal([[2, 4], [1, 2]]) == (1, 0)
+    assert exact.smith_diagonal([[-2, 0], [0, -6]]) == (2, 6)
+    assert exact.smith_diagonal([[2, 0, 0], [0, 3, 0]]) == (1, 6, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -669,7 +669,7 @@ def test_jacobian_group_matches_generic_path(seed, monkeypatch):
         assert jacobian_group_mod_p(TABLE[i].curve, p, seed) == g
 
 
-@pytest.mark.parametrize("name", ["jacobian.py", "quat.py", "actions.py"])
+@pytest.mark.parametrize("name", ["jacobian.py", "quat.py", "actions.py", "weil.py"])
 def test_module_has_no_asserts(name):
     # python -O strips asserts; the checks that carry lemmas must raise instead
     package = Path(jacobian.__file__).resolve().parents[1]

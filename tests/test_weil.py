@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -39,6 +40,61 @@ CLASS_COUNTS = {
     7: (207, 207),
     9: (311, 305),
 }
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-degree Newton path that base change used to take
+
+
+def _newton_power_sums(w: weil.WeilPoly2, count: int) -> list[int]:
+    """Power sums s_1..s_count of the roots, by Newton's identities alone."""
+    e = [-w.a1, w.a2, -w.q * w.a1, w.q**2]
+    sums: list[int] = []
+    for k in range(1, count + 1):
+        total = 0
+        for i in range(1, min(k, 4) + 1):
+            term = e[i - 1] * (sums[k - i - 1] if k > i else k)
+            total += term if i % 2 else -term
+        sums.append(total)
+    return sums
+
+
+def _newton_base_change(w: weil.WeilPoly2, n: int) -> tuple[int, ...]:
+    """Coefficients over F_{q^n} from s_n, s_2n, s_3n, s_4n and inverse Newton."""
+    sums = _newton_power_sums(w, 4 * n)
+    s = [sums[n * k - 1] for k in range(1, 5)]
+    e: list[int] = []
+    for k in range(1, 5):
+        total = s[k - 1] if k % 2 else -s[k - 1]
+        for i in range(1, k):
+            term = e[i - 1] * s[k - i - 1]
+            total += term if (k - i) % 2 else -term
+        quotient, remainder = divmod(total, k)
+        assert remainder == 0
+        e.append(quotient)
+    qn = w.q**n
+    assert e[2] == qn * e[0] and e[3] == qn * qn
+    return (1, -e[0], e[1], -e[2], e[3])
+
+
+def _newton_split(w: weil.WeilPoly2, table: list[tuple[int, ...]], nmax: int):
+    """The split analysis read off the oracle's base changes."""
+    for n, (_, a1, a2, _, _) in enumerate(table[:nmax], start=1):
+        if a1 % 2 == 0 and a2 == (a1 // 2) ** 2 + 2 * w.q**n:
+            return n, a1 // 2
+    return None
+
+
+@pytest.fixture(scope="module")
+def newton_table():
+    """Per class of every supported q, the oracle base changes for n <= 24."""
+    return {
+        q: [
+            (c, [_newton_base_change(c.poly, n) for n in range(1, 25)])
+            for c in weil.enumerate_surfaces(q)
+        ]
+        for q in weil.SUPPORTED_Q
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +354,40 @@ def test_base_change_composition_law(index, m, n):
     assert weil.base_change(step, n) == weil.base_change(w, m * n)
 
 
+def test_base_change_matches_newton_oracle(newton_table):
+    for rows in newton_table.values():
+        for c, table in rows:
+            for n, expected in enumerate(table, start=1):
+                assert weil.base_change(c.poly, n).coefficients() == expected, (c.label, n)
+
+
+def test_power_sums_match_newton_oracle():
+    for q in weil.SUPPORTED_Q:
+        for c in weil.enumerate_surfaces(q):
+            assert weil._power_sums(c.poly, 48) == _newton_power_sums(c.poly, 48)
+    w = weil.parse_label("2.5.d_e")
+    for count in range(5):
+        assert weil._power_sums(w, count) == _newton_power_sums(w, count)
+
+
+def test_odd_power_sum_difference_raises(monkeypatch):
+    # s_n^2 - s_2n is twice an integer for any integer quartic; a broken
+    # power-sum list must not be rounded into a polynomial
+    w = weil.parse_label("2.5.d_e")
+    good = weil._power_sums
+
+    def broken(w, count):
+        sums = good(w, count)
+        sums[3] += 1  # s_4, read as s_2n at n = 2
+        return sums
+
+    monkeypatch.setattr(weil, "_power_sums", broken)
+    with pytest.raises(ArithmeticError, match="odd"):
+        weil.base_change(w, 2)
+    with pytest.raises(ArithmeticError, match="odd"):
+        weil.geometric_split_analysis(w)
+
+
 # ---------------------------------------------------------------------------
 # geometric split analysis
 
@@ -326,6 +416,23 @@ def test_elliptic_squares_split_at_degree_one():
 )
 def test_split_analysis_on_cited_classes(label, expected):
     assert weil.geometric_split_analysis(weil.parse_label(label)) == expected
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 24])
+def test_split_analysis_matches_newton_oracle(newton_table, nmax):
+    checked = 0
+    for rows in newton_table.values():
+        for c, table in rows:
+            expected = _newton_split(c.poly, table, nmax)
+            assert weil.geometric_split_analysis(c.poly, nmax) == expected, c.label
+            checked += 1
+    assert checked == 846
+
+
+def test_split_beyond_the_weil_bound_raises():
+    # (T^2 + 3T + 2)^2 is a square, but |3| > 2 sqrt(2): not a Weil polynomial
+    with pytest.raises(ArithmeticError, match="exceeds"):
+        weil.geometric_split_analysis(weil.WeilPoly2(2, 6, 13))
 
 
 def test_split_analysis_window_and_errors():
@@ -363,6 +470,34 @@ def test_no_surface_over_f2_has_49_points_dividing():
     assert best <= 7
 
 
+def _oracle_scan(rows, ell: int, geometric: bool) -> tuple[int, list[str]]:
+    cap = ell**100
+    best, attaining = 0, []
+    for c, table in rows:
+        if not c.honda_tate_admissible:
+            continue
+        if geometric and _newton_split(c.poly, table, 24) is None:
+            continue
+        value = math.gcd(c.poly.point_count(), cap)
+        if value > best:
+            best, attaining = value, [c.label]
+        elif value == best:
+            attaining.append(c.label)
+    return best, attaining
+
+
+def test_torsion_scans_match_oracle(newton_table):
+    scans = 0
+    for q, rows in newton_table.items():
+        for ell in sorted(weil.qm_prime_bound(q)):
+            for geometric in (False, True):
+                assert weil.torsion_gcd_scan(q, ell, geometric) == _oracle_scan(
+                    rows, ell, geometric
+                ), (q, ell, geometric)
+                scans += 1
+    assert scans == 54
+
+
 def test_torsion_scan_rejects_bad_modulus():
     with pytest.raises(ValueError, match="at least 2"):
         weil.torsion_gcd_scan(2, 1, geometric_square_only=False)
@@ -388,3 +523,46 @@ def test_qm_prime_bound(q, expected):
 def test_qm_prime_bound_requires_prime_power():
     with pytest.raises(ValueError, match="prime power"):
         weil.qm_prime_bound(6)
+
+
+def test_qm_prime_bound_rejects_a_zero_count(monkeypatch):
+    # over a field of size 1 the trace a = -2 would give 1 + a + q = 0
+    monkeypatch.setattr(weil, "prime_power_base", lambda q: (q, 1))
+    with pytest.raises(ArithmeticError, match="not a positive point count"):
+        weil.qm_prime_bound(1)
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+
+
+def test_fixture_label_mismatch_raises(tmp_path, monkeypatch):
+    entries = [{"label": "2.2.a_e", "a1": 0, "a2": 3}]
+    (tmp_path / "av_classes_q2.json").write_text(json.dumps(entries))
+    monkeypatch.setattr(weil, "_FIXTURE_DIR", tmp_path)
+    with pytest.raises(ValueError, match="does not encode"):
+        weil._load_fixture.__wrapped__(2)
+
+
+def test_fixture_with_invalid_pair_raises(monkeypatch):
+    pairs = weil._load_fixture(2) + ((0, 99),)
+    monkeypatch.setattr(weil, "_load_fixture", lambda q: pairs)
+    with pytest.raises(ValueError, match=r"not Weil-valid: \[\(0, 99\)\]"):
+        weil.enumerate_surfaces(2)
+
+
+def test_av_fixture_generator_reproduces_shipped_files():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gen_av_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_av_fixtures", script)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    classes = {q: gen.isogeny_classes(q) for q in weil.SUPPORTED_Q}
+    gen.check_anchors(classes)
+    fixture_dir = Path(weil.__file__).parent / "fixtures" / "av"
+    for q, pairs in classes.items():
+        entries = [
+            {"label": weil.format_label(weil.WeilPoly2(q, a1, a2)), "a1": a1, "a2": a2}
+            for a1, a2 in pairs
+        ]
+        shipped = (fixture_dir / f"av_classes_q{q}.json").read_text()
+        assert json.dumps(entries, indent=1) + "\n" == shipped, q
