@@ -86,7 +86,8 @@ def _as_fraction(x: int | Fraction) -> Fraction:
 def _unit_residue(u: Fraction, modulus: int) -> int:
     """Residue of a rational with unit denominator modulo ``modulus``."""
     num, den = u.numerator, u.denominator
-    assert math.gcd(den, modulus) == 1
+    if math.gcd(den, modulus) != 1:
+        raise ValueError(f"{u} is not a unit modulo {modulus}")
     return num * pow(den, -1, modulus) % modulus
 
 
@@ -452,7 +453,6 @@ def factor_poly_q(f: Sequence[int]) -> tuple[Fraction, list[tuple[int, ...]]]:
     for g in factors:
         prod = poly_mul(prod, g)
     recon = [content * c for c in prod]
-    assert len(recon) == len(f) and all(r == c for r, c in zip(recon, f)), (
-        "factorization does not multiply back to the input"
-    )
+    if len(recon) != len(f) or any(r != c for r, c in zip(recon, f)):
+        raise ArithmeticError("factorization does not multiply back to the input")
     return content, factors

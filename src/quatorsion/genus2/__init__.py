@@ -4,7 +4,8 @@
   Igusa invariants with full rational 2-torsion, and its field-of-moduli
   and Mestre-obstruction checks.
 * :mod:`quatorsion.genus2.curve` — curves y^2 = f(x) over Q: parsing,
-  good primes, point counts over F_p and F_{p^2}, L-polynomials.
+  good primes, point counts, and L-polynomials in O(p) from the
+  Hasse-Witt matrix.
 * :mod:`quatorsion.genus2.jacobian` — Mumford/Cantor arithmetic in
   J(F_p) and reconstruction of its abstract group structure.
 * :mod:`quatorsion.genus2.torsion` — certification of claimed rational

@@ -9,19 +9,43 @@ and prime to that form discriminant; this keeps primes where the degree
 drops but the reduction stays smooth (the leading coefficient vanishes
 mod p while the quintic reduction is squarefree).
 
-Point counts over F_p and F_{p^2} determine the L-polynomial of the
-reduction, returned as a Weil q-polynomial.
+The L-polynomial L(T) = 1 + a1 T + a2 T^2 + p a1 T^3 + p^2 T^4 of a
+reduction takes O(p) time and O(1) memory, in four steps:
+
+1. The Hasse-Witt (Cartier-Manin) matrix is W = [[c_{p-1}, c_{p-2}],
+   [c_{2p-1}, c_{2p-2}]] in the coefficients c_n of f^((p-1)/2).  On a
+   model with f(0) f_6 != 0 mod p, the recurrence that f h' = k f' h
+   gives for h = f^k (Bostan-Gaudry-Schost, SIAM J. Comput. 2007) runs
+   up from c_0 for the low pair and, on the reversed polynomial, down
+   from the leading term for the high pair.
+2. a1 = -tr W and a2 = det W mod p (Manin).  For p >= 67 the Weil
+   bound |a1| <= 4 sqrt(p) < p/2 fixes a1; below it, a1 comes from
+   counting the points over F_p.
+3. The Weil bounds leave a few a2 in that residue class.  The 2-torsion
+   of J(F_p), read off the factorization of f mod p, is also that of
+   the quadratic twist, so it must fit in groups of orders L(1) and
+   L(-1), and only the candidates where it does are kept.
+4. L(1) = #J(F_p) annihilates every class of J(F_p), and L(-1) every
+   class of the twist's Jacobian: random classes rule out the other
+   candidates (Kedlaya-Sutherland, ANTS VIII, 2008).  The classes live
+   on a monic quintic model when f has an F_p-root, and otherwise on
+   the sextic z^6 f(a + 1/z) with f(a) a non-square (see ``jacobian``).
+   If more than one candidate survives, ArithmeticError: the result is
+   never a guess.
+
+At p <= 5, where those models need not exist, the counts over F_p and
+F_{p^2} are made directly (at most 25 values of x), and they give L.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
 import sympy
 
 from ..weil import WeilPoly2, is_weil_valid
@@ -190,65 +214,72 @@ def good_primes(curve: GenusTwoCurve, bound: int) -> list[int]:
     return [p for p in sympy.primerange(3, bound + 1) if good_prime(curve, p)]
 
 
-def _square_table(p: int) -> np.ndarray:
-    """chi[a] = 1 if a is a nonzero square mod p, else 0 (chi[0] = 0)."""
-    xs = np.arange(p, dtype=np.int64)
-    chi = np.zeros(p, dtype=np.int64)
-    chi[(xs * xs) % p] = 1
-    chi[0] = 0
-    return chi
+def _eval(c, x: int, p: int) -> int:
+    """c(x) mod p, coefficients ascending."""
+    acc = 0
+    for a in reversed(c):
+        acc = (acc * x + a) % p
+    return acc
 
 
-def _count_model(coeffs, p: int, n: int) -> int:
-    """#C(F_{p^n}) for the reduced model mod p, n in {1, 2}.
+def _taylor_coeffs(coeffs, a: int, p: int) -> list[int]:
+    """Coefficients t_k of f(a + w) = sum t_k w^k, by synthetic division."""
+    work = [c % p for c in reversed(coeffs)]
+    out = []
+    while work:
+        acc = 0
+        for i in range(len(work)):
+            acc = (acc * a + work[i]) % p
+            work[i] = acc
+        out.append(work.pop())
+    return out
 
-    The model must stay squarefree of degree 5 or 6 mod p (a good prime):
-    then the smooth curve has one point at infinity in degree 5, and two
-    in degree 6 exactly when the leading coefficient is a square in the
-    field (always so in F_{p^2}, where F_p* consists of squares).
+
+def _count_points(c, p: int, n: int) -> int:
+    """#C(F_{p^n}) of y^2 = c(x), c reduced mod p, by evaluating c at every
+    x in F_{p^n}: O(p^n) time.
+
+    c must stay squarefree of degree 5 or 6 mod p (a good prime).  The
+    smooth model has one point at infinity in degree 5; in degree 6 it
+    has two when the leading coefficient is a square in the field (always
+    so in F_{p^2}) and none otherwise.  F_{p^2} = F_p(s) with s^2 = r a
+    non-residue, and A + B s != 0 is a square iff its norm A^2 - r B^2
+    is a square in F_p.
     """
-    c = [int(v) % p for v in coeffs]
-    deg = 6 if c[6] else 5
-    chi = _square_table(p)
-    # solutions of y^2 = a number 2*chi[a] + (a == 0)
-    if n == 1:
-        xs = np.arange(p, dtype=np.int64)
-        vals = np.full(p, c[deg], dtype=np.int64)
-        for i in range(deg - 1, -1, -1):
-            vals = (vals * xs + c[i]) % p
-        affine = 2 * int(chi[vals].sum()) + int(np.count_nonzero(vals == 0))
-        infinity = 1 if deg == 5 else 2 * int(chi[c[6]])
-        return affine + infinity
+    squares = {x * x % p for x in range(1, p)}
 
-    # F_{p^2} = F_p(s) with s^2 = r a non-residue; x = u + v s, and
-    # a = A + B s is a nonzero square iff its norm A^2 - r B^2 is a
-    # nonzero square in F_p.  Rows v and p - v hold conjugate x, whose
-    # values f(x) are conjugate with equal norms: only rows
-    # v = 0..(p-1)/2 are evaluated, and rows v >= 1 count twice.
-    r = 2
-    while chi[r]:
-        r += 1
-    u, v = np.meshgrid(
-        np.arange(p, dtype=np.int64), np.arange((p + 1) // 2, dtype=np.int64)
-    )
-    A = np.full_like(u, c[deg])
-    B = np.zeros_like(u)
-    for i in range(deg - 1, -1, -1):
-        A, B = (A * u + r * (B * v) % p + c[i]) % p, (A * v + B * u) % p
-    norm = (A * A - r * (B * B) % p) % p
-    sols = 2 * chi[norm] + (norm == 0)
-    affine = 2 * int(sols.sum()) - int(sols[0].sum())
-    infinity = 1 if deg == 5 else 2
-    return affine + infinity
+    def roots(a: int) -> int:  # solutions of y^2 = a for a in F_p, or of norm a
+        return 1 if a == 0 else 2 * (a in squares)
+
+    deg = 6 if c[6] else 5
+    if n == 1:
+        affine = sum(roots(_eval(c, x, p)) for x in range(p))
+        return affine + (1 if deg == 5 else roots(c[6]))
+    r = next(a for a in range(2, p) if a not in squares)
+    affine = 0
+    for u in range(p):
+        for v in range(p):
+            A, B = c[deg], 0
+            for i in range(deg - 1, -1, -1):
+                A, B = (A * u + r * B * v + c[i]) % p, (A * v + B * u) % p
+            affine += roots((A * A - r * B * B) % p)
+    return affine + (1 if deg == 5 else 2)
 
 
 def count_points_curve(curve: GenusTwoCurve, p: int, n: int = 1) -> int:
-    """#C(F_{p^n}) of the reduction mod a good prime p, for n in {1, 2}."""
+    """#C(F_{p^n}) of the reduction mod a good prime p, for n in {1, 2}.
+
+    n = 1 is counted directly in O(p); n = 2 is p^2 + 1 - a1^2 + 2 a2,
+    read off ``curve_lpoly``.
+    """
     if n not in (1, 2):
         raise ValueError("only n = 1 and n = 2 are supported")
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
-    return _count_model(curve.coeffs, p, n)
+    if n == 1:
+        return _count_points([v % p for v in curve.coeffs], p, 1)
+    w = curve_lpoly(curve, p)
+    return p * p + 1 - w.a1 * w.a1 + 2 * w.a2
 
 
 def lpoly_from_counts(count1: int, count2: int, p: int) -> WeilPoly2:
@@ -268,8 +299,115 @@ def lpoly_from_counts(count1: int, count2: int, p: int) -> WeilPoly2:
     return w
 
 
-def curve_lpoly(curve: GenusTwoCurve, p: int) -> WeilPoly2:
-    """Weil polynomial of the reduction of the curve mod a good prime p."""
-    return lpoly_from_counts(
-        count_points_curve(curve, p, 1), count_points_curve(curve, p, 2), p
-    )
+# ---------------------------------------------------------------------------
+# L-polynomials from the Hasse-Witt matrix
+# ---------------------------------------------------------------------------
+
+
+def _hasse_witt_model(c, p: int) -> list[int]:
+    """An F_p-isomorphic model of y^2 = c(x) with c(0) c_6 != 0, p >= 7."""
+    if c[6] == 0:
+        # x = a + 1/z: z^6 c(a + 1/z) has leading coefficient c(a)
+        a = next(a for a in range(p) if _eval(c, a, p))
+        c = _taylor_coeffs(c, a, p)[::-1]
+    if c[0] == 0:
+        b = next(b for b in range(1, p) if _eval(c, b, p))
+        c = _taylor_coeffs(c, b, p)
+    return c
+
+
+def _power_coeffs(f, p: int) -> tuple[int, int]:
+    """Coefficients c_{p-2}, c_{p-1} of f^((p-1)/2) mod p, for f(0) != 0.
+
+    h = f^k with k = (p-1)/2 satisfies f h' = k f' h.  Its x^(n-1)
+    coefficient reads sum_i (n - (k+1) i) f_i c_{n-i} = 0, and k + 1 is
+    1/2 mod p, so 2 n f_0 c_n = -sum_{i=1..6} (2n - i) f_i c_{n-i}: one
+    step per n < p, keeping the last six coefficients.
+    """
+    f0, f1, f2, f3, f4, f5, f6 = f
+    g1, g2, g3, g4, g5, g6 = f1, 2 * f2, 3 * f3, 4 * f4, 5 * f5, 6 * f6
+    scale = pow(-2 * f0, -1, p)
+    c1, c2, c3, c4, c5, c6 = pow(f0, (p - 1) // 2, p), 0, 0, 0, 0, 0
+    for n in range(1, p):
+        s = 2 * n * (f1 * c1 + f2 * c2 + f3 * c3 + f4 * c4 + f5 * c5 + f6 * c6)
+        s -= g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 + g5 * c5 + g6 * c6
+        c1, c2, c3, c4, c5, c6 = s * scale * pow(n, -1, p) % p, c1, c2, c3, c4, c5
+    return c2, c1
+
+
+def _hasse_witt(c, p: int) -> tuple[int, int]:
+    """Trace and determinant mod p of the Hasse-Witt matrix of y^2 = c(x).
+
+    W = [[c_{p-1}, c_{p-2}], [c_{2p-1}, c_{2p-2}]] in the coefficients of
+    f^((p-1)/2), for a model f with f(0) f_6 != 0.  The top two are c_{p-2}
+    and c_{p-1} of the power of the reversed f, which is the reversed power.
+    """
+    f = _hasse_witt_model(c, p)
+    low2, low1 = _power_coeffs(f, p)  # c_{p-2}, c_{p-1}
+    high1, high2 = _power_coeffs(f[::-1], p)  # c_{2p-1}, c_{2p-2}
+    return (low1 + high2) % p, (low1 * high2 - low2 * high1) % p
+
+
+def _weil_candidates(p: int, a1: int, a2_mod_p: int) -> list[WeilPoly2]:
+    """Weil-valid L-polynomials with the given a1 and a2 mod p.
+
+    Weil-valid a2 lie in [-2p, a1^2/4 + 2p]: at most nine residues.
+    """
+    lo = -2 * p
+    a2 = lo + (a2_mod_p - lo) % p
+    out = []
+    while a2 <= a1 * a1 // 4 + 2 * p:
+        w = WeilPoly2(p, a1, a2)
+        if is_weil_valid(w):
+            out.append(w)
+        a2 += p
+    return out
+
+
+def _two_part_fits(w: WeilPoly2, two_rank: int) -> bool:
+    """Whether J(F_p)[2] = (Z/2)^two_rank fits in groups of orders L(1)
+    and L(-1): the quadratic twist has the same 2-torsion."""
+    orders = (w.point_count(), WeilPoly2(w.q, -w.a1, w.a2).point_count())
+    if two_rank == 0:
+        return all(n % 2 for n in orders)
+    return all(n % (1 << two_rank) == 0 for n in orders)
+
+
+def curve_lpoly(
+    curve: GenusTwoCurve, p: int, *, degrees=None, model=None
+) -> WeilPoly2:
+    """Weil polynomial of the reduction of the curve mod a good prime p.
+
+    O(p) time and O(1) memory, in the four steps of the module
+    docstring.  A caller that already has them may pass the degrees of
+    the irreducible factors of f mod p and a monic quintic model of the
+    reduction (``jacobian.odd_degree_model``); the result does not depend
+    on them.  The random classes of the last step come from an RNG
+    seeded by p and f, so the result is deterministic.  ArithmeticError
+    means the random classes could not single out one candidate.
+    """
+    if not good_prime(curve, p):
+        raise ValueError(f"p = {p} is not a good prime for this curve")
+    c = [v % p for v in curve.coeffs]
+    if p <= 5:
+        return lpoly_from_counts(_count_points(c, p, 1), _count_points(c, p, 2), p)
+    from . import jacobian  # jacobian imports this module
+
+    trace, det = _hasse_witt(c, p)
+    if p < 67:
+        a1 = _count_points(c, p, 1) - p - 1
+        if (a1 + trace) % p:
+            raise ArithmeticError(f"#C(F_{p}) disagrees with the Hasse-Witt trace")
+    else:
+        # |a1| <= 4 sqrt(p) < p / 2
+        a1 = -trace if 2 * trace < p else p - trace
+    if degrees is None:
+        degrees = jacobian._factor_degrees(curve, p)
+    two_rank = jacobian._two_rank(degrees)
+    candidates = [w for w in _weil_candidates(p, a1, det) if _two_part_fits(w, two_rank)]
+    if len(candidates) == 1:
+        return candidates[0]
+    if not candidates:
+        raise ArithmeticError(f"no Weil polynomial fits the Hasse-Witt matrix mod {p}")
+    rng = random.Random(f"{p}/{curve.coeffs}")
+    return jacobian._settle_by_annihilation(c, p, candidates, degrees, model, rng)

@@ -25,7 +25,8 @@ _J_DEN = (1,) + (0,) * 3 + (42,) + (0,) * 3 + (591,) + (0,) * 3 + (2828,) + (
     0,
 ) * 3 + (591,) + (0,) * 3 + (42,) + (0,) * 3 + (1,)
 
-assert len(_J_NUM) == 21 and len(_J_DEN) == 25
+if (len(_J_NUM), len(_J_DEN)) != (21, 25):
+    raise ValueError("j(t) must have numerator degree 20 and denominator degree 24")
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +58,8 @@ def family_j(t: Fraction | int) -> Fraction:
     """
     t = Fraction(t)
     den = poly_eval(_J_DEN, t)
-    assert den > 0
+    if den <= 0:
+        raise ArithmeticError(f"the denominator of j is {den} at t = {t}, not positive")
     j = poly_eval(_J_NUM, t) / den
     if j == 0:
         raise ValueError(f"singular parameter t = {t}")

@@ -31,6 +31,19 @@ probe could change it.
 Degree-6 models are handled by passing to an odd-degree model: move a
 rational Weierstrass point to infinity (x = a + 1/z) when the sextic has
 a root a in F_p, then rescale to a monic quintic.
+
+Without such a root, the L-polynomial step of ``curve`` still adds
+classes, on the sextic z^6 f(a + 1/z) for an a with f(a) a non-square.
+The leading coefficient of that model is f(a), so its two points at
+infinity are conjugate over F_p and their sum D_inf is rational.  Every
+class of J(F_p) is then D - D_inf for a unique reduced effective D of
+degree 0 or 2; a rational point alone is not a class.  Cantor's
+algorithm works unchanged: composing two such D gives deg u = 4, and
+since f - v^2 keeps degree 6 (f(a) is not a square), one reduction
+step brings u to degree 6 - 4 = 2.  An odd-degree u would stay at
+degree 3, so ``_cantor_generic`` raises there rather than loop.  The
+weight-two formulas above carry over, with the top three coefficients
+of the sextic f - V^2 in the reduction.
 """
 
 from __future__ import annotations
@@ -43,7 +56,8 @@ import sympy
 from sympy.ntheory import sqrt_mod
 
 from ..exact import validate_invariants
-from .curve import GenusTwoCurve, curve_lpoly, good_prime
+from ..weil import WeilPoly2
+from .curve import GenusTwoCurve, _eval, _taylor_coeffs, curve_lpoly, good_prime
 from .torsion import two_torsion_count
 
 # ---------------------------------------------------------------------------
@@ -127,22 +141,30 @@ def _gcdext(f, g, p: int):
     return _monic(r0, p), _mul(scale, s0, p), _mul(scale, t0, p)
 
 
+def _mulmod(f, g, m, p: int) -> tuple[int, ...]:
+    """f g mod m for a monic m, reducing mod p once per coefficient."""
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    d = len(m) - 1
+    for i in range(len(out) - 1, d - 1, -1):
+        q = out[i] % p
+        if q:
+            for j in range(d):
+                out[i - d + j] -= q * m[j]
+    return _trim([c % p for c in out[:d]])
+
+
 def _powmod(f, n: int, m, p: int) -> tuple[int, ...]:
-    """f^n mod m."""
-    acc, base = (1,), _divmod(f, m, p)[1]
-    while n:
-        if n & 1:
-            acc = _divmod(_mul(acc, base, p), m, p)[1]
-        n >>= 1
-        if n:
-            base = _divmod(_mul(base, base, p), m, p)[1]
-    return acc
-
-
-def _eval(f, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
+    """f^n mod a monic m, for f reduced mod m and n >= 1."""
+    acc = f
+    for bit in bin(n)[3:]:
+        acc = _mulmod(acc, acc, m, p)
+        if bit == "1":
+            acc = _mulmod(acc, f, m, p)
     return acc
 
 
@@ -202,7 +224,9 @@ def cantor_add(
 
     The inputs must be reduced Mumford pairs on this curve.  On a monic
     quintic, D + (-D), sums of two points and weight-two sums use
-    explicit formulas; the rest use the generic Cantor algorithm.
+    explicit formulas, and on a sextic with a non-square leading
+    coefficient D + (-D) and weight-two sums do; the rest use the
+    generic Cantor algorithm.
     """
     p = d1.p
     if p != d2.p:
@@ -213,16 +237,16 @@ def cantor_add(
         return d1
     if d1.u == d2.u and d2.v == _neg(d1.v, p):
         return identity_divisor(p)
+    out = None
     if len(f5) == 6 and f5[5] % p == 1:
-        out = None
         if len(d1.u) == 3 and len(d2.u) == 3:
             out = _add_weight_two(d1, d2, f5)
         elif len(d1.u) == 2 and len(d2.u) == 2:
             out = _add_points(f5, p, -d1.u[0], (d1.v or (0,))[0],
                               -d2.u[0], (d2.v or (0,))[0])
-        if out is not None:
-            return out
-    return _cantor_generic(d1, d2, f5)
+    elif len(f5) == 7 and len(d1.u) == 3 and len(d2.u) == 3:
+        out = _add_weight_two(d1, d2, f5)
+    return out if out is not None else _cantor_generic(d1, d2, f5)
 
 
 def _add_points(f5, p: int, x1: int, y1: int, x2: int, y2: int) -> MumfordDivisor:
@@ -246,13 +270,17 @@ def _add_points(f5, p: int, x1: int, y1: int, x2: int, y2: int) -> MumfordDiviso
 def _add_weight_two(
     d1: MumfordDivisor, d2: MumfordDivisor, f5
 ) -> MumfordDivisor | None:
-    """Explicit sum of two weight-two classes on a monic quintic, or None.
+    """Explicit sum of two weight-two classes, or None.
 
-    D2 = -D1 must have been ruled out by the caller.
+    The model is a monic quintic or a sextic with a non-square leading
+    coefficient (module docstring).  D2 = -D1 must have been ruled out by
+    the caller.
 
-    None means the case is not covered: u1 = u2 with v1 != +-v2, or a
-    common root of u1 and u2.
+    None means the case is not covered: u1 = u2 with v1 != +-v2, a
+    common root of u1 and u2, or on a sextic the doubling of a class with
+    gcd(u, v) != 1, or a leading coefficient that is a square.
     """
+    sextic = len(f5) == 7
     p = d1.p
     a0, a1, _ = d1.u
     b0, b1 = (d1.v + (0, 0))[:2]
@@ -270,13 +298,18 @@ def _add_weight_two(
     elif d1.v == d2.v:
         # doubling: s = k / (2 v) mod u with k = (f - v^2) / u reduced mod u
         c0, c1 = a0, a1
-        k2 = f5[4] - a1
-        k1 = f5[3] - a1 * k2 - a0
-        k0 = f5[2] - b1 * b1 - a1 * k1 - a0 * k2
-        w1 = k1 + a1 * a1 - a0 - k2 * a1
-        w0 = k0 + a1 * a0 - k2 * a0
+        if sextic:
+            w1, w0 = _quotient_mod_u(f5, a0, a1, b1, p)
+        else:
+            k2 = f5[4] - a1
+            k1 = f5[3] - a1 * k2 - a0
+            k0 = f5[2] - b1 * b1 - a1 * k1 - a0 * k2
+            w1 = k1 + a1 * a1 - a0 - k2 * a1
+            w0 = k0 + a1 * a0 - k2 * a0
         t1, t0 = -b1, b0 - b1 * a1
         res = 2 * (b0 * t0 + b1 * b1 * a0) % p
+        if res == 0 and sextic:
+            return None
         if res == 0:
             # v = b1 (x - alpha) vanishes at a root alpha of u, so D = W + P
             # with W = (alpha, 0) of order 2, P = (beta, v(beta)), 2D = 2P
@@ -293,19 +326,29 @@ def _add_weight_two(
     v2 = s1 * a1 + s0
     v1 = s1 * a0 + s0 * a1 + b1
     v0 = s0 * a0 + b0
-    if s1 == 0:
+    if sextic:
+        # f - V^2 has degree 6, so (f - V^2) / (u1 u2) is a quadratic whose
+        # coefficients need the top three of f - V^2 and of u1 u2
+        q2 = (f5[6] - s1 * s1) % p
+        if q2 == 0:
+            return None
+        q1 = f5[5] - 2 * s1 * v2 - q2 * (a1 + c1)
+        q0 = f5[4] - 2 * s1 * v1 - v2 * v2 - q2 * (a0 + a1 * c1 + c0) - q1 * (a1 + c1)
+    elif s1 == 0:
         # deg V <= 2: (f - V^2) / U = x + m0, and v' = -V(-m0)
         m0 = (f5[4] - a1 - s0 * s0 - c1) % p
         n0 = -((v2 * m0 - v1) * m0 + v0) % p
         return MumfordDivisor(p, (m0, 1), (n0,) if n0 else ())
-    # (f - V^2) / (u1 u2) = (k - s (2 v1 + s u1)) / u2 with
-    # k = (f - v1^2) / u1 monic cubic, so the quotient's three coefficients
-    # need only the top three of the quartic k - s (2 v1 + s u1).
-    ss = s1 * s1
-    q2 = -ss
-    q1 = 1 - ss * a1 - 2 * s0 * s1 - q2 * c1
-    q0 = f5[4] - a1 - ss * a0 - 2 * s0 * s1 * a1 - 2 * s1 * b1 - s0 * s0
-    q0 -= q1 * c1 + q2 * c0
+    else:
+        # (f - V^2) / (u1 u2) = (k - s (2 v1 + s u1)) / u2 with
+        # k = (f - v1^2) / u1 monic cubic, so the quotient's three
+        # coefficients need only the top three of the quartic
+        # k - s (2 v1 + s u1).
+        ss = s1 * s1
+        q2 = -ss
+        q1 = 1 - ss * a1 - 2 * s0 * s1 - q2 * c1
+        q0 = f5[4] - a1 - ss * a0 - 2 * s0 * s1 * a1 - 2 * s1 * b1 - s0 * s0
+        q0 -= q1 * c1 + q2 * c0
     lead = pow(q2, -1, p)
     m1, m0 = q1 * lead % p, q0 * lead % p
     # v' = -V mod x^2 + m1 x + m0, with x^3 = (m1^2 - m0) x + m1 m0
@@ -313,6 +356,26 @@ def _add_weight_two(
     n0 = -(v0 + s1 * m1 * m0 - v2 * m0) % p
     v = (n0, n1) if n1 else ((n0,) if n0 else ())
     return MumfordDivisor(p, (m0, m1, 1), v)
+
+
+def _quotient_mod_u(f, a0: int, a1: int, b1: int, p: int):
+    """(k1, k0) with k1 x + k0 = ((f - v^2) / u) mod u, for u = x^2 + a1 x
+    + a0 and v = b1 x + b0: two synthetic divisions by the monic u.
+
+    The quotient reads only the coefficients of degree >= 2, where f - v^2
+    differs from f by b1^2 alone.
+    """
+    g = [0, 0, f[2] - b1 * b1, *f[3:]]
+    k = [0] * (len(g) - 2)
+    for i in range(len(k) - 1, -1, -1):
+        k[i] = q = g[i + 2] % p
+        g[i + 1] -= q * a1
+        g[i] -= q * a0
+    for i in range(len(k) - 3, -1, -1):
+        q = k[i + 2] % p
+        k[i + 1] -= q * a1
+        k[i] -= q * a0
+    return k[1], k[0]
 
 
 def _cantor_generic(
@@ -340,6 +403,11 @@ def _cantor_generic(
 
     while _deg(u) > 2:
         u_next = _monic(_exact_div(_sub(f, _mul(v, v, p), p), u, p), p)
+        if _deg(u_next) >= _deg(u):
+            # on a sextic f - v^2 has degree 6, so deg u = 3 would stay 3
+            raise ArithmeticError(
+                f"reduction of a degree-{_deg(u)} u makes no progress: "
+                "odd-degree u on a sextic model")
         v = _neg(_mod_poly(v, u_next, p), p)
         u = u_next
     return MumfordDivisor(p, u, v)
@@ -406,19 +474,6 @@ def divisor_order(d: MumfordDivisor, f5, group_order: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _taylor_coeffs(coeffs, a: int, p: int) -> list[int]:
-    """Coefficients t_k of f(a + w) = sum t_k w^k, by synthetic division."""
-    work = [c % p for c in reversed(coeffs)]
-    out = []
-    while work:
-        acc = 0
-        for i in range(len(work)):
-            acc = (acc * a + work[i]) % p
-            work[i] = acc
-        out.append(work.pop())
-    return out
-
-
 def odd_degree_model(curve: GenusTwoCurve, p: int):
     """A monic quintic F_p-model of the curve, or None.
 
@@ -430,7 +485,11 @@ def odd_degree_model(curve: GenusTwoCurve, p: int):
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
-    c = [v % p for v in curve.coeffs]
+    return _quintic_model([v % p for v in curve.coeffs], p)
+
+
+def _quintic_model(c, p: int):
+    """``odd_degree_model`` of y^2 = c(x), c reduced mod a good prime p."""
     if c[6] == 0:
         quintic = c[:6]
     else:
@@ -466,6 +525,102 @@ def random_divisor(f5, p: int, rng: random.Random) -> MumfordDivisor:
 
 
 # ---------------------------------------------------------------------------
+# settling the L-polynomial by annihilation
+# ---------------------------------------------------------------------------
+
+
+def _inert_model(c, p: int, twist: int = 1):
+    """z^6 g(a + 1/z) for g = twist * c and g(a) a non-square, or None.
+
+    Its leading coefficient g(a) is a non-square: the two points at
+    infinity are conjugate, and their sum D_inf is rational (module
+    docstring).
+    """
+    for a in range(p):
+        value = twist * _eval(c, a, p) % p
+        if value and pow(value, (p - 1) // 2, p) != 1:
+            return tuple(twist * t % p for t in reversed(_taylor_coeffs(c, a, p)))
+    return None
+
+
+def _class_models(c, p: int, degrees, model):
+    """Models of y^2 = c(x) and of its quadratic twist y^2 = d c(x) on
+    which Cantor's algorithm adds classes, each None where there is none.
+
+    A rational Weierstrass point gives monic quintics; ``model`` is the
+    curve's when the caller has it.  Without one, the models are sextics
+    with a non-square leading coefficient.
+    """
+    d = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
+    if c[6] and 1 not in degrees:
+        return _inert_model(c, p), _inert_model(c, p, d)
+    f5 = model if model is not None else _quintic_model(c, p)
+    # y^2 = d f5(x), and X = d x, Y = d^2 y make it monic
+    return f5, tuple(a * pow(d, 5 - i, p) % p for i, a in enumerate(f5))
+
+
+def _random_class(F, p: int, rng: random.Random) -> MumfordDivisor | None:
+    """P1 + P2 - D_inf for random affine points with x1 != x2, or None
+    when 64 draws do not find two.
+
+    u = (x - x1)(x - x2) and v is the chord through the two points; D_inf
+    is twice the point at infinity of a quintic, and the pair at infinity
+    of a sextic.
+    """
+    points: dict[int, int] = {}
+    for _ in range(64):
+        x = rng.randrange(p)
+        y = sqrt_mod(_eval(F, x, p), p)
+        if y is None:
+            continue
+        points[x] = rng.choice((y, (p - y) % p))
+        if len(points) == 2:
+            (x1, y1), (x2, y2) = points.items()
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+            v = _trim([(y1 - lam * x1) % p, lam])
+            return MumfordDivisor(p, (x1 * x2 % p, -(x1 + x2) % p, 1), v)
+    return None
+
+
+def _settle_by_annihilation(c, p: int, candidates, degrees, model, rng) -> WeilPoly2:
+    """The candidate L whose L(1) annihilates J(F_p) and whose L(-1)
+    annihilates the Jacobian of the quadratic twist.
+
+    The candidates share a1, and their a2, L(1) and L(-1) differ by
+    multiples of p.  For a class D and R = [p] D, the candidate with
+    order n_0 + k p is ruled out unless [n_0] D + k R = 0.  Each round
+    draws a class on the curve and, while more than one candidate is
+    left, one on the twist.  The true candidate is never ruled out; if
+    more than one is left after 16 rounds, ArithmeticError.
+    """
+    alive = sorted(candidates, key=lambda w: w.a2)
+    models = zip(_class_models(c, p, degrees, model), (1, -1))
+    sides = [(F, sign) for F, sign in models if F is not None]
+    for _ in range(16):
+        for F, sign in sides:
+            d = _random_class(F, p, rng)
+            if d is None:
+                continue
+            orders = [WeilPoly2(p, sign * w.a1, w.a2).point_count() for w in alive]
+            step = cantor_mul(p, d, F)
+            acc, at = cantor_mul(orders[0], d, F), orders[0]
+            kept = []
+            for w, n in zip(alive, orders):
+                while at < n:
+                    acc, at = cantor_add(acc, step, F), at + p
+                if acc.is_identity:
+                    kept.append(w)
+            alive = kept
+            if len(alive) == 1:
+                return alive[0]
+            if not alive:
+                raise ArithmeticError(f"no candidate L-polynomial annihilates J(F_{p})")
+    raise ArithmeticError(
+        f"{len(alive)} L-polynomials mod {p} annihilate every class tried "
+        "on the curve and its twist")
+
+
+# ---------------------------------------------------------------------------
 # group structure of J(F_p)
 # ---------------------------------------------------------------------------
 
@@ -490,24 +645,36 @@ def _factor_degrees(curve: GenusTwoCurve, p: int) -> list[int]:
 
     Distinct-degree factorization of the squarefree f: the degree-k
     factors of what is left divide x^(p^k) - x.  A remainder with no
-    factor of degree <= deg/2 is irreducible.
+    factor of degree <= deg/2 is irreducible.  Only x^p takes a ladder:
+    Frobenius fixes F_p, so x^(p^k) = h(x^p) mod f for h = x^(p^(k-1)).
     """
     f = _monic(_trim([c % p for c in curve.coeffs]), p)
     x = (0, 1)
     degrees: list[int] = []
-    h = x  # x^(p^k) mod f
+    h = frob = x  # x^(p^k) and x^p mod f
     k = 0
     while _deg(f) >= 2 * (k + 1):
         k += 1
-        h = _powmod(h, p, f, p)
+        if k == 1:
+            h = frob = _powmod(x, p, f, p)
+        else:
+            acc = (h[-1],)
+            for c in reversed(h[:-1]):
+                acc = _add(_mulmod(acc, frob, f, p), (c,), p)
+            h = acc
         g = _gcdext(f, _sub(h, x, p), p)[0]
         if _deg(g) > 0:
             degrees += [k] * (_deg(g) // k)
             f = _exact_div(f, g, p)
-            h = _mod_poly(h, f, p)
+            h, frob = _mod_poly(h, f, p), _mod_poly(frob, f, p)
     if _deg(f) > 0:
         degrees.append(_deg(f))
     return degrees
+
+
+def _two_rank(degrees) -> int:
+    """r with J(F_p)[2] = (Z/2)^r, from the factor degrees of f mod p."""
+    return two_torsion_count(degrees).bit_length() - 1
 
 
 def _group_invariants(
@@ -574,9 +741,10 @@ def jacobian_group_mod_p(
     probing stops early once the exponent equals the largest one possible,
     #J / 2^(two_rank - 1): further probes could not change it.
     """
-    order = curve_lpoly(curve, p).point_count()
-    two_rank = two_torsion_count(_factor_degrees(curve, p)).bit_length() - 1
+    degrees = _factor_degrees(curve, p)
+    two_rank = _two_rank(degrees)
     f5 = odd_degree_model(curve, p)
+    order = curve_lpoly(curve, p, degrees=degrees, model=f5).point_count()
     if f5 is None:
         return JacobianGroup(p, order, None, two_rank)
     rng = random.Random(seed)

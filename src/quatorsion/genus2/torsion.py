@@ -105,6 +105,9 @@ def certify_torsion(
     order divides #J(F_p) at every good odd prime up to ``prime_bound``
     and the claimed 2-torsion fits under the Weierstrass-orbit bound,
     INCONSISTENT otherwise.
+
+    Each #J(F_p) is exact: ``curve_lpoly`` either returns the one
+    L-polynomial its checks leave or raises.
     """
     claimed = tuple(int(d) for d in claimed)
     if any(d < 2 for d in claimed):

@@ -139,7 +139,9 @@ class PqmVerdict:
     quaternion_disc: int
 
     def __post_init__(self) -> None:
-        assert not (self.is_pqm and self.quaternion_disc == 1)
+        if self.is_pqm and self.quaternion_disc == 1:
+            raise ValueError("a PQM verdict needs a division algebra "
+                             "(quaternion_disc > 1)")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, ZZ, Matrix, Poly, symbols
+from sympy import GF, ZZ, Integer, Matrix, Poly, symbols
 from sympy.matrices.normalforms import invariant_factors
 from sympy.ntheory import factorint, primerange
 
@@ -333,6 +333,19 @@ def test_factor_degree_cap():
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         exact.factor_poly_q(())
+
+
+def test_factor_checks_the_product(monkeypatch):
+    # a factorization that does not multiply back raises, also under -O
+    monkeypatch.setattr(exact, "factor_list", lambda expr: (Integer(1), [(_x - 1, 1), (_x - 2, 1)]))
+    with pytest.raises(ArithmeticError, match="multiply back"):
+        exact.factor_poly_q((-1, 0, 1))
+
+
+def test_unit_residue_rejects_non_units():
+    assert exact._unit_residue(Fraction(3, 5), 8) == 3 * 5 % 8
+    with pytest.raises(ValueError, match="not a unit"):
+        exact._unit_residue(Fraction(1, 6), 8)
 
 
 def _divides(h, g) -> bool:

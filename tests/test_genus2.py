@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatorsion.genus2 import curve as curve_mod
+from grid_oracle import count_model
 from quatorsion.genus2 import family, jacobian
 from quatorsion.genus2.curve import (
     CurveLabel,
@@ -86,6 +86,13 @@ def test_family_j_matches_factored_form():
 def test_family_singular_parameters(t):
     with pytest.raises(ValueError, match="singular"):
         family.family_j(t)
+
+
+def test_family_j_checks_its_denominator(monkeypatch):
+    # the denominator is positive on Q; a broken one raises, also under -O
+    monkeypatch.setattr(family, "_J_DEN", (-1,))
+    with pytest.raises(ArithmeticError, match="not positive"):
+        family.family_j(2)
 
 
 def test_family_igusa_point():
@@ -465,8 +472,7 @@ def test_odd_degree_model_preserves_counts():
             assert f5[5] == 1
             model = tuple(f5) + (0,)
             for n in (1, 2):
-                assert curve_mod._count_model(model, p, n) == (
-                    curve_mod._count_model(row.curve.coeffs, p, n))
+                assert count_model(model, p, n) == count_model(row.curve.coeffs, p, n)
 
 
 def test_odd_degree_model_none_without_rational_weierstrass_point():
@@ -581,6 +587,22 @@ def test_factor_degrees_match_sympy():
             assert sorted(jacobian._factor_degrees(row.curve, p)) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=7, max_size=7),
+       st.sampled_from(list(sympy.primerange(3, 2000))))
+def test_factor_degrees_match_sympy_random(coeffs, p):
+    try:
+        curve = GenusTwoCurve.from_coefficients(coeffs)
+    except ValueError:  # degree below 5, or singular
+        return
+    if not good_prime(curve, p):
+        return
+    x = sympy.Symbol("x")
+    f = sympy.Poly(sum(c * x**i for i, c in enumerate(curve.coeffs)), x, modulus=p)
+    expected = sorted(g.degree() for g, m in f.factor_list()[1] for _ in range(m))
+    assert sorted(jacobian._factor_degrees(curve, p)) == expected
+
+
 # ---------------------------------------------------------------------------
 # explicit formulas against the generic Cantor algorithm
 # ---------------------------------------------------------------------------
@@ -669,11 +691,12 @@ def test_jacobian_group_matches_generic_path(seed, monkeypatch):
         assert jacobian_group_mod_p(TABLE[i].curve, p, seed) == g
 
 
-@pytest.mark.parametrize("name", ["jacobian.py", "quat.py", "actions.py", "weil.py"])
+@pytest.mark.parametrize("name", ["jacobian.py", "quat.py", "actions.py", "weil.py",
+                                  "exact.py", "newform.py", "family.py", "curve.py"])
 def test_module_has_no_asserts(name):
     # python -O strips asserts; the checks that carry lemmas must raise instead
     package = Path(jacobian.__file__).resolve().parents[1]
-    path = package / "genus2" / name if name == "jacobian.py" else package / name
+    (path,) = package.rglob(name)
     tree = ast.parse(path.read_text())
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
 

@@ -1,0 +1,261 @@
+"""L-polynomials from the Hasse-Witt matrix, against the F_{p^2} grid.
+
+The grid in ``grid_oracle`` counts points over F_p and F_{p^2} in O(p^2);
+``curve_lpoly`` must agree with it wherever both run.
+"""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grid_oracle import count_model, oracle_lpoly
+from quatorsion.genus2 import curve as curve_mod
+from quatorsion.genus2 import jacobian
+from quatorsion.genus2.curve import (
+    GenusTwoCurve,
+    count_points_curve,
+    curve_lpoly,
+    good_prime,
+    good_primes,
+)
+from quatorsion.genus2.jacobian import (
+    MumfordDivisor,
+    cantor_mul,
+    jacobian_group_mod_p,
+    odd_degree_model,
+)
+from quatorsion.genus2.torsion import table_curves
+from quatorsion.weil import WeilPoly2, is_weil_valid
+
+TABLE = table_curves()
+QUINTICS = [
+    GenusTwoCurve.from_coefficients(c)
+    for c in ([1, 0, 0, 0, 0, 1], [0, 2, 0, 0, 0, 1], [1, -1, 0, 0, 0, 1], [-1, 0, 3, 0, 0, 2])
+]
+# the curve whose L-polynomial at 41 only the quadratic twist settles
+TWIST_ONLY = GenusTwoCurve.from_coefficients([33, 13, 18, -29, -22, -33, 3])
+SIX_CURVE = next(row.curve for row in TABLE if row.torsion == (6,))
+CURVES = [row.curve for row in TABLE] + QUINTICS
+
+
+def _hasse_witt_from_power(c, p: int) -> tuple[int, int]:
+    """(tr W, det W) mod p from f^((p-1)/2) expanded in full."""
+    h = [1]
+    for _ in range((p - 1) // 2):
+        h = [sum(h[i] * c[k - i] for i in range(len(h)) if 0 <= k - i < 7) % p
+             for k in range(len(h) + 6)]
+    h += [0] * (2 * p)
+    tr = (h[p - 1] + h[2 * p - 2]) % p
+    det = (h[p - 1] * h[2 * p - 2] - h[p - 2] * h[2 * p - 1]) % p
+    return tr, det
+
+
+@pytest.mark.parametrize("index", range(len(CURVES)))
+def test_curve_lpoly_matches_grid(index):
+    curve = CURVES[index]
+    for p in good_primes(curve, 500):
+        assert curve_lpoly(curve, p) == oracle_lpoly(curve.coeffs, p), p
+
+
+_COEFF = st.integers(min_value=-30, max_value=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_COEFF, min_size=7, max_size=7), st.booleans(),
+       st.sampled_from(list(sympy.primerange(7, 200))))
+def test_curve_lpoly_matches_grid_random(coeffs, quintic, p):
+    if quintic:
+        coeffs[6] = 0
+    try:
+        curve = GenusTwoCurve.from_coefficients(coeffs)
+    except ValueError:  # degree below 5, or singular
+        return
+    if not good_prime(curve, p):
+        return
+    assert curve_lpoly(curve, p) == oracle_lpoly(curve.coeffs, p)
+
+
+def test_hasse_witt_matches_full_power():
+    # the recurrence, on every model it builds, against f^((p-1)/2) itself
+    for curve in CURVES + [TWIST_ONLY]:
+        for p in good_primes(curve, 60):
+            if p < 7:
+                continue
+            c = [v % p for v in curve.coeffs]
+            assert curve_mod._hasse_witt(c, p) == _hasse_witt_from_power(c, p), (curve, p)
+
+
+def test_degree_drop_prime():
+    # lead 11: the reduction mod 11 is a quintic, and the Hasse-Witt model
+    # moves a non-root to infinity first
+    curve = GenusTwoCurve.from_coefficients([1, 2, 0, 3, 0, 1, 11])
+    assert good_prime(curve, 11) and curve.coeffs[6] % 11 == 0
+    assert curve_lpoly(curve, 11) == oracle_lpoly(curve.coeffs, 11)
+    model = curve_mod._hasse_witt_model([v % 11 for v in curve.coeffs], 11)
+    assert model[0] % 11 and model[6] % 11
+
+
+def test_twist_only_case(monkeypatch):
+    p = 41
+    c = [v % p for v in TWIST_ONLY.coeffs]
+    trace, det = curve_mod._hasse_witt(c, p)
+    a1 = -trace if 2 * trace < p else p - trace
+    degrees = jacobian._factor_degrees(TWIST_ONLY, p)
+    two_rank = jacobian._two_rank(degrees)
+    left = [w.a2 for w in curve_mod._weil_candidates(p, a1, det)
+            if curve_mod._two_part_fits(w, two_rank)]
+    assert left == [1, 83]
+    w = curve_lpoly(TWIST_ONLY, p)
+    assert (w.a1, w.a2, w.point_count()) == (-2, 83, 41**2)
+    assert w == oracle_lpoly(TWIST_ONLY.coeffs, p)
+    # J(F_41) has exponent 41, which divides both candidate orders, so the
+    # curve's own classes cannot separate them: without the twist, no answer
+    candidates = [WeilPoly2(p, a1, a2) for a2 in left]
+    f5 = odd_degree_model(TWIST_ONLY, p)
+    models = jacobian._class_models(c, p, degrees, f5)
+    for n in (w.point_count(), WeilPoly2(p, a1, 1).point_count()):
+        d = jacobian._random_class(models[0], p, random.Random(n))
+        assert cantor_mul(n, d, models[0]).is_identity
+    original = jacobian._class_models
+    monkeypatch.setattr(jacobian, "_class_models", lambda *args: (original(*args)[0], None))
+    with pytest.raises(ArithmeticError, match="annihilate every class"):
+        jacobian._settle_by_annihilation(c, p, candidates, degrees, f5, random.Random(0))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_small_primes_count_directly(p):
+    curves = CURVES + [
+        GenusTwoCurve.from_coefficients(c)
+        for c in ([1, 2, 0, 3, 0, 1, 11], [3, 1, 4, 1, 5, 9, 91], [1, 0, 0, 0, 0, 0, 1],
+                  [0, -1, 0, 0, 0, 1])]  # x^5 - x vanishes on all of F_5
+    seen = 0
+    for curve in curves:
+        if not good_prime(curve, p):
+            continue
+        seen += 1
+        c = [v % p for v in curve.coeffs]
+        for n in (1, 2):
+            assert curve_mod._count_points(c, p, n) == count_model(curve.coeffs, p, n)
+        assert curve_lpoly(curve, p) == oracle_lpoly(curve.coeffs, p)
+    assert seen >= 4
+
+
+def test_two_part_filter_reads_both_orders():
+    # L(1) = 32 and L(-1) = 20: (Z/2)^3 fits in the curve's group only
+    w = WeilPoly2(5, 1, 0)
+    assert (w.point_count(), WeilPoly2(5, -1, 0).point_count()) == (32, 20)
+    assert curve_mod._two_part_fits(w, 2)
+    assert not curve_mod._two_part_fits(w, 3)
+    assert not curve_mod._two_part_fits(w, 0)
+    assert curve_mod._two_part_fits(WeilPoly2(5, 1, 1), 0)  # 33 and 21
+
+
+def test_count_points_curve_over_fp2_reads_the_lpoly():
+    for row in TABLE:
+        for p in good_primes(row.curve, 60):
+            w = curve_lpoly(row.curve, p)
+            n2 = count_points_curve(row.curve, p, 2)
+            assert n2 == p * p + 1 - w.a1 * w.a1 + 2 * w.a2 == count_model(row.curve.coeffs, p, 2)
+            assert count_points_curve(row.curve, p, 1) == p + 1 + w.a1
+
+
+def test_shared_work_gives_the_same_lpoly(monkeypatch):
+    for row in TABLE:
+        for p in good_primes(row.curve, 120):
+            if p < 7:
+                continue
+            degrees = jacobian._factor_degrees(row.curve, p)
+            shared = curve_lpoly(row.curve, p, degrees=degrees,
+                                 model=odd_degree_model(row.curve, p))
+            assert shared == curve_lpoly(row.curve, p)
+    calls = []
+    original = jacobian._factor_degrees
+    monkeypatch.setattr(jacobian, "_factor_degrees",
+                        lambda *args: calls.append(args) or original(*args))
+    jacobian_group_mod_p(SIX_CURVE, 97, seed=3)
+    assert len(calls) == 1
+
+
+def test_curve_lpoly_rng_is_seeded_by_p_and_f(monkeypatch):
+    # the annihilation step draws the same classes on every call
+    draws = []
+    original = jacobian._settle_by_annihilation
+
+    def spy(c, p, candidates, degrees, model, rng):
+        draws.append((p, rng.getstate()))
+        return original(c, p, candidates, degrees, model, rng)
+
+    monkeypatch.setattr(jacobian, "_settle_by_annihilation", spy)
+    for seed in (1, 2):
+        random.seed(seed)
+        for p in good_primes(SIX_CURVE, 200):
+            curve_lpoly(SIX_CURVE, p)
+    half = len(draws) // 2
+    assert half > 5 and draws[:half] == draws[half:]
+
+
+def test_large_prime_flat_memory_and_annihilation():
+    p = 4999
+    assert good_prime(SIX_CURVE, p)
+    tracemalloc.start()
+    try:
+        w = curve_lpoly(SIX_CURVE, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert is_weil_valid(w)
+    c = [v % p for v in SIX_CURVE.coeffs]
+    degrees = jacobian._factor_degrees(SIX_CURVE, p)
+    model = jacobian._class_models(c, p, degrees, odd_degree_model(SIX_CURVE, p))[0]
+    rng = random.Random(11)
+    classes = [jacobian._random_class(model, p, rng) for _ in range(8)]
+    assert all(d is not None and not d.is_identity for d in classes)
+    assert all(cantor_mul(w.point_count(), d, model).is_identity for d in classes)
+
+
+def test_inert_sextic_fast_path_matches_generic_cantor():
+    rng = random.Random(7)
+    hits = 0
+    for row in TABLE:
+        for p in good_primes(row.curve, 100):
+            if p < 7:
+                continue
+            c = [v % p for v in row.curve.coeffs]
+            F = jacobian._inert_model(c, p)
+            if F is None:
+                continue
+            classes = [d for d in (jacobian._random_class(F, p, rng) for _ in range(6)) if d]
+            for d1 in classes:
+                acc = d1
+                for d2 in classes + [d1]:
+                    expected = jacobian._cantor_generic(d1, d2, F)
+                    assert jacobian.cantor_add(d1, d2, F) == expected
+                    hits += jacobian._add_weight_two(d1, d2, F) is not None
+                for _ in range(4):
+                    expected = jacobian._cantor_generic(acc, acc, F)
+                    acc = jacobian.cantor_add(acc, acc, F)
+                    assert acc == expected
+    assert hits > 500
+
+
+def test_generic_cantor_rejects_odd_degree_on_inert_sextic():
+    p = 41
+    c = [v % p for v in TWIST_ONLY.coeffs]
+    F = jacobian._inert_model(c, p)
+    assert F is not None and pow(F[6], (p - 1) // 2, p) == p - 1
+    x = next(x for x in range(p) if sympy.sqrt_mod(jacobian._eval(F, x, p), p) is not None)
+    y = sympy.sqrt_mod(jacobian._eval(F, x, p), p)
+    point = MumfordDivisor(p, ((p - x) % p, 1), (y,))  # not a class on this model
+    rng = random.Random(1)
+    d = jacobian._random_class(F, p, rng)
+    while jacobian._eval(d.u, x, p) == 0:
+        d = jacobian._random_class(F, p, rng)
+    with pytest.raises(ArithmeticError, match="no progress"):
+        jacobian._cantor_generic(point, d, F)

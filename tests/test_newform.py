@@ -1,0 +1,43 @@
+"""Tests for the newform screen: the PQM criterion on the packaged forms."""
+
+from __future__ import annotations
+
+import pytest
+
+from quatorsion import newform
+from quatorsion.quat import QuatAlgebra, discriminant
+
+# label -> (is_pqm, twist discriminant, quaternion discriminant)
+EXPECTED = {
+    "243.2.a.d": (True, -3, 6),
+    "972.2.a.e": (True, -3, 6),
+    "cm-256-disc-8": (False, -4, 1),
+}
+
+
+def test_packaged_fixtures():
+    assert newform.packaged_fixtures() == sorted(EXPECTED)
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_pqm_criterion_on_packaged_newforms(label):
+    record = newform.load_fixture(label)
+    verdict = newform.pqm_criterion(record)
+    assert (verdict.is_pqm, verdict.twist_disc, verdict.quaternion_disc) == EXPECTED[label]
+    # the reported algebra is (d, m / Q), and PQM needs it to be division
+    assert verdict.quaternion_disc == discriminant(QuatAlgebra(verdict.twist_disc, record.m))
+    assert not verdict.is_pqm or verdict.quaternion_disc > 1
+
+
+def test_pqm_verdict_rejects_split_algebra():
+    # runs under python -O too: the invariant is an explicit exception
+    with pytest.raises(ValueError, match="division algebra"):
+        newform.PqmVerdict(is_pqm=True, twist_disc=-3, quaternion_disc=1)
+    assert not newform.PqmVerdict(is_pqm=False, twist_disc=-3, quaternion_disc=1).is_pqm
+    assert newform.PqmVerdict(is_pqm=True, twist_disc=-3, quaternion_disc=6).is_pqm
+
+
+def test_pqm_verdict_is_frozen():
+    verdict = newform.PqmVerdict(is_pqm=False, twist_disc=0, quaternion_disc=1)
+    with pytest.raises(AttributeError):
+        verdict.is_pqm = True
