@@ -28,6 +28,9 @@ old systems are excluded because their joint eigenspaces are strictly
 larger than the two-dimensional-per-embedding newform slice (the dim-4
 assertion below).
 
+It imports sympy and numpy, which the package itself does not need:
+install the ``test`` extra first (``pip install -e ".[test]"``).
+
 Usage:
     python3 scripts/gen_newform_fixtures.py --self-test
     python3 scripts/gen_newform_fixtures.py --all

@@ -35,11 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from sympy import isprime
-from sympy.ntheory import factorint
-
 from .exact import (
+    factorint,
     fundamental_discriminant,
+    isprime,
     rational_square_class,
     rref_mod,
     smith_diagonal,
@@ -545,7 +544,7 @@ def distinguished_subring(action: DihedralAction) -> DistinguishedRing:
     else:
         index_bound = 2 if d % 4 == 1 else 1
     for p in factorint(abs(ring_disc)):
-        if (6 * disc) % int(p):  # unramified away from 6 disc(B)
+        if (6 * disc) % p:  # unramified away from 6 disc(B)
             raise ArithmeticError(f"Q(sqrt {d}) ramifies at {p}, which does not divide 6 disc(B)")
     return DistinguishedRing(d, ring_disc, index_bound, d > 0)
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: symbols, square classes, linear algebra, factoring.
+"""Exact arithmetic substrate: integers, symbols, linear algebra, polynomials.
 
 Conventions
 -----------
@@ -6,36 +6,68 @@ Conventions
   Python ints.  Nothing in this module touches floating point.
 * An integer polynomial is a tuple of coefficients indexed by degree,
   ``(c0, c1, ..., cd)`` with ``cd != 0``; the zero polynomial is the
-  empty tuple.
+  empty tuple.  Polynomials over Z/m (the ``fp_`` functions) use the
+  same layout with coefficients in [0, m); m is a prime except in
+  Hensel lifting, where only monic divisors occur.
 * A finite abelian group is reported by its invariant factors
   ``(d1, d2, ..., dk)`` with ``2 <= d1 | d2 | ... | dk``; the trivial
   group is the empty tuple.
 * ``hilbert_symbol(a, b, v)`` is the symbol of the quaternion algebra
   ``(a, b)`` at the place ``v``: ``+1`` when the algebra splits locally,
   ``-1`` when it ramifies.  The real place is ``math.inf``.
-* The linear-algebra section holds the exact matrix routines of the
-  package, all on row vectors: the row-style Hermite normal form of an
+
+Sections
+--------
+* Integers: :func:`isprime` (trial division by the primes below 42,
+  then Miller-Rabin to those 13 bases; a proof below ``ISPRIME_BOUND``
+  = 3317044064679887385961981, about 3.3e24, and above it a proof of
+  compositeness or a ValueError), :func:`factorint` (trial division to
+  1000, then perfect powers and Pollard-Brent rho; every cofactor goes
+  through :func:`isprime`, so a prime factor above the bound raises),
+  :func:`primefactors`, :func:`multiplicity`, :func:`primerange` (a
+  sieve of Eratosthenes) and :func:`nextprime`.
+* Symbols and square classes: :func:`kronecker_symbol` (binary Jacobi
+  algorithm), :func:`sqrt_mod` (odd prime moduli; Tonelli-Shanks),
+  :func:`hilbert_symbol`, :func:`rational_square_class`,
+  :func:`fundamental_discriminant` and :func:`padic_valuation`.
+* Linear algebra, on row vectors: the row-style Hermite normal form of an
   integer matrix (:func:`hnf_rows`), the inverse of a rational matrix
   (:func:`mat_inverse`), Smith forms over Z (:func:`smith_diagonal`,
   :func:`smith_invariants`) and the reduced row echelon form over F_p
   (:func:`rref_mod`).
+* Integer polynomials: ring operations, content, and the discriminant
+  as a Sylvester resultant (:func:`poly_discriminant`).
+* Polynomials over F_p: ring operations, division, extended gcd, powers
+  modulo a monic polynomial and the distinct-degree split.
+* Factoring over Q (:func:`factor_poly_q`, degree <= 8): square-free
+  decomposition, factoring modulo a small prime (Cantor-Zassenhaus),
+  Hensel lifting and recombination of the lifted factors (Zassenhaus;
+  Cohen, GTM 138, section 3.5).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from sympy import Poly, factor_list, symbols
-from sympy import kronecker_symbol as _kronecker
-from sympy.ntheory import factorint, isprime, multiplicity
-
 __all__ = [
+    "ISPRIME_BOUND",
+    "isprime",
+    "factorint",
+    "primefactors",
+    "multiplicity",
+    "primerange",
+    "nextprime",
     "kronecker_symbol",
+    "sqrt_mod",
     "hilbert_symbol",
     "rational_square_class",
+    "fundamental_discriminant",
     "padic_valuation",
     "hnf_rows",
     "mat_inverse",
@@ -43,7 +75,6 @@ __all__ = [
     "smith_diagonal",
     "smith_invariants",
     "validate_invariants",
-    "factor_poly_q",
     "poly_trim",
     "poly_degree",
     "poly_add",
@@ -53,26 +84,277 @@ __all__ = [
     "poly_eval",
     "poly_content",
     "poly_primitive",
+    "poly_derivative",
+    "poly_discriminant",
+    "fp_trim",
+    "fp_add",
+    "fp_neg",
+    "fp_sub",
+    "fp_mul",
+    "fp_divmod",
+    "fp_exact_div",
+    "fp_mod",
+    "fp_monic",
+    "fp_gcdext",
+    "fp_mulmod",
+    "fp_powmod",
+    "fp_distinct_degree",
+    "factor_poly_q",
 ]
-
-_X = symbols("x")
 
 Rat = Fraction
 IntPoly = "tuple[int, ...]"
 
 
 # ---------------------------------------------------------------------------
-# symbols
+# integers: primality, factoring, primes
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least strong pseudoprime to all of _MR_BASES (Sorenson-Webster 2017).
+ISPRIME_BOUND = 3317044064679887385961981
+
+
+def isprime(n: int) -> bool:
+    """Whether the integer n is prime.
+
+    Trial division by the 13 primes below 42, then the strong
+    (Miller-Rabin) test to those bases, which no composite below
+    ISPRIME_BOUND passes.  A failed test proves n composite at any size;
+    an n of ISPRIME_BOUND or more that passes raises ValueError.
+    """
+    n = operator.index(n)
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= ISPRIME_BOUND:
+        raise ValueError(
+            f"{n} passes the strong test, which proves primality only below {ISPRIME_BOUND}"
+        )
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard rho, Brent's cycle
+    search, gcds batched over 128 steps.  The polynomials x^2 + c are
+    tried for c = 1, 2, ... from x = 2, so the divisor found depends on n
+    alone."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _integer_root(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by Newton's method from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with m = r^k for a prime k, or None."""
+    for k in _TRIAL_PRIMES:
+        if k >= m.bit_length():
+            return None
+        r = _integer_root(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of a nonzero integer, sorted by key.
+
+    A negative n carries the entry {-1: 1}; n = 1 gives {}.  Trial
+    division by the primes below 1000; what is left is split as a
+    perfect power or by Pollard-Brent rho.  Cofactors go through
+    :func:`isprime`, so one of ISPRIME_BOUND or more that passes the
+    strong test raises ValueError.
+    """
+    n = operator.index(n)
+    if n == 0:
+        raise ValueError("factorint requires a nonzero argument")
+    out: dict[int, int] = {}
+    if n < 0:
+        out[-1] = 1
+        n = -n
+    for q in _TRIAL_PRIMES:
+        if q * q > n:
+            break
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out[q] = e
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if isprime(m):
+            out[m] = out.get(m, 0) + 1
+        elif power := _perfect_power(m):
+            pending += [power[0]] * power[1]
+        else:
+            d = _rho_divisor(m)
+            pending += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def primefactors(n: int) -> list[int]:
+    """The positive primes dividing the nonzero integer n, ascending."""
+    return [p for p in factorint(n) if p > 0]
+
+
+def multiplicity(p: int, n: int) -> int:
+    """The exponent of the prime p in the nonzero integer n."""
+    if n == 0 or p < 2:
+        raise ValueError("multiplicity requires n != 0 and p >= 2")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def primerange(a: int, b: int) -> list[int]:
+    """The primes p with a <= p < b, ascending: a sieve of Eratosthenes."""
+    if b <= 2:
+        return []
+    sieve = bytearray([1]) * b
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(b - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, b, i)))
+    return list(itertools.compress(range(max(a, 0), b), sieve[max(a, 0) :]))
+
+
+def nextprime(n: int) -> int:
+    """The least prime greater than n."""
+    m = max(operator.index(n) + 1, 2)
+    while not isprime(m):
+        m += 1
+    return m
+
+
+_TRIAL_PRIMES = tuple(primerange(2, 1000))
+
+
+# ---------------------------------------------------------------------------
+# symbols, square roots mod p, square classes
 
 
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a|n), the full extension of the Jacobi symbol.
 
     Multiplicative in both arguments; (a|2) is 0 for even a and
-    (-1)^((a^2-1)/8) for odd a; (a|-1) is the sign of a; (a|0) is 1
-    exactly for a = +-1.
+    (-1)^((a^2-1)/8) for odd a; (a|-1) is -1 for a < 0 and 1 otherwise;
+    (a|0) is 1 exactly for a = +-1.  The odd part of n goes through the
+    binary Jacobi algorithm: strip twos from a, flip by (2|n), swap by
+    quadratic reciprocity, reduce.
     """
-    return int(_kronecker(int(a), int(n)))
+    a, n = operator.index(a), operator.index(n)
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    sign = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            sign = -1
+    if n % 2 == 0:
+        if a % 2 == 0:
+            return 0
+        v = (n & -n).bit_length() - 1
+        n >>= v
+        if v % 2 and a % 8 in (3, 5):
+            sign = -sign
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+@lru_cache(maxsize=256)
+def _tonelli_setup(p: int) -> tuple[int, int, int]:
+    """(s, q, c) with p - 1 = 2^s q, q odd, and c = z^q for the least
+    non-residue z."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return s, q, pow(z, q, p)
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """The least r in [0, p) with r^2 = a mod the odd prime p, or None.
+
+    p = 3 mod 4 takes r = a^((p+1)/4); other p take Tonelli-Shanks.  Of
+    the two roots r and p - r the smaller is returned.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        m, q, c = _tonelli_setup(p)
+        t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+    return min(r, p - r)
 
 
 def _as_fraction(x: int | Fraction) -> Fraction:
@@ -154,7 +436,7 @@ def rational_square_class(x: int | Fraction) -> tuple[int, bool]:
         if prime == -1:
             squarefree = -squarefree
         elif exp % 2:
-            squarefree *= int(prime)
+            squarefree *= prime
     return squarefree, squarefree == 1
 
 
@@ -177,7 +459,7 @@ def padic_valuation(x: int | Fraction, p: int) -> int:
         raise ValueError("padic_valuation requires a nonzero argument")
     if not isprime(p):
         raise ValueError(f"padic_valuation requires a prime, got {p}")
-    return int(multiplicity(p, x.numerator)) - int(multiplicity(p, x.denominator))
+    return multiplicity(p, x.numerator) - multiplicity(p, x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +705,361 @@ def poly_primitive(f: Sequence[int]) -> tuple[int, ...]:
     return tuple(ci // c for ci in f)
 
 
+def poly_derivative(f: Sequence[int]) -> tuple[int, ...]:
+    return poly_trim([i * c for i, c in enumerate(f)][1:])
+
+
+def _det_bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss):
+    every division is exact."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def poly_discriminant(f: Sequence[int]) -> int:
+    """Discriminant of an integer polynomial of degree n >= 1:
+    (-1)^(n(n-1)/2) Res(f, f') / lead(f), the resultant being the
+    determinant of the Sylvester matrix."""
+    f = poly_trim(f)
+    n = len(f) - 1
+    if n < 1:
+        raise ValueError("the discriminant needs degree at least 1")
+    if n == 1:
+        return 1
+    df = poly_derivative(f)
+    size = 2 * n - 1
+    rows = [[0] * i + list(f[::-1]) + [0] * (size - n - 1 - i) for i in range(n - 1)]
+    rows += [[0] * i + list(df[::-1]) + [0] * (size - n - i) for i in range(n)]
+    res = _det_bareiss(rows)
+    return (-1) ** (n * (n - 1) // 2) * res // f[-1]
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Z/m (ascending coefficient tuples, trimmed)
+
+
+def fp_trim(f: list[int]) -> tuple[int, ...]:
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(f)
+
+
+def fp_add(f, g, p: int) -> tuple[int, ...]:
+    n = max(len(f), len(g))
+    out = [0] * n
+    for i, c in enumerate(f):
+        out[i] = c
+    for i, c in enumerate(g):
+        out[i] = (out[i] + c) % p
+    return fp_trim(out)
+
+
+def fp_neg(f, p: int) -> tuple[int, ...]:
+    return tuple((p - c) % p for c in f)
+
+
+def fp_sub(f, g, p: int) -> tuple[int, ...]:
+    return fp_add(f, fp_neg(g, p), p)
+
+
+def fp_mul(f, g, p: int) -> tuple[int, ...]:
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return fp_trim(out)
+
+
+def fp_divmod(f, g, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    inv = pow(g[-1], -1, p)
+    for i in range(len(rem) - len(g), -1, -1):
+        c = rem[i + len(g) - 1] * inv % p
+        if c:
+            q[i] = c
+            for j, b in enumerate(g):
+                rem[i + j] = (rem[i + j] - c * b) % p
+    return fp_trim(q), fp_trim(rem)
+
+
+def fp_exact_div(f, g, p: int) -> tuple[int, ...]:
+    q, r = fp_divmod(f, g, p)
+    if r:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def fp_mod(f, g, p: int) -> tuple[int, ...]:
+    return fp_divmod(f, g, p)[1]
+
+
+def fp_monic(f, p: int) -> tuple[int, ...]:
+    inv = pow(f[-1], -1, p)
+    return tuple(c * inv % p for c in f)
+
+
+def fp_gcdext(f, g, p: int):
+    """(d, s, t) with s f + t g = d and d monic (or zero)."""
+    r0, r1 = tuple(f), tuple(g)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
+        t0, t1 = t1, fp_sub(t0, fp_mul(q, t1, p), p)
+    if not r0:
+        return (), s0, t0
+    inv = pow(r0[-1], -1, p)
+    scale = (inv,)
+    return fp_monic(r0, p), fp_mul(scale, s0, p), fp_mul(scale, t0, p)
+
+
+def fp_mulmod(f, g, m, p: int) -> tuple[int, ...]:
+    """f g mod m for a monic m, reducing mod p once per coefficient."""
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    d = len(m) - 1
+    for i in range(len(out) - 1, d - 1, -1):
+        q = out[i] % p
+        if q:
+            for j in range(d):
+                out[i - d + j] -= q * m[j]
+    return fp_trim([c % p for c in out[:d]])
+
+
+def fp_powmod(f, n: int, m, p: int) -> tuple[int, ...]:
+    """f^n mod a monic m, for f reduced mod m and n >= 1."""
+    acc = f
+    for bit in bin(n)[3:]:
+        acc = fp_mulmod(acc, acc, m, p)
+        if bit == "1":
+            acc = fp_mulmod(acc, f, m, p)
+    return acc
+
+
+def fp_distinct_degree(f, p: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Distinct-degree split of a monic squarefree f over F_p: the pairs
+    (k, g_k), ascending in k, with g_k the product of the degree-k
+    irreducible factors of f; pairs with g_k = 1 are left out.
+
+    The degree-k factors of what is left divide x^(p^k) - x.  A remainder
+    with no factor of degree <= deg/2 is irreducible.  Only x^p takes a
+    ladder: Frobenius fixes F_p, so x^(p^k) = h(x^p) mod f for
+    h = x^(p^(k-1)).
+    """
+    x = (0, 1)
+    out = []
+    h = frob = x  # x^(p^k) and x^p mod f
+    k = 0
+    while len(f) - 1 >= 2 * (k + 1):
+        k += 1
+        if k == 1:
+            h = frob = fp_powmod(x, p, f, p)
+        else:
+            acc = (h[-1],)
+            for c in reversed(h[:-1]):
+                acc = fp_add(fp_mulmod(acc, frob, f, p), (c,), p)
+            h = acc
+        g = fp_gcdext(f, fp_sub(h, x, p), p)[0]
+        if len(g) > 1:
+            out.append((k, g))
+            f = fp_exact_div(f, g, p)
+            h, frob = fp_mod(h, f, p), fp_mod(frob, f, p)
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+def _fp_equal_degree(g, k: int, p: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """The monic irreducible factors of a monic g over F_p, p odd, all of
+    degree k (Cantor-Zassenhaus): gcd(g, a^((p^k-1)/2) - 1) for random a
+    splits g with probability about 1/2."""
+    if len(g) - 1 == k:
+        return [g]
+    e = (p**k - 1) // 2
+    while True:
+        a = fp_trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        if len(a) < 2:
+            continue
+        d = fp_gcdext(g, fp_sub(fp_powmod(a, e, g, p), (1,), p), p)[0]
+        if 1 < len(d) < len(g):
+            return _fp_equal_degree(d, k, p, rng) + _fp_equal_degree(
+                fp_exact_div(g, d, p), k, p, rng
+            )
+
+
+# ---------------------------------------------------------------------------
+# factoring over Q: square-free parts, factors mod p, Hensel lifting,
+# recombination
+
+
+def _divide_z(f, g) -> tuple[int, ...] | None:
+    """f / g when g divides f in Z[x], otherwise None."""
+    rem = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c, r = divmod(rem[i + len(g) - 1], g[-1])
+        if r:
+            return None
+        q[i] = c
+        for j, b in enumerate(g):
+            rem[i + j] -= c * b
+    return None if any(rem) else poly_trim(q)
+
+
+def _gcd_z(f, g) -> tuple[int, ...]:
+    """Primitive gcd in Z[x] with positive leading coefficient: Euclid
+    over Q, then the primitive part."""
+    a = [Fraction(c) for c in f]
+    b = [Fraction(c) for c in g]
+    while b:
+        while len(a) >= len(b):
+            c = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] -= c * bi
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    den = math.lcm(*(c.denominator for c in a))
+    return poly_primitive([int(c * den) for c in a])
+
+
+def _squarefree_parts(f) -> list[tuple[tuple[int, ...], int]]:
+    """Yun's decomposition of a primitive f of positive degree: pairs
+    (a_i, i) with f = prod a_i^i, the a_i primitive, square-free and
+    pairwise coprime; a_i = 1 is left out.  Every quotient is exact in
+    Z[x] by Gauss's lemma."""
+    df = poly_derivative(f)
+    a0 = _gcd_z(f, df)
+    b = _divide_z(f, a0)
+    d = poly_add(_divide_z(df, a0), poly_neg(poly_derivative(b)))
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = _gcd_z(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b = _divide_z(b, a)
+        d = poly_add(_divide_z(d, a), poly_neg(poly_derivative(b)))
+        i += 1
+    return out
+
+
+def _modular_factors(h) -> tuple[int, list[tuple[int, ...]]]:
+    """The least odd prime p not dividing lead(h) with h square-free mod
+    p, and the monic irreducible factors of h mod p."""
+    dh = poly_derivative(h)
+    for p in _TRIAL_PRIMES[1:]:
+        hp = fp_trim([c % p for c in h])
+        if h[-1] % p == 0 or len(fp_gcdext(hp, fp_trim([c % p for c in dh]), p)[0]) != 1:
+            continue
+        rng = random.Random(f"{p}/{h}")
+        split = fp_distinct_degree(fp_monic(hp, p), p)
+        return p, [g for k, gk in split for g in _fp_equal_degree(gk, k, p, rng)]
+    raise ArithmeticError(f"no prime below 1000 keeps {h} square-free")
+
+
+def _hensel_pair(f, g, h, p: int, modulus: int):
+    """Lift f = g h mod p, with g, h monic and coprime mod p and f monic
+    modulo ``modulus`` = p^(2^j), to monic g*, h* with f = g* h* mod
+    ``modulus`` (von zur Gathen-Gerhard, Algorithm 15.10, one quadratic
+    step per j)."""
+    _, s, t = fp_gcdext(g, h, p)
+    m = p
+    while m < modulus:
+        m *= m
+        e = fp_sub(fp_trim([c % m for c in f]), fp_mul(g, h, m), m)
+        q, r = fp_divmod(fp_mul(s, e, m), h, m)
+        g = fp_add(g, fp_add(fp_mul(t, e, m), fp_mul(q, g, m), m), m)
+        h = fp_add(h, r, m)
+        b = fp_sub(fp_add(fp_mul(s, g, m), fp_mul(t, h, m), m), (1,), m)
+        c, d = fp_divmod(fp_mul(s, b, m), h, m)
+        s = fp_sub(s, d, m)
+        t = fp_sub(t, fp_add(fp_mul(t, b, m), fp_mul(c, g, m), m), m)
+    return g, h
+
+
+def _hensel_lift(h, factors, p: int, modulus: int) -> list[tuple[int, ...]]:
+    """Monic lifts G_i of the factors of h mod p with h = lead(h) prod G_i
+    mod ``modulus``: one two-factor lift per factor, against the product
+    of those after it."""
+    inv = pow(h[-1], -1, modulus)
+    rest = fp_trim([c * inv % modulus for c in h])
+    lifted = []
+    for i, g in enumerate(factors[:-1]):
+        cofactor = (1,)
+        for other in factors[i + 1 :]:
+            cofactor = fp_mul(cofactor, other, p)
+        g, rest = _hensel_pair(rest, g, cofactor, p, modulus)
+        lifted.append(g)
+    return lifted + [rest]
+
+
+def _recombine(h, lifted, modulus: int) -> list[tuple[int, ...]]:
+    """The irreducible factors over Z of the primitive square-free h from
+    its lifted modular factors: subsets of growing size whose product,
+    times the leading coefficient and in symmetric residues, has a
+    primitive part dividing what is left of h."""
+    factors = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            g = (h[-1],)
+            for i in subset:
+                g = fp_mul(g, lifted[i], modulus)
+            g = poly_primitive([c - modulus if 2 * c > modulus else c for c in g])
+            quotient = _divide_z(h, g)
+            if quotient is not None:
+                factors.append(g)
+                h = quotient
+                lifted = [G for i, G in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return factors + [h]
+
+
+def _factor_squarefree(h) -> list[tuple[int, ...]]:
+    """The irreducible factors of a primitive square-free h over Z."""
+    if len(h) <= 2:
+        return [h]
+    p, factors = _modular_factors(h)
+    if len(factors) == 1:
+        return [h]
+    # Mignotte: a factor of h has coefficients at most 2^deg ||h||_2, and
+    # the candidates carry an extra factor lead(h)
+    bound = abs(h[-1]) * 2 ** (len(h) - 1) * (math.isqrt(sum(c * c for c in h)) + 1)
+    modulus = p
+    while modulus <= 2 * bound:
+        modulus *= modulus
+    return _recombine(h, _hensel_lift(h, factors, p, modulus), modulus)
+
+
 def factor_poly_q(f: Sequence[int]) -> tuple[Fraction, list[tuple[int, ...]]]:
     """Irreducible factorization over Q of an integer polynomial.
 
@@ -438,16 +1075,11 @@ def factor_poly_q(f: Sequence[int]) -> tuple[Fraction, list[tuple[int, ...]]]:
         raise ValueError("cannot factor the zero polynomial")
     if poly_degree(f) > 8:
         raise ValueError(f"degree {poly_degree(f)} unsupported (cap is 8)")
-    expr = sum(int(c) * _X**i for i, c in enumerate(f))
-    content_sym, factors_sym = factor_list(expr)
-    content = Fraction(int(content_sym.p), int(content_sym.q))
+    content = Fraction(poly_content(f))
     factors: list[tuple[int, ...]] = []
-    for g_expr, mult in factors_sym:
-        coeffs = [int(c) for c in reversed(Poly(g_expr, _X).all_coeffs())]
-        g_prim = poly_primitive(coeffs)
-        # fold any residual content of a factor into the rational content
-        content *= Fraction(coeffs[-1], g_prim[-1]) ** int(mult)
-        factors.extend([g_prim] * int(mult))
+    if len(f) > 1:
+        for a, mult in _squarefree_parts(poly_primitive(f)):
+            factors += _factor_squarefree(a) * mult
     factors.sort(key=lambda g: (len(g), g))
     prod: tuple[int, ...] = (1,)
     for g in factors:

@@ -46,8 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import sympy
-
+from ..exact import factorint, isprime, poly_discriminant, primerange
 from ..weil import WeilPoly2, is_weil_valid
 
 # ---------------------------------------------------------------------------
@@ -76,8 +75,8 @@ class GenusTwoCurve:
         ints = [int(v * den * den) for v in vals]
         content = gcd(*ints)
         square = 1
-        for q, e in sympy.factorint(content).items():
-            square *= int(q) ** (e // 2)
+        for q, e in factorint(content).items():
+            square *= q ** (e // 2)
         ints = [c // (square * square) for c in ints]
         disc = _binary_sextic_disc(ints)
         if disc == 0:
@@ -108,11 +107,9 @@ class GenusTwoCurve:
 
 def _binary_sextic_disc(coeffs) -> int:
     """Discriminant of f as a binary sextic form (c5^2 disc5 when c6 = 0)."""
-    x = sympy.Symbol("x")
-    f = sum(int(c) * x**i for i, c in enumerate(coeffs))
     if coeffs[6]:
-        return int(sympy.discriminant(f, x))
-    return int(coeffs[5]) ** 2 * int(sympy.discriminant(f, x))
+        return poly_discriminant(coeffs)
+    return coeffs[5] ** 2 * poly_discriminant(coeffs)
 
 
 _TERM = re.compile(r"([+-]?\d*)(x(?:\^(\d+))?)?$")
@@ -206,12 +203,12 @@ def format_curve_label(label: CurveLabel) -> str:
 
 def good_prime(curve: GenusTwoCurve, p: int) -> bool:
     """Whether the reduction of the curve mod p is a smooth genus-2 curve."""
-    return p != 2 and sympy.isprime(p) and curve.binary_disc % p != 0
+    return p != 2 and isprime(p) and curve.binary_disc % p != 0
 
 
 def good_primes(curve: GenusTwoCurve, bound: int) -> list[int]:
     """All good primes p <= bound, ascending."""
-    return [p for p in sympy.primerange(3, bound + 1) if good_prime(curve, p)]
+    return [p for p in primerange(3, bound + 1) if curve.binary_disc % p]
 
 
 def _eval(c, x: int, p: int) -> int:
@@ -322,7 +319,9 @@ def _power_coeffs(f, p: int) -> tuple[int, int]:
     h = f^k with k = (p-1)/2 satisfies f h' = k f' h.  Its x^(n-1)
     coefficient reads sum_i (n - (k+1) i) f_i c_{n-i} = 0, and k + 1 is
     1/2 mod p, so 2 n f_0 c_n = -sum_{i=1..6} (2n - i) f_i c_{n-i}: one
-    step per n < p, keeping the last six coefficients.
+    step per n < p, keeping the last six coefficients.  They are kept
+    times n!, which turns the division by n into a product by n of the
+    five older ones; at the end (p-1)! = -1 mod p (Wilson) undoes it.
     """
     f0, f1, f2, f3, f4, f5, f6 = f
     g1, g2, g3, g4, g5, g6 = f1, 2 * f2, 3 * f3, 4 * f4, 5 * f5, 6 * f6
@@ -331,8 +330,10 @@ def _power_coeffs(f, p: int) -> tuple[int, int]:
     for n in range(1, p):
         s = 2 * n * (f1 * c1 + f2 * c2 + f3 * c3 + f4 * c4 + f5 * c5 + f6 * c6)
         s -= g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 + g5 * c5 + g6 * c6
-        c1, c2, c3, c4, c5, c6 = s * scale * pow(n, -1, p) % p, c1, c2, c3, c4, c5
-    return c2, c1
+        c1, c2, c3, c4, c5, c6 = (
+            s * scale % p, c1 * n % p, c2 * n % p, c3 * n % p, c4 * n % p, c5 * n % p
+        )
+    return -c2 % p, -c1 % p
 
 
 def _hasse_witt(c, p: int) -> tuple[int, int]:

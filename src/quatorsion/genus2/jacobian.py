@@ -52,120 +52,29 @@ import random
 from dataclasses import dataclass
 from math import lcm, prod
 
-import sympy
-from sympy.ntheory import sqrt_mod
-
-from ..exact import validate_invariants
+from ..exact import (
+    factorint,
+    fp_add,
+    fp_distinct_degree,
+    fp_divmod,
+    fp_exact_div,
+    fp_gcdext,
+    fp_mod,
+    fp_monic,
+    fp_mul,
+    fp_neg,
+    fp_sub,
+    fp_trim,
+    sqrt_mod,
+    validate_invariants,
+)
 from ..weil import WeilPoly2
 from .curve import GenusTwoCurve, _eval, _taylor_coeffs, curve_lpoly, good_prime
 from .torsion import two_torsion_count
 
-# ---------------------------------------------------------------------------
-# dense polynomials over F_p (ascending coefficient tuples, trimmed)
-# ---------------------------------------------------------------------------
-
-
-def _trim(f: list[int]) -> tuple[int, ...]:
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
-
 
 def _deg(f) -> int:
     return len(f) - 1
-
-
-def _add(f, g, p: int) -> tuple[int, ...]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
-
-
-def _neg(f, p: int) -> tuple[int, ...]:
-    return tuple((p - c) % p for c in f)
-
-
-def _sub(f, g, p: int) -> tuple[int, ...]:
-    return _add(f, _neg(g, p), p)
-
-
-def _mul(f, g, p: int) -> tuple[int, ...]:
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
-
-
-def _divmod(f, g, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    q = [0] * max(len(f) - len(g) + 1, 0)
-    inv = pow(g[-1], -1, p)
-    for i in range(len(rem) - len(g), -1, -1):
-        c = rem[i + len(g) - 1] * inv % p
-        if c:
-            q[i] = c
-            for j, b in enumerate(g):
-                rem[i + j] = (rem[i + j] - c * b) % p
-    return _trim(q), _trim(rem)
-
-
-def _monic(f, p: int) -> tuple[int, ...]:
-    inv = pow(f[-1], -1, p)
-    return tuple(c * inv % p for c in f)
-
-
-def _gcdext(f, g, p: int):
-    """(d, s, t) with s f + t g = d and d monic (or zero)."""
-    r0, r1 = tuple(f), tuple(g)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
-        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
-    if not r0:
-        return (), s0, t0
-    inv = pow(r0[-1], -1, p)
-    scale = (inv,)
-    return _monic(r0, p), _mul(scale, s0, p), _mul(scale, t0, p)
-
-
-def _mulmod(f, g, m, p: int) -> tuple[int, ...]:
-    """f g mod m for a monic m, reducing mod p once per coefficient."""
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    d = len(m) - 1
-    for i in range(len(out) - 1, d - 1, -1):
-        q = out[i] % p
-        if q:
-            for j in range(d):
-                out[i - d + j] -= q * m[j]
-    return _trim([c % p for c in out[:d]])
-
-
-def _powmod(f, n: int, m, p: int) -> tuple[int, ...]:
-    """f^n mod a monic m, for f reduced mod m and n >= 1."""
-    acc = f
-    for bit in bin(n)[3:]:
-        acc = _mulmod(acc, acc, m, p)
-        if bit == "1":
-            acc = _mulmod(acc, f, m, p)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +101,13 @@ def identity_divisor(p: int) -> MumfordDivisor:
 
 def mumford_divisor(f5, p: int, u, v) -> MumfordDivisor:
     """Validated Mumford divisor on y^2 = f5(x), f5 monic quintic mod p."""
-    u = _trim([c % p for c in u])
-    v = _trim([c % p for c in v])
+    u = fp_trim([c % p for c in u])
+    v = fp_trim([c % p for c in v])
     if not u or u[-1] != 1 or _deg(u) > 2:
         raise ValueError("u must be monic of degree <= 2")
     if _deg(v) >= _deg(u):
         raise ValueError("v must have degree < deg u")
-    _, rem = _divmod(_sub(tuple(f5), _mul(v, v, p), p), u, p)
+    _, rem = fp_divmod(fp_sub(tuple(f5), fp_mul(v, v, p), p), u, p)
     if rem:
         raise ValueError("u does not divide f - v^2")
     return MumfordDivisor(p, u, v)
@@ -235,7 +144,7 @@ def cantor_add(
         return d2
     if d2.u == (1,):
         return d1
-    if d1.u == d2.u and d2.v == _neg(d1.v, p):
+    if d1.u == d2.u and d2.v == fp_neg(d1.v, p):
         return identity_divisor(p)
     out = None
     if len(f5) == 6 and f5[5] % p == 1:
@@ -386,47 +295,35 @@ def _cantor_generic(
     f = tuple(c % p for c in f5)
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
 
-    g1, e1, e2 = _gcdext(u1, u2, p)
-    d, c1, c2 = _gcdext(g1, _add(v1, v2, p), p)
+    g1, e1, e2 = fp_gcdext(u1, u2, p)
+    d, c1, c2 = fp_gcdext(g1, fp_add(v1, v2, p), p)
     # s1 u1 + s2 u2 + s3 (v1 + v2) = d with s1 = c1 e1 etc.
-    u = _exact_div(_mul(u1, u2, p), _mul(d, d, p), p)
-    num = _add(
-        _mul(_mul(c1, e1, p), _mul(u1, v2, p), p),
-        _add(
-            _mul(_mul(c1, e2, p), _mul(u2, v1, p), p),
-            _mul(c2, _add(_mul(v1, v2, p), f, p), p),
+    u = fp_exact_div(fp_mul(u1, u2, p), fp_mul(d, d, p), p)
+    num = fp_add(
+        fp_mul(fp_mul(c1, e1, p), fp_mul(u1, v2, p), p),
+        fp_add(
+            fp_mul(fp_mul(c1, e2, p), fp_mul(u2, v1, p), p),
+            fp_mul(c2, fp_add(fp_mul(v1, v2, p), f, p), p),
             p,
         ),
         p,
     )
-    v = _mod_poly(_exact_div(num, d, p), u, p)
+    v = fp_mod(fp_exact_div(num, d, p), u, p)
 
     while _deg(u) > 2:
-        u_next = _monic(_exact_div(_sub(f, _mul(v, v, p), p), u, p), p)
+        u_next = fp_monic(fp_exact_div(fp_sub(f, fp_mul(v, v, p), p), u, p), p)
         if _deg(u_next) >= _deg(u):
             # on a sextic f - v^2 has degree 6, so deg u = 3 would stay 3
             raise ArithmeticError(
                 f"reduction of a degree-{_deg(u)} u makes no progress: "
                 "odd-degree u on a sextic model")
-        v = _neg(_mod_poly(v, u_next, p), p)
+        v = fp_neg(fp_mod(v, u_next, p), p)
         u = u_next
     return MumfordDivisor(p, u, v)
 
 
-def _exact_div(f, g, p: int) -> tuple[int, ...]:
-    q, rem = _divmod(f, g, p)
-    if rem:
-        raise ValueError("inexact division in Cantor's algorithm: "
-                         "the inputs are not reduced divisors on this curve")
-    return q
-
-
-def _mod_poly(f, g, p: int) -> tuple[int, ...]:
-    return _divmod(f, g, p)[1]
-
-
 def cantor_neg(d: MumfordDivisor) -> MumfordDivisor:
-    return MumfordDivisor(d.p, d.u, _neg(d.v, d.p))
+    return MumfordDivisor(d.p, d.u, fp_neg(d.v, d.p))
 
 
 def cantor_mul(n: int, d: MumfordDivisor, f5) -> MumfordDivisor:
@@ -456,8 +353,7 @@ def divisor_order(d: MumfordDivisor, f5, group_order: int) -> int:
     if group_order == 1 and not d.is_identity:
         raise ValueError("group_order does not annihilate the divisor")
     order = 1
-    for ell, v in sympy.factorint(group_order).items():
-        ell = int(ell)
+    for ell, v in factorint(group_order).items():
         q = cantor_mul(group_order // ell**v, d, f5)
         k = 0
         while not q.is_identity:
@@ -577,7 +473,7 @@ def _random_class(F, p: int, rng: random.Random) -> MumfordDivisor | None:
         if len(points) == 2:
             (x1, y1), (x2, y2) = points.items()
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-            v = _trim([(y1 - lam * x1) % p, lam])
+            v = fp_trim([(y1 - lam * x1) % p, lam])
             return MumfordDivisor(p, (x1 * x2 % p, -(x1 + x2) % p, 1), v)
     return None
 
@@ -641,35 +537,10 @@ class JacobianGroup:
 
 
 def _factor_degrees(curve: GenusTwoCurve, p: int) -> list[int]:
-    """Degrees of the irreducible factors of f mod a good prime p.
-
-    Distinct-degree factorization of the squarefree f: the degree-k
-    factors of what is left divide x^(p^k) - x.  A remainder with no
-    factor of degree <= deg/2 is irreducible.  Only x^p takes a ladder:
-    Frobenius fixes F_p, so x^(p^k) = h(x^p) mod f for h = x^(p^(k-1)).
-    """
-    f = _monic(_trim([c % p for c in curve.coeffs]), p)
-    x = (0, 1)
-    degrees: list[int] = []
-    h = frob = x  # x^(p^k) and x^p mod f
-    k = 0
-    while _deg(f) >= 2 * (k + 1):
-        k += 1
-        if k == 1:
-            h = frob = _powmod(x, p, f, p)
-        else:
-            acc = (h[-1],)
-            for c in reversed(h[:-1]):
-                acc = _add(_mulmod(acc, frob, f, p), (c,), p)
-            h = acc
-        g = _gcdext(f, _sub(h, x, p), p)[0]
-        if _deg(g) > 0:
-            degrees += [k] * (_deg(g) // k)
-            f = _exact_div(f, g, p)
-            h, frob = _mod_poly(h, f, p), _mod_poly(frob, f, p)
-    if _deg(f) > 0:
-        degrees.append(_deg(f))
-    return degrees
+    """Degrees of the irreducible factors of f mod a good prime p, from
+    the distinct-degree split of the squarefree f."""
+    f = fp_monic(fp_trim([c % p for c in curve.coeffs]), p)
+    return [k for k, g in fp_distinct_degree(f, p) for _ in range(_deg(g) // k)]
 
 
 def _two_rank(degrees) -> int:
@@ -693,8 +564,7 @@ def _group_invariants(
     if order == 1:
         return ()
     parts_by_prime: dict[int, list[int]] = {}
-    for ell, tot in sorted(sympy.factorint(order).items()):
-        ell, tot = int(ell), int(tot)
+    for ell, tot in factorint(order).items():
         e = 0
         m = exponent
         while m % ell == 0:

@@ -39,9 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from sympy import isprime, nextprime, primerange
-
-from .exact import kronecker_symbol
+from .exact import isprime, kronecker_symbol, nextprime, primerange
 from .quat import QuatAlgebra, discriminant
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "newforms"
@@ -107,7 +105,7 @@ class NewformRecord:
 
         p = 2
         while p in self.ap:
-            p = int(nextprime(p))
+            p = nextprime(p)
         return p - 1
 
 

@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from sympy.ntheory import factorint
-
-from .exact import hilbert_symbol, hnf_rows, mat_inverse
+from .exact import factorint, hilbert_symbol, hnf_rows, mat_inverse
 
 __all__ = [
     "QuatAlgebra",
@@ -211,7 +209,7 @@ def ramified_places(alg: QuatAlgebra) -> tuple[frozenset[int], bool]:
     a, b = alg.a, alg.b
     candidates = {2}
     for value in (a.numerator, a.denominator, b.numerator, b.denominator):
-        candidates.update(int(p) for p in factorint(value) if p > 0)
+        candidates.update(p for p in factorint(value) if p > 0)
     finite = frozenset(p for p in candidates if hilbert_symbol(a, b, p) == -1)
     at_infinity = hilbert_symbol(a, b, math.inf) == -1
     if (len(finite) + int(at_infinity)) % 2:
@@ -514,7 +512,7 @@ def saturate_to_maximal(order: QuatOrder) -> QuatOrder:
                 f"reduced discriminant {disc} is not a multiple of disc(B) = {target}"
             )
         candidate = None
-        for p in sorted(int(q) for q in factorint(disc // target)):
+        for p in factorint(disc // target):
             candidate = _enlarge_at(current, p)
             if candidate is not None:
                 break

@@ -44,7 +44,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from sympy import factorint, primefactors
+from .exact import factorint, primefactors
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures" / "av"
 SUPPORTED_Q = (2, 3, 4, 5, 7, 9)
@@ -58,7 +58,7 @@ def prime_power_base(q: int) -> tuple[int, int]:
     """
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    factors = {int(p): int(e) for p, e in factorint(q).items()}
+    factors = factorint(q)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
     ((p, n),) = factors.items()
@@ -363,5 +363,5 @@ def qm_prime_bound(q: int) -> set[int]:
         count = 1 + a + q
         if count <= 0:
             raise ArithmeticError(f"1 + {a} + {q} is not a positive point count")
-        out.update(int(p) for p in primefactors(count))
+        out.update(primefactors(count))
     return out

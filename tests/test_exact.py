@@ -8,13 +8,80 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, ZZ, Integer, Matrix, Poly, symbols
+import sympy
+from sympy import GF, ZZ, Matrix, Poly, symbols
 from sympy.matrices.normalforms import invariant_factors
 from sympy.ntheory import factorint, primerange
 
 from quatorsion import exact
 
 _x = symbols("x")
+
+
+# ---------------------------------------------------------------------------
+# integers: primality and factoring against sympy
+
+STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051)
+CARMICHAEL = (561, 41041)
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
+def test_pseudoprimes_are_composite(n):
+    assert not exact.isprime(n)
+    assert exact.factorint(n) == sympy.factorint(n)
+
+
+def test_isprime_small_values_match_sympy():
+    assert [n for n in range(-5, 5000) if exact.isprime(n)] == list(sympy.primerange(0, 5000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**24))
+def test_isprime_and_factorint_match_sympy(n):
+    assert exact.isprime(n) == sympy.isprime(n)
+    assert exact.factorint(n) == sympy.factorint(n)
+    assert exact.factorint(-n) == sympy.factorint(-n)
+
+
+def test_factorint_conventions():
+    assert exact.factorint(1) == {}
+    assert exact.factorint(-1) == {-1: 1}
+    assert list(exact.factorint(-360)) == [-1, 2, 3, 5]
+    assert exact.factorint(2**61 - 1) == {2**61 - 1: 1}
+    # powers of large primes, and products of them, as conic norms give
+    for n in (1000003**5, 999983**2 * 1000003**2, (2**31 - 1) ** 3 * 5, 315589**2):
+        assert exact.factorint(n) == sympy.factorint(n)
+    with pytest.raises(ValueError):
+        exact.factorint(0)
+
+
+def test_primality_above_the_proved_bound():
+    # composites above the bound are proved so by a failed strong test
+    assert not exact.isprime(exact.ISPRIME_BOUND + 2)
+    assert exact.factorint(4057**3 * 418069**3) == {4057: 3, 418069: 3}
+    # a prime, and the least spsp to all 13 bases, are not guessed at
+    for n in (2**89 - 1, exact.ISPRIME_BOUND):
+        with pytest.raises(ValueError, match="strong test"):
+            exact.isprime(n)
+
+
+def test_primerange_nextprime_primefactors_multiplicity():
+    for a, b in [(0, 0), (0, 3), (2, 3), (3, 400), (90, 97), (97, 98), (1000, 1100)]:
+        assert exact.primerange(a, b) == list(sympy.primerange(a, b))
+    assert [exact.nextprime(n) for n in range(-3, 300)] == [
+        sympy.nextprime(n) for n in range(-3, 300)
+    ]
+    assert exact.primefactors(-3 * 3 * 7 * 101) == [3, 7, 101]
+    assert exact.multiplicity(3, -162) == 4
+    with pytest.raises(ValueError):
+        exact.multiplicity(3, 0)
+
+
+def test_sqrt_mod_matches_sympy():
+    # every a at every odd p < 2000, including p = 1 mod 8 (Tonelli-Shanks)
+    for p in sympy.primerange(3, 2000):
+        for a in range(p):
+            assert exact.sqrt_mod(a, p) == sympy.ntheory.sqrt_mod(a, p), (a, p)
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +111,18 @@ def test_kronecker_matches_bruteforce_on_odd_primes():
     for p in primerange(3, 98):
         for a in range(-50, 51):
             assert exact.kronecker_symbol(a, p) == _legendre_bruteforce(a, p), (a, p)
+
+
+def test_kronecker_matches_sympy_on_every_sign_and_parity():
+    # n < 0, n = 0 and even n follow the rules of the docstring
+    for a in range(-60, 61):
+        for n in range(-60, 61):
+            assert exact.kronecker_symbol(a, n) == sympy.kronecker_symbol(a, n), (a, n)
+
+
+@given(st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12))
+def test_kronecker_matches_sympy_random(a, n):
+    assert exact.kronecker_symbol(a, n) == sympy.kronecker_symbol(a, n)
 
 
 @given(st.integers(-200, 200), st.integers(-200, 200), st.integers(-60, 60))
@@ -336,8 +415,8 @@ def test_factor_rejects_zero():
 
 
 def test_factor_checks_the_product(monkeypatch):
-    # a factorization that does not multiply back raises, also under -O
-    monkeypatch.setattr(exact, "factor_list", lambda expr: (Integer(1), [(_x - 1, 1), (_x - 2, 1)]))
+    # a recombination that returns a wrong factor raises, also under -O
+    monkeypatch.setattr(exact, "_recombine", lambda h, lifted, modulus: [(-1, 1), (-2, 1)])
     with pytest.raises(ArithmeticError, match="multiply back"):
         exact.factor_poly_q((-1, 0, 1))
 
@@ -456,6 +535,85 @@ def test_factor_reconstructs_and_factors_are_irreducible(coeffs):
             assert not _rational_roots_exist(g), g
         if deg >= 4:
             assert not _quadratic_factor_exists(g), g
+
+
+def _sympy_factor_poly_q(f):
+    """Oracle: sympy's factor_list in factor_poly_q's convention."""
+    content_sym, factors_sym = sympy.factor_list(sum(int(c) * _x**i for i, c in enumerate(f)))
+    content = Fraction(int(content_sym.p), int(content_sym.q))
+    factors = []
+    for g_expr, mult in factors_sym:
+        coeffs = [int(c) for c in reversed(Poly(g_expr, _x).all_coeffs())]
+        g = exact.poly_primitive(coeffs)
+        content *= Fraction(coeffs[-1], g[-1]) ** mult
+        factors += [g] * mult
+    return content, sorted(factors, key=lambda g: (len(g), g))
+
+
+@st.composite
+def factor_products(draw):
+    """Products of factors of degree <= 4, some repeated, of degree <= 8,
+    times a rational content."""
+    f = (draw(st.integers(-30, 30).filter(bool)),)
+    while True:
+        g = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=4))
+        g = tuple(g) + (draw(st.sampled_from([1, 1, 2, 3, -1, 6])),)
+        mult = draw(st.sampled_from([1, 1, 1, 2, 3]))
+        if exact.poly_degree(f) + mult * (len(g) - 1) > 8:
+            return f
+        for _ in range(mult):
+            f = exact.poly_mul(f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_products())
+def test_factor_poly_q_matches_sympy(f):
+    assert exact.factor_poly_q(f) == _sympy_factor_poly_q(f)
+
+
+SWINNERTON_DYER = (1, 0, -10, 0, 1)  # irreducible over Q, splits mod every prime
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        SWINNERTON_DYER,
+        exact.poly_mul(SWINNERTON_DYER, (1, 0, 0, 0, 1)),  # degree 8, the cap
+        exact.poly_mul(SWINNERTON_DYER, SWINNERTON_DYER),
+        (576, 0, -960, 0, 352, 0, -40, 0, 1),  # sqrt 2 + sqrt 3 + sqrt 5: degree 8
+        exact.poly_mul((2, 0, -1), (-3, 0, 1)),
+        (-1,) + (0,) * 7 + (1,),
+        (0, 0, 0, 6),
+        (7,),
+    ],
+)
+def test_factor_poly_q_hard_cases(f):
+    assert exact.factor_poly_q(f) == _sympy_factor_poly_q(f)
+
+
+def test_recombination_runs_on_swinnerton_dyer():
+    # mod p the quartic has two or four factors; only their product lifts
+    p, factors = exact._modular_factors(SWINNERTON_DYER)
+    assert len(factors) >= 2
+    assert exact.factor_poly_q(SWINNERTON_DYER)[1] == [SWINNERTON_DYER]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=5, max_size=6),
+       st.integers(-50, 50).filter(bool))
+def test_poly_discriminant_matches_sympy(low, lead):
+    f = tuple(low) + (lead,)
+    expected = sympy.discriminant(sum(c * _x**i for i, c in enumerate(f)), _x)
+    assert exact.poly_discriminant(f) == int(expected)
+
+
+def test_poly_discriminant_small_degrees():
+    assert exact.poly_discriminant((5, 3)) == 1
+    assert exact.poly_discriminant((1, 3, 2)) == 3 * 3 - 4 * 2
+    assert exact.poly_discriminant((1, 0, 0, 1)) == -27
+    assert exact.poly_discriminant((0, 0, 1)) == 0
+    with pytest.raises(ValueError):
+        exact.poly_discriminant((4,))
 
 
 # ---------------------------------------------------------------------------

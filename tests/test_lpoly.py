@@ -91,6 +91,36 @@ def test_hasse_witt_matches_full_power():
             assert curve_mod._hasse_witt(c, p) == _hasse_witt_from_power(c, p), (curve, p)
 
 
+def _power_from_expansion(f, p: int) -> tuple[int, int]:
+    """(c_{p-2}, c_{p-1}) of f^((p-1)/2) mod p, expanded in full."""
+    h = [1]
+    for _ in range((p - 1) // 2):
+        h = [sum(h[i] * f[k - i] for i in range(len(h)) if 0 <= k - i < 7) % p
+             for k in range(len(h) + 6)]
+    return h[p - 2], h[p - 1]
+
+
+def test_power_coeffs_match_full_power():
+    # the inverse-free recurrence on the model and on the reversed model
+    for curve in CURVES + [TWIST_ONLY]:
+        for p in good_primes(curve, 60):
+            if p < 7:
+                continue
+            f = curve_mod._hasse_witt_model([v % p for v in curve.coeffs], p)
+            for g in (f, f[::-1]):
+                assert curve_mod._power_coeffs(g, p) == _power_from_expansion(g, p), (curve, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_COEFF, min_size=7, max_size=7),
+       st.sampled_from(list(sympy.primerange(3, 80))))
+def test_power_coeffs_match_full_power_random(coeffs, p):
+    f = [c % p for c in coeffs]
+    if f[0] == 0:
+        f[0] = 1
+    assert curve_mod._power_coeffs(f, p) == _power_from_expansion(f, p)
+
+
 def test_degree_drop_prime():
     # lead 11: the reduction mod 11 is a quintic, and the Hasse-Witt model
     # moves a non-root to infinity first
