@@ -22,8 +22,9 @@ computation is exact:
   p-adic valuation 1 in Q_p, which is decided by exact root counting
   in Z_p.
 
-The script asserts the class counts and the point-count anchors that the
-test suite relies on before writing anything.
+The script checks the class counts and the point-count anchors that the
+test suite relies on before writing anything; a failed check raises
+ArithmeticError, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "quatorsion" / "f
 # pairs (+-1, 15), (+-2, -3), (+-4, 12), each with a Hensel-certified
 # root of valuation 1).
 EXPECTED_COUNTS = {2: 35, 3: 63, 4: 101, 5: 129, 7: 207, 9: 305}
+
+
+def check(ok: bool, message: str) -> None:
+    """Raise ArithmeticError unless ok (an assert would vanish under -O)."""
+    if not ok:
+        raise ArithmeticError(message)
 
 
 def elliptic_admissible(q: int, a: int) -> bool:
@@ -99,7 +106,7 @@ def _strip_content(coeffs: list[int], p: int) -> list[int]:
 
 def _count_roots_in_class(coeffs: list[int], p: int, r: int, depth: int = 0) -> int:
     """Number of roots of a separable integer polynomial in r + pZ_p."""
-    assert depth < 64, "root refinement failed to terminate"
+    check(depth < 64, "root refinement failed to terminate")
     if _eval_poly(coeffs, r) % p != 0:
         return 0
     if _eval_poly(_derivative(coeffs), r) % p != 0:
@@ -113,7 +120,8 @@ def _count_roots_in_class(coeffs: list[int], p: int, r: int, depth: int = 0) -> 
 def has_valuation_one_root(q: int, a1: int, a2: int) -> bool:
     """Whether T^4 + a1T^3 + a2T^2 + qa1T + q^2 has a Q_p-root of valuation 1."""
     p, n = prime_power_base(q)
-    assert n == 2
+    if n != 2:
+        raise ValueError(f"q = {q} is not the square of a prime")
     f = [q * q, q * a1, a2, a1, 1]
     g = _strip_content(_compose_affine(f, 0, p), p)
     return any(_count_roots_in_class(g, p, r) > 0 for r in range(1, p))
@@ -122,11 +130,12 @@ def has_valuation_one_root(q: int, a1: int, a2: int) -> bool:
 def surface_admissible(q: int, a1: int, a2: int) -> bool:
     """Honda-Tate: the valid pair (a1, a2) belongs to an abelian surface."""
     p, n = prime_power_base(q)
-    assert n <= 2, "the period-2 shortcut below is specific to n <= 2"
+    if n > 2:
+        raise ValueError("the period-2 shortcut below is specific to n <= 2")
     disc = a1 * a1 - 4 * (a2 - 2 * q)
     root = math.isqrt(disc)
     if root * root == disc:
-        assert (a1 + root) % 2 == 0
+        check((a1 + root) % 2 == 0, f"odd split of ({a1}, {a2})")
         u, v = (a1 + root) // 2, (a1 - root) // 2
         if u != v:
             return elliptic_admissible(q, u) and elliptic_admissible(q, v)
@@ -153,15 +162,15 @@ def isogeny_classes(q: int) -> list[tuple[int, int]]:
 
 def check_anchors(classes: dict[int, list[tuple[int, int]]]) -> None:
     for q, expected in EXPECTED_COUNTS.items():
-        assert len(classes[q]) == expected, (q, len(classes[q]), expected)
+        check(len(classes[q]) == expected, f"q = {q}: {len(classes[q])} classes, want {expected}")
 
     def f1(q: int, pair: tuple[int, int]) -> int:
         return WeilPoly2(q, *pair).point_count()
 
     nine = [pair for pair in classes[2] if f1(2, pair) % 9 == 0]
-    assert nine == [(0, 4), (1, 1)], nine
+    check(nine == [(0, 4), (1, 1)], f"q = 2, 9 | #A: {nine}")
     seventy_two = [pair for pair in classes[5] if f1(5, pair) % 72 == 0]
-    assert seventy_two == [(5, 16)], seventy_two
+    check(seventy_two == [(5, 16)], f"q = 5, 72 | #A: {seventy_two}")
 
     def split_part(q: int, ell: int) -> int:
         best = 1
@@ -171,8 +180,8 @@ def check_anchors(classes: dict[int, list[tuple[int, int]]]) -> None:
                 best = max(best, math.gcd(w.point_count(), ell**100))
         return best
 
-    assert split_part(3, 2) == 16, split_part(3, 2)
-    assert split_part(2, 3) == 9, split_part(2, 3)
+    check(split_part(3, 2) == 16, f"q = 3 split 2-part: {split_part(3, 2)}")
+    check(split_part(2, 3) == 9, f"q = 2 split 3-part: {split_part(2, 3)}")
 
 
 def main() -> None:

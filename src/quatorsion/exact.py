@@ -38,7 +38,8 @@ Sections
 * Integer polynomials: ring operations, content, and the discriminant
   as a Sylvester resultant (:func:`poly_discriminant`).
 * Polynomials over F_p: ring operations, division, extended gcd, powers
-  modulo a monic polynomial and the distinct-degree split.
+  modulo a monic polynomial, the distinct-degree split and factoring
+  (:func:`fp_factor`).
 * Factoring over Q (:func:`factor_poly_q`, degree <= 8): square-free
   decomposition, factoring modulo a small prime (Cantor-Zassenhaus),
   Hensel lifting and recombination of the lifted factors (Zassenhaus;
@@ -99,6 +100,7 @@ __all__ = [
     "fp_mulmod",
     "fp_powmod",
     "fp_distinct_degree",
+    "fp_factor",
     "factor_poly_q",
 ]
 
@@ -912,6 +914,45 @@ def _fp_equal_degree(g, k: int, p: int, rng: random.Random) -> list[tuple[int, .
             )
 
 
+def _fp_squarefree_parts(f, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Square-free split of a monic f of positive degree over F_p: pairs
+    (a_i, i) with f = prod a_i^i, the a_i monic, square-free and pairwise
+    coprime, a_i = 1 left out (Cohen, GTM 138, Algorithm 3.4.2).  The gcd
+    chain from gcd(f, f') takes the multiplicities prime to p; what is
+    left is a polynomial in x^p, the p-th power of the polynomial made of
+    every p-th coefficient, since Frobenius fixes F_p."""
+    out = []
+    c = fp_gcdext(f, fp_trim([i * a % p for i, a in enumerate(f)][1:]), p)[0]
+    w = fp_exact_div(f, c, p)
+    i = 1
+    while len(w) > 1:
+        y = fp_gcdext(w, c, p)[0]
+        if len(w) > len(y):
+            out.append((fp_exact_div(w, y, p), i))
+        w, c = y, fp_exact_div(c, y, p)
+        i += 1
+    if len(c) > 1:
+        out += [(a, e * p) for a, e in _fp_squarefree_parts(c[::p], p)]
+    return out
+
+
+def fp_factor(f, p: int, rng: random.Random) -> list[tuple[tuple[int, ...], int]]:
+    """The pairs (monic irreducible factor, multiplicity) of a nonzero f
+    over F_p, p odd: the square-free split, then distinct-degree and
+    Cantor-Zassenhaus equal-degree splitting with random draws from
+    ``rng``.  A constant f has no factors."""
+    if p == 2:
+        raise ValueError("fp_factor needs an odd prime")
+    if len(f) < 2:
+        return []
+    return [
+        (g, e)
+        for a, e in _fp_squarefree_parts(fp_monic(f, p), p)
+        for k, gk in fp_distinct_degree(a, p)
+        for g in _fp_equal_degree(gk, k, p, rng)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # factoring over Q: square-free parts, factors mod p, Hensel lifting,
 # recombination
@@ -978,9 +1019,7 @@ def _modular_factors(h) -> tuple[int, list[tuple[int, ...]]]:
         hp = fp_trim([c % p for c in h])
         if h[-1] % p == 0 or len(fp_gcdext(hp, fp_trim([c % p for c in dh]), p)[0]) != 1:
             continue
-        rng = random.Random(f"{p}/{h}")
-        split = fp_distinct_degree(fp_monic(hp, p), p)
-        return p, [g for k, gk in split for g in _fp_equal_degree(gk, k, p, rng)]
+        return p, [g for g, _ in fp_factor(hp, p, random.Random(f"{p}/{h}"))]
     raise ArithmeticError(f"no prime below 1000 keeps {h} square-free")
 
 

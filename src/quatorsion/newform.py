@@ -36,10 +36,18 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
-from .exact import isprime, kronecker_symbol, nextprime, primerange
+from .exact import (
+    fundamental_discriminant,
+    isprime,
+    kronecker_symbol,
+    nextprime,
+    primerange,
+    rational_square_class,
+)
 from .quat import QuatAlgebra, discriminant
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "newforms"
@@ -331,29 +339,18 @@ def torsion_divisor_bound(record: NewformRecord, primes: Iterable[int]) -> int:
 # twists
 
 
-def _fundamental_discriminants(bound: int) -> list[int]:
-    """Fundamental discriminants d with 1 < |d| <= bound."""
+@lru_cache(maxsize=None)
+def _fundamental_discriminants(bound: int) -> tuple[int, ...]:
+    """Fundamental discriminants d with 1 < |d| <= bound, ascending: the
+    nonsquares d that are the discriminant of Q(sqrt d)."""
 
-    def squarefree(n: int) -> bool:
-        n = abs(n)
-        if n % 4 == 0:
-            return False
-        k = 3
-        while k * k <= n:
-            if n % (k * k) == 0:
-                return False
-            k += 2
-        return True
-
-    out = []
-    for d in range(-bound, bound + 1):
-        if d in (0, 1):
-            continue
-        if d % 4 == 1 and squarefree(d):
-            out.append(d)
-        elif d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4):
-            out.append(d)
-    return out
+    return tuple(
+        d
+        for d in range(-bound, bound + 1)
+        if d
+        and not rational_square_class(d)[1]
+        and fundamental_discriminant(d) == d
+    )
 
 
 def _inner_twist_holds(record: NewformRecord, d: int, bound: int) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -589,6 +590,46 @@ SWINNERTON_DYER = (1, 0, -10, 0, 1)  # irreducible over Q, splits mod every prim
 )
 def test_factor_poly_q_hard_cases(f):
     assert exact.factor_poly_q(f) == _sympy_factor_poly_q(f)
+
+
+def _sympy_fp_factor(f, p):
+    """Oracle: sympy's factor list over F_p, as sorted (monic factor, e)."""
+    _, factors = Poly(list(reversed(f)), _x, modulus=p).factor_list()
+    return sorted(
+        (tuple(int(c) % p for c in reversed(g.all_coeffs())), e) for g, e in factors
+    )
+
+
+@st.composite
+def fp_products(draw):
+    """(f, p): a product over F_p of monic factors of degree <= 4, some
+    repeated up to 7 times, times a unit.  p runs over the odd primes
+    below 2^16 and the largest prime below 2^26; p = 3, 5, 7 are drawn
+    often, so that multiplicities divisible by p take the p-th root step."""
+    p = draw(st.one_of(st.sampled_from([3, 5, 7, 67108859]),
+                       st.sampled_from(exact.primerange(11, 2**16))))
+    f = (draw(st.integers(1, p - 1)),)
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4)) + [1]
+        for _ in range(draw(st.sampled_from([1, 1, 2, 3, 5, 6, 7]))):
+            f = exact.fp_mul(f, g, p)
+    return f, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(fp_products(), st.integers(0, 2**32))
+def test_fp_factor_matches_sympy(fp, seed):
+    f, p = fp
+    factors = exact.fp_factor(f, p, random.Random(seed))
+    assert sorted(factors) == _sympy_fp_factor(f, p)
+
+
+def test_fp_factor_edge_cases():
+    assert exact.fp_factor((5,), 7, random.Random(0)) == []
+    # x^9 + 2 = (x + 2)^9 over F_3: only the p-th root step sees it
+    assert exact.fp_factor((2,) + (0,) * 8 + (1,), 3, random.Random(0)) == [((2, 1), 9)]
+    with pytest.raises(ValueError, match="odd prime"):
+        exact.fp_factor((1, 1), 2, random.Random(0))
 
 
 def test_recombination_runs_on_swinnerton_dyer():

@@ -691,12 +691,16 @@ def test_jacobian_group_matches_generic_path(seed, monkeypatch):
         assert jacobian_group_mod_p(TABLE[i].curve, p, seed) == g
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
 @pytest.mark.parametrize("name", ["jacobian.py", "quat.py", "actions.py", "weil.py",
-                                  "exact.py", "newform.py", "family.py", "curve.py"])
+                                  "exact.py", "newform.py", "family.py", "curve.py",
+                                  *sorted(path.name for path in SCRIPTS.glob("*.py"))])
 def test_module_has_no_asserts(name):
     # python -O strips asserts; the checks that carry lemmas must raise instead
     package = Path(jacobian.__file__).resolve().parents[1]
-    (path,) = package.rglob(name)
+    (path,) = [*package.rglob(name), *SCRIPTS.glob(name)]
     tree = ast.parse(path.read_text())
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from quatorsion import newform
@@ -27,6 +29,23 @@ def test_pqm_criterion_on_packaged_newforms(label):
     # the reported algebra is (d, m / Q), and PQM needs it to be division
     assert verdict.quaternion_disc == discriminant(QuatAlgebra(verdict.twist_disc, record.m))
     assert not verdict.is_pqm or verdict.quaternion_disc > 1
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_twist_checks_recover_the_stored_twist_fields(label):
+    # the fixture generator fills these two fields from twist_checks
+    doc = json.loads((newform.FIXTURE_DIR / f"{label}.json").read_text())
+    stored = (doc.pop("inner_twists"), doc.pop("self_twist"))
+    report = newform.twist_checks(newform.load_record(doc))
+    assert (list(report.inner_twists), report.self_twist) == stored
+    assert report.self_twist_basis == "heuristic"
+
+
+def test_fundamental_discriminants_up_to_40():
+    assert newform._fundamental_discriminants(40) == (
+        -40, -39, -35, -31, -24, -23, -20, -19, -15, -11, -8, -7, -4, -3,
+        5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 40,
+    )
 
 
 def test_pqm_verdict_rejects_split_algebra():
