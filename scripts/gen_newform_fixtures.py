@@ -95,14 +95,16 @@ MAX_DIM = 2048
 
 
 def iter_working_primes(residues: tuple[int, ...] = ()):
-    """Primes just below 2**26, descending, modulo which every integer in
-    ``residues`` is a square (so its square root exists mod q)."""
+    """Primes q = 1 (mod 24) just below 2**26, descending, modulo which
+    every integer in ``residues`` is a square (so its square root exists
+    mod q).  -1, 2 and 3 are squares modulo every such q, so the
+    radicands of the shipped records need no rerun."""
 
-    q = 2**26 - 1
+    q = 2**26 - 2**26 % 24 + 1
     while q > 2**25:
         if isprime(q) and all(kronecker_symbol(r, q) >= 0 for r in residues):
             yield q
-        q -= 2
+        q -= 24
 
 
 def divisors(n: int) -> list[int]:

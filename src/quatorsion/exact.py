@@ -31,7 +31,8 @@ Sections
   :func:`hilbert_symbol`, :func:`rational_square_class`,
   :func:`fundamental_discriminant` and :func:`padic_valuation`.
 * Linear algebra, on row vectors: the row-style Hermite normal form of an
-  integer matrix (:func:`hnf_rows`), the inverse of a rational matrix
+  integer matrix (:func:`hnf_rows`), the fraction-free determinant of a
+  square integer matrix (:func:`det_bareiss`), the inverse of a rational matrix
   (:func:`mat_inverse`), Smith forms over Z (:func:`smith_diagonal`,
   :func:`smith_invariants`) and the reduced row echelon form over F_p
   (:func:`rref_mod`).
@@ -71,6 +72,7 @@ __all__ = [
     "fundamental_discriminant",
     "padic_valuation",
     "hnf_rows",
+    "det_bareiss",
     "mat_inverse",
     "rref_mod",
     "smith_diagonal",
@@ -81,7 +83,6 @@ __all__ = [
     "poly_add",
     "poly_neg",
     "poly_mul",
-    "poly_scale",
     "poly_eval",
     "poly_content",
     "poly_primitive",
@@ -510,6 +511,28 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     return [row for row in m if any(row)]
 
 
+def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss):
+    every division is exact.  The empty matrix has determinant 1."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
 def mat_inverse(rows: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of a square rational matrix by Gauss-Jordan elimination."""
     n = len(rows)
@@ -676,10 +699,6 @@ def poly_mul(f: Sequence[int], g: Sequence[int]):
     return tuple(out)
 
 
-def poly_scale(f: Sequence[int], c):
-    return poly_trim([c * ci for ci in f])
-
-
 def poly_eval(f: Sequence[int], x):
     acc = 0
     for c in reversed(poly_trim(f)):
@@ -711,26 +730,6 @@ def poly_derivative(f: Sequence[int]) -> tuple[int, ...]:
     return poly_trim([i * c for i, c in enumerate(f)][1:])
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, fraction-free (Bareiss):
-    every division is exact."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def poly_discriminant(f: Sequence[int]) -> int:
     """Discriminant of an integer polynomial of degree n >= 1:
     (-1)^(n(n-1)/2) Res(f, f') / lead(f), the resultant being the
@@ -745,7 +744,7 @@ def poly_discriminant(f: Sequence[int]) -> int:
     size = 2 * n - 1
     rows = [[0] * i + list(f[::-1]) + [0] * (size - n - 1 - i) for i in range(n - 1)]
     rows += [[0] * i + list(df[::-1]) + [0] * (size - n - i) for i in range(n)]
-    res = _det_bareiss(rows)
+    res = det_bareiss(rows)
     return (-1) ** (n * (n - 1) // 2) * res // f[-1]
 
 

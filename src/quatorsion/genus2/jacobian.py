@@ -408,14 +408,19 @@ def _quintic_model(c, p: int):
 
 
 def random_divisor(f5, p: int, rng: random.Random) -> MumfordDivisor:
-    """A pseudorandom divisor class: sum of two random affine points."""
+    """A pseudorandom divisor class: sum of two random affine points.
+
+    Raises ValueError when 64 p draws of x find no affine point; with
+    even one on the model, that happens with probability below e^-64.
+    """
 
     def point() -> MumfordDivisor:
-        while True:
+        for _ in range(64 * p):
             x = rng.randrange(p)
             y = sqrt_mod(_eval(f5, x, p), p)
             if y is not None:
                 return divisor_from_point(f5, p, x, rng.choice((y, p - y)))
+        raise ValueError(f"no affine point found on the quintic model mod {p}")
 
     return cantor_add(point(), point(), f5)
 
@@ -526,8 +531,9 @@ class JacobianGroup:
     """Order, invariant factors (ascending chain), and 2-rank of J(F_p).
 
     ``invariants`` is None when no odd-degree model exists mod p (sextic
-    with no F_p-root), in which case only the order and the 2-rank are
-    reported.
+    with no F_p-root) or when the model has no affine F_p-point (its only
+    point is at infinity, #C(F_p) = p + 1 + a1 = 1), in which case only
+    the order and the 2-rank are reported.
     """
 
     p: int
@@ -614,8 +620,9 @@ def jacobian_group_mod_p(
     degrees = _factor_degrees(curve, p)
     two_rank = _two_rank(degrees)
     f5 = odd_degree_model(curve, p)
-    order = curve_lpoly(curve, p, degrees=degrees, model=f5).point_count()
-    if f5 is None:
+    lpoly = curve_lpoly(curve, p, degrees=degrees, model=f5)
+    order = lpoly.point_count()
+    if f5 is None or p + lpoly.a1 == 0:
         return JacobianGroup(p, order, None, two_rank)
     rng = random.Random(seed)
     largest = order >> (two_rank - 1) if two_rank else order

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +40,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .exact import (
+    factorint,
     fundamental_discriminant,
     isprime,
     kronecker_symbol,
@@ -271,35 +271,6 @@ def packaged_fixtures() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# label codec
-
-
-@dataclass(frozen=True, slots=True)
-class NewformLabel:
-    """Parsed "level.weight.char.orbit" newform label, e.g. 243.2.a.d."""
-
-    level: int
-    weight: int
-    char_orbit: str
-    orbit: str
-
-
-_LABEL_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)\.([a-z]+)\.([a-z]+)$")
-
-
-def parse_newform_label(s: str) -> NewformLabel:
-    match = _LABEL_RE.match(s)
-    if match is None:
-        raise ValueError(f"malformed newform label: {s!r}")
-    level, weight, char_orbit, orbit = match.groups()
-    return NewformLabel(int(level), int(weight), char_orbit, orbit)
-
-
-def format_newform_label(label: NewformLabel) -> str:
-    return f"{label.level}.{label.weight}.{label.char_orbit}.{label.orbit}"
-
-
-# ---------------------------------------------------------------------------
 # L-factors and torsion bounds
 
 
@@ -477,31 +448,11 @@ def conductor_admissible(cond: int) -> tuple[bool, tuple[int, int, int] | None]:
 
     if cond < 1:
         raise ValueError("conductor must be a positive integer")
-    e2 = 0
-    while cond % 2 == 0:
-        cond //= 2
-        e2 += 1
-    e3 = 0
-    while cond % 3 == 0:
-        cond //= 3
-        e3 += 1
+    exponents = factorint(cond)
+    e2, e3 = exponents.pop(2, 0), exponents.pop(3, 0)
     if e2 % 2 or e2 // 2 > 10 or e3 % 2 or e3 // 2 > 5:
         return False, None
-    # the remainder must be a fourth power of a squarefree integer: every
-    # prime exponent exactly 4
-    n = 1
-    p = 5
-    rest = cond
-    while p * p * p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            if e != 4:
-                return False, None
-            n *= p
-        p += 2
-    if rest != 1:
+    # every prime exponent of N^4 is exactly 4
+    if any(e != 4 for e in exponents.values()):
         return False, None
-    return True, (e2 // 2, e3 // 2, n)
+    return True, (e2 // 2, e3 // 2, math.prod(exponents))

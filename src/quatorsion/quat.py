@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exact import factorint, hilbert_symbol, hnf_rows, mat_inverse
+from .exact import det_bareiss, factorint, hilbert_symbol, hnf_rows, mat_inverse
 
 __all__ = [
     "QuatAlgebra",
@@ -464,31 +464,13 @@ def standard_order(alg: QuatAlgebra) -> QuatOrder:
 def reduced_discriminant(order: QuatOrder) -> int:
     """Positive square root of |det(trd(e_i e_j))| over the order basis."""
     gram = order.gram_trd()
-    det = _det4_int(gram)
+    det = det_bareiss(gram)
     root = math.isqrt(abs(det))
     if root * root != abs(det):
         raise ValueError("invariant violation: |det trd(e_i e_j)| is not a square")
     if root == 0:
         raise ValueError("invariant violation: degenerate trace pairing")
     return root
-
-
-def _det4_int(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a 4x4 integer matrix by cofactor expansion."""
-
-    def det3(a):
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
-    total = 0
-    for col in range(4):
-        minor = [[m[r][c] for c in range(4) if c != col] for r in range(1, 4)]
-        term = m[0][col] * det3(minor)
-        total += term if col % 2 == 0 else -term
-    return total
 
 
 def is_maximal(order: QuatOrder) -> bool:

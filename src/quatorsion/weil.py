@@ -28,25 +28,21 @@ The split test over every F_{q^n}, n <= nmax, reads s_n and s_{2n} from
 the one list s_1..s_{2 nmax} of the class.
 
 Not every valid f is the polynomial of an actual surface: Honda-Tate
-theory excludes a handful of pairs over non-prime fields.  The engine
-flags admissibility against packaged per-q class lists (regenerable with
-scripts/gen_av_fixtures.py) rather than re-deriving it at runtime; a
-purely local sufficient condition (ordinary classes are always
-admissible) is provided for sanity checks.
+theory (Tate 1968, Waterhouse 1969) excludes a handful of pairs over
+non-prime fields.  ``enumerate_surfaces`` derives each class's flag at
+run time from the p-adic roots of f (see ``_honda_tate_admissible``),
+once per q, and caches the enumeration.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Sequence
 
-from .exact import factorint, primefactors
+from .exact import factorint, poly_add, poly_derivative, poly_eval, poly_mul, primefactors
 
-_FIXTURE_DIR = Path(__file__).parent / "fixtures" / "av"
 SUPPORTED_Q = (2, 3, 4, 5, 7, 9)
 
 
@@ -202,52 +198,93 @@ def format_label(w: WeilPoly2) -> str:
 # enumeration
 
 
+def _compose_affine(f: Sequence[int], shift: int, scale: int) -> tuple[int, ...]:
+    """The integer polynomial f(shift + scale * t), by Horner's rule."""
+    out: tuple[int, ...] = ()
+    for c in reversed(f):
+        out = poly_add(poly_mul(out, (shift, scale)), (c,))
+    return out
+
+
+def _strip_p(f: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The nonzero polynomial f divided by the largest power of p dividing it."""
+    while all(c % p == 0 for c in f):
+        f = tuple(c // p for c in f)
+    return f
+
+
+def _has_root_in_class(f: tuple[int, ...], p: int, r: int, depth: int = 0) -> bool:
+    """Whether the separable integer polynomial f has a root in r + pZ_p.
+
+    A simple root mod p lifts (Hensel); a multiple one is refined by
+    passing to f(r + p t) / p^k, which terminates for separable f.
+    """
+    if depth >= 64:
+        raise ArithmeticError("root refinement failed to terminate")
+    if poly_eval(f, r) % p:
+        return False
+    if poly_eval(poly_derivative(f), r) % p:
+        return True
+    g = _strip_p(_compose_affine(f, r, p), p)
+    return any(_has_root_in_class(g, p, s, depth + 1) for s in range(p))
+
+
+def _honda_tate_admissible(w: WeilPoly2) -> bool:
+    """The Honda-Tate flag of the Weil-valid class w.
+
+    These rules hold only for q = p or p^2, with every elliptic trace
+    |a| <= 2 sqrt(q) admissible (Waterhouse), which is what the
+    ``SUPPORTED_Q`` guard of ``enumerate_surfaces`` ensures:
+
+    * over F_p every Brauer invariant v_p(f_i(0)) / v_p(q) is integral;
+    * when h(x) = x^2 + a1 x + (a2 - 2q) splits over Q, f is a product of
+      elliptic Weil polynomials (or the square of one, realized since
+      every invariant is a multiple of 1/2);
+    * the real Weil number sqrt(q), the pair (0, -2q), is covered by the
+      first rule at prime q and by the second at square q;
+    * otherwise q = p^2 and f is irreducible over Q; the flag is False
+      exactly when f has a Q_p-root of valuation 1, a linear Q_p-factor
+      with invariant 1/2.
+
+    Known gap: a class of the last kind with p | a1 and v_p(a2) = 1 has
+    Newton slopes 1/2 and 3/2, so its invariants at p are 1/2 as well and
+    it is not a surface (Rück 1990 asks v_p(a2) >= 2 there), yet it is
+    flagged True: 10 classes over F_4 (2.4.a_c among them) and 20 over
+    F_9.  No ``torsion_gcd_scan`` result over ``SUPPORTED_Q`` changes when
+    they are excluded.
+    """
+    q, a1, a2 = w.q, w.a1, w.a2
+    p, n = prime_power_base(q)
+    if n == 1:
+        return True
+    disc = a1 * a1 - 4 * (a2 - 2 * q)
+    if math.isqrt(disc) ** 2 == disc:
+        return True
+    # roots x = p t of f with t a unit: f(p t) / p^k
+    g = _strip_p(tuple(c * p**i for i, c in enumerate((q * q, q * a1, a2, a1, 1))), p)
+    return not any(_has_root_in_class(g, p, r) for r in range(1, p))
+
+
 @lru_cache(maxsize=None)
-def _load_fixture(q: int) -> tuple[tuple[int, int], ...]:
-    path = _FIXTURE_DIR / f"av_classes_q{q}.json"
-    entries = json.loads(path.read_text())
-    pairs = []
-    for entry in entries:
-        pair = (int(entry["a1"]), int(entry["a2"]))
-        if parse_label(entry["label"]) != WeilPoly2(q, *pair):
-            raise ValueError(f"{path.name}: label {entry['label']} does not encode {pair}")
-        pairs.append(pair)
-    return tuple(pairs)
-
-
-def local_admissible_guess(w: WeilPoly2) -> bool:
-    """A sufficient condition for admissibility: ordinary classes exist.
-
-    Honda-Tate theory never excludes an ordinary class (p not dividing
-    a2); non-ordinary classes are reported False here even though most
-    are admissible, so this is only a one-sided sanity check against the
-    fixture lists.
-    """
-    return w.is_ordinary()
-
-
-def enumerate_surfaces(q: int) -> list[SurfaceClass]:
-    """All Weil-valid (a1, a2) over F_q with admissibility flags.
-
-    Classes are ordered by (a1, a2).  The admissible sublist equals the
-    packaged per-q class list.
-    """
-    if q not in SUPPORTED_Q:
-        raise ValueError(f"q must be one of {SUPPORTED_Q}")
-    admissible = set(_load_fixture(q))
+def _surface_classes(q: int) -> tuple[SurfaceClass, ...]:
     out = []
     for a1 in range(-math.isqrt(16 * q), math.isqrt(16 * q) + 1):
         for a2 in range(-2 * q, a1 * a1 // 4 + 2 * q + 1):
             w = WeilPoly2(q, a1, a2)
             if is_weil_valid(w):
-                out.append(SurfaceClass(w, format_label(w), (a1, a2) in admissible))
-    found = {(s.poly.a1, s.poly.a2) for s in out if s.honda_tate_admissible}
-    if found != admissible:
-        raise ValueError(
-            f"the q = {q} class list has pairs that are not Weil-valid: "
-            f"{sorted(admissible - found)}"
-        )
-    return out
+                out.append(SurfaceClass(w, format_label(w), _honda_tate_admissible(w)))
+    return tuple(out)
+
+
+def enumerate_surfaces(q: int) -> list[SurfaceClass]:
+    """All Weil-valid (a1, a2) over F_q with admissibility flags.
+
+    Classes are ordered by (a1, a2).  The enumeration is computed once
+    per q; each call returns a fresh list.
+    """
+    if q not in SUPPORTED_Q:
+        raise ValueError(f"q must be one of {SUPPORTED_Q}")
+    return list(_surface_classes(q))
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,35 @@ def test_smith_diagonal_of_zero_and_deficient_matrices():
     assert exact.smith_diagonal([[2, 0, 0], [0, 3, 0]]) == (1, 6, 0)
 
 
+@st.composite
+def square_matrices(draw):
+    """n x n integer matrices, n <= 6, with many zeros (so pivots need
+    row swaps) and, when ``dependent`` is drawn, one row a combination
+    of the others (singular)."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5, 9, -9])
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        r = draw(st.integers(0, n - 1))
+        others = rows[:r] + rows[r + 1:]
+        rows[r] = [sum(c * row[k] for c, row in zip(coeffs, others)) for k in range(n)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_det_bareiss_against_sympy(rows):
+    assert exact.det_bareiss(rows) == Matrix(rows).det()
+
+
+def test_det_bareiss_examples():
+    assert exact.det_bareiss([]) == 1
+    assert exact.det_bareiss([[0, 1], [1, 0]]) == -1  # one row swap
+    assert exact.det_bareiss([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (4 - 6)
+    assert exact.det_bareiss([[1, 2], [2, 4]]) == 0
+
+
 # ---------------------------------------------------------------------------
 # factorization over Q
 

@@ -725,6 +725,31 @@ def test_divisor_order_check_survives_python_O():
     assert run.stdout.startswith("1 ValueError group_order does not annihilate")
 
 
+def test_model_with_no_affine_point_does_not_hang():
+    # the monic quintic model mod 7 has one point, at infinity: #C(F_7) =
+    # 7 + 1 + a1 = 1; run in a subprocess so that a hang fails the test
+    code = (
+        "import random\n"
+        "from quatorsion.genus2.curve import parse_curve\n"
+        "from quatorsion.genus2.jacobian import jacobian_group_mod_p, random_divisor\n"
+        "curve = parse_curve('x^5 + 4x^4 + 3x^3 + x^2 + 4x + 6')\n"
+        "print(jacobian_group_mod_p(curve, 7))\n"
+        "try:\n"
+        "    random_divisor((6, 4, 1, 3, 4, 1), 7, random.Random(0))\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError', exc)\n"
+    )
+    src = str(Path(jacobian.__file__).resolve().parents[2])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "JacobianGroup(p=7, order=18, invariants=None, two_rank=1)",
+        "ValueError no affine point found on the quintic model mod 7",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # 2-torsion from Weierstrass orbits
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from quatorsion import newform
+from quatorsion.exact import primerange
 from quatorsion.quat import QuatAlgebra, discriminant
 
 # label -> (is_pqm, twist discriminant, quaternion discriminant)
@@ -60,3 +61,49 @@ def test_pqm_verdict_is_frozen():
     verdict = newform.PqmVerdict(is_pqm=False, twist_disc=0, quaternion_disc=1)
     with pytest.raises(AttributeError):
         verdict.is_pqm = True
+
+
+@pytest.mark.parametrize(
+    "cond, shape",
+    [
+        (1, (0, 0, 1)),
+        (22500, (1, 1, 5)),  # 2^2 3^2 5^4
+        (20736, (4, 2, 1)),  # 2^8 3^4
+        (2**20 * 3**10, (10, 5, 1)),
+        (5**4 * 7**4, (0, 0, 35)),
+    ],
+)
+def test_conductor_admissible_shapes(cond, shape):
+    assert newform.conductor_admissible(cond) == (True, shape)
+
+
+@pytest.mark.parametrize(
+    "cond",
+    [
+        243,  # odd power of 3
+        972,  # 2^2 3^5
+        2**22,  # i = 11 > 10
+        5**4 * 7**2,  # 7 to the second power
+        3**12,  # j = 6 > 5
+        11**8,  # N = 11^2 is not squarefree
+    ],
+)
+def test_conductor_admissible_rejects(cond):
+    assert newform.conductor_admissible(cond) == (False, None)
+
+
+def test_conductor_admissible_requires_a_positive_conductor():
+    with pytest.raises(ValueError, match="positive"):
+        newform.conductor_admissible(0)
+
+
+@pytest.mark.parametrize("label, bound", [("243.2.a.d", 3), ("972.2.a.e", 9), ("cm-256-disc-8", 4)])
+def test_torsion_divisor_bound_over_good_primes(label, bound):
+    record = newform.load_fixture(label)
+    primes = [p for p in primerange(2, 98) if record.level % p]
+    assert newform.torsion_divisor_bound(record, primes) == bound
+
+
+def test_torsion_divisor_bound_needs_a_prime():
+    with pytest.raises(ValueError, match="at least one prime"):
+        newform.torsion_divisor_bound(newform.load_fixture("243.2.a.d"), [])

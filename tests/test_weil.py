@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +26,10 @@ CITED_CLASSES = [
     ("2.7.i_be", 7, 8, 30, 144),
 ]
 
-# Class totals per field size, frozen from the fixture generator, which
-# rederives admissibility from scratch (p-adic valuations of the roots).
-# Over a prime field every valid pair is admissible; q = 9 excludes six.
+# Class totals per field size (valid, flagged admissible).  Over a prime
+# field every valid pair is admissible; q = 9 excludes six.  The q = 4 and
+# q = 9 totals include the slope-1/2 classes of the known gap documented
+# in weil._honda_tate_admissible.
 CLASS_COUNTS = {
     2: (35, 35),
     3: (63, 63),
@@ -252,7 +250,7 @@ def test_class_counts_per_field_size():
 
 def test_nonadmissible_classes_occur_only_over_f9():
     # Each excluded pair has a 3-adic root of valuation exactly 1 (the
-    # slope-1 segment splits), certified by the fixture generator.
+    # slope-1 segment splits), certified by Hensel lifting.
     for q in weil.SUPPORTED_Q:
         excluded = {
             (c.poly.a1, c.poly.a2)
@@ -278,17 +276,6 @@ def test_enumeration_is_sorted_and_consistent():
             assert c.poly.point_count() > 0
 
 
-def test_admissible_classes_match_fixture_lists():
-    fixture_dir = Path(weil.__file__).parent / "fixtures" / "av"
-    for q in weil.SUPPORTED_Q:
-        entries = json.loads((fixture_dir / f"av_classes_q{q}.json").read_text())
-        admissible = [c for c in weil.enumerate_surfaces(q) if c.honda_tate_admissible]
-        assert {(c.poly.a1, c.poly.a2) for c in admissible} == {
-            (e["a1"], e["a2"]) for e in entries
-        }
-        assert {c.label for c in admissible} == {e["label"] for e in entries}
-
-
 def test_every_cited_class_is_enumerated_admissible():
     by_label = {
         c.label: c for q in (2, 3, 5, 7) for c in weil.enumerate_surfaces(q)
@@ -297,14 +284,40 @@ def test_every_cited_class_is_enumerated_admissible():
         assert by_label[label].honda_tate_admissible, label
 
 
-def test_ordinary_guess_is_one_sided():
+def test_real_weil_number_class_is_admissible():
+    # (T^2 - q)^2 from sqrt(q): covered over F_p, and split at square q
     for q in weil.SUPPORTED_Q:
-        for c in weil.enumerate_surfaces(q):
-            if weil.local_admissible_guess(c.poly):
-                assert c.honda_tate_admissible, c.label
-    # the converse fails: this non-ordinary class is admissible
-    a_g = weil.parse_label("2.3.a_g")
-    assert not weil.local_admissible_guess(a_g)
+        (c,) = [c for c in weil.enumerate_surfaces(q) if (c.poly.a1, c.poly.a2) == (0, -2 * q)]
+        assert c.honda_tate_admissible, q
+
+
+def test_point_count_anchors():
+    def admissible(q):
+        return [c.poly for c in weil.enumerate_surfaces(q) if c.honda_tate_admissible]
+
+    def split_part(q, ell):
+        return max(
+            math.gcd(w.point_count(), ell**100)
+            for w in admissible(q)
+            if weil.geometric_split_analysis(w) is not None
+        )
+
+    assert [(w.a1, w.a2) for w in admissible(2) if w.point_count() % 9 == 0] == [(0, 4), (1, 1)]
+    assert [(w.a1, w.a2) for w in admissible(5) if w.point_count() % 72 == 0] == [(5, 16)]
+    assert split_part(3, 2) == 16
+    assert split_part(2, 3) == 9
+
+
+def test_enumeration_returns_a_fresh_list():
+    first = weil.enumerate_surfaces(9)
+    first.clear()
+    assert len(weil.enumerate_surfaces(9)) == 311
+
+
+def test_root_refinement_of_a_repeated_root_raises():
+    # (t - 1)^2 is not separable: refinement at 1 + 3Z_3 never ends
+    with pytest.raises(ArithmeticError, match="terminate"):
+        weil._has_root_in_class((1, -2, 1), 3, 1)
 
 
 def test_enumeration_rejects_unsupported_fields():
@@ -530,39 +543,3 @@ def test_qm_prime_bound_rejects_a_zero_count(monkeypatch):
     monkeypatch.setattr(weil, "prime_power_base", lambda q: (q, 1))
     with pytest.raises(ArithmeticError, match="not a positive point count"):
         weil.qm_prime_bound(1)
-
-
-# ---------------------------------------------------------------------------
-# fixtures
-
-
-def test_fixture_label_mismatch_raises(tmp_path, monkeypatch):
-    entries = [{"label": "2.2.a_e", "a1": 0, "a2": 3}]
-    (tmp_path / "av_classes_q2.json").write_text(json.dumps(entries))
-    monkeypatch.setattr(weil, "_FIXTURE_DIR", tmp_path)
-    with pytest.raises(ValueError, match="does not encode"):
-        weil._load_fixture.__wrapped__(2)
-
-
-def test_fixture_with_invalid_pair_raises(monkeypatch):
-    pairs = weil._load_fixture(2) + ((0, 99),)
-    monkeypatch.setattr(weil, "_load_fixture", lambda q: pairs)
-    with pytest.raises(ValueError, match=r"not Weil-valid: \[\(0, 99\)\]"):
-        weil.enumerate_surfaces(2)
-
-
-def test_av_fixture_generator_reproduces_shipped_files():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "gen_av_fixtures.py"
-    spec = importlib.util.spec_from_file_location("gen_av_fixtures", script)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    classes = {q: gen.isogeny_classes(q) for q in weil.SUPPORTED_Q}
-    gen.check_anchors(classes)
-    fixture_dir = Path(weil.__file__).parent / "fixtures" / "av"
-    for q, pairs in classes.items():
-        entries = [
-            {"label": weil.format_label(weil.WeilPoly2(q, a1, a2)), "a1": a1, "a2": a2}
-            for a1, a2 in pairs
-        ]
-        shipped = (fixture_dir / f"av_classes_q{q}.json").read_text()
-        assert json.dumps(entries, indent=1) + "\n" == shipped, q
