@@ -368,25 +368,36 @@ def generated_by(order: QuatOrder, ell: int, coords: Sequence[int]) -> frozenset
 
 
 def submodule_lattice_mod_ell(order: QuatOrder, ell: int) -> list[frozenset[tuple[int, ...]]]:
-    """All left submodules of O/lO, ordered by size then lexicographically.
+    """All left O-submodules of O/lO for a maximal order O, by size, then lexicographically.
 
-    For l not dividing disc(B) the module is Mat_2(F_l): the zero module,
-    l+1 minimal submodules of order l^2, and the full module.  For l
-    dividing disc(B) there is a unique proper nonzero submodule, of
-    order l^2.  Every submodule is principal, and O x = O (c x) for every
-    unit c of F_l, so the enumeration scans generated_by over one element
-    of each line: zero and the (l^4 - 1)/(l - 1) vectors whose first
-    nonzero coordinate is 1.
+    For l not dividing disc(B), O/lO = Mat_2(F_l): the zero module, the
+    l+1 minimal left ideals, of order l^2, and the full module.  For l
+    dividing disc(B), the maximal ideal P/lO, of order l^2, is the only
+    proper nonzero one (Voight, Quaternion Algebras, chs. 23 and 42).
+    Both cases are read off one right ideal xO with nrd(x) = 0 mod l.
+    Such an x exists since the norm form is isotropic mod l; the first
+    line representative found is used.  xO has dimension 2 over F_l,
+    and the left modules O y over the l+1 lines y of xO are the middle of
+    the lattice: in Mat_2(F_l) the y have one column space and every row
+    space, so every kernel; in the ramified case each O y is P/lO.
     """
     if not isprime(ell):
         raise ValueError("the modulus must be prime")
-    seen: dict[tuple[tuple[int, ...], ...], None] = {}
-    for coords in _line_representatives(ell):
-        key = tuple(_left_ideal_basis(order.table, coords, ell))
-        seen.setdefault(key, None)
-    modules = [_span(key, ell) for key in seen]
-    modules.sort(key=lambda mod: (len(mod), sorted(mod)))
-    return modules
+    if not is_maximal(order):
+        raise ValueError("submodule lattices are computed over maximal orders")
+    lines = itertools.islice(_line_representatives(ell), 1, None)
+    x = next(c for c in lines if order.nrd(c) % ell == 0)
+    table = order.table
+    # coordinates of x e_i, the rows spanning the right ideal x O
+    rows = [[sum(x[j] * table[j][i][c] for j in range(4)) for c in range(4)] for i in range(4)]
+    b1, b2 = rref_mod(rows, ell)
+    keys = {
+        tuple(_left_ideal_basis(table, y, ell))
+        for y in [b2] + [[(u + t * v) % ell for u, v in zip(b1, b2)] for t in range(ell)]
+    }
+    middle = sorted((_span(key, ell) for key in keys), key=sorted)
+    zero = frozenset({(0, 0, 0, 0)})
+    return [zero] + middle + [frozenset(itertools.product(range(ell), repeat=4))]
 
 
 def three_dim_generator_check(

@@ -20,10 +20,11 @@ Sections
 --------
 * Integers: :func:`isprime` (trial division by the primes below 42,
   then Miller-Rabin to those 13 bases; a proof below ``ISPRIME_BOUND``
-  = 3317044064679887385961981, about 3.3e24, and above it a proof of
-  compositeness or a ValueError), :func:`factorint` (trial division to
-  1000, then perfect powers and Pollard-Brent rho; every cofactor goes
-  through :func:`isprime`, so a prime factor above the bound raises),
+  = 3317044064679887385961981, about 3.3e24; above it a failed test
+  proves compositeness, and a pass goes to Pocklington's test, which
+  raises ValueError when n - 1 does not factor far enough),
+  :func:`factorint` (trial division to 1000, then perfect powers and
+  Pollard-Brent rho; every cofactor goes through :func:`isprime`),
   :func:`primefactors`, :func:`multiplicity`, :func:`primerange` (a
   sieve of Eratosthenes) and :func:`nextprime`.
 * Symbols and square classes: :func:`kronecker_symbol` (binary Jacobi
@@ -124,7 +125,9 @@ def isprime(n: int) -> bool:
     Trial division by the 13 primes below 42, then the strong
     (Miller-Rabin) test to those bases, which no composite below
     ISPRIME_BOUND passes.  A failed test proves n composite at any size;
-    an n of ISPRIME_BOUND or more that passes raises ValueError.
+    an n of ISPRIME_BOUND or more that passes goes to Pocklington's test
+    (:func:`_pocklington`), which proves it prime or composite, or raises
+    ValueError when n - 1 does not factor far enough within its budget.
     """
     n = operator.index(n)
     if n < 2:
@@ -147,20 +150,80 @@ def isprime(n: int) -> bool:
         else:
             return False
     if n >= ISPRIME_BOUND:
-        raise ValueError(
-            f"{n} passes the strong test, which proves primality only below {ISPRIME_BOUND}"
-        )
+        return _pocklington(n)
     return True
 
 
-def _rho_divisor(n: int) -> int:
+# Pollard rho steps spent on each composite cofactor of n - 1 in _pocklington
+_POCKLINGTON_RHO_STEPS = 1 << 16
+
+
+def _pocklington(n: int) -> bool:
+    """Whether n, odd and free of primes below 42, is prime, by Pocklington's theorem.
+
+    If F divides n - 1, F > sqrt(n), and for every prime q | F some a has
+    a^(n-1) = 1 mod n and gcd(a^((n-1)/q) - 1, n) = 1, then n is prime
+    (Crandall-Pomerance, Prime Numbers, Theorem 4.1.3).  F collects the
+    prime factors of n - 1 found by trial division to 1000, then by
+    Pollard rho on each composite cofactor, at most _POCKLINGTON_RHO_STEPS
+    steps each; a cofactor of ISPRIME_BOUND or more is proved prime the
+    same way.  The witnesses a are the primes below 1000.  A failed Fermat
+    test or a proper gcd proves n composite.  ValueError when F stays at
+    most sqrt(n) or no witness turns up.
+    """
+    m = n - 1
+    primes = set()
+    for q in _TRIAL_PRIMES:
+        if m % q == 0:
+            primes.add(q)
+            while m % q == 0:
+                m //= q
+    factored = (n - 1) // m
+    pending = [m] if m > 1 else []
+    while pending and factored * factored <= n:
+        c = pending.pop()
+        try:
+            prime = isprime(c)
+        except ValueError:  # an unproved cofactor stays out of F
+            continue
+        if prime:
+            primes.add(c)
+            factored *= c
+        elif power := _perfect_power(c):
+            pending += [power[0]] * power[1]
+        elif d := _rho_divisor(c, _POCKLINGTON_RHO_STEPS):
+            pending += [d, c // d]
+    if factored * factored <= n:
+        raise ValueError(
+            f"{n} passes the strong test, but n - 1 did not factor past sqrt(n) "
+            f"within {_POCKLINGTON_RHO_STEPS} rho steps per cofactor"
+        )
+    for q in sorted(primes):
+        for a in _TRIAL_PRIMES:
+            if pow(a, n - 1, n) != 1:
+                return False
+            g = math.gcd(pow(a, (n - 1) // q, n) - 1, n)
+            if g == 1:
+                break
+            if g != n:
+                return False
+        else:
+            raise ValueError(f"no Pocklington witness below 1000 for {n} and q = {q}")
+    return True
+
+
+def _rho_divisor(n: int, budget: int | None = None) -> int | None:
     """A proper divisor of the odd composite n: Pollard rho, Brent's cycle
     search, gcds batched over 128 steps.  The polynomials x^2 + c are
     tried for c = 1, 2, ... from x = 2, so the divisor found depends on n
-    alone."""
+    alone.  With a budget, None once about that many steps x -> x^2 + c
+    have found nothing."""
+    steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if budget is not None and steps >= budget:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -172,6 +235,7 @@ def _rho_divisor(n: int) -> int:
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
+            steps += 2 * r
             r *= 2
         if g == n:  # the batch overshot: step through it one gcd at a time
             g = 1
@@ -209,8 +273,8 @@ def factorint(n: int) -> dict[int, int]:
     A negative n carries the entry {-1: 1}; n = 1 gives {}.  Trial
     division by the primes below 1000; what is left is split as a
     perfect power or by Pollard-Brent rho.  Cofactors go through
-    :func:`isprime`, so one of ISPRIME_BOUND or more that passes the
-    strong test raises ValueError.
+    :func:`isprime`, so one of ISPRIME_BOUND or more raises ValueError
+    when Pocklington's test cannot settle it.
     """
     n = operator.index(n)
     if n == 0:

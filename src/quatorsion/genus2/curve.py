@@ -39,7 +39,6 @@ F_{p^2} are made directly (at most 25 values of x), and they give L.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass
@@ -143,15 +142,6 @@ def parse_curve(text: str) -> GenusTwoCurve:
             raise ValueError("f must have degree at most 6")
         coeffs[e] += c
     return GenusTwoCurve.from_coefficients(coeffs)
-
-
-def curve_from_json(obj) -> GenusTwoCurve:
-    """Build a curve from ``{"f": [c0, ..., c6]}`` (dict or JSON text)."""
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict) or "f" not in obj:
-        raise ValueError('curve JSON must be an object with an "f" array')
-    return GenusTwoCurve.from_coefficients(obj["f"])
 
 
 # ---------------------------------------------------------------------------

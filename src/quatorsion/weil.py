@@ -242,16 +242,12 @@ def _honda_tate_admissible(w: WeilPoly2) -> bool:
       every invariant is a multiple of 1/2);
     * the real Weil number sqrt(q), the pair (0, -2q), is covered by the
       first rule at prime q and by the second at square q;
-    * otherwise q = p^2 and f is irreducible over Q; the flag is False
-      exactly when f has a Q_p-root of valuation 1, a linear Q_p-factor
-      with invariant 1/2.
-
-    Known gap: a class of the last kind with p | a1 and v_p(a2) = 1 has
-    Newton slopes 1/2 and 3/2, so its invariants at p are 1/2 as well and
-    it is not a surface (Rück 1990 asks v_p(a2) >= 2 there), yet it is
-    flagged True: 10 classes over F_4 (2.4.a_c among them) and 20 over
-    F_9.  No ``torsion_gcd_scan`` result over ``SUPPORTED_Q`` changes when
-    they are excluded.
+    * otherwise q = p^2 and f is irreducible over Q.  When p | a1 and
+      v_p(a2) = 1 the Newton slopes are 1/2 and 3/2, so the invariants at
+      p are 1/2 and the flag is False (Rück 1990 asks v_p(a2) >= 2 there):
+      10 classes over F_4, 2.4.a_c among them, and 20 over F_9;
+    * else the flag is False exactly when f has a Q_p-root of valuation
+      1, a linear Q_p-factor with invariant 1/2.
     """
     q, a1, a2 = w.q, w.a1, w.a2
     p, n = prime_power_base(q)
@@ -260,6 +256,8 @@ def _honda_tate_admissible(w: WeilPoly2) -> bool:
     disc = a1 * a1 - 4 * (a2 - 2 * q)
     if math.isqrt(disc) ** 2 == disc:
         return True
+    if a1 % p == 0 and a2 % p == 0 and a2 % (p * p):
+        return False
     # roots x = p t of f with t a unit: f(p t) / p^k
     g = _strip_p(tuple(c * p**i for i, c in enumerate((q * q, q * a1, a2, a1, 1))), p)
     return not any(_has_root_in_class(g, p, r) for r in range(1, p))
@@ -329,15 +327,34 @@ def base_change(w: WeilPoly2, n: int) -> WeilPoly2:
     return WeilPoly2(w.q**n, *_base_change_pair(_power_sums(w, 2 * n), n))
 
 
+def _is_elliptic_trace(q: int, a: int) -> bool:
+    """Whether T^2 + aT + q, |a| <= 2 sqrt(q), is the polynomial of an
+    elliptic curve over F_q (Waterhouse 1969, Theorem 4.1).
+
+    With q = p^m: every a prime to p; for even m, a = +-2 sqrt(q),
+    a = +-sqrt(q) unless p = 1 mod 3, and a = 0 unless p = 1 mod 4; for
+    odd m, a = 0, and a = +-p^((m+1)/2) when p is 2 or 3.
+    """
+    p, m = prime_power_base(q)
+    if a % p:
+        return True
+    if m % 2 == 0:
+        root = p ** (m // 2)
+        return abs(a) == 2 * root or (abs(a) == root and p % 3 != 1) or (a == 0 and p % 4 != 1)
+    return a == 0 or (p in (2, 3) and abs(a) == p ** ((m + 1) // 2))
+
+
 def geometric_split_analysis(
     w: WeilPoly2, nmax: int = 24
 ) -> tuple[int, int] | None:
-    """The least n <= nmax with f over F_{q^n} a square (T^2 + aT + q^n)^2.
+    """The least n <= nmax with f over F_{q^n} the square of an elliptic class.
 
-    Returns (n, a), or None when no base change in range is the square
-    of an elliptic Weil polynomial — the class is then not geometrically
-    isogenous to the square of an elliptic curve within the window.
-    One list of power sums s_1..s_{2 nmax} serves every n.
+    Returns (n, a) when f over F_{q^n} is (T^2 + aT + q^n)^2 and a is the
+    trace of an elliptic curve over F_{q^n} (Waterhouse); a square whose
+    factor no elliptic curve realizes moves on to the next n.  None means
+    no base change in range is such a square — the class is then not
+    geometrically isogenous to the square of an elliptic curve within the
+    window.  One list of power sums s_1..s_{2 nmax} serves every n.
     """
     if nmax < 1:
         raise ValueError("nmax must be a positive integer")
@@ -353,7 +370,8 @@ def geometric_split_analysis(
                     raise ArithmeticError(
                         f"|{a}| exceeds 2 sqrt({w.q}^{n}): {format_label(w)} is not Weil-valid"
                     )
-                return n, a
+                if _is_elliptic_trace(qn, a):
+                    return n, a
     return None
 
 

@@ -16,6 +16,7 @@ from quatorsion.actions import (
     DistinguishedRing,
     EnhancedElement,
     PolarizationReport,
+    _left_ideal_basis,
     _line_representatives,
     action_from_json,
     action_to_json,
@@ -36,6 +37,7 @@ from quatorsion.exact import hnf_rows, mat_inverse, rref_mod, smith_invariants
 from quatorsion.quat import (
     QuatAlgebra,
     QuatOrder,
+    discriminant,
     find_trace_zero,
     maximal_order,
     standard_order,
@@ -429,6 +431,56 @@ def test_c2c2_mod_two(omax_1_6, omax_15):
 
 # ---------------------------------------------------------------------------
 # left submodules of O/lO
+
+
+def _scan_lattice(order, ell):
+    """The line scan: generated_by on one element of each line of O/lO.
+
+    Lines with the same left ideal basis are spanned once; the modules are
+    sorted by size, then lexicographically.
+    """
+    firsts = {}
+    for coords in _line_representatives(ell):
+        firsts.setdefault(tuple(_left_ideal_basis(order.table, coords, ell)), coords)
+    modules = [generated_by(order, ell, coords) for coords in firsts.values()]
+    modules.sort(key=lambda mod: (len(mod), sorted(mod)))
+    return modules
+
+
+# every maximal order that the suite and the benchmark build, with disc(B)
+LATTICE_ORDERS = {
+    "o16": 6,  # the basis of the omax_1_6 fixture and of the benchmark's o16
+    (-3, 6): 6,
+    (-2, 5): 10,
+    (-3, 5): 15,
+    (-13, 23): 46,
+    (-1, -1): 2,  # the Hurwitz order
+    (-1, 11): 22,
+    (-1, 3): 6,
+}
+
+
+@pytest.fixture(scope="module")
+def lattice_orders(omax_1_6):
+    orders = {key: maximal_order(QuatAlgebra(*key)) for key in LATTICE_ORDERS if key != "o16"}
+    orders["o16"] = omax_1_6
+    return orders
+
+
+@pytest.mark.parametrize("key", list(LATTICE_ORDERS), ids=str)
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_submodules_match_the_line_scan(lattice_orders, key, ell):
+    order = lattice_orders[key]
+    assert discriminant(order.algebra) == LATTICE_ORDERS[key]
+    modules = submodule_lattice_mod_ell(order, ell)
+    assert modules == _scan_lattice(order, ell)
+    middle = 1 if LATTICE_ORDERS[key] % ell == 0 else ell + 1
+    assert [len(m) for m in modules] == [1] + [ell**2] * middle + [ell**4]
+
+
+def test_submodules_require_a_maximal_order():
+    with pytest.raises(ValueError, match="maximal"):
+        submodule_lattice_mod_ell(standard_order(QuatAlgebra(-1, -1)), 3)
 
 
 @pytest.mark.parametrize("ell", [5, 7])

@@ -60,10 +60,34 @@ def test_primality_above_the_proved_bound():
     # composites above the bound are proved so by a failed strong test
     assert not exact.isprime(exact.ISPRIME_BOUND + 2)
     assert exact.factorint(4057**3 * 418069**3) == {4057: 3, 418069: 3}
-    # a prime, and the least spsp to all 13 bases, are not guessed at
-    for n in (2**89 - 1, exact.ISPRIME_BOUND):
-        with pytest.raises(ValueError, match="strong test"):
-            exact.isprime(n)
+    # the least spsp to all 13 bases goes on to Pocklington's test, whose
+    # Fermat test to a base above 41 proves it composite
+    assert not exact.isprime(exact.ISPRIME_BOUND)
+    assert exact.factorint(exact.ISPRIME_BOUND) == sympy.factorint(exact.ISPRIME_BOUND)
+
+
+# n - 1 = 16 P Q with the primes P ~ 2^47 and Q ~ 2^49: rho would need
+# about 2^23 steps to split P Q, far past the budget
+UNPROVED_PRIME = 16 * 140737488367699 * 562949953428103 + 1
+
+
+@pytest.mark.parametrize("n", [2**89 - 1, 2**127 - 1, 2**521 - 1])
+def test_pocklington_proves_mersenne_primes(n):
+    assert n >= exact.ISPRIME_BOUND
+    assert exact.isprime(n)
+    assert exact.factorint(n) == {n: 1}
+    assert not exact.isprime(n + 2)
+
+
+def test_pocklington_gives_up_when_the_budget_runs_out():
+    assert sympy.isprime(UNPROVED_PRIME) and UNPROVED_PRIME >= exact.ISPRIME_BOUND
+    assert exact._rho_divisor(140737488367699 * 562949953428103, 1 << 16) is None
+    with pytest.raises(ValueError, match="did not factor past sqrt"):
+        exact.isprime(UNPROVED_PRIME)
+
+
+def test_rho_divisor_within_a_budget():
+    assert exact._rho_divisor(2113 * 2931542417, 1 << 16) in (2113, 2931542417)
 
 
 def test_primerange_nextprime_primefactors_multiplicity():

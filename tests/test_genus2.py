@@ -23,7 +23,6 @@ from quatorsion.genus2.curve import (
     CurveLabel,
     GenusTwoCurve,
     count_points_curve,
-    curve_from_json,
     curve_lpoly,
     format_curve_label,
     good_prime,
@@ -216,14 +215,6 @@ def test_curve_str_round_trips():
     for row in TABLE:
         assert parse_curve(str(row.curve)) == row.curve
         assert str(row.curve).startswith("y^2 = ")
-
-
-def test_curve_from_json():
-    c = curve_from_json({"f": [1, 0, 0, 0, 0, 1]})
-    assert c == QUINTIC
-    assert curve_from_json('{"f": [1, 0, 0, 0, 0, 1]}') == QUINTIC
-    with pytest.raises(ValueError, match='"f"'):
-        curve_from_json({"coeffs": [1, 0, 0, 0, 0, 1]})
 
 
 def test_good_primes_degree_drop():

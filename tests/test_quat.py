@@ -121,6 +121,8 @@ def test_mixed_algebra_arithmetic_rejected():
         (-1, 22, {2, 11}, False, 22),
         (1, 1, set(), False, 1),
         (-1, -1, {2}, True, 2),
+        # a parameter above exact.ISPRIME_BOUND, proved prime by Pocklington
+        (-1, 2**89 - 1, {2, 2**89 - 1}, False, 2 * (2**89 - 1)),
     ],
 )
 def test_ramified_places(a, b, ram, definite, disc):

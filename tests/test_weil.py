@@ -27,16 +27,28 @@ CITED_CLASSES = [
 ]
 
 # Class totals per field size (valid, flagged admissible).  Over a prime
-# field every valid pair is admissible; q = 9 excludes six.  The q = 4 and
-# q = 9 totals include the slope-1/2 classes of the known gap documented
-# in weil._honda_tate_admissible.
+# field every valid pair is admissible; q = 4 excludes ten and q = 9
+# twenty-six (NONADMISSIBLE below).
 CLASS_COUNTS = {
     2: (35, 35),
     3: (63, 63),
-    4: (101, 101),
+    4: (101, 91),
     5: (129, 129),
     7: (207, 207),
-    9: (311, 305),
+    9: (311, 285),
+}
+
+# The (a1, a2) that Honda-Tate excludes.  The slope-1/2 pairs (p | a1,
+# v_p(a2) = 1, h irreducible) are all ten over F_4 and twenty over F_9;
+# the other six over F_9 have a 3-adic root of valuation exactly 1.
+SLOPE_HALF_Q9 = {
+    (-6, 21), (-6, 24), (-3, 3), (-3, 6), (-3, 12), (-3, 15), (0, -15),
+    (0, -12), (0, -6), (0, -3), (0, 3), (0, 6), (0, 12), (0, 15),
+    (3, 3), (3, 6), (3, 12), (3, 15), (6, 21), (6, 24),
+}
+NONADMISSIBLE = {
+    4: {(-4, 10), (-2, 2), (-2, 6), (0, -6), (0, -2), (0, 2), (0, 6), (2, 2), (2, 6), (4, 10)},
+    9: SLOPE_HALF_Q9 | {(-4, 12), (-2, -3), (-1, 15), (1, 15), (2, -3), (4, 12)},
 }
 
 
@@ -76,10 +88,15 @@ def _newton_base_change(w: weil.WeilPoly2, n: int) -> tuple[int, ...]:
 
 
 def _newton_split(w: weil.WeilPoly2, table: list[tuple[int, ...]], nmax: int):
-    """The split analysis read off the oracle's base changes."""
+    """The split analysis read off the oracle's base changes.
+
+    The trace test is the one ``test_elliptic_traces_match_enumeration``
+    checks against every curve over the small fields.
+    """
     for n, (_, a1, a2, _, _) in enumerate(table[:nmax], start=1):
-        if a1 % 2 == 0 and a2 == (a1 // 2) ** 2 + 2 * w.q**n:
-            return n, a1 // 2
+        a = a1 // 2
+        if a1 % 2 == 0 and a2 == a * a + 2 * w.q**n and weil._is_elliptic_trace(w.q**n, a):
+            return n, a
     return None
 
 
@@ -248,19 +265,33 @@ def test_class_counts_per_field_size():
         assert sum(c.honda_tate_admissible for c in classes) == admissible, q
 
 
-def test_nonadmissible_classes_occur_only_over_f9():
-    # Each excluded pair has a 3-adic root of valuation exactly 1 (the
-    # slope-1 segment splits), certified by Hensel lifting.
+def test_nonadmissible_classes_occur_only_over_square_fields():
     for q in weil.SUPPORTED_Q:
         excluded = {
             (c.poly.a1, c.poly.a2)
             for c in weil.enumerate_surfaces(q)
             if not c.honda_tate_admissible
         }
-        if q == 9:
-            assert excluded == {(-4, 12), (-2, -3), (-1, 15), (1, 15), (2, -3), (4, 12)}
-        else:
-            assert excluded == set()
+        assert excluded == NONADMISSIBLE.get(q, set()), q
+    assert weil.parse_label("2.4.a_c") in [
+        c.poly for c in weil.enumerate_surfaces(4) if not c.honda_tate_admissible
+    ]
+
+
+def test_slope_half_classes_are_the_p_divisible_irreducible_ones():
+    # p | a1 and v_p(a2) = 1 with h irreducible: Newton slopes 1/2, 3/2
+    def slope_half(q, p):
+        return {
+            (c.poly.a1, c.poly.a2)
+            for c in weil.enumerate_surfaces(q)
+            if c.poly.a1 % p == 0
+            and c.poly.a2 % p == 0
+            and c.poly.a2 % (p * p)
+            and math.isqrt(d := c.poly.a1**2 - 4 * (c.poly.a2 - 2 * q)) ** 2 != d
+        }
+
+    assert slope_half(4, 2) == NONADMISSIBLE[4]
+    assert slope_half(9, 3) == SLOPE_HALF_Q9
 
 
 def test_enumeration_is_sorted_and_consistent():
@@ -429,6 +460,113 @@ def test_elliptic_squares_split_at_degree_one():
 )
 def test_split_analysis_on_cited_classes(label, expected):
     assert weil.geometric_split_analysis(weil.parse_label(label)) == expected
+
+
+@pytest.mark.parametrize(
+    "label, square_at, expected",
+    [
+        ("2.5.a_a", (2, 0), (4, 50)),  # no trace 0 over F_25: 5 = 1 mod 4
+        ("2.7.a_h", (2, 7), (6, -686)),  # no trace +-7 over F_49: 7 = 1 mod 3
+        ("2.7.a_ah", (2, -7), (3, 0)),
+    ],
+)
+def test_split_skips_squares_of_non_elliptic_polynomials(label, square_at, expected):
+    w = weil.parse_label(label)
+    n, a = square_at
+    assert weil.base_change(w, n) == weil.WeilPoly1(w.q**n, a).square()
+    assert not weil._is_elliptic_trace(w.q**n, a)
+    assert weil.geometric_split_analysis(w) == expected
+
+
+# x^m = -(c_0 + c_1 x + ... ) over F_p for each non-prime field below
+_FIELD_REDUCTIONS = {
+    4: (1, 1),
+    8: (1, 1, 0),
+    9: (1, 0),
+    25: (3, 0),
+    27: (2, 2, 0),
+    49: (1, 0),
+}
+
+
+def _field_tables(q: int):
+    """Addition and multiplication tables of F_q on 0..q-1 (base-p digits)."""
+    p, m = weil.prime_power_base(q)
+    low = _FIELD_REDUCTIONS.get(q, (0,))
+
+    def digits(x):
+        return [x // p**i % p for i in range(m)]
+
+    def number(ds):
+        return sum(d * p**i for i, d in enumerate(ds))
+
+    def mul(x, y):
+        prod = [0] * (2 * m - 1)
+        for i, u in enumerate(digits(x)):
+            for j, v in enumerate(digits(y)):
+                prod[i + j] += u * v
+        for k in range(2 * m - 2, m - 1, -1):
+            c, prod[k] = prod[k], 0
+            for i, l in enumerate(low):
+                prod[k - m + i] -= c * l
+        return number([c % p for c in prod[:m]])
+
+    add = [[number([(u + v) % p for u, v in zip(digits(x), digits(y))]) for y in range(q)]
+           for x in range(q)]
+    return add, [[mul(x, y) for y in range(q)] for x in range(q)]
+
+
+def _elliptic_traces(q: int) -> set[int]:
+    """Every a with T^2 + aT + q the polynomial of an elliptic curve over F_q.
+
+    Counts the points of every curve in a Weierstrass normal form: y^2 =
+    x^3 + a2 x^2 + a4 x + a6 in odd characteristic (a2 = 0 for p >= 5),
+    and y^2 + xy = x^3 + a2 x^2 + a6 (a6 != 0) or y^2 + a3 y = x^3 + a4 x
+    + a6 (a3 != 0) in characteristic 2.  Each normal form covers every curve, and a curve
+    with q + 1 + a points has Weil polynomial T^2 + aT + q.
+    """
+    p, _ = weil.prime_power_base(q)
+    add, mul = _field_tables(q)
+    cube = [mul[mul[x][x]][x] for x in range(q)]
+    square = [mul[y][y] for y in range(q)]
+    counts = set()
+    if p == 2:
+        def affine(lhs, rhs):
+            return sum(lhs(x, y) == rhs(x) for x in range(q) for y in range(q))
+
+        for a2 in range(q):
+            for a6 in range(1, q):
+                counts.add(affine(lambda x, y: add[square[y]][mul[x][y]],
+                                  lambda x: add[add[cube[x]][mul[a2][square[x]]]][a6]))
+        for a3 in range(1, q):
+            for a4 in range(q):
+                for a6 in range(q):
+                    counts.add(affine(lambda x, y: add[square[y]][mul[a3][y]],
+                                      lambda x: add[add[cube[x]][mul[a4][x]]][a6]))
+    else:
+        roots = [0] * q
+        for y in range(q):
+            roots[square[y]] += 1
+        three = add[add[1][1]][1]
+        two = add[1][1]
+        for a2 in range(q) if p == 3 else (0,):  # a2 = 0 suffices from p = 5 on
+            for a4 in range(q):
+                for a6 in range(q):
+                    values = [add[add[add[cube[x]][mul[a2][square[x]]]][mul[a4][x]]][a6]
+                              for x in range(q)]
+                    slopes = [add[add[mul[three][square[x]]][mul[two][mul[a2][x]]]][a4]
+                              for x in range(q)]
+                    if any(v == 0 and d == 0 for v, d in zip(values, slopes)):
+                        continue  # a repeated root, necessarily rational
+                    counts.add(sum(roots[v] for v in values))
+    return {count - q for count in counts}  # q + 1 + a points with infinity
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 49])
+def test_elliptic_traces_match_enumeration(q):
+    bound = math.isqrt(4 * q)
+    admitted = {a for a in range(-bound, bound + 1) if weil._is_elliptic_trace(q, a)}
+    assert admitted == _elliptic_traces(q)
 
 
 @pytest.mark.parametrize("nmax", [1, 2, 24])
