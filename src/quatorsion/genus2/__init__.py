@@ -7,7 +7,8 @@
   good primes, point counts, and L-polynomials in O(p) from the
   Hasse-Witt matrix.
 * :mod:`quatorsion.genus2.jacobian` — Mumford/Cantor arithmetic in
-  J(F_p) and reconstruction of its abstract group structure.
+  J(F_p), uniform random classes, and a proof of its abstract group
+  structure.
 * :mod:`quatorsion.genus2.torsion` — certification of claimed rational
   torsion against reductions, and the table of five certified curves.
 """

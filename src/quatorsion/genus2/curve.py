@@ -145,48 +145,6 @@ def parse_curve(text: str) -> GenusTwoCurve:
 
 
 # ---------------------------------------------------------------------------
-# curve labels
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class CurveLabel:
-    """LMFDB-style genus-2 curve label ``conductor.class.disc.number``."""
-
-    conductor: int
-    isogeny_class: str
-    discriminant: int
-    number: int
-
-
-_CLASS_CODE = re.compile(r"[a-z]+$")
-
-
-def parse_curve_label(s: str) -> CurveLabel:
-    """Decode a genus-2 curve label such as ``20736.l.373248.1``."""
-    parts = s.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"malformed genus-2 curve label {s!r}")
-    cond, cls, disc, num = parts
-    if not (cond.isdigit() and disc.isdigit() and num.isdigit()):
-        raise ValueError(f"malformed genus-2 curve label {s!r}")
-    if not _CLASS_CODE.match(cls):
-        raise ValueError(f"malformed genus-2 curve label {s!r}")
-    label = CurveLabel(int(cond), cls, int(disc), int(num))
-    if label.conductor < 1 or label.discriminant < 1 or label.number < 1:
-        raise ValueError(f"malformed genus-2 curve label {s!r}")
-    return label
-
-
-def format_curve_label(label: CurveLabel) -> str:
-    """Encode a genus-2 curve label back to its dotted string form."""
-    return (
-        f"{label.conductor}.{label.isogeny_class}"
-        f".{label.discriminant}.{label.number}"
-    )
-
-
-# ---------------------------------------------------------------------------
 # good primes and point counting
 # ---------------------------------------------------------------------------
 

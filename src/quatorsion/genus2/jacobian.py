@@ -19,14 +19,20 @@ with a common root, u1 = u2 with v1 != +-v2 -- goes through the generic
 polynomial Cantor algorithm (``_cantor_generic``), which is also the
 test oracle for the formulas.
 
-Combined with the group order from the zeta function this recovers the
-abstract structure of J(F_p) by order probing on random classes plus
+Combined with the group order from the zeta function this proves the
+abstract structure of J(F_p), one Sylow subgroup S at a time, for
+ell^v || #J(F_p) (after Sutherland, "Structure computation and discrete
+logarithms in finite abelian p-groups", Math. Comp. 80, 2011).  A
+uniformly random class D projects to Q = [#J / ell^v] D in S, and the
+ladder that multiplies Q by ell until it vanishes (shared with
+``divisor_order``) ends at a class t of order ell in ell^k S for every k
+below its depth.  Independent such t bound each rank r_k = dim
+(ell^k S)[ell] from below, and the r_k sum to v, so S is proved once a
+single shape Z/ell^e1 x Z/ell^e2 x ... fits the bounds, the ell-rank
+<= 4 (<= 2 unless ell | p - 1, by the Weil pairing) and, for ell = 2,
 the exact 2-rank read off the factorization type of f mod p (found by
-distinct-degree factorization).  The order of a class takes one ladder
-per prime ell | #J(F_p): [#J / ell^v] D, then multiplications by ell
-until the identity.  Probing stops as soon as the exponent reaches the
-largest one the order and the 2-rank allow, after which no further
-probe could change it.
+distinct-degree factorization).  Probing stops as soon as every Sylow
+subgroup is proved.
 
 Degree-6 models are handled by passing to an odd-degree model: move a
 rational Weierstrass point to infinity (x = a + 1/z) when the sextic has
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm, prod
+from math import prod
 
 from ..exact import (
     factorint,
@@ -354,15 +360,24 @@ def divisor_order(d: MumfordDivisor, f5, group_order: int) -> int:
         raise ValueError("group_order does not annihilate the divisor")
     order = 1
     for ell, v in factorint(group_order).items():
-        q = cantor_mul(group_order // ell**v, d, f5)
-        k = 0
-        while not q.is_identity:
-            if k == v:
-                raise ValueError("group_order does not annihilate the divisor")
-            q = cantor_mul(ell, q, f5)
-            k += 1
+        k, _ = _ell_ladder(cantor_mul(group_order // ell**v, d, f5), ell, v, f5)
         order *= ell**k
     return order
+
+
+def _ell_ladder(q: MumfordDivisor, ell: int, v: int, f5) -> tuple[int, MumfordDivisor]:
+    """(k, t) for a class q killed by ell^v: ell^k is its order and t =
+    [ell^(k - 1)] q its last nonzero multiple (q itself when k = 0).
+
+    ValueError when ell^v does not annihilate q.
+    """
+    k, t = 0, q
+    while not q.is_identity:
+        if k == v:
+            raise ValueError("group_order does not annihilate the divisor")
+        t, q = q, cantor_mul(ell, q, f5)
+        k += 1
+    return k, t
 
 
 # ---------------------------------------------------------------------------
@@ -407,22 +422,73 @@ def _quintic_model(c, p: int):
     return model
 
 
-def random_divisor(f5, p: int, rng: random.Random) -> MumfordDivisor:
-    """A pseudorandom divisor class: sum of two random affine points.
+def random_divisor(f, p: int, rng: random.Random) -> MumfordDivisor:
+    """A uniformly random class of J(F_p) on y^2 = f(x).
 
-    Raises ValueError when 64 p draws of x find no affine point; with
-    even one on the model, that happens with probability below e^-64.
+    f is a monic quintic, or a sextic with a non-square leading
+    coefficient (module docstring).  Every class is one reduced pair
+    (u, v): u monic of degree 0, 1 or 2 on the quintic and of degree 0
+    or 2 on the sextic, v one of the at most four square roots of f mod
+    u of degree < deg u.  Each try draws such a u and an index below
+    four, both uniformly, and keeps the root of that index if there is
+    one.  So every class comes with the same probability, and a try
+    succeeds with probability #J(F_p) / (4 * the number of u), about
+    1/4.  A model without affine points is no exception.
     """
+    lines = 0 if len(f) == 7 else p  # the u of degree 1
+    while True:
+        n, i = rng.randrange(1 + lines + p * p), rng.randrange(4)
+        if n == 0:
+            u = (1,)
+        elif n <= lines:
+            u = (n - 1, 1)
+        else:
+            u0, u1 = divmod(n - 1 - lines, p)
+            u = (u0, u1, 1)
+        roots = _square_roots_mod(f, u, p)
+        if i < len(roots):
+            return MumfordDivisor(p, u, roots[i])
 
-    def point() -> MumfordDivisor:
-        for _ in range(64 * p):
-            x = rng.randrange(p)
-            y = sqrt_mod(_eval(f5, x, p), p)
-            if y is not None:
-                return divisor_from_point(f5, p, x, rng.choice((y, p - y)))
-        raise ValueError(f"no affine point found on the quintic model mod {p}")
 
-    return cantor_add(point(), point(), f5)
+def _square_roots_mod(f, u, p: int) -> list[tuple[int, ...]]:
+    """Every v with deg v < deg u and v^2 = f mod u, for u monic of
+    degree <= 2 and f squarefree, sorted.
+
+    For deg u = 2 write u = X^2 - delta with X = x + u1/2, f = a + b X
+    and v = c + e X mod u.  Then c^2 + delta e^2 = a and 2 c e = b, and
+    c^2 - delta e^2 squares to the norm a^2 - delta b^2, which leaves at
+    most eight (c, e) to test when delta != 0.  When delta = 0, c^2 = a
+    with c != 0, since (x + u1/2)^2 does not divide f.
+    """
+    if len(u) == 1:
+        return [()]
+    if len(u) == 2:
+        return [fp_trim([y]) for y in _square_roots(_eval(f, -u[0], p), p)]
+    u0, u1 = u[0], u[1]
+    r = list(f)  # f mod u by synthetic division
+    for i in range(len(r) - 1, 1, -1):
+        r[i - 1] -= r[i] * u1
+        r[i - 2] -= r[i] * u0
+    half = (p + 1) // 2
+    h = u1 * half % p
+    delta = (h * h - u0) % p
+    a, b = (r[0] - r[1] * h) % p, r[1] % p
+    if delta == 0:
+        pairs = {(c, b * pow(2 * c, -1, p) % p) for c in _square_roots(a, p) if c}
+    else:
+        to_e = half * pow(delta, -1, p)
+        pairs = {(c, e)
+                 for n in _square_roots(a * a - delta * b * b, p)
+                 for c in _square_roots((a + n) * half, p)
+                 for e in _square_roots((a - n) * to_e, p)
+                 if (2 * c * e - b) % p == 0}
+    return sorted(fp_trim([(c + e * h) % p, e]) for c, e in pairs)
+
+
+def _square_roots(w: int, p: int) -> list[int]:
+    """The y in [0, p) with y^2 = w mod p."""
+    y = sqrt_mod(w, p)
+    return [] if y is None else [y] if y == 0 else [y, p - y]
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +526,6 @@ def _class_models(c, p: int, degrees, model):
     return f5, tuple(a * pow(d, 5 - i, p) % p for i, a in enumerate(f5))
 
 
-def _random_class(F, p: int, rng: random.Random) -> MumfordDivisor | None:
-    """P1 + P2 - D_inf for random affine points with x1 != x2, or None
-    when 64 draws do not find two.
-
-    u = (x - x1)(x - x2) and v is the chord through the two points; D_inf
-    is twice the point at infinity of a quintic, and the pair at infinity
-    of a sextic.
-    """
-    points: dict[int, int] = {}
-    for _ in range(64):
-        x = rng.randrange(p)
-        y = sqrt_mod(_eval(F, x, p), p)
-        if y is None:
-            continue
-        points[x] = rng.choice((y, (p - y) % p))
-        if len(points) == 2:
-            (x1, y1), (x2, y2) = points.items()
-            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-            v = fp_trim([(y1 - lam * x1) % p, lam])
-            return MumfordDivisor(p, (x1 * x2 % p, -(x1 + x2) % p, 1), v)
-    return None
-
-
 def _settle_by_annihilation(c, p: int, candidates, degrees, model, rng) -> WeilPoly2:
     """The candidate L whose L(1) annihilates J(F_p) and whose L(-1)
     annihilates the Jacobian of the quadratic twist.
@@ -491,17 +534,17 @@ def _settle_by_annihilation(c, p: int, candidates, degrees, model, rng) -> WeilP
     multiples of p.  For a class D and R = [p] D, the candidate with
     order n_0 + k p is ruled out unless [n_0] D + k R = 0.  Each round
     draws a class on the curve and, while more than one candidate is
-    left, one on the twist.  The true candidate is never ruled out; if
-    more than one is left after 16 rounds, ArithmeticError.
+    left, one on the twist, with ``random_divisor`` on the monic quintic
+    or on the sextic with a non-square leading coefficient.  The true
+    candidate is never ruled out; if more than one is left after 16
+    rounds, ArithmeticError.
     """
     alive = sorted(candidates, key=lambda w: w.a2)
     models = zip(_class_models(c, p, degrees, model), (1, -1))
     sides = [(F, sign) for F, sign in models if F is not None]
     for _ in range(16):
         for F, sign in sides:
-            d = _random_class(F, p, rng)
-            if d is None:
-                continue
+            d = random_divisor(F, p, rng)
             orders = [WeilPoly2(p, sign * w.a1, w.a2).point_count() for w in alive]
             step = cantor_mul(p, d, F)
             acc, at = cantor_mul(orders[0], d, F), orders[0]
@@ -530,10 +573,9 @@ def _settle_by_annihilation(c, p: int, candidates, degrees, model, rng) -> WeilP
 class JacobianGroup:
     """Order, invariant factors (ascending chain), and 2-rank of J(F_p).
 
-    ``invariants`` is None when no odd-degree model exists mod p (sextic
-    with no F_p-root) or when the model has no affine F_p-point (its only
-    point is at infinity, #C(F_p) = p + 1 + a1 = 1), in which case only
-    the order and the 2-rank are reported.
+    ``invariants`` is None only when no odd-degree model exists mod p
+    (the sextic has no F_p-root); then only the order and the 2-rank are
+    reported.
     """
 
     p: int
@@ -554,22 +596,130 @@ def _two_rank(degrees) -> int:
     return two_torsion_count(degrees).bit_length() - 1
 
 
+class _SylowProof:
+    """Certificate for the ell-Sylow subgroup S of J(F_p), ell^v || #J.
+
+    ``basis`` holds triples (b, e, t): a class b of S of order ell^e and
+    its last nonzero multiple t = [ell^(e - 1)] b, with the t
+    independent over F_ell.  Each t lies in ell^k S for k < e, so r_k =
+    dim (ell^k S)[ell] is at least the number of e > k.  ``shapes`` are
+    the partitions (e1 >= e2 >= ...) of v, for S = Z/ell^e1 x Z/ell^e2 x
+    ..., that these bounds leave, among those with at most four parts,
+    at most two unless ell | p - 1 (three independent classes of order
+    ell pair nontrivially under the Weil pairing, which puts mu_ell in
+    F_p), and exactly ``two_rank`` parts for ell = 2.  S is proved when
+    one shape is left.
+    """
+
+    def __init__(self, ell: int, v: int, p: int, two_rank: int):
+        self.ell, self.v = ell, v
+        most = 4 if (p - 1) % ell == 0 else 2
+        self.shapes = [s for s in _partitions(v, most) if ell != 2 or len(s) == two_rank]
+        self.basis: list[tuple[MumfordDivisor, int, MumfordDivisor]] = []
+        self.depth = 0  # the largest depth seen: ell^depth divides the exponent
+
+    @property
+    def shape(self) -> tuple[int, ...] | None:
+        return self.shapes[0] if len(self.shapes) == 1 else None
+
+    def add(self, q: MumfordDivisor, f5) -> None:
+        """Take in a class q of S.
+
+        Let q have depth d and last nonzero multiple t.  If t is not in
+        the span of the basis t_i, q joins the basis.  Otherwise t = sum
+        c_i t_i, and q - sum c_i [ell^(e_i - d)] b_i over the e_i >= d
+        has smaller depth and is taken in again; if only e_i < d take
+        part, q replaces one such b_i, which is taken in again.  Each
+        step lowers a depth or raises the sum of the e_i, which is at
+        most v.  A class is dropped once its depth d can no longer tell
+        the shapes apart, since it only bounds r_k for k < d.
+        """
+        ell, pending = self.ell, [q]
+        while pending and self.shape is None:
+            q = pending.pop()
+            while True:
+                depth, t = _ell_ladder(q, ell, self.v, f5)
+                self.depth = max(self.depth, depth)
+                if self._settled_below(depth):
+                    break
+                coords = _coordinates(t, [t_i for _, _, t_i in self.basis], ell, f5)
+                if coords is None:
+                    self.basis.append((q, depth, t))
+                    break
+                deeper = [(c, b, e) for c, (b, e, _) in zip(coords, self.basis)
+                          if c and e >= depth]
+                for c, b, e in deeper:
+                    q = cantor_add(q, cantor_mul(-c * ell ** (e - depth), b, f5), f5)
+                if not deeper:
+                    j = next(i for i, c in enumerate(coords) if c)
+                    pending.append(self.basis[j][0])
+                    self.basis[j] = (q, depth, t)
+                    break
+            es = sorted((e for _, e, _ in self.basis), reverse=True)
+            self.shapes = [s for s in self.shapes
+                           if len(s) >= len(es) and all(a >= b for a, b in zip(s, es))]
+
+    def _settled_below(self, depth: int) -> bool:
+        """Whether every shape left has the same r_k for all k < depth."""
+        ranks = {tuple(sum(e > k for e in s) for k in range(depth)) for s in self.shapes}
+        return len(ranks) == 1
+
+
+def _partitions(v: int, most: int, top: int | None = None):
+    """Partitions of v into at most ``most`` parts, each <= top, descending."""
+    if v == 0:
+        yield ()
+        return
+    if most == 0:
+        return
+    for first in range(min(v, top or v), 0, -1):
+        for rest in _partitions(v - first, most - 1, first):
+            yield (first, *rest)
+
+
+def _coordinates(t: MumfordDivisor, ts, ell: int, f5) -> tuple[int, ...] | None:
+    """(c_i) in [0, ell) with t = sum c_i t_i, for F_ell-independent
+    classes t_i of order ell, or None when t is not in their span.
+
+    Baby steps hold the span of the first half of the t_i, ell^(m // 2)
+    classes for m of them, and giant steps walk the span of the rest.
+    """
+    half = len(ts) // 2
+    baby = dict(_span(ts[:half], t.p, ell, f5))
+    for s, cs in _span(ts[half:], t.p, ell, f5):
+        hit = baby.get(cantor_add(t, cantor_neg(s), f5))
+        if hit is not None:
+            return hit + cs
+    return None
+
+
+def _span(ts, p: int, ell: int, f5):
+    """(sum c_i t_i, (c_i)) for every (c_i) in [0, ell)^len(ts)."""
+    if not ts:
+        yield identity_divisor(p), ()
+        return
+    for s, cs in _span(ts[:-1], p, ell, f5):
+        for c in range(ell):
+            yield s, cs + (c,)
+            s = cantor_add(s, ts[-1], f5)
+
+
 def _group_invariants(
     order: int, exponent: int, two_rank: int
 ) -> tuple[int, ...]:
     """Invariant factors from order, probed exponent, and exact 2-rank.
 
-    For odd primes the rank is a choice: the smallest one the exponent
-    allows, with as many cyclic factors of the full exponent as fit.
-    Order and exponent fix the ell-part only while v_ell(#J) <= 3; from
-    v_ell(#J) = 4 on they do not (Z/ell^2 x Z/ell^2 and Z/ell x Z/ell x
-    Z/ell^2 share order and exponent), and the answer may be wrong there.
-    Inconsistencies raise ValueError (a sign the randomized probe missed
-    a component; rerun with a different seed).
+    Only the fallback of ``jacobian_group_mod_p``, for a Sylow subgroup
+    that 16 probes did not prove.  For odd primes the rank is a choice:
+    the smallest one the exponent allows, with as many cyclic factors of
+    the full exponent as fit.  Order and exponent fix the ell-part only
+    while v_ell(#J) <= 3; from v_ell(#J) = 4 on they do not (Z/ell^2 x
+    Z/ell^2 and Z/ell x Z/ell x Z/ell^2 share order and exponent), and
+    the answer may be wrong there.  Inconsistencies raise ValueError (a
+    sign the randomized probe missed a component; rerun with a different
+    seed).
     """
-    if order == 1:
-        return ()
-    parts_by_prime: dict[int, list[int]] = {}
+    parts_by_prime: list[list[int]] = []
     for ell, tot in factorint(order).items():
         e = 0
         m = exponent
@@ -592,18 +742,17 @@ def _group_invariants(
             rem -= take
         if rem != 0 or parts[0] != e or min(parts) < 1:
             raise ArithmeticError(f"no {ell}-parts for {tot} with rank {rank}")
-        parts_by_prime[ell] = sorted(parts)
-    k = max(len(v) for v in parts_by_prime.values())
-    ds = []
-    for i in range(k):
-        d = 1
-        for ell, parts in parts_by_prime.items():
-            padded = [0] * (k - len(parts)) + parts
-            d *= ell ** padded[i]
-        ds.append(d)
-    if prod(ds) != order:
-        raise ArithmeticError(f"invariants {ds} do not multiply to {order}")
-    return validate_invariants(ds)
+        parts_by_prime.append([ell**k for k in parts])
+    return _invariant_factors(parts_by_prime)
+
+
+def _invariant_factors(sylows) -> tuple[int, ...]:
+    """The chain d1 | d2 | ... of Z/q x Z/q' x ..., for the cyclic
+    factors q (prime powers) of each Sylow subgroup."""
+    ranked = [sorted(qs, reverse=True) for qs in sylows]
+    k = max(map(len, ranked), default=0)
+    ds = [prod(qs[i] for qs in ranked if i < len(qs)) for i in range(k)]
+    return validate_invariants(reversed(ds))
 
 
 def jacobian_group_mod_p(
@@ -611,26 +760,32 @@ def jacobian_group_mod_p(
 ) -> JacobianGroup:
     """Structure of J(F_p) at a good prime p.
 
-    The order comes from the zeta function, the 2-rank from the
-    factorization type of f mod p, and the exponent from order probing on
-    at most 16 pseudorandom classes (seeded, hence deterministic).  The
-    probing stops early once the exponent equals the largest one possible,
-    #J / 2^(two_rank - 1): further probes could not change it.
+    The order comes from the zeta function and the 2-rank from the
+    factorization type of f mod p.  Each Sylow subgroup is proved by
+    ``_SylowProof`` from at most 16 uniformly random classes (seeded,
+    hence deterministic); probing stops as soon as every one is proved,
+    which needs no probe where order and rank bounds leave one shape.  A
+    Sylow subgroup still open after 16 probes gets the guess of
+    ``_group_invariants`` from the largest order seen.
     """
     degrees = _factor_degrees(curve, p)
     two_rank = _two_rank(degrees)
     f5 = odd_degree_model(curve, p)
-    lpoly = curve_lpoly(curve, p, degrees=degrees, model=f5)
-    order = lpoly.point_count()
-    if f5 is None or p + lpoly.a1 == 0:
+    order = curve_lpoly(curve, p, degrees=degrees, model=f5).point_count()
+    if f5 is None:
         return JacobianGroup(p, order, None, two_rank)
+    sylows = [_SylowProof(ell, v, p, two_rank) for ell, v in factorint(order).items()]
     rng = random.Random(seed)
-    largest = order >> (two_rank - 1) if two_rank else order
-    exponent = 1
     for _ in range(16):
-        d = random_divisor(f5, p, rng)
-        exponent = lcm(exponent, divisor_order(d, f5, order))
-        if exponent == largest:
+        open_ = [s for s in sylows if s.shape is None]
+        if not open_:
             break
-    invariants = _group_invariants(order, exponent, two_rank)
-    return JacobianGroup(p, order, invariants, two_rank)
+        d = random_divisor(f5, p, rng)
+        for s in open_:
+            s.add(cantor_mul(order // s.ell**s.v, d, f5), f5)
+    cyclic = [
+        [s.ell**e for e in s.shape] if s.shape is not None
+        else _group_invariants(s.ell**s.v, s.ell**s.depth, two_rank)
+        for s in sylows
+    ]
+    return JacobianGroup(p, order, _invariant_factors(cyclic), two_rank)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import collections
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -18,18 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grid_oracle import count_model
+from quatorsion.exact import fp_divmod
 from quatorsion.genus2 import family, jacobian
 from quatorsion.genus2.curve import (
-    CurveLabel,
     GenusTwoCurve,
     count_points_curve,
     curve_lpoly,
-    format_curve_label,
     good_prime,
     good_primes,
     lpoly_from_counts,
     parse_curve,
-    parse_curve_label,
 )
 from quatorsion.genus2.jacobian import (
     JacobianGroup,
@@ -124,38 +124,6 @@ def test_model_checks_fail_off_family():
     assert not family._field_of_moduli_ok(Fraction(1))
     assert not family._mestre_splits(Fraction(1))
     assert family._field_of_moduli_ok(Fraction(-16, 27))
-
-
-# ---------------------------------------------------------------------------
-# curve labels
-# ---------------------------------------------------------------------------
-
-
-def test_cited_curve_label_round_trip():
-    label = parse_curve_label("20736.l.373248.1")
-    assert label == CurveLabel(20736, "l", 373248, 1)
-    assert format_curve_label(label) == "20736.l.373248.1"
-
-
-@given(
-    cond=st.integers(1, 10**6),
-    cls=st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=3),
-    disc=st.integers(1, 10**6),
-    num=st.integers(1, 60),
-)
-def test_curve_label_round_trip_random(cond, cls, disc, num):
-    s = f"{cond}.{cls}.{disc}.{num}"
-    assert format_curve_label(parse_curve_label(s)) == s
-
-
-@pytest.mark.parametrize(
-    "bad",
-    ["", "20736.l.373248", "20736.l.373248.1.2", "0.a.1.1", "1.a.1.0",
-     "1.A.1.1", "-1.a.1.1", "1.a2.1.1", "x.a.1.1"],
-)
-def test_curve_label_malformed(bad):
-    with pytest.raises(ValueError, match="label"):
-        parse_curve_label(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -553,19 +521,147 @@ def test_divisor_order_edge_cases():
 
 
 def test_jacobian_probing_stops_at_largest_exponent(monkeypatch):
-    # (Z/2)^2 row at p = 5: J = Z/2 x Z/2 x Z/6, so no class has order
-    # 24 and the probing stops at exponent 24 / 2^(3 - 1) = 6
+    # (Z/2)^2 row at p = 5: #J = 24 and the 2-rank is 3, so the 2-part
+    # can only be (Z/2)^3 and the 3-part Z/3: no probe is needed
+    probes = _count_probes(monkeypatch)
+    g = jacobian_group_mod_p(TABLE[1].curve, 5)
+    assert g.invariants == (2, 2, 6)
+    assert probes == []
+
+
+def _enumerate_classes(f, p: int) -> list:
+    """Every reduced pair (u, v) on y^2 = f(x), found without the sampler:
+    deg u <= 2 on a monic quintic, deg u in {0, 2} on a sextic, and for
+    u = x^2 + u1 x + u0, v = v0 + v1 x solves v0^2 - u0 v1^2 = r0 and
+    2 v0 v1 - u1 v1^2 = r1 for f = r0 + r1 x mod u."""
+    roots = collections.defaultdict(list)
+    for y in range(p):
+        roots[y * y % p].append(y)
+    out = [identity_divisor(p)]
+    if len(f) == 6:
+        out += [divisor_from_point(f, p, x, y) for x in range(p)
+                for y in roots[jacobian._eval(f, x, p)]]
+    for u0, u1 in itertools.product(range(p), repeat=2):
+        r0, r1 = (fp_divmod(f, (u0, u1, 1), p)[1] + (0, 0))[:2]
+        for v1 in range(p):
+            if v1:
+                v0 = (r1 + u1 * v1 * v1) * pow(2 * v1, -1, p) % p
+                v0s = [v0] if (v0 * v0 - u0 * v1 * v1 - r0) % p == 0 else []
+            else:
+                v0s = roots[r0] if r1 == 0 else []
+            out += [mumford_divisor(f, p, (u0, u1, 1), (v0, v1)) for v0 in v0s]
+    return out
+
+
+def _order_counts(invariants) -> collections.Counter:
+    """How many elements of Z/d1 x Z/d2 x ... have each order."""
+    counts = collections.Counter()
+    for x in itertools.product(*(range(d) for d in invariants)):
+        counts[math.lcm(*(d // math.gcd(a, d) for a, d in zip(x, invariants)))] += 1
+    return counts
+
+
+def _generated(gens, f, p: int) -> set:
+    group, frontier = {identity_divisor(p)}, [identity_divisor(p)]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = cantor_add(x, g, f)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return group
+
+
+NO_AFFINE_POINT_MOD_7 = GenusTwoCurve.from_coefficients([6, 4, 1, 3, 4, 1])
+ENUMERATED = [(row.curve, p) for row in TABLE for p in good_primes(row.curve, 13)
+              if odd_degree_model(row.curve, p) is not None]
+# Z/2 x Z/4 x Z/236 at p = 43: v_2 = 5, with two parts above 2
+ENUMERATED += [(TABLE[1].curve, 43), (NO_AFFINE_POINT_MOD_7, 7)]
+
+
+@pytest.mark.parametrize("curve, p", ENUMERATED,
+                         ids=[f"{','.join(map(str, c.coeffs))}@{p}" for c, p in ENUMERATED])
+def test_jacobian_group_matches_class_enumeration(curve, p):
+    # finite abelian groups with the same number of elements of each
+    # order are isomorphic
+    f5 = odd_degree_model(curve, p)
+    order = curve_lpoly(curve, p).point_count()
+    classes = _enumerate_classes(f5, p)
+    assert len(set(classes)) == len(classes) == order
+    counts = collections.Counter(divisor_order(d, f5, order) for d in classes)
+    assert counts == _order_counts(jacobian_group_mod_p(curve, p).invariants)
+
+
+def test_random_divisor_draws_generate_every_class():
+    # (3,3) row at p = 7: J = Z/6 x Z/6, and sums of two rational points
+    # generate only 12 of its 36 classes
+    f5 = odd_degree_model(TABLE[3].curve, 7)
+    rng = random.Random(0)
+    draws = [random_divisor(f5, 7, rng) for _ in range(12)]
+    assert len(_generated(draws, f5, 7)) == 36
+
+
+@pytest.mark.parametrize("index, p", [(2, 7), (3, 11), (4, 13)])
+def test_random_divisor_reaches_every_class_of_the_inert_sextic(index, p):
+    # no rational Weierstrass point: the classes are D - D_inf with deg u
+    # in {0, 2}, and there are #J(F_p) of them
+    curve = TABLE[index].curve
+    assert odd_degree_model(curve, p) is None
+    sextic = jacobian._inert_model([c % p for c in curve.coeffs], p)
+    classes = set(_enumerate_classes(sextic, p))
+    assert len(classes) == curve_lpoly(curve, p).point_count()
+    rng = random.Random(1)
+    assert {random_divisor(sextic, p, rng) for _ in range(40 * len(classes))} == classes
+
+
+def _count_probes(monkeypatch) -> list:
+    """Draws of random_divisor made by the probing of jacobian_group_mod_p,
+    after the L-polynomial step, which draws classes of its own."""
     probes = []
-    probe = jacobian.random_divisor
+    draw, lpoly = jacobian.random_divisor, jacobian.curve_lpoly
 
     def counted(*args):
         probes.append(args)
-        return probe(*args)
+        return draw(*args)
+
+    def lpoly_then_reset(*args, **kwargs):
+        out = lpoly(*args, **kwargs)
+        probes.clear()
+        return out
 
     monkeypatch.setattr(jacobian, "random_divisor", counted)
-    g = jacobian_group_mod_p(TABLE[1].curve, 5)
-    assert g.invariants == (2, 2, 6)
-    assert len(probes) < 16
+    monkeypatch.setattr(jacobian, "curve_lpoly", lpoly_then_reset)
+    return probes
+
+
+def test_probing_proves_every_structure_before_sixteen_probes(monkeypatch):
+    probes = _count_probes(monkeypatch)
+    probed = 0
+    for row in TABLE:
+        for p in good_primes(row.curve, 100):
+            if odd_degree_model(row.curve, p) is None:
+                continue
+            jacobian_group_mod_p(row.curve, p, 0)
+            assert len(probes) < 16, (row.torsion, p, len(probes))
+            probed += 1
+    assert probed == 61
+
+
+def test_unproved_sylow_subgroup_falls_back_to_the_exponent_guess(monkeypatch):
+    # draws confined to a cyclic subgroup of J = Z/6 x Z/6 cannot prove
+    # the 3-part: all 16 probes run, and the 3-rank is the guess of
+    # _group_invariants from order 9 and exponent 3
+    f5 = odd_degree_model(TABLE[3].curve, 7)
+    rng = random.Random(0)
+    d = random_divisor(f5, 7, rng)
+    while divisor_order(d, f5, 36) != 6:
+        d = random_divisor(f5, 7, rng)
+    monkeypatch.setattr(jacobian, "random_divisor",
+                        lambda f, p, rng: cantor_mul(rng.randrange(6), d, f))
+    probes = _count_probes(monkeypatch)
+    assert jacobian_group_mod_p(TABLE[3].curve, 7).invariants == (6, 6)
+    assert len(probes) == 16
 
 
 def test_factor_degrees_match_sympy():
@@ -718,17 +814,17 @@ def test_divisor_order_check_survives_python_O():
 
 def test_model_with_no_affine_point_does_not_hang():
     # the monic quintic model mod 7 has one point, at infinity: #C(F_7) =
-    # 7 + 1 + a1 = 1; run in a subprocess so that a hang fails the test
+    # 7 + 1 + a1 = 1, so every class but zero has deg u = 2; run in a
+    # subprocess so that a hang fails the test
     code = (
         "import random\n"
         "from quatorsion.genus2.curve import parse_curve\n"
         "from quatorsion.genus2.jacobian import jacobian_group_mod_p, random_divisor\n"
         "curve = parse_curve('x^5 + 4x^4 + 3x^3 + x^2 + 4x + 6')\n"
         "print(jacobian_group_mod_p(curve, 7))\n"
-        "try:\n"
-        "    random_divisor((6, 4, 1, 3, 4, 1), 7, random.Random(0))\n"
-        "except ValueError as exc:\n"
-        "    print('ValueError', exc)\n"
+        "rng = random.Random(0)\n"
+        "draws = [random_divisor((6, 4, 1, 3, 4, 1), 7, rng) for _ in range(200)]\n"
+        "print(len(set(draws)), sorted({len(d.u) - 1 for d in draws}))\n"
     )
     src = str(Path(jacobian.__file__).resolve().parents[2])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -736,8 +832,8 @@ def test_model_with_no_affine_point_does_not_hang():
                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
-        "JacobianGroup(p=7, order=18, invariants=None, two_rank=1)",
-        "ValueError no affine point found on the quintic model mod 7",
+        "JacobianGroup(p=7, order=18, invariants=(18,), two_rank=1)",
+        "18 [0, 2]",
     ]
 
 

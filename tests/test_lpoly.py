@@ -150,7 +150,7 @@ def test_twist_only_case(monkeypatch):
     f5 = odd_degree_model(TWIST_ONLY, p)
     models = jacobian._class_models(c, p, degrees, f5)
     for n in (w.point_count(), WeilPoly2(p, a1, 1).point_count()):
-        d = jacobian._random_class(models[0], p, random.Random(n))
+        d = jacobian.random_divisor(models[0], p, random.Random(n))
         assert cantor_mul(n, d, models[0]).is_identity
     original = jacobian._class_models
     monkeypatch.setattr(jacobian, "_class_models", lambda *args: (original(*args)[0], None))
@@ -245,8 +245,8 @@ def test_large_prime_flat_memory_and_annihilation():
     degrees = jacobian._factor_degrees(SIX_CURVE, p)
     model = jacobian._class_models(c, p, degrees, odd_degree_model(SIX_CURVE, p))[0]
     rng = random.Random(11)
-    classes = [jacobian._random_class(model, p, rng) for _ in range(8)]
-    assert all(d is not None and not d.is_identity for d in classes)
+    classes = [jacobian.random_divisor(model, p, rng) for _ in range(8)]
+    assert not any(d.is_identity for d in classes)
     assert all(cantor_mul(w.point_count(), d, model).is_identity for d in classes)
 
 
@@ -261,7 +261,8 @@ def test_inert_sextic_fast_path_matches_generic_cantor():
             F = jacobian._inert_model(c, p)
             if F is None:
                 continue
-            classes = [d for d in (jacobian._random_class(F, p, rng) for _ in range(6)) if d]
+            classes = [d for d in (jacobian.random_divisor(F, p, rng) for _ in range(6))
+                       if not d.is_identity]
             for d1 in classes:
                 acc = d1
                 for d2 in classes + [d1]:
@@ -284,8 +285,8 @@ def test_generic_cantor_rejects_odd_degree_on_inert_sextic():
     y = sympy.sqrt_mod(jacobian._eval(F, x, p), p)
     point = MumfordDivisor(p, ((p - x) % p, 1), (y,))  # not a class on this model
     rng = random.Random(1)
-    d = jacobian._random_class(F, p, rng)
-    while jacobian._eval(d.u, x, p) == 0:
-        d = jacobian._random_class(F, p, rng)
+    d = jacobian.random_divisor(F, p, rng)
+    while d.is_identity or jacobian._eval(d.u, x, p) == 0:
+        d = jacobian.random_divisor(F, p, rng)
     with pytest.raises(ArithmeticError, match="no progress"):
         jacobian._cantor_generic(point, d, F)
