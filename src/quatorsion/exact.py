@@ -98,6 +98,7 @@ __all__ = [
     "fp_exact_div",
     "fp_mod",
     "fp_monic",
+    "fp_gcd",
     "fp_gcdext",
     "fp_mulmod",
     "fp_powmod",
@@ -882,6 +883,15 @@ def fp_monic(f, p: int) -> tuple[int, ...]:
     return tuple(c * inv % p for c in f)
 
 
+def fp_gcd(f, g, p: int) -> tuple[int, ...]:
+    """Monic gcd of f and g (zero when both are): ``fp_gcdext`` without
+    the Bezout cofactors."""
+    r0, r1 = tuple(f), tuple(g)
+    while r1:
+        r0, r1 = r1, fp_mod(r0, r1, p)
+    return fp_monic(r0, p) if r0 else ()
+
+
 def fp_gcdext(f, g, p: int):
     """(d, s, t) with s f + t g = d and d monic (or zero)."""
     r0, r1 = tuple(f), tuple(g)
@@ -949,7 +959,7 @@ def fp_distinct_degree(f, p: int) -> list[tuple[int, tuple[int, ...]]]:
             for c in reversed(h[:-1]):
                 acc = fp_add(fp_mulmod(acc, frob, f, p), (c,), p)
             h = acc
-        g = fp_gcdext(f, fp_sub(h, x, p), p)[0]
+        g = fp_gcd(f, fp_sub(h, x, p), p)
         if len(g) > 1:
             out.append((k, g))
             f = fp_exact_div(f, g, p)
@@ -970,7 +980,7 @@ def _fp_equal_degree(g, k: int, p: int, rng: random.Random) -> list[tuple[int, .
         a = fp_trim([rng.randrange(p) for _ in range(len(g) - 1)])
         if len(a) < 2:
             continue
-        d = fp_gcdext(g, fp_sub(fp_powmod(a, e, g, p), (1,), p), p)[0]
+        d = fp_gcd(g, fp_sub(fp_powmod(a, e, g, p), (1,), p), p)
         if 1 < len(d) < len(g):
             return _fp_equal_degree(d, k, p, rng) + _fp_equal_degree(
                 fp_exact_div(g, d, p), k, p, rng
@@ -985,11 +995,11 @@ def _fp_squarefree_parts(f, p: int) -> list[tuple[tuple[int, ...], int]]:
     left is a polynomial in x^p, the p-th power of the polynomial made of
     every p-th coefficient, since Frobenius fixes F_p."""
     out = []
-    c = fp_gcdext(f, fp_trim([i * a % p for i, a in enumerate(f)][1:]), p)[0]
+    c = fp_gcd(f, fp_trim([i * a % p for i, a in enumerate(f)][1:]), p)
     w = fp_exact_div(f, c, p)
     i = 1
     while len(w) > 1:
-        y = fp_gcdext(w, c, p)[0]
+        y = fp_gcd(w, c, p)
         if len(w) > len(y):
             out.append((fp_exact_div(w, y, p), i))
         w, c = y, fp_exact_div(c, y, p)
@@ -1080,7 +1090,7 @@ def _modular_factors(h) -> tuple[int, list[tuple[int, ...]]]:
     dh = poly_derivative(h)
     for p in _TRIAL_PRIMES[1:]:
         hp = fp_trim([c % p for c in h])
-        if h[-1] % p == 0 or len(fp_gcdext(hp, fp_trim([c % p for c in dh]), p)[0]) != 1:
+        if h[-1] % p == 0 or len(fp_gcd(hp, fp_trim([c % p for c in dh]), p)) != 1:
             continue
         return p, [g for g, _ in fp_factor(hp, p, random.Random(f"{p}/{h}"))]
     raise ArithmeticError(f"no prime below 1000 keeps {h} square-free")

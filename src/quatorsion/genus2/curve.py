@@ -10,14 +10,21 @@ drops but the reduction stays smooth (the leading coefficient vanishes
 mod p while the quintic reduction is squarefree).
 
 The L-polynomial L(T) = 1 + a1 T + a2 T^2 + p a1 T^3 + p^2 T^4 of a
-reduction takes O(p) time and O(1) memory, in four steps:
+reduction takes O(p) time and O(1) memory at one prime, and those at
+every good p <= B come from one pass, in four steps:
 
 1. The Hasse-Witt (Cartier-Manin) matrix is W = [[c_{p-1}, c_{p-2}],
-   [c_{2p-1}, c_{2p-2}]] in the coefficients c_n of f^((p-1)/2).  On a
-   model with f(0) f_6 != 0 mod p, the recurrence that f h' = k f' h
-   gives for h = f^k (Bostan-Gaudry-Schost, SIAM J. Comput. 2007) runs
-   up from c_0 for the low pair and, on the reversed polynomial, down
-   from the leading term for the high pair.
+   [c_{2p-1}, c_{2p-2}]] in the coefficients c_n of f^((p-1)/2).  The
+   recurrence that f h' = k f' h gives for h = f^k (Bostan-Gaudry-Schost,
+   SIAM J. Comput. 2007) is, mod p, one integer matrix product
+   e_1 M(1) ... M(p-1) with M(n) free of p, on a model with f(0) f_6
+   prime to p; the reversed polynomial gives the high pair.
+   ``curve_lpolys`` runs that product once for all p <= B, on one
+   integer model, reduced modulo the product of the primes not yet
+   passed: about B steps on integers of about 1.44 B bits, in O(B)
+   bits of memory, against sum p ~ B^2 / (2 ln B) steps one prime at a
+   time.  The few p >= 7 dividing f(0) f_6 of that model, and
+   ``curve_lpoly``, run it for one prime on a model for that prime.
 2. a1 = -tr W and a2 = det W mod p (Manin).  For p >= 67 the Weil
    bound |a1| <= 4 sqrt(p) < p/2 fixes a1; below it, a1 comes from
    counting the points over F_p.
@@ -43,9 +50,9 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from ..exact import factorint, isprime, poly_discriminant, primerange
+from ..exact import factorint, isprime, poly_discriminant, poly_eval, primerange
 from ..weil import WeilPoly2, is_weil_valid
 
 # ---------------------------------------------------------------------------
@@ -168,16 +175,17 @@ def _eval(c, x: int, p: int) -> int:
 
 
 def _taylor_coeffs(coeffs, a: int, p: int) -> list[int]:
-    """Coefficients t_k of f(a + w) = sum t_k w^k, by synthetic division."""
-    work = [c % p for c in reversed(coeffs)]
+    """Coefficients t_k of f(a + w) = sum t_k w^k, by synthetic division:
+    mod p, or over Z for p = 0."""
+    work = list(reversed(coeffs))
     out = []
     while work:
         acc = 0
         for i in range(len(work)):
-            acc = (acc * a + work[i]) % p
+            acc = acc * a + work[i]
             work[i] = acc
         out.append(work.pop())
-    return out
+    return [t % p for t in out] if p else out
 
 
 def _count_points(c, p: int, n: int) -> int:
@@ -249,52 +257,86 @@ def lpoly_from_counts(count1: int, count2: int, p: int) -> WeilPoly2:
 # ---------------------------------------------------------------------------
 
 
-def _hasse_witt_model(c, p: int) -> list[int]:
-    """An F_p-isomorphic model of y^2 = c(x) with c(0) c_6 != 0, p >= 7."""
-    if c[6] == 0:
-        # x = a + 1/z: z^6 c(a + 1/z) has leading coefficient c(a)
-        a = next(a for a in range(p) if _eval(c, a, p))
+def _hasse_witt_model(c, p: int = 0) -> list[int]:
+    """A model of y^2 = c(x) with c(0) c_6 prime to p, for p >= 7; over Z
+    (c(0) c_6 != 0) for p = 0.
+
+    x = a + 1/z when the degree drops, then x = z + b, with the least
+    a >= 0 and b >= 1 that are not roots: a quintic has at most five
+    roots and a sextic with the root 0 at most five more, so a <= 5 and
+    b <= 6.  Both substitutions are unimodular, so over Z the model keeps
+    the binary discriminant, and with it the good primes.
+    """
+
+    def unit(v: int) -> int:
+        return v % p if p else v
+
+    if not unit(c[6]):
+        # z^6 c(a + 1/z) has leading coefficient c(a)
+        a = next(a for a in range(7) if unit(poly_eval(c, a)))
         c = _taylor_coeffs(c, a, p)[::-1]
-    if c[0] == 0:
-        b = next(b for b in range(1, p) if _eval(c, b, p))
+    if not unit(c[0]):
+        b = next(b for b in range(1, 8) if unit(poly_eval(c, b)))
         c = _taylor_coeffs(c, b, p)
     return c
 
 
-def _power_coeffs(f, p: int) -> tuple[int, int]:
-    """Coefficients c_{p-2}, c_{p-1} of f^((p-1)/2) mod p, for f(0) != 0.
+def _power_pairs(f, primes):
+    """Yield (p, c_{p-2}, c_{p-1}) mod p of f^((p-1)/2) for each p of
+    ``primes``, odd, ascending and prime to f(0), from one recurrence.
 
     h = f^k with k = (p-1)/2 satisfies f h' = k f' h.  Its x^(n-1)
     coefficient reads sum_i (n - (k+1) i) f_i c_{n-i} = 0, and k + 1 is
-    1/2 mod p, so 2 n f_0 c_n = -sum_{i=1..6} (2n - i) f_i c_{n-i}: one
-    step per n < p, keeping the last six coefficients.  They are kept
-    times n!, which turns the division by n into a product by n of the
-    five older ones; at the end (p-1)! = -1 mod p (Wilson) undoes it.
+    1/2 mod p, so 2 n f_0 c_n = -sum_{i=1..6} (2n - i) f_i c_{n-i}, which
+    does not depend on p.  Times (-2 f_0)^n n! / c_0, the window
+    (c_n, ..., c_{n-5}) is T_n = T_{n-1} M(n) with T_0 = e_1, where the
+    integer matrix M(n) has first column (2n - i) f_i and superdiagonal
+    -2 f_0 n.  At n = p - 1, (-2 f_0)^(p-1) = 1 and (p-1)! = -1 mod p
+    (Wilson), and c_0 = f_0^k is the Legendre symbol chi(f_0), so
+    c_{p-1} = -chi(f_0) T[0] and c_{p-2} = -chi(f_0) T[1] mod p.
+
+    T runs once over n < max(primes), modulo the product of the primes
+    not yet passed: for primes up to B, about B steps on integers of
+    about 1.44 B bits, in O(B) bits of memory.
     """
     f0, f1, f2, f3, f4, f5, f6 = f
-    g1, g2, g3, g4, g5, g6 = f1, 2 * f2, 3 * f3, 4 * f4, 5 * f5, 6 * f6
-    scale = pow(-2 * f0, -1, p)
-    c1, c2, c3, c4, c5, c6 = pow(f0, (p - 1) // 2, p), 0, 0, 0, 0, 0
-    for n in range(1, p):
-        s = 2 * n * (f1 * c1 + f2 * c2 + f3 * c3 + f4 * c4 + f5 * c5 + f6 * c6)
-        s -= g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 + g5 * c5 + g6 * c6
-        c1, c2, c3, c4, c5, c6 = (
-            s * scale % p, c1 * n % p, c2 * n % p, c3 * n % p, c4 * n % p, c5 * n % p
-        )
-    return -c2 % p, -c1 % p
+    m = -2 * f0
+    modulus = prod(primes)
+    t0, t1, t2, t3, t4, t5 = 1, 0, 0, 0, 0, 0
+    n = 0
+    for p in primes:
+        for n in range(n + 1, p):
+            n2 = 2 * n
+            s = ((n2 - 1) * f1 * t0 + (n2 - 2) * f2 * t1 + (n2 - 3) * f3 * t2
+                 + (n2 - 4) * f4 * t3 + (n2 - 5) * f5 * t4 + (n2 - 6) * f6 * t5)
+            k = m * n
+            t0, t1, t2, t3, t4, t5 = (
+                s % modulus, t0 * k % modulus, t1 * k % modulus,
+                t2 * k % modulus, t3 * k % modulus, t4 * k % modulus,
+            )
+        chi = pow(f0, (p - 1) // 2, p)
+        yield p, -chi * t1 % p, -chi * t0 % p
+        modulus //= p
+
+
+def _hasse_witt_traces(f, primes):
+    """Yield (p, tr W, det W) mod p of the Hasse-Witt matrix of y^2 = f(x)
+    for each p of ``primes``, ascending and prime to f(0) f_6.
+
+    W = [[c_{p-1}, c_{p-2}], [c_{2p-1}, c_{2p-2}]] in the coefficients of
+    f^((p-1)/2).  The top two are c_{p-2} and c_{p-1} of the power of the
+    reversed f, which is the reversed power.
+    """
+    low, high = _power_pairs(f, primes), _power_pairs(f[::-1], primes)
+    for (p, low2, low1), (_, high1, high2) in zip(low, high):
+        yield p, (low1 + high2) % p, (low1 * high2 - low2 * high1) % p
 
 
 def _hasse_witt(c, p: int) -> tuple[int, int]:
-    """Trace and determinant mod p of the Hasse-Witt matrix of y^2 = c(x).
-
-    W = [[c_{p-1}, c_{p-2}], [c_{2p-1}, c_{2p-2}]] in the coefficients of
-    f^((p-1)/2), for a model f with f(0) f_6 != 0.  The top two are c_{p-2}
-    and c_{p-1} of the power of the reversed f, which is the reversed power.
-    """
-    f = _hasse_witt_model(c, p)
-    low2, low1 = _power_coeffs(f, p)  # c_{p-2}, c_{p-1}
-    high1, high2 = _power_coeffs(f[::-1], p)  # c_{2p-1}, c_{2p-2}
-    return (low1 + high2) % p, (low1 * high2 - low2 * high1) % p
+    """Trace and determinant mod p of the Hasse-Witt matrix of y^2 = c(x),
+    from the recurrence for p alone on a model for p alone."""
+    _, trace, det = next(_hasse_witt_traces(_hasse_witt_model(c, p), [p]))
+    return trace, det
 
 
 def _weil_candidates(p: int, a1: int, a2_mod_p: int) -> list[WeilPoly2]:
@@ -340,9 +382,40 @@ def curve_lpoly(
     c = [v % p for v in curve.coeffs]
     if p <= 5:
         return lpoly_from_counts(_count_points(c, p, 1), _count_points(c, p, 2), p)
+    return _lpoly_from_hasse_witt(curve, p, *_hasse_witt(c, p), degrees, model)
+
+
+def curve_lpolys(curve: GenusTwoCurve, bound: int):
+    """Yield (p, L) for every good prime p <= bound, ascending: the Weil
+    polynomials of ``curve_lpoly``, from one recurrence for all of them.
+
+    The recurrence runs on one integer model with f(0) f_6 != 0 (step 1
+    of the module docstring), forward and reversed: about B steps on
+    integers of about 1.44 B bits for B = bound, in O(B) bits of memory.
+    A prime p >= 7 that divides f(0) f_6 of that model gets the
+    recurrence for p alone, on a model for p alone.
+    """
+    f = _hasse_witt_model(curve.coeffs)
+    primes = good_primes(curve, bound)
+    batch = _hasse_witt_traces(f, [p for p in primes if p > 5 and f[0] * f[6] % p])
+    for p in primes:
+        if p <= 5:
+            yield p, curve_lpoly(curve, p)
+            continue
+        if f[0] * f[6] % p:
+            _, trace, det = next(batch)
+        else:
+            trace, det = _hasse_witt([v % p for v in curve.coeffs], p)
+        yield p, _lpoly_from_hasse_witt(curve, p, trace, det)
+
+
+def _lpoly_from_hasse_witt(
+    curve: GenusTwoCurve, p: int, trace: int, det: int, degrees=None, model=None
+) -> WeilPoly2:
+    """Steps 2 to 4 of the module docstring, from tr W and det W mod p >= 7."""
     from . import jacobian  # jacobian imports this module
 
-    trace, det = _hasse_witt(c, p)
+    c = [v % p for v in curve.coeffs]
     if p < 67:
         a1 = _count_points(c, p, 1) - p - 1
         if (a1 + trace) % p:

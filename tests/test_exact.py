@@ -685,6 +685,20 @@ def test_fp_factor_edge_cases():
         exact.fp_factor((1, 1), 2, random.Random(0))
 
 
+_FP_POLY = st.lists(st.integers(0, 10**6), max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FP_POLY, _FP_POLY, _FP_POLY, st.sampled_from([3, 5, 7, 101, 65521]))
+def test_fp_gcd_matches_gcdext(a, b, common, p):
+    # a common factor makes the gcd nontrivial; empty lists give zero
+    reduce = lambda h: exact.fp_trim([c % p for c in h])
+    f = exact.fp_mul(reduce(a), reduce(common), p)
+    g = exact.fp_mul(reduce(b), reduce(common), p)
+    for u, v in ((f, g), (g, f), (f, ()), ((), g), ((), ())):
+        assert exact.fp_gcd(u, v, p) == exact.fp_gcdext(u, v, p)[0]
+
+
 def test_recombination_runs_on_swinnerton_dyer():
     # mod p the quartic has two or four factors; only their product lifts
     p, factors = exact._modular_factors(SWINNERTON_DYER)

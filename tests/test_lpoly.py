@@ -21,6 +21,7 @@ from quatorsion.genus2.curve import (
     GenusTwoCurve,
     count_points_curve,
     curve_lpoly,
+    curve_lpolys,
     good_prime,
     good_primes,
 )
@@ -100,25 +101,86 @@ def _power_from_expansion(f, p: int) -> tuple[int, int]:
     return h[p - 2], h[p - 1]
 
 
-def test_power_coeffs_match_full_power():
-    # the inverse-free recurrence on the model and on the reversed model
+def test_power_pairs_match_full_power():
+    # the recurrence for one prime, on the model and on the reversed model
     for curve in CURVES + [TWIST_ONLY]:
         for p in good_primes(curve, 60):
             if p < 7:
                 continue
             f = curve_mod._hasse_witt_model([v % p for v in curve.coeffs], p)
             for g in (f, f[::-1]):
-                assert curve_mod._power_coeffs(g, p) == _power_from_expansion(g, p), (curve, p)
+                assert next(curve_mod._power_pairs(g, [p]))[1:] == _power_from_expansion(g, p), (curve, p)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_COEFF, min_size=7, max_size=7),
        st.sampled_from(list(sympy.primerange(3, 80))))
-def test_power_coeffs_match_full_power_random(coeffs, p):
+def test_power_pairs_match_full_power_random(coeffs, p):
     f = [c % p for c in coeffs]
     if f[0] == 0:
         f[0] = 1
-    assert curve_mod._power_coeffs(f, p) == _power_from_expansion(f, p)
+    assert next(curve_mod._power_pairs(f, [p]))[1:] == _power_from_expansion(f, p)
+
+
+def test_global_model_keeps_the_good_primes():
+    for curve in CURVES + [TWIST_ONLY]:
+        f = curve_mod._hasse_witt_model(curve.coeffs)
+        assert f[0] * f[6] != 0
+        assert curve_mod._binary_sextic_disc(f) == curve.binary_disc, curve
+
+
+def test_batched_hasse_witt_matches_full_power():
+    # one recurrence over all the primes, on the integer model, against
+    # f^((p-1)/2) of the curve itself at every good 7 <= p <= 60
+    seen = 0
+    for curve in CURVES + [TWIST_ONLY]:
+        f = curve_mod._hasse_witt_model(curve.coeffs)
+        primes = [p for p in good_primes(curve, 60) if p >= 7 and f[0] * f[6] % p]
+        for p, trace, det in curve_mod._hasse_witt_traces(f, primes):
+            c = [v % p for v in curve.coeffs]
+            assert (trace, det) == _hasse_witt_from_power(c, p), (curve, p)
+            seen += 1
+    assert seen > 100
+
+
+@pytest.mark.parametrize("curve", CURVES + [TWIST_ONLY], ids=str)
+def test_curve_lpolys_match_curve_lpoly(curve):
+    expected = [(p, curve_lpoly(curve, p)) for p in good_primes(curve, 300)]
+    assert list(curve_lpolys(curve, 300)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_COEFF, min_size=7, max_size=7), st.booleans(), st.booleans(),
+       st.integers(7, 200))
+def test_curve_lpolys_match_curve_lpoly_random(coeffs, quintic, root_at_zero, bound):
+    if quintic:
+        coeffs[6] = 0
+    if root_at_zero:
+        coeffs[0] = 0
+    try:
+        curve = GenusTwoCurve.from_coefficients(coeffs)
+    except ValueError:  # degree below 5, or singular
+        return
+    expected = [(p, curve_lpoly(curve, p)) for p in good_primes(curve, bound)]
+    assert list(curve_lpolys(curve, bound)) == expected
+
+
+def test_curve_lpolys_fall_back_at_primes_of_the_model(monkeypatch):
+    # f(0) f_6 = 7 * 143 = 7 * 11 * 13 on the curve itself, which is its
+    # own global model: those three primes are good and each takes the
+    # recurrence for itself alone
+    curve = GenusTwoCurve.from_coefficients([7, 2, 0, 3, 0, 1, 143])
+    assert tuple(curve_mod._hasse_witt_model(curve.coeffs)) == curve.coeffs
+    assert all(good_prime(curve, p) for p in (7, 11, 13))
+    alone = []
+    original = curve_mod._hasse_witt
+    monkeypatch.setattr(curve_mod, "_hasse_witt",
+                        lambda c, p: alone.append(p) or original(c, p))
+    batched = list(curve_lpolys(curve, 150))
+    assert alone == [7, 11, 13]
+    monkeypatch.undo()
+    assert batched == [(p, curve_lpoly(curve, p)) for p in good_primes(curve, 150)]
+    assert all(w == oracle_lpoly(curve.coeffs, p) for p, w in batched if p <= 40)
 
 
 def test_degree_drop_prime():
