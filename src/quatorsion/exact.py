@@ -538,7 +538,12 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form of an integer matrix.
 
     Returns the nonzero rows: upper echelon, positive pivots, entries above
-    each pivot reduced to [0, pivot).
+    each pivot reduced to [0, pivot).  This is the unique Hermite basis of
+    the row lattice, so two generating sets of one lattice give the same
+    rows.  The entries above the pivots are reduced in pivot order, top to
+    bottom (Cohen, "A Course in Computational Algebraic Number Theory",
+    Alg. 2.4.5): subtracting pivot row r changes only the columns from
+    its pivot on, so it never undoes a reduction at an earlier pivot.
     """
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0])
@@ -567,7 +572,7 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
             if pivot_row == nrows:
                 break
     # reduce entries above the pivots
-    for r, col in reversed(pivots):
+    for r, col in pivots:
         p = m[r][col]
         for r2 in range(r):
             q = m[r2][col] // p

@@ -573,9 +573,10 @@ def _settle_by_annihilation(c, p: int, candidates, degrees, model, rng) -> WeilP
 class JacobianGroup:
     """Order, invariant factors (ascending chain), and 2-rank of J(F_p).
 
-    ``invariants`` is None only when no odd-degree model exists mod p
-    (the sextic has no F_p-root); then only the order and the 2-rank are
-    reported.
+    ``invariants`` is None when the structure is not proved: no
+    odd-degree model exists mod p (the sextic has no F_p-root), or 16
+    classes left a Sylow subgroup open.  The order and the 2-rank are
+    always reported.
     """
 
     p: int
@@ -616,7 +617,6 @@ class _SylowProof:
         most = 4 if (p - 1) % ell == 0 else 2
         self.shapes = [s for s in _partitions(v, most) if ell != 2 or len(s) == two_rank]
         self.basis: list[tuple[MumfordDivisor, int, MumfordDivisor]] = []
-        self.depth = 0  # the largest depth seen: ell^depth divides the exponent
 
     @property
     def shape(self) -> tuple[int, ...] | None:
@@ -639,7 +639,6 @@ class _SylowProof:
             q = pending.pop()
             while True:
                 depth, t = _ell_ladder(q, ell, self.v, f5)
-                self.depth = max(self.depth, depth)
                 if self._settled_below(depth):
                     break
                 coords = _coordinates(t, [t_i for _, _, t_i in self.basis], ell, f5)
@@ -704,48 +703,6 @@ def _span(ts, p: int, ell: int, f5):
             s = cantor_add(s, ts[-1], f5)
 
 
-def _group_invariants(
-    order: int, exponent: int, two_rank: int
-) -> tuple[int, ...]:
-    """Invariant factors from order, probed exponent, and exact 2-rank.
-
-    Only the fallback of ``jacobian_group_mod_p``, for a Sylow subgroup
-    that 16 probes did not prove.  For odd primes the rank is a choice:
-    the smallest one the exponent allows, with as many cyclic factors of
-    the full exponent as fit.  Order and exponent fix the ell-part only
-    while v_ell(#J) <= 3; from v_ell(#J) = 4 on they do not (Z/ell^2 x
-    Z/ell^2 and Z/ell x Z/ell x Z/ell^2 share order and exponent), and
-    the answer may be wrong there.  Inconsistencies raise ValueError (a
-    sign the randomized probe missed a component; rerun with a different
-    seed).
-    """
-    parts_by_prime: list[list[int]] = []
-    for ell, tot in factorint(order).items():
-        e = 0
-        m = exponent
-        while m % ell == 0:
-            m //= ell
-            e += 1
-        if e == 0:
-            raise ValueError(f"exponent probe found no {ell}-part")
-        rank = two_rank if ell == 2 else -(-tot // e)
-        if not 1 <= rank <= tot or e > tot - rank + 1 or tot > rank * e:
-            raise ValueError(
-                f"probed exponent {exponent} is inconsistent with "
-                f"order {order} at ell = {ell}"
-            )
-        parts = []
-        rem = tot
-        for s in range(rank):
-            take = min(e, rem - (rank - 1 - s))
-            parts.append(take)
-            rem -= take
-        if rem != 0 or parts[0] != e or min(parts) < 1:
-            raise ArithmeticError(f"no {ell}-parts for {tot} with rank {rank}")
-        parts_by_prime.append([ell**k for k in parts])
-    return _invariant_factors(parts_by_prime)
-
-
 def _invariant_factors(sylows) -> tuple[int, ...]:
     """The chain d1 | d2 | ... of Z/q x Z/q' x ..., for the cyclic
     factors q (prime powers) of each Sylow subgroup."""
@@ -765,8 +722,8 @@ def jacobian_group_mod_p(
     ``_SylowProof`` from at most 16 uniformly random classes (seeded,
     hence deterministic); probing stops as soon as every one is proved,
     which needs no probe where order and rank bounds leave one shape.  A
-    Sylow subgroup still open after 16 probes gets the guess of
-    ``_group_invariants`` from the largest order seen.
+    Sylow subgroup still open after 16 probes leaves the structure
+    unproved, and ``invariants`` is None.
     """
     degrees = _factor_degrees(curve, p)
     two_rank = _two_rank(degrees)
@@ -783,9 +740,7 @@ def jacobian_group_mod_p(
         d = random_divisor(f5, p, rng)
         for s in open_:
             s.add(cantor_mul(order // s.ell**s.v, d, f5), f5)
-    cyclic = [
-        [s.ell**e for e in s.shape] if s.shape is not None
-        else _group_invariants(s.ell**s.v, s.ell**s.depth, two_rank)
-        for s in sylows
-    ]
+    if any(s.shape is None for s in sylows):
+        return JacobianGroup(p, order, None, two_rank)
+    cyclic = [[s.ell**e for e in s.shape] for s in sylows]
     return JacobianGroup(p, order, _invariant_factors(cyclic), two_rank)

@@ -10,9 +10,13 @@ Conventions
   ``conj(t, x, y, z) = (t, -x, -y, -z)``, the reduced trace ``trd = 2t``
   and the reduced norm ``nrd = t^2 - a x^2 - b y^2 + a b z^2``.
 * An order is a rank-4 lattice containing 1, closed under multiplication,
-  with integral reduced traces and norms.  Its basis is canonicalized so
-  that the first basis vector is 1 (always possible: 1 is primitive in
-  any order because trd(1/n) = 2/n).
+  with integral reduced traces and norms.  Its canonical basis comes from
+  the Hermite normal form of the lattice with the coordinates taken in
+  the order ``(x, y, z, t)``: the last Hermite row spans the lattice's
+  meet with Q, so it is 1 (1 is primitive in any order because
+  trd(1/n) = 2/n), and the basis is 1 followed by the three rows above
+  it, whose scalar parts lie in [0, 1).  It depends only on the lattice,
+  so ``==`` on orders is equality of lattices.
 * ``reduced_discriminant(O)``  is the positive square root of
   ``|det(trd(e_i e_j))|``; it equals the algebra discriminant exactly for
   maximal orders, and picks up a factor ``[O':O]`` under passing to a
@@ -226,78 +230,6 @@ def discriminant(alg: QuatAlgebra) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer lattice utilities
-
-
-def _lattice_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the lattice spanned by rational row vectors, via HNF."""
-    den = math.lcm(*(c.denominator for row in rows for c in row))
-    int_rows = [[int(c * den) for c in row] for row in rows]
-    hnf = hnf_rows(int_rows)
-    return [[Fraction(x, den) for x in row] for row in hnf]
-
-
-def _complete_unimodular(vec: Sequence[int]) -> list[list[int]]:
-    """Unimodular integer matrix whose first row is the primitive vector ``vec``.
-
-    Column-reduces ``vec`` to a standard basis vector by elementary
-    operations while accumulating the inverse operations, so the result
-    ``W`` satisfies ``e_0 W = vec``.
-    """
-    n = len(vec)
-    v = list(vec)
-    w = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
-    while True:
-        nonzero = sorted((idx for idx in range(n) if v[idx] != 0), key=lambda idx: abs(v[idx]))
-        if len(nonzero) == 1:
-            break
-        i, j = nonzero[0], nonzero[1]
-        q = v[j] // v[i]
-        # column op v_j -= q v_i pairs with row op w_i += q w_j on the inverse
-        v[j] -= q * v[i]
-        w[i] = [x + q * y for x, y in zip(w[i], w[j])]
-    idx = next(s for s in range(n) if v[s] != 0)
-    if abs(v[idx]) != 1:
-        raise ValueError("only a primitive vector completes to a unimodular matrix")
-    if v[idx] < 0:
-        w[idx] = [-x for x in w[idx]]
-    w[0], w[idx] = w[idx], w[0]
-    return w
-
-
-def _canonical_order_rows(
-    basis_rows: Sequence[Sequence[Fraction]], one_coeffs: Sequence[int]
-) -> list[list[Fraction]]:
-    """Canonical basis rows with first row 1.
-
-    The complement is the Hermite form of the lattice's image in the pure
-    quaternion coordinates, with each scalar coordinate reduced into
-    ``[0, 1)`` by subtracting a multiple of 1; the result depends only on
-    the lattice.
-    """
-    completion = _complete_unimodular(one_coeffs)
-    mixed = [
-        [sum(completion[r][s] * basis_rows[s][c] for s in range(4)) for c in range(4)]
-        for r in range(4)
-    ]
-    den = math.lcm(*(c.denominator for row in mixed[1:] for c in row))
-    # Hermite-reduce with column priority (x, y, z, t): pivots land in the
-    # pure part, which has full rank because the kernel of the projection
-    # is exactly Z * 1.
-    permuted = [
-        [int(row[1] * den), int(row[2] * den), int(row[3] * den), int(row[0] * den)]
-        for row in mixed[1:]
-    ]
-    hnf = hnf_rows(permuted)
-    rows4 = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]
-    for row in hnf:
-        t = Fraction(row[3], den)
-        t -= math.floor(t)
-        rows4.append([t, Fraction(row[0], den), Fraction(row[1], den), Fraction(row[2], den)])
-    return rows4
-
-
-# ---------------------------------------------------------------------------
 # orders
 
 
@@ -305,9 +237,10 @@ def _canonical_order_rows(
 class QuatOrder:
     """An order in a rational quaternion algebra.
 
-    ``basis`` lists four elements whose Z-span is the order; the first
-    basis element is always 1.  Construct through :meth:`from_basis`,
-    which canonicalizes and validates.
+    ``basis`` lists four elements whose Z-span is the order: 1, then the
+    Hermite rows of the module docstring.  Construct through
+    :meth:`from_basis`, which takes any spanning rows, canonicalizes and
+    validates.
 
     Two integer fields carry the arithmetic of the order, and everything
     else (Gram matrices, products, norms, conjugation) is derived from
@@ -325,22 +258,29 @@ class QuatOrder:
 
     @classmethod
     def from_basis(cls, algebra: QuatAlgebra, rows: Iterable[Sequence[Fraction]]) -> "QuatOrder":
-        """Build and validate an order from four rational coordinate rows."""
+        """Build and validate the order spanned by rational coordinate rows.
+
+        Any rows that span the lattice will do.  The basis is 1 followed by
+        the first three rows of the lattice's Hermite form over the
+        coordinates (x, y, z, t), whose last row must be 1 itself.
+        """
         matrix = [[_frac(c) for c in row] for row in rows]
-        if len(matrix) != 4 or any(len(row) != 4 for row in matrix):
-            raise ValueError("an order basis consists of four coordinate 4-vectors")
-        basis_rows = _lattice_basis(matrix)
-        if len(basis_rows) != 4:
+        if not matrix or any(len(row) != 4 for row in matrix):
+            raise ValueError("an order is spanned by coordinate 4-vectors")
+        den = math.lcm(*(c.denominator for row in matrix for c in row))
+        # the Hermite form with the coordinates in the order (x, y, z, t)
+        hnf = hnf_rows([[int(c * den) for c in row[1:] + row[:1]] for row in matrix])
+        if len(hnf) != 4:
             raise ValueError("order basis must have rank 4")
-        # the coordinates of 1 = (1, 0, 0, 0) form row 0 of the inverse
-        one = mat_inverse(basis_rows)[0]
-        if any(c.denominator != 1 for c in one):
+        # the last Hermite row (0, 0, 0, g) / den spans the lattice's meet with Q
+        g = hnf[3][3]
+        if den % g:
             raise ValueError("an order must contain 1")
-        ints = [int(c) for c in one]
-        if math.gcd(*ints) != 1:
+        if g != den:
             # 1/n lies in the lattice for some n >= 2, so nrd is non-integral
             raise ValueError("an order must contain 1 as a primitive vector")
-        rows4 = _canonical_order_rows(basis_rows, ints)
+        # 1, then the three rows above it, back in the order (t, x, y, z)
+        rows4 = [[Fraction(c, den) for c in row[3:] + row[:3]] for row in hnf[3:] + hnf[:3]]
         basis = tuple(QuatElt(algebra, tuple(row)) for row in rows4)
         for e in basis:
             if e.trd().denominator != 1 or e.nrd().denominator != 1:
@@ -513,7 +453,9 @@ def _enlarge_at(order: QuatOrder, p: int) -> QuatOrder | None:
     Each residue with coordinates c is screened in integers before any
     quaternion is built: trd(v/p) = sum c_i trd(e_i) / p and nrd(v/p) =
     c G c^T / (2 p^2), with G the norm Gram matrix, must both be integers.
-    O + Z(v/p) strictly contains O, so its reduced discriminant is smaller.
+    ``from_basis`` then gets the four basis rows of O and the row of v/p
+    as they are, since any spanning rows will do.  O + Z(v/p) strictly
+    contains O, so its reduced discriminant is smaller.
     """
     basis_rows = order.basis_matrix()
     traces = order.traces
@@ -525,7 +467,7 @@ def _enlarge_at(order: QuatOrder, p: int) -> QuatOrder | None:
             continue
         w = order.element([Fraction(ci, p) for ci in c])
         try:
-            return QuatOrder.from_basis(order.algebra, _lattice_basis(basis_rows + [list(w.coords)]))
+            return QuatOrder.from_basis(order.algebra, basis_rows + [list(w.coords)])
         except ValueError:
             continue
     return None

@@ -429,6 +429,40 @@ def test_det_bareiss_examples():
     assert exact.det_bareiss([[1, 2], [2, 4]]) == 0
 
 
+def test_hnf_rows_reduces_above_every_pivot():
+    # subtracting the middle row changes the last column, which must end in [0, 4)
+    assert exact.hnf_rows([[1, 1, 0], [0, 1, 3], [0, 0, 4]]) == [[1, 0, 1], [0, 1, 3], [0, 0, 4]]
+
+
+@st.composite
+def hnf_inputs(draw):
+    """An integer matrix M, 3x3 to 4x5, and a unimodular U with as many rows,
+    a product of row additions, swaps and negations."""
+    nrows = draw(st.integers(3, 4))
+    ncols = draw(st.integers(nrows, 5))
+    m = [draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    row_ops = st.tuples(st.sampled_from([0, 2, 3]), st.integers(0, 3), st.integers(0, 3),
+                        st.integers(-4, 4))
+    identity = [[int(r == c) for c in range(nrows)] for r in range(nrows)]
+    u = _apply_unimodular_ops(identity, draw(st.lists(row_ops, min_size=1, max_size=10)))
+    return m, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnf_inputs())
+def test_hnf_rows_is_the_hermite_form_of_the_row_lattice(inputs):
+    m, u = inputs
+    um = [[sum(a * row[c] for a, row in zip(urow, m)) for c in range(len(m[0]))] for urow in u]
+    hnf = exact.hnf_rows(m)
+    assert exact.hnf_rows(um) == hnf
+    assert len(hnf) == Matrix(m).rank()
+    cols = [next(c for c, x in enumerate(row) if x) for row in hnf]
+    assert cols == sorted(set(cols))  # echelon: pivots strictly to the right
+    for r, col in enumerate(cols):
+        assert hnf[r][col] > 0
+        assert all(0 <= hnf[above][col] < hnf[r][col] for above in range(r))
+
+
 # ---------------------------------------------------------------------------
 # factorization over Q
 

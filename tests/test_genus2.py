@@ -499,20 +499,6 @@ def test_jacobian_group_without_odd_model():
     assert g.two_rank == 0  # odd order forces trivial 2-torsion
 
 
-def test_group_invariants_reconstruction():
-    assert jacobian._group_invariants(1, 1, 0) == ()
-    assert jacobian._group_invariants(24, 6, 3) == (2, 2, 6)
-    assert jacobian._group_invariants(24, 24, 1) == (24,)
-    assert jacobian._group_invariants(16, 4, 2) == (4, 4)
-    assert jacobian._group_invariants(36, 6, 2) == (6, 6)
-    with pytest.raises(ValueError, match="no 3-part"):
-        jacobian._group_invariants(12, 2, 2)
-    with pytest.raises(ValueError, match="inconsistent"):
-        jacobian._group_invariants(24, 6, 2)  # 2-part 8 with rank 2, exp 2
-    with pytest.raises(ValueError, match="inconsistent"):
-        jacobian._group_invariants(16, 4, 1)
-
-
 def test_divisor_order_edge_cases():
     f5 = F5_MOD7
     assert divisor_order(identity_divisor(7), f5, 1) == 1
@@ -648,10 +634,9 @@ def test_probing_proves_every_structure_before_sixteen_probes(monkeypatch):
     assert probed == 61
 
 
-def test_unproved_sylow_subgroup_falls_back_to_the_exponent_guess(monkeypatch):
+def test_unproved_sylow_subgroup_leaves_the_structure_open(monkeypatch):
     # draws confined to a cyclic subgroup of J = Z/6 x Z/6 cannot prove
-    # the 3-part: all 16 probes run, and the 3-rank is the guess of
-    # _group_invariants from order 9 and exponent 3
+    # the 3-part: all 16 probes run, and the structure is not proved
     f5 = odd_degree_model(TABLE[3].curve, 7)
     rng = random.Random(0)
     d = random_divisor(f5, 7, rng)
@@ -660,7 +645,8 @@ def test_unproved_sylow_subgroup_falls_back_to_the_exponent_guess(monkeypatch):
     monkeypatch.setattr(jacobian, "random_divisor",
                         lambda f, p, rng: cantor_mul(rng.randrange(6), d, f))
     probes = _count_probes(monkeypatch)
-    assert jacobian_group_mod_p(TABLE[3].curve, 7).invariants == (6, 6)
+    g = jacobian_group_mod_p(TABLE[3].curve, 7)
+    assert (g.order, g.invariants, g.two_rank) == (36, None, 2)
     assert len(probes) == 16
 
 

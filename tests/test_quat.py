@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,39 @@ def test_order_basis_is_canonicalized(omax_1_6):
         ],
     )
     assert shuffled == omax_1_6
+    # two generating sets of Z + Zx + 3 O_max with x = (1 + i + 2j + k)/2;
+    # the scalar part of the second basis element is 1/2 from either
+    third = Fraction(3, 2)
+    suborder = quat.QuatOrder.from_basis(
+        alg, [[1, 0, 0, 0], [HALF, HALF, 1, HALF], [0, 0, third, third], [0, 0, 0, 3]]
+    )
+    assert suborder.basis[1] == alg.element(HALF, HALF, 1, HALF)
+    assert suborder == quat.QuatOrder.from_basis(
+        alg, [[1, 0, 0, 0], [HALF, third, 0, -third], [-HALF, -HALF, HALF, 1], [0, 0, 0, 3]]
+    )
+    # any spanning rows will do: 1, x and 3 times the rows of O_max
+    spanning = [[1, 0, 0, 0], [HALF, HALF, 1, HALF]] + [
+        [3 * c for c in e.coords] for e in omax_1_6.basis
+    ]
+    assert quat.QuatOrder.from_basis(alg, spanning) == suborder
+    rng = random.Random(3)
+    rows = suborder.basis_matrix()
+    for _ in range(40):
+        u = _random_unimodular(rng, 4)
+        mixed = [[sum(a * row[c] for a, row in zip(urow, rows)) for c in range(4)] for urow in u]
+        assert quat.QuatOrder.from_basis(alg, mixed) == suborder
+
+
+def _random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A product of random row additions, swaps and negations."""
+    u = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(12):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-3, 3)
+        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+        if rng.random() < 0.3:
+            u[i], u[j] = u[j], [-x for x in u[i]]
+    return u
 
 
 def test_order_requires_rank_four():
@@ -173,13 +207,20 @@ def test_order_requires_rank_four():
         quat.QuatOrder.from_basis(
             alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 0]]
         )
+    for rows in ([], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError):
+            quat.QuatOrder.from_basis(alg, rows)
 
 
 def test_order_requires_one():
     alg = _alg16()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must contain 1$"):
         quat.QuatOrder.from_basis(
             alg, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        )
+    with pytest.raises(ValueError, match="primitive"):
+        quat.QuatOrder.from_basis(
+            alg, [[HALF, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
 
 
