@@ -21,8 +21,9 @@ Sections
 * Integers: :func:`isprime` (trial division by the primes below 42,
   then Miller-Rabin to those 13 bases; a proof below ``ISPRIME_BOUND``
   = 3317044064679887385961981, about 3.3e24; above it a failed test
-  proves compositeness, and a pass goes to Pocklington's test, which
-  raises ValueError when n - 1 does not factor far enough),
+  proves compositeness, and a pass goes to Pocklington's test when n - 1
+  factors far enough, else to the Brillhart-Lehmer-Selfridge n + 1 test
+  when n + 1 does, and raises ValueError when neither does),
   :func:`factorint` (trial division to 1000, then perfect powers and
   Pollard-Brent rho; every cofactor goes through :func:`isprime`),
   :func:`primefactors`, :func:`multiplicity`, :func:`primerange` (a
@@ -33,10 +34,9 @@ Sections
   :func:`fundamental_discriminant` and :func:`padic_valuation`.
 * Linear algebra, on row vectors: the row-style Hermite normal form of an
   integer matrix (:func:`hnf_rows`), the fraction-free determinant of a
-  square integer matrix (:func:`det_bareiss`), the inverse of a rational matrix
-  (:func:`mat_inverse`), Smith forms over Z (:func:`smith_diagonal`,
-  :func:`smith_invariants`) and the reduced row echelon form over F_p
-  (:func:`rref_mod`).
+  square integer matrix (:func:`det_bareiss`), Smith forms over Z
+  (:func:`smith_diagonal`, :func:`smith_invariants`) and the reduced row
+  echelon form over F_p (:func:`rref_mod`).
 * Integer polynomials: ring operations, content, and the discriminant
   as a Sylvester resultant (:func:`poly_discriminant`).
 * Polynomials over F_p: ring operations, division, extended gcd, powers
@@ -74,7 +74,6 @@ __all__ = [
     "padic_valuation",
     "hnf_rows",
     "det_bareiss",
-    "mat_inverse",
     "rref_mod",
     "smith_diagonal",
     "smith_invariants",
@@ -107,10 +106,6 @@ __all__ = [
     "factor_poly_q",
 ]
 
-Rat = Fraction
-IntPoly = "tuple[int, ...]"
-
-
 # ---------------------------------------------------------------------------
 # integers: primality, factoring, primes
 
@@ -125,10 +120,11 @@ def isprime(n: int) -> bool:
 
     Trial division by the 13 primes below 42, then the strong
     (Miller-Rabin) test to those bases, which no composite below
-    ISPRIME_BOUND passes.  A failed test proves n composite at any size;
-    an n of ISPRIME_BOUND or more that passes goes to Pocklington's test
-    (:func:`_pocklington`), which proves it prime or composite, or raises
-    ValueError when n - 1 does not factor far enough within its budget.
+    ISPRIME_BOUND passes.  A failed test proves n composite at any size.
+    An n of ISPRIME_BOUND or more that passes is proved prime or composite
+    by Pocklington's test when n - 1 has a factored part F > sqrt(n) + 1,
+    else by the Brillhart-Lehmer-Selfridge test when n + 1 has one; else
+    ValueError.
     """
     n = operator.index(n)
     if n < 2:
@@ -150,38 +146,37 @@ def isprime(n: int) -> bool:
                 break
         else:
             return False
-    if n >= ISPRIME_BOUND:
-        return _pocklington(n)
-    return True
+    if n < ISPRIME_BOUND:
+        return True
+    for m, proof in ((n - 1, _pocklington), (n + 1, _lucas_plus_one)):
+        factored, primes = _factored_part(m, n)
+        if (factored - 1) ** 2 > n:
+            return proof(n, primes)
+    raise ValueError(
+        f"{n} passes the strong test, but n - 1 and n + 1 did not factor past sqrt(n) "
+        f"within {_PROOF_RHO_STEPS} rho steps per cofactor"
+    )
 
 
-# Pollard rho steps spent on each composite cofactor of n - 1 in _pocklington
-_POCKLINGTON_RHO_STEPS = 1 << 16
+# Pollard rho steps spent on each composite cofactor of n - 1 or n + 1
+_PROOF_RHO_STEPS = 1 << 16
 
 
-def _pocklington(n: int) -> bool:
-    """Whether n, odd and free of primes below 42, is prime, by Pocklington's theorem.
-
-    If F divides n - 1, F > sqrt(n), and for every prime q | F some a has
-    a^(n-1) = 1 mod n and gcd(a^((n-1)/q) - 1, n) = 1, then n is prime
-    (Crandall-Pomerance, Prime Numbers, Theorem 4.1.3).  F collects the
-    prime factors of n - 1 found by trial division to 1000, then by
-    Pollard rho on each composite cofactor, at most _POCKLINGTON_RHO_STEPS
-    steps each; a cofactor of ISPRIME_BOUND or more is proved prime the
-    same way.  The witnesses a are the primes below 1000.  A failed Fermat
-    test or a proper gcd proves n composite.  ValueError when F stays at
-    most sqrt(n) or no witness turns up.
-    """
-    m = n - 1
+def _factored_part(m: int, n: int) -> tuple[int, set[int]]:
+    """(F, primes of F) for a divisor F of m, grown until F > sqrt(n) + 1:
+    trial division to 1000, then Pollard rho on each composite cofactor,
+    at most _PROOF_RHO_STEPS steps each.  A cofactor that :func:`isprime`
+    cannot prove stays out of F."""
     primes = set()
+    rest = m
     for q in _TRIAL_PRIMES:
-        if m % q == 0:
+        if rest % q == 0:
             primes.add(q)
-            while m % q == 0:
-                m //= q
-    factored = (n - 1) // m
-    pending = [m] if m > 1 else []
-    while pending and factored * factored <= n:
+            while rest % q == 0:
+                rest //= q
+    factored = m // rest
+    pending = [rest] if rest > 1 else []
+    while pending and (factored - 1) ** 2 <= n:
         c = pending.pop()
         try:
             prime = isprime(c)
@@ -192,13 +187,18 @@ def _pocklington(n: int) -> bool:
             factored *= c
         elif power := _perfect_power(c):
             pending += [power[0]] * power[1]
-        elif d := _rho_divisor(c, _POCKLINGTON_RHO_STEPS):
+        elif d := _rho_divisor(c, _PROOF_RHO_STEPS):
             pending += [d, c // d]
-    if factored * factored <= n:
-        raise ValueError(
-            f"{n} passes the strong test, but n - 1 did not factor past sqrt(n) "
-            f"within {_POCKLINGTON_RHO_STEPS} rho steps per cofactor"
-        )
+    return factored, primes
+
+
+def _pocklington(n: int, primes: set[int]) -> bool:
+    """Pocklington's test, given the primes of F | n - 1 with F > sqrt(n):
+    n is prime if for every prime q | F some a has a^(n-1) = 1 mod n and
+    gcd(a^((n-1)/q) - 1, n) = 1 (Crandall-Pomerance, Prime Numbers,
+    Theorem 4.1.3).  The witnesses a are the primes below 1000.  A failed
+    Fermat test or a proper gcd proves n composite; ValueError when no
+    witness turns up."""
     for q in sorted(primes):
         for a in _TRIAL_PRIMES:
             if pow(a, n - 1, n) != 1:
@@ -211,6 +211,42 @@ def _pocklington(n: int) -> bool:
         else:
             raise ValueError(f"no Pocklington witness below 1000 for {n} and q = {q}")
     return True
+
+
+def _lucas_plus_one(n: int, primes: set[int]) -> bool:
+    """The Brillhart-Lehmer-Selfridge test, given the primes of F | n + 1
+    with F > sqrt(n) + 1 (Crandall-Pomerance, Theorem 4.2.3).
+
+    U is the Lucas sequence of x^2 - x + Q, D = 1 - 4Q running over
+    Selfridge's 5, -7, 9, -11, ... to the first Jacobi symbol
+    (D/n) = -1.  If n | U_(n+1) and gcd(U_((n+1)/q), n) = 1 for every
+    prime q | F, every prime p | n has F | p - (D/p), so p > sqrt(n) and
+    n is prime.  A prime n divides U_(n+1), so a nonzero U_(n+1), a
+    proper gcd, or a D or Q sharing a factor with n proves n composite.
+    A gcd equal to n moves on to the next D; ValueError after 500 of them.
+    """
+    for k in range(500):
+        D = (5 + 2 * k) * (-1) ** k
+        Q = (1 - D) // 4
+        j = kronecker_symbol(D, n)
+        if j == 0 or math.gcd(Q, n) != 1:
+            return False  # |D| and |Q| are far below n, so the gcd is proper
+        if j == 1:
+            continue
+        if _lucas_u(n + 1, Q, n):
+            return False
+        gcds = [math.gcd(_lucas_u((n + 1) // q, Q, n), n) for q in sorted(primes)]
+        if any(g not in (1, n) for g in gcds):
+            return False
+        if all(g == 1 for g in gcds):
+            return True
+    raise ValueError(f"no Lucas witness among 500 Selfridge discriminants for {n}")
+
+
+def _lucas_u(k: int, Q: int, n: int) -> int:
+    """U_k mod n for the Lucas sequence of x^2 - x + Q: modulo that
+    polynomial, x^k = U_k x - Q U_(k-1)."""
+    return (fp_powmod((0, 1), k, (Q % n, n - 1, 1), n) + (0, 0))[1]
 
 
 def _rho_divisor(n: int, budget: int | None = None) -> int | None:
@@ -601,26 +637,6 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
-
-
-def mat_inverse(rows: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
-    n = len(rows)
-    aug = [
-        [_as_fraction(c) for c in row] + [Fraction(1) if i == r else Fraction(0) for i in range(n)]
-        for r, row in enumerate(rows)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [c / aug[col][col] for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [c - factor * d for c, d in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def rref_mod(rows: Iterable[Sequence[int]], p: int) -> list[tuple[int, ...]]:

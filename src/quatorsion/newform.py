@@ -122,12 +122,15 @@ class TwistReport:
     """Outcome of the self-twist and inner-twist checks.
 
     ``conclusive`` is False when the coefficient list is too short to
-    decide (distinct from a negative verdict).  ``self_twist_basis``
-    records whether the self-twist answer came from the source flag
-    ("declared") or from the a_p = 0 pattern ("heuristic").
+    decide (distinct from a negative verdict).  ``basis`` is "sturm" when
+    the stored a_p reach :func:`sturm_bound`, so they fix the newform, and
+    "evidence" otherwise.  ``self_twist_basis`` records whether the
+    self-twist answer came from the source flag ("declared") or from the
+    a_p = 0 pattern ("heuristic").
     """
 
     conclusive: bool
+    basis: str
     self_twist: bool
     self_twist_basis: str
     inner_twists: tuple[int, ...]
@@ -359,6 +362,15 @@ def _self_twist_holds(record: NewformRecord, d: int, bound: int) -> bool:
     return inert >= MIN_WITNESSES
 
 
+def sturm_bound(level: int) -> int:
+    """The weight-2 Sturm bound of Gamma_0(N), the least integer at least
+    N prod_{p | N} (1 + 1/p) / 6: forms whose a_n agree up to it are equal."""
+
+    primes = factorint(level)
+    index = level // math.prod(primes) * math.prod(p + 1 for p in primes)
+    return -(-index // 6)
+
+
 def twist_checks(record: NewformRecord) -> TwistReport:
     """Detect the self-twist flag and the nontrivial inner twists.
 
@@ -372,9 +384,11 @@ def twist_checks(record: NewformRecord) -> TwistReport:
     """
 
     P = record.coeff_bound()
+    basis = "sturm" if P >= sturm_bound(record.level) else "evidence"
     if P < TWIST_COEFF_BOUND:
         return TwistReport(
             conclusive=False,
+            basis=basis,
             self_twist=False,
             self_twist_basis="",
             inner_twists=(),
@@ -390,18 +404,19 @@ def twist_checks(record: NewformRecord) -> TwistReport:
     )
 
     if record.has_self_twist is not None:
-        self_twist, basis = record.has_self_twist, "declared"
+        self_twist, self_twist_basis = record.has_self_twist, "declared"
     else:
         self_twist = any(
             _self_twist_holds(record, d, P)
             for d in _fundamental_discriminants(TWIST_SCAN_BOUND)
             if d < 0
         )
-        basis = "heuristic"
+        self_twist_basis = "heuristic"
     return TwistReport(
         conclusive=True,
+        basis=basis,
         self_twist=self_twist,
-        self_twist_basis=basis,
+        self_twist_basis=self_twist_basis,
         inner_twists=accepted,
     )
 

@@ -17,6 +17,13 @@ Conventions
   trd(1/n) = 2/n), and the basis is 1 followed by the three rows above
   it, whose scalar parts lie in [0, 1).  It depends only on the lattice,
   so ``==`` on orders is equality of lattices.
+* Orders are built and used in integers: ``den`` times the canonical
+  basis is triangular, so coordinates come from back-substitution with
+  exact division, and the multiplication table is solved that way from
+  integer products of the rows; a remainder means the lattice is not
+  closed under multiplication.
+* ``maximal_order`` enlarges Z<1, i, j, k> by elements v/p, one prime p
+  at a time, with v in the radical of the trace form trd(x y) mod p.
 * ``reduced_discriminant(O)``  is the positive square root of
   ``|det(trd(e_i e_j))|``; it equals the algebra discriminant exactly for
   maximal orders, and picks up a factor ``[O':O]`` under passing to a
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exact import det_bareiss, factorint, hilbert_symbol, hnf_rows, mat_inverse
+from .exact import det_bareiss, factorint, hilbert_symbol, hnf_rows, rref_mod
 
 __all__ = [
     "QuatAlgebra",
@@ -134,17 +141,7 @@ class QuatElt:
             return self.scale(other)
         self._require_same_algebra(other)
         a, b = self.algebra.a, self.algebra.b
-        t1, x1, y1, z1 = self.coords
-        t2, x2, y2, z2 = other.coords
-        return QuatElt(
-            self.algebra,
-            (
-                t1 * t2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
-                t1 * x2 + x1 * t2 - b * y1 * z2 + b * z1 * y2,
-                t1 * y2 + y1 * t2 + a * x1 * z2 - a * z1 * x2,
-                t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2,
-            ),
-        )
+        return QuatElt(self.algebra, _product(self.coords, other.coords, 1, a, b, a * b))
 
     def __rmul__(self, other) -> "QuatElt":
         if isinstance(other, (int, Fraction)):
@@ -242,17 +239,21 @@ class QuatOrder:
     :meth:`from_basis`, which takes any spanning rows, canonicalizes and
     validates.
 
-    Two integer fields carry the arithmetic of the order, and everything
-    else (Gram matrices, products, norms, conjugation) is derived from
-    them in integer arithmetic:
+    The other fields are integers, and everything else (coordinates,
+    Gram matrices, products, norms, conjugation) is derived from them in
+    integer arithmetic:
 
+    * ``hermite[i]`` is ``den * e_i`` over (t, x, y, z), ``den`` the least
+      common denominator: row r has its positive pivot in column r, and
+      the rows solved after it vanish there (see :func:`_solve`);
     * ``table[i][j]`` holds the coordinates of ``e_i e_j`` in the basis;
     * ``traces[i]`` is ``trd(e_i)``, so ``traces[0] == 2``.
     """
 
     algebra: QuatAlgebra
     basis: tuple[QuatElt, QuatElt, QuatElt, QuatElt]
-    basis_inv: tuple[tuple[Fraction, ...], ...] = dataclasses.field(compare=False, repr=False)
+    hermite: tuple[tuple[int, ...], ...] = dataclasses.field(compare=False, repr=False)
+    den: int = dataclasses.field(compare=False, repr=False)
     table: tuple[tuple[tuple[int, ...], ...], ...] = dataclasses.field(compare=False, repr=False)
     traces: tuple[int, int, int, int] = dataclasses.field(compare=False, repr=False)
 
@@ -262,14 +263,16 @@ class QuatOrder:
 
         Any rows that span the lattice will do.  The basis is 1 followed by
         the first three rows of the lattice's Hermite form over the
-        coordinates (x, y, z, t), whose last row must be 1 itself.
+        coordinates (x, y, z, t), whose last row must be 1 itself.  The
+        other checks run on those integer rows.
         """
         matrix = [[_frac(c) for c in row] for row in rows]
         if not matrix or any(len(row) != 4 for row in matrix):
             raise ValueError("an order is spanned by coordinate 4-vectors")
         den = math.lcm(*(c.denominator for row in matrix for c in row))
         # the Hermite form with the coordinates in the order (x, y, z, t)
-        hnf = hnf_rows([[int(c * den) for c in row[1:] + row[:1]] for row in matrix])
+        hnf = hnf_rows([[c.numerator * den // c.denominator for c in row[1:] + row[:1]]
+                         for row in matrix])
         if len(hnf) != 4:
             raise ValueError("order basis must have rank 4")
         # the last Hermite row (0, 0, 0, g) / den spans the lattice's meet with Q
@@ -279,24 +282,28 @@ class QuatOrder:
         if g != den:
             # 1/n lies in the lattice for some n >= 2, so nrd is non-integral
             raise ValueError("an order must contain 1 as a primitive vector")
-        # 1, then the three rows above it, back in the order (t, x, y, z)
-        rows4 = [[Fraction(c, den) for c in row[3:] + row[:3]] for row in hnf[3:] + hnf[:3]]
-        basis = tuple(QuatElt(algebra, tuple(row)) for row in rows4)
-        for e in basis:
-            if e.trd().denominator != 1 or e.nrd().denominator != 1:
+        # den times 1, then the three rows above it, back in the order (t, x, y, z)
+        hermite = tuple(tuple(row[3:] + row[:3]) for row in hnf[3:] + hnf[:3])
+        # s a, s b and s a b are integers for s the product of the denominators of a, b
+        (an, ad), (bn, bd) = algebra.a.as_integer_ratio(), algebra.b.as_integer_ratio()
+        s, sa, sb, sab = ad * bd, an * bd, bn * ad, an * bn
+        for t, x, y, z in hermite:
+            if 2 * t % den or (s * t * t - sa * x * x - sb * y * y + sab * z * z) % (s * den * den):
                 raise ValueError("order basis elements must be integral")
-        inv = mat_inverse(rows4)
-        table = []
-        for e in basis:
-            row = []
-            for f in basis:
-                coords = _vec_mat((e * f).coords, inv)
-                if any(c.denominator != 1 for c in coords):
-                    raise ValueError("order basis is not closed under multiplication")
-                row.append(tuple(int(c) for c in coords))
-            table.append(tuple(row))
-        traces = tuple(int(e.trd()) for e in basis)
-        return cls(algebra, basis, inv, tuple(table), traces)
+        # e_i e_j = P / (s den^2) with P = s (den e_i)(den e_j) integral, so its
+        # coordinates c solve c . hermite = P / (s den)
+        scale = s * den
+        products = [[_product(u, v, s, sa, sb, sab) for v in hermite] for u in hermite]
+        table = tuple(
+            tuple(None if any(c % scale for c in p) else _solve(hermite, [c // scale for c in p])
+                  for p in row)
+            for row in products
+        )
+        if any(None in row for row in table):
+            raise ValueError("order basis is not closed under multiplication")
+        basis = tuple(QuatElt(algebra, tuple(Fraction(c, den) for c in row)) for row in hermite)
+        traces = tuple(2 * row[0] // den for row in hermite)
+        return cls(algebra, basis, hermite, den, table, traces)
 
     # -- linear algebra over the basis ---------------------------------------
 
@@ -304,17 +311,28 @@ class QuatOrder:
         return [list(e.coords) for e in self.basis]
 
     def coordinates(self, x: QuatElt) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """Coordinates of x in the order basis (the basis is a Q-basis of B)."""
+        """Coordinates of x in the order basis (the basis is a Q-basis of B).
+
+        c . hermite = den x; with m x integral and D the product of the
+        pivots, m D c is integral (Cramer), so one exact solve finds it.
+        """
         if x.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        return _vec_mat(x.coords, self.basis_inv)
+        m = math.lcm(*(c.denominator for c in x.coords))
+        det = math.prod(row[r] for r, row in enumerate(self.hermite))
+        scale = self.den * det
+        ints = _solve(self.hermite, [c.numerator * (m // c.denominator) * scale for c in x.coords])
+        return tuple(Fraction(c, m * det) for c in ints)
 
     def contains(self, x: QuatElt) -> bool:
         return all(c.denominator == 1 for c in self.coordinates(x))
 
     def element(self, coords: Sequence[int | Fraction]) -> QuatElt:
         """The element with the given coordinates in the order basis."""
-        return QuatElt(self.algebra, _vec_mat([_frac(c) for c in coords], self.basis_matrix()))
+        return QuatElt(self.algebra, tuple(
+            Fraction(sum(c * row[k] for c, row in zip(coords, self.hermite)), self.den)
+            for k in range(4)
+        ))
 
     # -- integer arithmetic from the multiplication table ----------------------
 
@@ -385,17 +403,32 @@ class QuatOrder:
         return f"QuatOrder({self.algebra!r}, basis={[str(e) for e in self.basis]})"
 
 
-def _vec_mat(vec: Sequence[Fraction], mat: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """The row vector vec times the 4x4 matrix mat."""
-    return tuple(
-        sum((v * mat[r][c] for r, v in enumerate(vec) if v), Fraction(0)) for c in range(4)
+def _solve(hermite: Sequence[Sequence[int]], w: Sequence[int]) -> tuple[int, ...] | None:
+    """The integer c with c . hermite = w, or None, by back-substitution through
+    the columns x, y, z, t, where the rows not yet solved vanish."""
+    c = [0, 0, 0, 0]
+    for r in (1, 2, 3, 0):
+        q, rem = divmod(w[r] - sum(ci * row[r] for ci, row in zip(c, hermite)), hermite[r][r])
+        if rem:
+            return None
+        c[r] = q
+    return tuple(c)
+
+
+def _product(u, v, s, sa, sb, sab) -> tuple:
+    """s u v for coordinate vectors u, v, given s a, s b and s a b."""
+    t1, x1, y1, z1 = u
+    t2, x2, y2, z2 = v
+    return (
+        s * t1 * t2 + sa * x1 * x2 + sb * y1 * y2 - sab * z1 * z2,
+        s * (t1 * x2 + x1 * t2) + sb * (z1 * y2 - y1 * z2),
+        s * (t1 * y2 + y1 * t2) + sa * (x1 * z2 - z1 * x2),
+        s * (t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2),
     )
 
 
 def standard_order(alg: QuatAlgebra) -> QuatOrder:
-    """The order Z<1, i, j, k>; requires integer parameters a, b."""
-    if alg.a.denominator != 1 or alg.b.denominator != 1:
-        raise ValueError("standard order requires integer algebra parameters")
+    """The order Z<1, i, j, k>; ValueError unless a and b are integers."""
     return QuatOrder.from_basis(
         alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
@@ -420,10 +453,11 @@ def is_maximal(order: QuatOrder) -> bool:
 def saturate_to_maximal(order: QuatOrder) -> QuatOrder:
     """A maximal order containing the given one.
 
-    At each prime p dividing the index disc(O) / disc(B), every residue v
-    of O/pO is tested: if O + Z(v/p) is again an order the lattice is
-    enlarged with index p, dividing the reduced discriminant by p;
-    iteration stops when the discriminant reaches the algebra's.
+    At each prime p dividing the index disc(O) / disc(B), the residues v
+    of O/pO in the radical of the trace form mod p are tested: if
+    O + Z(v/p) is again an order the lattice is enlarged with index p,
+    dividing the reduced discriminant by p; iteration stops when the
+    discriminant reaches the algebra's.
     """
     current = order
     target = discriminant(order.algebra)
@@ -450,24 +484,29 @@ def saturate_to_maximal(order: QuatOrder) -> QuatOrder:
 def _enlarge_at(order: QuatOrder, p: int) -> QuatOrder | None:
     """The first order O + Z(v/p), for residues v of O/pO in lexicographic order.
 
-    Each residue with coordinates c is screened in integers before any
-    quaternion is built: trd(v/p) = sum c_i trd(e_i) / p and nrd(v/p) =
-    c G c^T / (2 p^2), with G the norm Gram matrix, must both be integers.
-    ``from_basis`` then gets the four basis rows of O and the row of v/p
-    as they are, since any spanning rows will do.  O + Z(v/p) strictly
-    contains O, so its reduced discriminant is smaller.
+    If O + Z(v/p) is an order, p | trd(v w) for every w in O, so v lies in
+    the left kernel of trd(e_i e_j) mod p, and only that kernel is visited.
+    With its basis in reduced echelon form, sum l_i b_i runs through it in
+    lexicographic order as (l_1, ..., l_k) does, so the first hit is the
+    one a scan of all of O/pO finds.  nrd(v/p) = c G c^T / (2 p^2), with G
+    the norm Gram matrix, must be integral before ``from_basis`` gets the
+    rows of O and of v/p.  O + Z(v/p) strictly contains O, so its reduced
+    discriminant is smaller.
     """
-    basis_rows = order.basis_matrix()
-    traces = order.traces
+    # the kernel is the identity half of the rows of [G | I] whose G half reduces to 0
+    augmented = [row + [int(r == c) for c in range(4)] for r, row in enumerate(order.gram_trd())]
+    kernel = [row[4:] for row in rref_mod(augmented, p) if not any(row[:4])]
     gram = order.norm_gram()
-    for c in itertools.product(range(p), repeat=4):
-        if not any(c):
+    rows = order.basis_matrix()
+    for lam in itertools.product(range(p), repeat=len(kernel)):
+        if not any(lam):
             continue
-        if sum(ci * ti for ci, ti in zip(c, traces)) % p or _eval_gram(gram, c) % (2 * p * p):
+        c = [sum(l * b[k] for l, b in zip(lam, kernel)) % p for k in range(4)]
+        if _eval_gram(gram, c) % (2 * p * p):
             continue
-        w = order.element([Fraction(ci, p) for ci in c])
+        w = [Fraction(x, p) for x in order.element(c).coords]
         try:
-            return QuatOrder.from_basis(order.algebra, basis_rows + [list(w.coords)])
+            return QuatOrder.from_basis(order.algebra, rows + [w])
         except ValueError:
             continue
     return None
@@ -519,12 +558,9 @@ def norm_divides_discriminant(order: QuatOrder, b: QuatElt) -> bool:
 def _box_coordinates(height: int) -> Iterator[tuple[int, int, int, int]]:
     """Integer 4-tuples ordered by max-norm shells, lexicographic inside a shell."""
     for h in range(height + 1):
-        for c1 in range(-h, h + 1):
-            for c2 in range(-h, h + 1):
-                for c3 in range(-h, h + 1):
-                    for c4 in range(-h, h + 1):
-                        if max(abs(c1), abs(c2), abs(c3), abs(c4)) == h:
-                            yield (c1, c2, c3, c4)
+        for c in itertools.product(range(-h, h + 1), repeat=4):
+            if max(map(abs, c)) == h:
+                yield c
 
 
 def atkin_lehner_group(order: QuatOrder, max_height: int = 12) -> dict[int, QuatElt]:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, assume
 from hypothesis import strategies as st
 
+from order_oracle import mat_inverse
 from quatorsion.actions import (
     AutClass,
     DistinguishedRing,
@@ -33,7 +34,7 @@ from quatorsion.actions import (
     submodule_lattice_mod_ell,
     three_dim_generator_check,
 )
-from quatorsion.exact import hnf_rows, mat_inverse, rref_mod, smith_invariants
+from quatorsion.exact import hnf_rows, rref_mod, smith_invariants
 from quatorsion.quat import (
     QuatAlgebra,
     QuatOrder,

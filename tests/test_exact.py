@@ -66,9 +66,15 @@ def test_primality_above_the_proved_bound():
     assert exact.factorint(exact.ISPRIME_BOUND) == sympy.factorint(exact.ISPRIME_BOUND)
 
 
-# n - 1 = 16 P Q with the primes P ~ 2^47 and Q ~ 2^49: rho would need
-# about 2^23 steps to split P Q, far past the budget
-UNPROVED_PRIME = 16 * 140737488367699 * 562949953428103 + 1
+# n - 1 = 6 P Q and n + 1 = 4 R S with the primes P, R ~ 2^46 and Q, S ~ 2^49:
+# rho would need about 2^23 steps to split P Q or R S, far past the budget
+UNPROVED_P, UNPROVED_Q = 88123387071067, 499274135239601
+UNPROVED_R, UNPROVED_S = 105503469040903, 625539543025367
+UNPROVED_PRIME = 6 * UNPROVED_P * UNPROVED_Q + 1
+
+# n - 1 = 16 P Q with the primes P ~ 2^47 and Q ~ 2^49 as above, but
+# n + 1 = 2 3 29 97 830631839 90421146590963137 factors within the budget
+PLUS_ONE_PRIME = 16 * 140737488367699 * 562949953428103 + 1
 
 
 @pytest.mark.parametrize("n", [2**89 - 1, 2**127 - 1, 2**521 - 1])
@@ -79,9 +85,53 @@ def test_pocklington_proves_mersenne_primes(n):
     assert not exact.isprime(n + 2)
 
 
+@pytest.mark.parametrize("n", [2**607 - 1, 2**1279 - 1], ids=["M607", "M1279"])
+def test_lucas_proves_mersenne_primes_past_pocklington(n):
+    # 2^606 - 1 and 2^1278 - 1 keep large composite cofactors past the rho
+    # budget, so Pocklington cannot start; n + 1 = 2^k is fully factored
+    factored, _ = exact._factored_part(n - 1, n)
+    assert (factored - 1) ** 2 <= n
+    assert exact.isprime(n)
+
+
+def test_lucas_proves_a_prime_whose_n_minus_1_does_not_factor():
+    assert sympy.isprime(PLUS_ONE_PRIME)
+    assert exact._rho_divisor(140737488367699 * 562949953428103, 1 << 16) is None
+    assert exact.isprime(PLUS_ONE_PRIME)
+
+
+@pytest.mark.parametrize("n", [2047, 3 * 2**30 - 1, 2**101 - 1, 3 * 2**60 * 5**2 - 1])
+def test_lucas_plus_one_rejects_composites(n):
+    # n + 1 fully factored, so the test decides; 2047 = 23 * 89 is a strong
+    # pseudoprime to base 2
+    assert not sympy.isprime(n)
+    primes = set(factorint(n + 1))
+    assert math.prod(p**e for p, e in factorint(n + 1).items()) == n + 1
+    assert exact._lucas_plus_one(n, primes) is False
+
+
+@pytest.mark.parametrize("n", [2**61 - 1, 2**127 - 1, 2**11 * 3**5 - 1])
+def test_lucas_plus_one_proves_primes(n):
+    assert sympy.isprime(n)
+    assert exact._lucas_plus_one(n, set(factorint(n + 1))) is True
+
+
+def test_lucas_sequence_matches_its_recurrence():
+    n = 10**9 + 7
+    for Q in (-1, 2, -2, 3, -5):
+        u_prev, u = 0, 1
+        for k in range(1, 80):
+            assert exact._lucas_u(k, Q, n) == u % n
+            u_prev, u = u, u - Q * u_prev
+
+
 def test_pocklington_gives_up_when_the_budget_runs_out():
     assert sympy.isprime(UNPROVED_PRIME) and UNPROVED_PRIME >= exact.ISPRIME_BOUND
-    assert exact._rho_divisor(140737488367699 * 562949953428103, 1 << 16) is None
+    assert UNPROVED_PRIME + 1 == 4 * UNPROVED_R * UNPROVED_S
+    for p in (UNPROVED_P, UNPROVED_Q, UNPROVED_R, UNPROVED_S):
+        assert sympy.isprime(p)
+    assert exact._rho_divisor(UNPROVED_P * UNPROVED_Q, 1 << 16) is None
+    assert exact._rho_divisor(UNPROVED_R * UNPROVED_S, 1 << 16) is None
     with pytest.raises(ValueError, match="did not factor past sqrt"):
         exact.isprime(UNPROVED_PRIME)
 

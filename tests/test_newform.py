@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -107,3 +108,29 @@ def test_torsion_divisor_bound_over_good_primes(label, bound):
 def test_torsion_divisor_bound_needs_a_prime():
     with pytest.raises(ValueError, match="at least one prime"):
         newform.torsion_divisor_bound(newform.load_fixture("243.2.a.d"), [])
+
+
+@pytest.mark.parametrize(
+    "label, sturm, basis",
+    [("243.2.a.d", 54, "sturm"), ("972.2.a.e", 324, "evidence"), ("cm-256-disc-8", 64, "sturm")],
+)
+def test_twist_report_names_its_basis(label, sturm, basis):
+    record = newform.load_fixture(label)
+    assert record.coeff_bound() == 100
+    assert newform.sturm_bound(record.level) == sturm
+    report = newform.twist_checks(record)
+    assert report.basis == basis
+    assert report.conclusive  # the verdict's gate is unchanged
+
+
+def test_sturm_bound_rounds_up():
+    # [SL2(Z) : Gamma_0(N)] / 6: 12/6 at 11, 3/6 at 2, 4/6 at 3, 72/6 at 36
+    assert [newform.sturm_bound(n) for n in (1, 2, 3, 11, 36)] == [1, 1, 1, 2, 12]
+
+
+def test_short_coefficient_list_still_names_its_basis():
+    record = newform.load_fixture("243.2.a.d")
+    short = dataclasses.replace(record, ap={p: record.ap[p] for p in primerange(2, 60)})
+    report = newform.twist_checks(short)
+    assert short.coeff_bound() == 60
+    assert (report.conclusive, report.basis) == (False, "sturm")

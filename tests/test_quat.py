@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -10,9 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from order_oracle import coordinates as oracle_coordinates
+from order_oracle import enlarge_by_full_scan, mat_inverse, vec_mat
 from quatorsion import quat
+from quatorsion.exact import factorint
 
 HALF = Fraction(1, 2)
+
+# the benchmark's maximal orders, and the other algebras the suite saturates
+MAXIMAL_ORDER_ALGEBRAS = ((-1, 6), (-3, 6), (-2, 5), (-3, 5), (-13, 23))
+SUITE_ALGEBRAS = ((-1, -1), (-1, 11), (-1, 3))
 
 coord_ints = st.tuples(*[st.integers(-9, 9)] * 4)
 
@@ -241,6 +249,106 @@ def test_order_requires_multiplicative_closure():
         )
 
 
+def _rescaled(order: quat.QuatOrder, u: int, v: int) -> quat.QuatOrder:
+    """The image of the order in (a/u^2, b/v^2) under i -> u i, j -> v j."""
+    alg = quat.QuatAlgebra(order.algebra.a / (u * u), order.algebra.b / (v * v))
+    return quat.QuatOrder.from_basis(
+        alg, [[t, u * x, v * y, u * v * z] for t, x, y, z in order.basis_matrix()]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_orders() -> tuple[quat.QuatOrder, ...]:
+    """Every kind of order the suite builds, and two in algebras with rational a, b."""
+    maximal = [quat.maximal_order(quat.QuatAlgebra(a, b))
+               for a, b in MAXIMAL_ORDER_ALGEBRAS + SUITE_ALGEBRAS]
+    alg = _alg16()
+    third = Fraction(3, 2)
+    suborder = quat.QuatOrder.from_basis(
+        alg, [[1, 0, 0, 0], [HALF, HALF, 1, HALF], [0, 0, third, third], [0, 0, 0, 3]]
+    )
+    standard = [quat.standard_order(quat.QuatAlgebra(a, b)) for a, b in ((-1, 6), (-3, 6))]
+    rescaled = [_rescaled(maximal[0], 2, 3), _rescaled(maximal[4], 1, 5)]
+    return tuple(maximal + [suborder] + standard + rescaled)
+
+
+def test_oracle_orders_include_rational_parameters():
+    orders = _oracle_orders()
+    assert len(orders) == 13  # the index range of the hypothesis tests below
+    assert orders[-2].algebra == quat.QuatAlgebra(Fraction(-1, 4), Fraction(2, 3))
+    assert orders[-1].algebra.b == Fraction(23, 25)
+    assert orders[-2].den == 2
+    # the image of a maximal order is maximal: same discriminant, same algebra up to iso
+    assert all(quat.is_maximal(order) for order in orders[-2:])
+
+
+fractions_small = st.tuples(*[st.integers(-30, 30)] * 4, st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12), st.randoms(use_true_random=False), fractions_small, coord_ints)
+def test_integer_order_matches_fraction_arithmetic(index, rng, x_data, c):
+    # table, traces, coordinates and contains against QuatElt products and a
+    # rational inverse, on a random unimodular change of basis of the order
+    order = _oracle_orders()[index]
+    alg = order.algebra
+    rows = order.basis_matrix()
+    u = _random_unimodular(rng, 4)
+    mixed = [[sum(a * row[k] for a, row in zip(urow, rows)) for k in range(4)] for urow in u]
+    built = quat.QuatOrder.from_basis(alg, mixed)
+    assert built == order
+    basis = built.basis
+    zero = alg.element(0)
+    for i, e in enumerate(basis):
+        assert built.traces[i] == e.trd()
+        for j, f in enumerate(basis):
+            coords = built.table[i][j]
+            assert sum((g.scale(x) for g, x in zip(basis, coords)), zero) == e * f
+    *nums, d = x_data
+    x = alg.element(*(Fraction(n, d) for n in nums))
+    expected = oracle_coordinates(built, x)
+    assert built.coordinates(x) == expected
+    assert built.contains(x) == all(v.denominator == 1 for v in expected)
+    y = sum((g.scale(ci) for g, ci in zip(basis, c)), zero)
+    assert built.element(c) == y
+    assert built.coordinates(y) == tuple(Fraction(ci) for ci in c)
+    assert built.contains(y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(MAXIMAL_ORDER_ALGEBRAS[:4]), st.lists(coord_ints, min_size=3, max_size=3))
+def test_from_basis_accepts_exactly_the_orders(ab, combos):
+    # Z + Z r1 + Z r2 + Z r3 for small combinations r of a maximal order's
+    # basis: an order exactly when each r has integral trd and nrd and the
+    # products of the basis have integral rational coordinates
+    order = quat.maximal_order(quat.QuatAlgebra(*ab))
+    alg = order.algebra
+    basis = [alg.one] + [
+        sum((e.scale(ci) for e, ci in zip(order.basis, cs)), alg.element(0)) for cs in combos
+    ]
+    rows = [list(e.coords) for e in basis]
+    try:
+        inv = mat_inverse(rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            quat.QuatOrder.from_basis(alg, rows)
+        return
+    closed = all(
+        v.denominator == 1
+        for e in basis
+        for f in basis
+        for v in vec_mat((e * f).coords, inv)
+    )
+    integral = all(e.trd().denominator == 1 and e.nrd().denominator == 1 for e in basis)
+    if closed and integral:
+        built = quat.QuatOrder.from_basis(alg, rows)
+        assert all(built.contains(e) for e in basis)
+        assert all(order.contains(e) for e in built.basis)
+    else:
+        with pytest.raises(ValueError):
+            quat.QuatOrder.from_basis(alg, rows)
+
+
 def test_order_membership_and_coordinates(omax_1_6):
     alg = omax_1_6.algebra
     half_elt = alg.element(HALF, HALF, 0, HALF)
@@ -343,6 +451,38 @@ def test_saturation_fixes_maximal_orders(omax_1_6):
 def test_maximal_order_has_algebra_discriminant(a, b, disc):
     order = quat.maximal_order(quat.QuatAlgebra(a, b))
     assert quat.reduced_discriminant(order) == disc
+
+
+@pytest.mark.parametrize("a, b", MAXIMAL_ORDER_ALGEBRAS + SUITE_ALGEBRAS)
+def test_enlargement_matches_the_full_scan(a, b):
+    # every step of the saturation: the trace-form radical against all of O/pO
+    alg = quat.QuatAlgebra(a, b)
+    current = quat.standard_order(alg)
+    target = quat.discriminant(alg)
+    steps = 0
+    while (disc := quat.reduced_discriminant(current)) != target:
+        for p in factorint(disc // target):
+            candidate = quat._enlarge_at(current, p)
+            assert candidate == enlarge_by_full_scan(current, p)
+            steps += 1
+            if candidate is not None:
+                break
+        current = candidate
+    assert steps > 0
+    assert current == quat.maximal_order(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.sampled_from([2, 3, 4, 5, 6, 9]), coord_ints)
+def test_enlargement_of_a_suborder_matches_the_full_scan(index, n, x):
+    # the order Z + Z x + n O_max: the trace form vanishes mod p on more of
+    # it, so the radical is larger and the first hit can come late
+    order = _oracle_orders()[index]
+    rows = [[1, 0, 0, 0], list(order.element(x).coords)]
+    rows += [[n * c for c in row] for row in order.basis_matrix()]
+    suborder = quat.QuatOrder.from_basis(order.algebra, rows)
+    for p in factorint(n):
+        assert quat._enlarge_at(suborder, p) == enlarge_by_full_scan(suborder, p)
 
 
 def test_maximal_order_of_3_6_contains_omega(omax_3_6):
