@@ -12,8 +12,8 @@ Subpackages and modules:
   finite fields: labels, enumeration, base change, torsion bounds.
 * :mod:`quatorsion.newform` — weight-2 newform screening for potential
   quaternionic multiplication.
-* :mod:`quatorsion.genus2` — the explicit genus-2 family and torsion
-  certification of concrete curves.
+* :mod:`quatorsion.genus2` — point counts, Jacobian arithmetic and
+  torsion certification of explicit genus-2 curves.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ Sections
   = 3317044064679887385961981, about 3.3e24; above it a failed test
   proves compositeness, and a pass goes to Pocklington's test when n - 1
   factors far enough, else to the Brillhart-Lehmer-Selfridge n + 1 test
-  when n + 1 does, and raises ValueError when neither does),
+  when n + 1 does, by trial division on both before rho on either, and
+  raises ValueError when neither does),
   :func:`factorint` (trial division to 1000, then perfect powers and
   Pollard-Brent rho; every cofactor goes through :func:`isprime`),
   :func:`primefactors`, :func:`multiplicity`, :func:`primerange` (a
@@ -37,8 +38,9 @@ Sections
   square integer matrix (:func:`det_bareiss`), Smith forms over Z
   (:func:`smith_diagonal`, :func:`smith_invariants`) and the reduced row
   echelon form over F_p (:func:`rref_mod`).
-* Integer polynomials: ring operations, content, and the discriminant
-  as a Sylvester resultant (:func:`poly_discriminant`).
+* Integer polynomials: ring operations, evaluation (:func:`poly_eval`),
+  the Taylor shift f(a + t) (:func:`poly_taylor`), content, and the
+  discriminant as a Sylvester resultant (:func:`poly_discriminant`).
 * Polynomials over F_p: ring operations, division, extended gcd, powers
   modulo a monic polynomial, the distinct-degree split and factoring
   (:func:`fp_factor`).
@@ -84,6 +86,7 @@ __all__ = [
     "poly_neg",
     "poly_mul",
     "poly_eval",
+    "poly_taylor",
     "poly_content",
     "poly_primitive",
     "poly_derivative",
@@ -124,7 +127,8 @@ def isprime(n: int) -> bool:
     An n of ISPRIME_BOUND or more that passes is proved prime or composite
     by Pocklington's test when n - 1 has a factored part F > sqrt(n) + 1,
     else by the Brillhart-Lehmer-Selfridge test when n + 1 has one; else
-    ValueError.
+    ValueError.  Trial division looks for F in both n - 1 and n + 1
+    before Pollard rho is tried on either.
     """
     n = operator.index(n)
     if n < 2:
@@ -148,8 +152,11 @@ def isprime(n: int) -> bool:
             return False
     if n < ISPRIME_BOUND:
         return True
-    for m, proof in ((n - 1, _pocklington), (n + 1, _lucas_plus_one)):
-        factored, primes = _factored_part(m, n)
+    trial = [(m, proof, *_factored_part(m, n))
+             for m, proof in ((n - 1, _pocklington), (n + 1, _lucas_plus_one))]
+    # rho runs only once trial division leaves both n - 1 and n + 1 short
+    rho = ((m, proof, *_rho_part(m, n, f, ps)) for m, proof, f, ps in trial)
+    for _, proof, factored, primes in itertools.chain(trial, rho):
         if (factored - 1) ** 2 > n:
             return proof(n, primes)
     raise ValueError(
@@ -163,18 +170,27 @@ _PROOF_RHO_STEPS = 1 << 16
 
 
 def _factored_part(m: int, n: int) -> tuple[int, set[int]]:
-    """(F, primes of F) for a divisor F of m, grown until F > sqrt(n) + 1:
-    trial division to 1000, then Pollard rho on each composite cofactor,
-    at most _PROOF_RHO_STEPS steps each.  A cofactor that :func:`isprime`
-    cannot prove stays out of F."""
+    """(F, primes of F) for the part F of m free of primes above 1000, by
+    trial division, which stops once F > sqrt(n) + 1."""
     primes = set()
-    rest = m
+    factored = 1
     for q in _TRIAL_PRIMES:
-        if rest % q == 0:
+        if (factored - 1) ** 2 > n:
+            break
+        if m % q == 0:
             primes.add(q)
-            while rest % q == 0:
-                rest //= q
-    factored = m // rest
+            while m % q == 0:
+                m //= q
+                factored *= q
+    return factored, primes
+
+
+def _rho_part(m: int, n: int, factored: int, primes: set[int]) -> tuple[int, set[int]]:
+    """``_factored_part`` of m grown until F > sqrt(n) + 1: Pollard rho on
+    each composite cofactor of m / F, at most _PROOF_RHO_STEPS steps each.
+    A cofactor that :func:`isprime` cannot prove stays out of F."""
+    primes = set(primes)
+    rest = m // factored
     pending = [rest] if rest > 1 else []
     while pending and (factored - 1) ** 2 <= n:
         c = pending.pop()
@@ -567,7 +583,7 @@ def padic_valuation(x: int | Fraction, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra: Hermite form, rational inverse, Smith forms, F_p echelon
+# linear algebra: Hermite form, determinant, Smith forms, F_p echelon
 
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -790,6 +806,20 @@ def poly_eval(f: Sequence[int], x):
     for c in reversed(poly_trim(f)):
         acc = acc * x + c
     return acc
+
+
+def poly_taylor(f: Sequence[int], a: int) -> list[int]:
+    """The coefficients t_k of f(a + t) = sum t_k t^k, as many as f has,
+    zeros kept: repeated synthetic division by t - a."""
+    work = list(reversed(f))
+    out = []
+    while work:
+        acc = 0
+        for i in range(len(work)):
+            acc = acc * a + work[i]
+            work[i] = acc
+        out.append(work.pop())
+    return out
 
 
 def poly_content(f: Sequence[int]) -> int:

@@ -1,8 +1,5 @@
-"""Explicit genus-2 curves: the QM family and torsion certification.
+"""Explicit genus-2 curves and the certification of their torsion.
 
-* :mod:`quatorsion.genus2.family` — the rational one-parameter family of
-  Igusa invariants with full rational 2-torsion, and its field-of-moduli
-  and Mestre-obstruction checks.
 * :mod:`quatorsion.genus2.curve` — curves y^2 = f(x) over Q: parsing,
   good primes, point counts, and L-polynomials from the Hasse-Witt
   matrix: O(p) at one prime, and at every good p <= B from one

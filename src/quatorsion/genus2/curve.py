@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from ..exact import factorint, isprime, poly_discriminant, poly_eval, primerange
+from ..exact import factorint, isprime, poly_discriminant, poly_eval, poly_taylor, primerange
 from ..weil import WeilPoly2, is_weil_valid
 
 # ---------------------------------------------------------------------------
@@ -166,28 +166,6 @@ def good_primes(curve: GenusTwoCurve, bound: int) -> list[int]:
     return [p for p in primerange(3, bound + 1) if curve.binary_disc % p]
 
 
-def _eval(c, x: int, p: int) -> int:
-    """c(x) mod p, coefficients ascending."""
-    acc = 0
-    for a in reversed(c):
-        acc = (acc * x + a) % p
-    return acc
-
-
-def _taylor_coeffs(coeffs, a: int, p: int) -> list[int]:
-    """Coefficients t_k of f(a + w) = sum t_k w^k, by synthetic division:
-    mod p, or over Z for p = 0."""
-    work = list(reversed(coeffs))
-    out = []
-    while work:
-        acc = 0
-        for i in range(len(work)):
-            acc = acc * a + work[i]
-            work[i] = acc
-        out.append(work.pop())
-    return [t % p for t in out] if p else out
-
-
 def _count_points(c, p: int, n: int) -> int:
     """#C(F_{p^n}) of y^2 = c(x), c reduced mod p, by evaluating c at every
     x in F_{p^n}: O(p^n) time.
@@ -206,7 +184,7 @@ def _count_points(c, p: int, n: int) -> int:
 
     deg = 6 if c[6] else 5
     if n == 1:
-        affine = sum(roots(_eval(c, x, p)) for x in range(p))
+        affine = sum(roots(poly_eval(c, x) % p) for x in range(p))
         return affine + (1 if deg == 5 else roots(c[6]))
     r = next(a for a in range(2, p) if a not in squares)
     affine = 0
@@ -274,10 +252,10 @@ def _hasse_witt_model(c, p: int = 0) -> list[int]:
     if not unit(c[6]):
         # z^6 c(a + 1/z) has leading coefficient c(a)
         a = next(a for a in range(7) if unit(poly_eval(c, a)))
-        c = _taylor_coeffs(c, a, p)[::-1]
+        c = [unit(t) for t in reversed(poly_taylor(c, a))]
     if not unit(c[0]):
         b = next(b for b in range(1, 8) if unit(poly_eval(c, b)))
-        c = _taylor_coeffs(c, b, p)
+        c = [unit(t) for t in poly_taylor(c, b)]
     return c
 
 

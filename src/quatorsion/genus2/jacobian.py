@@ -71,11 +71,13 @@ from ..exact import (
     fp_neg,
     fp_sub,
     fp_trim,
+    poly_eval,
+    poly_taylor,
     sqrt_mod,
     validate_invariants,
 )
 from ..weil import WeilPoly2
-from .curve import GenusTwoCurve, _eval, _taylor_coeffs, curve_lpoly, good_prime
+from .curve import GenusTwoCurve, curve_lpoly, good_prime
 from .torsion import two_torsion_count
 
 
@@ -122,7 +124,7 @@ def mumford_divisor(f5, p: int, u, v) -> MumfordDivisor:
 def divisor_from_point(f5, p: int, x: int, y: int) -> MumfordDivisor:
     """The class of the affine point (x, y) minus infinity."""
     x, y = x % p, y % p
-    if y * y % p != _eval(f5, x, p):
+    if y * y % p != poly_eval(f5, x) % p:
         raise ValueError(f"({x}, {y}) is not on the curve mod {p}")
     return MumfordDivisor(p, ((p - x) % p, 1), (y,) if y else ())
 
@@ -404,12 +406,10 @@ def _quintic_model(c, p: int):
     if c[6] == 0:
         quintic = c[:6]
     else:
-        for a in range(p):
-            if _eval(tuple(c), a, p) == 0:
-                break
-        else:
+        a = next((a for a in range(p) if poly_eval(c, a) % p == 0), None)
+        if a is None:
             return None
-        taylor = _taylor_coeffs(c, a, p)
+        taylor = [t % p for t in poly_taylor(c, a)]
         if taylor[0] != 0 or taylor[1] == 0:
             raise ArithmeticError(
                 f"x = {a} is not a simple root of the sextic mod {p}")
@@ -463,7 +463,7 @@ def _square_roots_mod(f, u, p: int) -> list[tuple[int, ...]]:
     if len(u) == 1:
         return [()]
     if len(u) == 2:
-        return [fp_trim([y]) for y in _square_roots(_eval(f, -u[0], p), p)]
+        return [fp_trim([y]) for y in _square_roots(poly_eval(f, -u[0]) % p, p)]
     u0, u1 = u[0], u[1]
     r = list(f)  # f mod u by synthetic division
     for i in range(len(r) - 1, 1, -1):
@@ -504,9 +504,9 @@ def _inert_model(c, p: int, twist: int = 1):
     docstring).
     """
     for a in range(p):
-        value = twist * _eval(c, a, p) % p
+        value = twist * poly_eval(c, a) % p
         if value and pow(value, (p - 1) // 2, p) != 1:
-            return tuple(twist * t % p for t in reversed(_taylor_coeffs(c, a, p)))
+            return tuple(twist * t % p for t in reversed(poly_taylor(c, a)))
     return None
 
 
@@ -720,22 +720,21 @@ def jacobian_group_mod_p(
     The order comes from the zeta function and the 2-rank from the
     factorization type of f mod p.  Each Sylow subgroup is proved by
     ``_SylowProof`` from at most 16 uniformly random classes (seeded,
-    hence deterministic); probing stops as soon as every one is proved,
-    which needs no probe where order and rank bounds leave one shape.  A
-    Sylow subgroup still open after 16 probes leaves the structure
-    unproved, and ``invariants`` is None.
+    hence deterministic) on the quintic model; probing stops as soon as
+    every one is proved, which needs no probe, and no model, where order
+    and rank bounds leave one shape.  A Sylow subgroup still open after
+    16 probes, or open when the sextic has no F_p-root and so no quintic
+    model, leaves the structure unproved, and ``invariants`` is None.
     """
     degrees = _factor_degrees(curve, p)
     two_rank = _two_rank(degrees)
     f5 = odd_degree_model(curve, p)
     order = curve_lpoly(curve, p, degrees=degrees, model=f5).point_count()
-    if f5 is None:
-        return JacobianGroup(p, order, None, two_rank)
     sylows = [_SylowProof(ell, v, p, two_rank) for ell, v in factorint(order).items()]
     rng = random.Random(seed)
     for _ in range(16):
         open_ = [s for s in sylows if s.shape is None]
-        if not open_:
+        if not open_ or f5 is None:
             break
         d = random_divisor(f5, p, rng)
         for s in open_:

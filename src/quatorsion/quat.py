@@ -457,7 +457,9 @@ def saturate_to_maximal(order: QuatOrder) -> QuatOrder:
     of O/pO in the radical of the trace form mod p are tested: if
     O + Z(v/p) is again an order the lattice is enlarged with index p,
     dividing the reduced discriminant by p; iteration stops when the
-    discriminant reaches the algebra's.
+    discriminant reaches the algebra's.  A non-maximal order with no
+    overorder of index p still raises ArithmeticError ("saturation
+    stalled"); the standard order of (-101^2, -3) is one.
     """
     current = order
     target = discriminant(order.algebra)
@@ -513,8 +515,19 @@ def _enlarge_at(order: QuatOrder, p: int) -> QuatOrder | None:
 
 
 def maximal_order(alg: QuatAlgebra) -> QuatOrder:
-    """A maximal order of (a, b | Q) with integer parameters."""
-    return saturate_to_maximal(standard_order(alg))
+    """A maximal order of (a, b | Q) with integer parameters.
+
+    Saturation starts from Z<1, i/c, j/d, k/(cd)>, with c^2 and d^2 the
+    largest squares dividing a and b, that is, from the standard order of
+    (a/c^2, b/d^2).  From Z<1, i, j, k> itself it can stall when c or d
+    exceeds 1 (see :func:`saturate_to_maximal`).
+    """
+    c, d = (math.prod(p ** (e // 2) for p, e in factorint(x.numerator).items())
+            for x in (alg.a, alg.b))
+    if c == d == 1:
+        return saturate_to_maximal(standard_order(alg))
+    rows = [[Fraction(int(r == k), s) for k, s in enumerate((1, c, d, c * d))] for r in range(4)]
+    return saturate_to_maximal(QuatOrder.from_basis(alg, rows))
 
 
 # ---------------------------------------------------------------------------

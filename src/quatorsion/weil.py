@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import factorint, poly_add, poly_derivative, poly_eval, poly_mul, primefactors
+from .exact import factorint, poly_derivative, poly_eval, poly_taylor, primefactors
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 9)
 
@@ -198,14 +198,6 @@ def format_label(w: WeilPoly2) -> str:
 # enumeration
 
 
-def _compose_affine(f: Sequence[int], shift: int, scale: int) -> tuple[int, ...]:
-    """The integer polynomial f(shift + scale * t), by Horner's rule."""
-    out: tuple[int, ...] = ()
-    for c in reversed(f):
-        out = poly_add(poly_mul(out, (shift, scale)), (c,))
-    return out
-
-
 def _strip_p(f: tuple[int, ...], p: int) -> tuple[int, ...]:
     """The nonzero polynomial f divided by the largest power of p dividing it."""
     while all(c % p == 0 for c in f):
@@ -225,7 +217,7 @@ def _has_root_in_class(f: tuple[int, ...], p: int, r: int, depth: int = 0) -> bo
         return False
     if poly_eval(poly_derivative(f), r) % p:
         return True
-    g = _strip_p(_compose_affine(f, r, p), p)
+    g = _strip_p(tuple(t * p**i for i, t in enumerate(poly_taylor(f, r))), p)
     return any(_has_root_in_class(g, p, s, depth + 1) for s in range(p))
 
 

@@ -87,8 +87,8 @@ def test_pocklington_proves_mersenne_primes(n):
 
 @pytest.mark.parametrize("n", [2**607 - 1, 2**1279 - 1], ids=["M607", "M1279"])
 def test_lucas_proves_mersenne_primes_past_pocklington(n):
-    # 2^606 - 1 and 2^1278 - 1 keep large composite cofactors past the rho
-    # budget, so Pocklington cannot start; n + 1 = 2^k is fully factored
+    # trial division leaves 2^606 - 1 and 2^1278 - 1 short of sqrt(n), so
+    # Pocklington cannot start, while n + 1 = 2^k is fully factored
     factored, _ = exact._factored_part(n - 1, n)
     assert (factored - 1) ** 2 <= n
     assert exact.isprime(n)

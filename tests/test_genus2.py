@@ -1,13 +1,15 @@
-"""Tests for the genus-2 family, point counts, Cantor arithmetic, torsion."""
+"""Tests for genus-2 point counts, Cantor arithmetic and torsion."""
 
 from __future__ import annotations
 
 import ast
 import collections
+import importlib
 import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,9 +21,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quatorsion
+import quatorsion.genus2
 from grid_oracle import count_model
-from quatorsion.exact import fp_divmod
-from quatorsion.genus2 import family, jacobian
+from quatorsion.exact import fp_divmod, poly_eval
+from quatorsion.genus2 import jacobian
 from quatorsion.genus2.curve import (
     GenusTwoCurve,
     count_points_curve,
@@ -55,75 +59,6 @@ from quatorsion.weil import is_weil_valid
 TABLE = table_curves()
 QUINTIC = GenusTwoCurve.from_coefficients([1, 0, 0, 0, 0, 1])  # y^2 = x^5 + 1
 Z6_CURVE = TABLE[4].curve
-
-
-# ---------------------------------------------------------------------------
-# the family of Igusa invariants
-# ---------------------------------------------------------------------------
-
-
-def _factored_j(t: Fraction) -> Fraction:
-    # independent form of j: -64 t^4 (t^4-1)^4 / (t^8 + 14 t^4 + 1)^3
-    return Fraction(-64) * t**4 * (t**4 - 1) ** 4 / (t**8 + 14 * t**4 + 1) ** 3
-
-
-def test_family_j_frozen_value():
-    assert family.family_j(2) == Fraction(-51840000, 111284641)
-
-
-def test_family_j_matches_factored_form():
-    rng = random.Random(5)
-    for _ in range(60):
-        t = Fraction(rng.randint(-40, 40), rng.randint(1, 25))
-        if t in (0, 1, -1):
-            continue
-        assert family.family_j(t) == _factored_j(t)
-        assert family.family_j(t) < 0
-
-
-@pytest.mark.parametrize("t", [0, 1, -1, Fraction(-1)])
-def test_family_singular_parameters(t):
-    with pytest.raises(ValueError, match="singular"):
-        family.family_j(t)
-
-
-def test_family_j_checks_its_denominator(monkeypatch):
-    # the denominator is positive on Q; a broken one raises, also under -O
-    monkeypatch.setattr(family, "_J_DEN", (-1,))
-    with pytest.raises(ArithmeticError, match="not positive"):
-        family.family_j(2)
-
-
-def test_family_igusa_point():
-    pt = family.family_igusa(Fraction(1, 2))
-    j = family.family_j(Fraction(1, 2))
-    assert pt.J2 == 12 * (j + 1)
-    assert pt.J10 == j**3
-    assert 4 * pt.J8 == pt.J2 * pt.J6 - pt.J4**2
-
-
-def test_igusa_point_validation():
-    with pytest.raises(ValueError, match="J10"):
-        family.IgusaPoint(1, 1, 1, 0, 0)
-    with pytest.raises(ValueError, match="J2 J6"):
-        family.IgusaPoint(1, 1, 1, 1, 1)
-
-
-@pytest.mark.parametrize(
-    "t",
-    [2, -2, 3, Fraction(1, 2), Fraction(1, 3), Fraction(-3, 5),
-     Fraction(7, 4), Fraction(22, 7)],
-)
-def test_rational_model_checks_on_family(t):
-    assert family.rational_model_checks(t) == (True, True)
-
-
-def test_model_checks_fail_off_family():
-    # j = 1 is not on the family: -27 - 16/1 = -43 is not a square and
-    # the obstruction algebra (-6, -86) ramifies at infinity.
-    assert not family._field_of_moduli_ok(Fraction(1))
-    assert not family._mestre_splits(Fraction(1))
-    assert family._field_of_moduli_ok(Fraction(-16, 27))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +428,11 @@ def test_jacobian_group_consistency():
 
 
 def test_jacobian_group_without_odd_model():
-    g = jacobian_group_mod_p(TABLE[2].curve, 7)
-    assert g.order == 51
+    # #J = 531 = 3^2 59 and 3 does not divide p - 1 = 22: Z/9 and (Z/3)^2
+    # are both left open, and there is no quintic model to probe on
+    g = jacobian_group_mod_p(TABLE[2].curve, 23)
+    assert odd_degree_model(TABLE[2].curve, 23) is None
+    assert g.order == 531
     assert g.invariants is None
     assert g.two_rank == 0  # odd order forces trivial 2-torsion
 
@@ -526,7 +464,7 @@ def _enumerate_classes(f, p: int) -> list:
     out = [identity_divisor(p)]
     if len(f) == 6:
         out += [divisor_from_point(f, p, x, y) for x in range(p)
-                for y in roots[jacobian._eval(f, x, p)]]
+                for y in roots[poly_eval(f, x) % p]]
     for u0, u1 in itertools.product(range(p), repeat=2):
         r0, r1 = (fp_divmod(f, (u0, u1, 1), p)[1] + (0, 0))[:2]
         for v1 in range(p):
@@ -599,6 +537,21 @@ def test_random_divisor_reaches_every_class_of_the_inert_sextic(index, p):
     assert len(classes) == curve_lpoly(curve, p).point_count()
     rng = random.Random(1)
     assert {random_divisor(sextic, p, rng) for _ in range(40 * len(classes))} == classes
+
+
+@pytest.mark.parametrize("index, p, invariants",
+                         [(2, 7, (51,)), (2, 17, (321,)), (2, 19, (339,)), (4, 13, (2, 84))])
+def test_jacobian_group_from_the_bounds_alone_matches_the_inert_sextic(index, p, invariants):
+    # no quintic model, but the order and rank bounds leave one shape
+    curve = TABLE[index].curve
+    assert odd_degree_model(curve, p) is None
+    g = jacobian_group_mod_p(curve, p)
+    assert g.invariants == invariants
+    sextic = jacobian._inert_model([c % p for c in curve.coeffs], p)
+    classes = _enumerate_classes(sextic, p)
+    assert len(set(classes)) == len(classes) == g.order
+    counts = collections.Counter(divisor_order(d, sextic, g.order) for d in classes)
+    assert counts == _order_counts(invariants)
 
 
 def _count_probes(monkeypatch) -> list:
@@ -696,7 +649,7 @@ def _oracle_models():
 def _oracle_pairs(f5, p: int, rng: random.Random):
     """Pairs of reduced classes, by the case of the addition they exercise."""
     pts = [(x, y) for x in range(p) for y in range(p)
-           if (y * y - jacobian._eval(f5, x, p)) % p == 0]
+           if (y * y - poly_eval(f5, x)) % p == 0]
     weierstrass = [pt for pt in pts if pt[1] == 0]
     by_x = {x: (x, y) for x, y in pts if y}  # one point with y != 0 per x
 
@@ -765,17 +718,28 @@ def test_jacobian_group_matches_generic_path(seed, monkeypatch):
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+PACKAGE = Path(jacobian.__file__).resolve().parents[1]
+SOURCES = sorted([*PACKAGE.rglob("*.py"), *SCRIPTS.glob("*.py")])
 
 
-@pytest.mark.parametrize("name", ["jacobian.py", "quat.py", "actions.py", "weil.py",
-                                  "exact.py", "newform.py", "family.py", "curve.py",
-                                  *sorted(path.name for path in SCRIPTS.glob("*.py"))])
-def test_module_has_no_asserts(name):
+@pytest.mark.parametrize(
+    "path", SOURCES,
+    # an __init__.py is named by its package; every other file by its own name
+    ids=[f"{p.parent.name}/{p.name}" if p.name == "__init__.py" else p.name for p in SOURCES])
+def test_module_has_no_asserts(path):
     # python -O strips asserts; the checks that carry lemmas must raise instead
-    package = Path(jacobian.__file__).resolve().parents[1]
-    (path,) = [*package.rglob(name), *SCRIPTS.glob(name)]
     tree = ast.parse(path.read_text())
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
+
+
+def test_package_docstrings_name_exactly_the_modules():
+    named = {name for package in (quatorsion, quatorsion.genus2)
+             for name in re.findall(r":mod:`([\w.]+)`", package.__doc__)}
+    for name in named:
+        importlib.import_module(name)
+    files = {".".join(("quatorsion", *path.relative_to(PACKAGE).with_suffix("").parts))
+             .removesuffix(".__init__") for path in PACKAGE.rglob("*.py")}
+    assert named == files - {"quatorsion"}
 
 
 def test_divisor_order_check_survives_python_O():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grid_oracle import count_model, oracle_lpoly
+from quatorsion.exact import poly_eval
 from quatorsion.genus2 import curve as curve_mod
 from quatorsion.genus2 import jacobian
 from quatorsion.genus2.curve import (
@@ -343,12 +344,12 @@ def test_generic_cantor_rejects_odd_degree_on_inert_sextic():
     c = [v % p for v in TWIST_ONLY.coeffs]
     F = jacobian._inert_model(c, p)
     assert F is not None and pow(F[6], (p - 1) // 2, p) == p - 1
-    x = next(x for x in range(p) if sympy.sqrt_mod(jacobian._eval(F, x, p), p) is not None)
-    y = sympy.sqrt_mod(jacobian._eval(F, x, p), p)
+    x = next(x for x in range(p) if sympy.sqrt_mod(poly_eval(F, x) % p, p) is not None)
+    y = sympy.sqrt_mod(poly_eval(F, x) % p, p)
     point = MumfordDivisor(p, ((p - x) % p, 1), (y,))  # not a class on this model
     rng = random.Random(1)
     d = jacobian.random_divisor(F, p, rng)
-    while d.is_identity or jacobian._eval(d.u, x, p) == 0:
+    while d.is_identity or poly_eval(d.u, x) % p == 0:
         d = jacobian.random_divisor(F, p, rng)
     with pytest.raises(ArithmeticError, match="no progress"):
         jacobian._cantor_generic(point, d, F)

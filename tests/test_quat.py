@@ -453,6 +453,23 @@ def test_maximal_order_has_algebra_discriminant(a, b, disc):
     assert quat.reduced_discriminant(order) == disc
 
 
+@pytest.mark.parametrize("a, b", [(-1, -9), (-9, -1), (-25, -3), (-101**2, -3)])
+def test_maximal_order_when_a_parameter_has_a_square_factor(a, b):
+    # Z<1, i, j, k> of (-101^2, -3) has no overorder of index 101
+    order = quat.maximal_order(quat.QuatAlgebra(a, b))
+    assert quat.is_maximal(order)
+    assert quat.reduced_discriminant(order) == quat.discriminant(order.algebra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([-1, -2, -3, -5, -7, -11, 2, 3, 5]),
+       st.sampled_from([-1, -3, 2, 3, 5, 7, -7, 11, 13]),
+       st.sampled_from([1, 2, 3, 5, 7]), st.sampled_from([1, 2, 3]))
+def test_maximal_order_on_the_square_factor_grid(a, b, c, d):
+    order = quat.maximal_order(quat.QuatAlgebra(a * c * c, b * d * d))
+    assert quat.is_maximal(order)
+
+
 @pytest.mark.parametrize("a, b", MAXIMAL_ORDER_ALGEBRAS + SUITE_ALGEBRAS)
 def test_enlargement_matches_the_full_scan(a, b):
     # every step of the saturation: the trace-form radical against all of O/pO
