@@ -152,7 +152,7 @@ def isprime(n: int) -> bool:
             return False
     if n < ISPRIME_BOUND:
         return True
-    trial = [(m, proof, *_factored_part(m, n))
+    trial = [(m, proof, *_factored_part(m))
              for m, proof in ((n - 1, _pocklington), (n + 1, _lucas_plus_one))]
     # rho runs only once trial division leaves both n - 1 and n + 1 short
     rho = ((m, proof, *_rho_part(m, n, f, ps)) for m, proof, f, ps in trial)
@@ -169,20 +169,17 @@ def isprime(n: int) -> bool:
 _PROOF_RHO_STEPS = 1 << 16
 
 
-def _factored_part(m: int, n: int) -> tuple[int, set[int]]:
+def _factored_part(m: int) -> tuple[int, set[int]]:
     """(F, primes of F) for the part F of m free of primes above 1000, by
-    trial division, which stops once F > sqrt(n) + 1."""
+    trial division."""
     primes = set()
-    factored = 1
+    rest = m
     for q in _TRIAL_PRIMES:
-        if (factored - 1) ** 2 > n:
-            break
-        if m % q == 0:
+        if rest % q == 0:
             primes.add(q)
-            while m % q == 0:
-                m //= q
-                factored *= q
-    return factored, primes
+            while rest % q == 0:
+                rest //= q
+    return m // rest, primes
 
 
 def _rho_part(m: int, n: int, factored: int, primes: set[int]) -> tuple[int, set[int]]:

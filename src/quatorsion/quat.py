@@ -524,8 +524,6 @@ def maximal_order(alg: QuatAlgebra) -> QuatOrder:
     """
     c, d = (math.prod(p ** (e // 2) for p, e in factorint(x.numerator).items())
             for x in (alg.a, alg.b))
-    if c == d == 1:
-        return saturate_to_maximal(standard_order(alg))
     rows = [[Fraction(int(r == k), s) for k, s in enumerate((1, c, d, c * d))] for r in range(4)]
     return saturate_to_maximal(QuatOrder.from_basis(alg, rows))
 

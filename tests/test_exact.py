@@ -77,21 +77,59 @@ UNPROVED_PRIME = 6 * UNPROVED_P * UNPROVED_Q + 1
 PLUS_ONE_PRIME = 16 * 140737488367699 * 562949953428103 + 1
 
 
+# n - 1 = 2 p q r with p, q, r ~ 2^28, which rho splits within the budget;
+# n + 1 = 2^3 3 11 727 689333796764402903221 stays short under trial division
+RHO_POCKLINGTON_PRIME = 2 * 470422061 * 348187907 * 403865309 + 1
+
+
+def _refuse(*args):
+    raise AssertionError("this proof should not run")
+
+
 @pytest.mark.parametrize("n", [2**89 - 1, 2**127 - 1, 2**521 - 1])
 def test_pocklington_proves_mersenne_primes(n):
+    # isprime proves 2^127 - 1 and 2^521 - 1 from n + 1 = 2^k, so
+    # Pocklington is checked here on the part of n - 1 that rho factors
     assert n >= exact.ISPRIME_BOUND
+    factored, primes = exact._rho_part(n - 1, n, *exact._factored_part(n - 1))
+    assert (factored - 1) ** 2 > n
+    assert exact._pocklington(n, primes) is True
     assert exact.isprime(n)
     assert exact.factorint(n) == {n: 1}
     assert not exact.isprime(n + 2)
 
 
 @pytest.mark.parametrize("n", [2**607 - 1, 2**1279 - 1], ids=["M607", "M1279"])
-def test_lucas_proves_mersenne_primes_past_pocklington(n):
+def test_lucas_proves_mersenne_primes_past_pocklington(n, monkeypatch):
     # trial division leaves 2^606 - 1 and 2^1278 - 1 short of sqrt(n), so
-    # Pocklington cannot start, while n + 1 = 2^k is fully factored
-    factored, _ = exact._factored_part(n - 1, n)
+    # Pocklington cannot start, while n + 1 = 2^k is fully factored and
+    # needs no rho
+    factored, _ = exact._factored_part(n - 1)
     assert (factored - 1) ** 2 <= n
+    monkeypatch.setattr(exact, "_pocklington", _refuse)
+    monkeypatch.setattr(exact, "_rho_part", _refuse)
     assert exact.isprime(n)
+
+
+def test_isprime_runs_rho_on_n_minus_1_before_pocklington(monkeypatch):
+    n = RHO_POCKLINGTON_PRIME
+    assert sympy.isprime(n) and n >= exact.ISPRIME_BOUND
+    for m in (n - 1, n + 1):
+        factored, _ = exact._factored_part(m)
+        assert (factored - 1) ** 2 <= n
+    proved = []
+    pocklington = exact._pocklington
+
+    def recorded(n, primes):
+        proved.append(sorted(primes))
+        return pocklington(n, primes)
+
+    monkeypatch.setattr(exact, "_pocklington", recorded)
+    monkeypatch.setattr(exact, "_lucas_plus_one", _refuse)
+    assert exact.isprime(n)
+    # rho stops once F > sqrt(n) + 1, which two of p, q, r already give
+    [primes] = proved
+    assert primes[0] == 2 and set(primes[1:]) < {470422061, 348187907, 403865309}
 
 
 def test_lucas_proves_a_prime_whose_n_minus_1_does_not_factor():
@@ -797,6 +835,20 @@ def test_poly_discriminant_matches_sympy(low, lead):
     f = tuple(low) + (lead,)
     expected = sympy.discriminant(sum(c * _x**i for i, c in enumerate(f)), _x)
     assert exact.poly_discriminant(f) == int(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=7), st.integers(-20, 20), st.integers(-20, 20))
+def test_poly_taylor_shifts_the_argument(f, a, t):
+    shifted = exact.poly_taylor(f, a)
+    assert len(shifted) == len(f)
+    assert exact.poly_eval(shifted, t) == exact.poly_eval(f, a + t)
+
+
+def test_poly_taylor_keeps_zeros():
+    assert exact.poly_taylor([1, 0, 1, 0, 0], 1) == [2, 2, 1, 0, 0]
+    assert exact.poly_taylor([0, 0, 0], 5) == [0, 0, 0]
+    assert exact.poly_taylor([], 3) == []
 
 
 def test_poly_discriminant_small_degrees():
