@@ -19,11 +19,12 @@ Generator presentations (O maximal):
   D6  <[1-w],[j]>    same data; [1-w] has norm 3, forcing 3 | disc(B)
 
 Conjugation by a class acts on O/NO through an integer matrix in the
-order basis, computed once per class from the order's multiplication
-table; fixed subgroups are reported as abelian invariants read off the
-Smith form of the stacked (conjugation - identity) maps, for every N.
-Products, twists and norms in O/NO are likewise computed from the table
-and the norm Gram matrix in integer arithmetic.
+order basis, computed once per class; fixed subgroups are reported as
+abelian invariants read off the Smith form of the stacked
+(conjugation - identity) maps, for every N.  Products of order
+coordinates, twists and norms, in O/NO and of class representatives,
+come from ``QuatOrder.multiply`` and the order's stored norm form, in
+integer arithmetic; residues mod p are enumerated by ``quat.span_mod``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .exact import (
     smith_diagonal,
 )
 from .quat import (
+    UNIT_VECTORS,
     QuatElt,
     QuatOrder,
     discriminant,
@@ -51,6 +53,7 @@ from .quat import (
     order_from_json,
     order_to_json,
     primitive_in_order,
+    span_mod,
 )
 
 KINDS = ("D1", "D2", "D3", "D4", "D6")
@@ -65,25 +68,32 @@ class AutClass:
     """A class [b] in N_{B*}(O)/Q*, acting on O by x |-> b^-1 x b.
 
     The representative is primitive in the order basis with positive
-    leading coordinate, so equal classes compare equal.  ``matrix`` is the
-    conjugation matrix, computed once at construction.
+    leading coordinate, so equal classes compare equal.  ``coords`` are its
+    integer coordinates and ``matrix`` is the conjugation matrix, both
+    computed once at construction.
     """
 
     order: QuatOrder
     rep: QuatElt
+    coords: tuple[int, int, int, int] = dataclasses.field(compare=False, repr=False)
     matrix: tuple[tuple[int, ...], ...] = dataclasses.field(compare=False, repr=False)
 
     @classmethod
     def from_element(cls, order: QuatOrder, x: QuatElt) -> "AutClass":
         if x.is_zero():
             raise ValueError("the zero element has no class in B*/Q*")
-        rep, coords = primitive_in_order(order, x)
-        if next(c for c in coords if c) < 0:
-            rep = -rep
+        return cls._from_coords(order, primitive_in_order(order, x)[1])
+
+    @classmethod
+    def _from_coords(cls, order: QuatOrder, coords: Sequence[int]) -> "AutClass":
+        """The class of the nonzero element with integer coordinates ``coords``."""
+        lead = next(c for c in coords if c)
+        content = math.gcd(*coords) if lead > 0 else -math.gcd(*coords)
+        coords = tuple(c // content for c in coords)
         rows = order.conjugation_rows(coords)
         if rows is None:
-            raise ValueError(f"{x} does not normalize the order")
-        return cls(order, rep, tuple(tuple(row) for row in rows))
+            raise ValueError(f"{order.element(coords)} does not normalize the order")
+        return cls(order, order.element(coords), coords, tuple(tuple(row) for row in rows))
 
     def is_identity(self) -> bool:
         return self.rep.is_scalar()
@@ -98,7 +108,7 @@ class AutClass:
     def __mul__(self, other: "AutClass") -> "AutClass":
         if self.order != other.order:
             raise ValueError("classes act on different orders")
-        return AutClass.from_element(self.order, self.rep * other.rep)
+        return AutClass._from_coords(self.order, self.order.multiply(self.coords, other.coords))
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,7 +302,7 @@ def search_mod4_anticommutator(order: QuatOrder, b: QuatElt) -> QuatElt | None:
     Requires b to have (Z/2)^3 fixed points mod 2; under that
     precondition the search provably finds nothing.  The twist b^-1 x b
     is the coordinate vector of x times the conjugation matrix of [b], and
-    the product comes from the multiplication table, all in integers.
+    the product comes from ``QuatOrder.multiply``, all in integers.
     """
     _, criterion = classify_involution_mod2(order, b)
     if not criterion:
@@ -329,16 +339,9 @@ def classify_c2c2_mod2(action: DihedralAction) -> tuple[list[int], bool]:
 # left submodules of O/lO
 
 
-def _left_ideal_basis(
-    table: Sequence[Sequence[Sequence[int]]], coords: Sequence[int], p: int
-) -> list[tuple[int, ...]]:
-    rows = []
-    for i in range(4):
-        # coordinates of e_i * x where x has the given coordinates
-        rows.append(
-            [sum(coords[j] * table[i][j][c] for j in range(4)) % p for c in range(4)]
-        )
-    return rref_mod(rows, p)
+def _left_ideal_basis(order: QuatOrder, coords: Sequence[int], p: int) -> list[tuple[int, ...]]:
+    """Reduced echelon basis mod p of O x, spanned by the e_i x, x with the given coordinates."""
+    return rref_mod([order.multiply(unit, coords) for unit in UNIT_VECTORS], p)
 
 
 def _line_representatives(p: int) -> Iterable[tuple[int, ...]]:
@@ -349,22 +352,11 @@ def _line_representatives(p: int) -> Iterable[tuple[int, ...]]:
             yield (0,) * lead + (1,) + tail
 
 
-def _span(basis: Sequence[Sequence[int]], p: int) -> frozenset[tuple[int, ...]]:
-    elements = set()
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        vec = tuple(
-            sum(c * b[col] for c, b in zip(coeffs, basis)) % p for col in range(4)
-        )
-        elements.add(vec)
-    return frozenset(elements)
-
-
 def generated_by(order: QuatOrder, ell: int, coords: Sequence[int]) -> frozenset[tuple[int, ...]]:
     """The left submodule of O/lO generated by the element with given coordinates."""
     if not isprime(ell):
         raise ValueError("the modulus must be prime")
-    basis = _left_ideal_basis(order.table, [v % ell for v in coords], ell)
-    return _span(basis, ell)
+    return frozenset(span_mod(_left_ideal_basis(order, coords, ell), ell))
 
 
 def submodule_lattice_mod_ell(order: QuatOrder, ell: int) -> list[frozenset[tuple[int, ...]]]:
@@ -387,15 +379,13 @@ def submodule_lattice_mod_ell(order: QuatOrder, ell: int) -> list[frozenset[tupl
         raise ValueError("submodule lattices are computed over maximal orders")
     lines = itertools.islice(_line_representatives(ell), 1, None)
     x = next(c for c in lines if order.nrd(c) % ell == 0)
-    table = order.table
-    # coordinates of x e_i, the rows spanning the right ideal x O
-    rows = [[sum(x[j] * table[j][i][c] for j in range(4)) for c in range(4)] for i in range(4)]
-    b1, b2 = rref_mod(rows, ell)
+    # the x e_i span the right ideal x O
+    b1, b2 = rref_mod([order.multiply(x, unit) for unit in UNIT_VECTORS], ell)
     keys = {
-        tuple(_left_ideal_basis(table, y, ell))
+        tuple(_left_ideal_basis(order, y, ell))
         for y in [b2] + [[(u + t * v) % ell for u, v in zip(b1, b2)] for t in range(ell)]
     }
-    middle = sorted((_span(key, ell) for key in keys), key=sorted)
+    middle = sorted((frozenset(span_mod(key, ell)) for key in keys), key=sorted)
     zero = frozenset({(0, 0, 0, 0)})
     return [zero] + middle + [frozenset(itertools.product(range(ell), repeat=4))]
 
@@ -414,11 +404,8 @@ def three_dim_generator_check(
     basis = [tuple(v % ell for v in row) for row in subspace]
     if len(basis) != 3 or len(rref_mod(basis, ell)) != 3:
         raise ValueError("the subspace must be 3-dimensional")
-    for coeffs in itertools.product(range(ell), repeat=3):
-        coords = tuple(
-            sum(c * b[col] for c, b in zip(coeffs, basis)) % ell for col in range(4)
-        )
-        if len(_left_ideal_basis(order.table, coords, ell)) == 4:
+    for coords in span_mod(basis, ell):
+        if len(_left_ideal_basis(order, coords, ell)) == 4:
             return coords
     raise ArithmeticError("a 3-dimensional subspace must contain a module generator")
 
@@ -569,14 +556,10 @@ def action_to_json(action: DihedralAction) -> dict:
     params = {"m": action.params[0]}
     if len(action.params) == 2:
         params["n"] = action.params[1]
-    generators = []
-    for cls in action.generators:
-        coords = action.order.coordinates(cls.rep)
-        generators.append([int(c) for c in coords])
     return {
         "kind": action.kind,
         "order": order_to_json(action.order),
-        "generators": generators,
+        "generators": [list(cls.coords) for cls in action.generators],
         "params": params,
     }
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from pathlib import Path
 
-from ..exact import factor_poly_q, poly_degree
+from ..exact import factor_poly_q, poly_degree, validate_invariants
 from .curve import GenusTwoCurve, curve_lpolys
 
 _FIXTURE_DIR = Path(__file__).parents[1] / "fixtures" / "genus2"
@@ -111,12 +111,7 @@ def certify_torsion(
     runs once for all good p <= B = ``prime_bound``: about B steps on
     integers of about 1.44 B bits, with memory of O(B) bits.
     """
-    claimed = tuple(int(d) for d in claimed)
-    if any(d < 2 for d in claimed):
-        raise ValueError("claimed invariant factors must be >= 2")
-    for d, e in zip(claimed, claimed[1:]):
-        if e % d:
-            raise ValueError("claimed invariant factors must form a chain")
+    claimed = validate_invariants(claimed)
     orders = tuple((p, w.point_count()) for p, w in curve_lpolys(curve, prime_bound))
     if not orders:
         raise ValueError(f"no good odd primes up to {prime_bound}")

@@ -21,7 +21,8 @@ Conventions
   basis is triangular, so coordinates come from back-substitution with
   exact division, and the multiplication table is solved that way from
   integer products of the rows; a remainder means the lattice is not
-  closed under multiplication.
+  closed under multiplication.  The trace and norm forms are computed
+  from the table once, with it.
 * ``maximal_order`` enlarges Z<1, i, j, k> by elements v/p, one prime p
   at a time, with v in the radical of the trace form trd(x y) mod p.
 * ``reduced_discriminant(O)``  is the positive square root of
@@ -239,15 +240,19 @@ class QuatOrder:
     :meth:`from_basis`, which takes any spanning rows, canonicalizes and
     validates.
 
-    The other fields are integers, and everything else (coordinates,
-    Gram matrices, products, norms, conjugation) is derived from them in
-    integer arithmetic:
+    The other fields are integers, computed once by :meth:`from_basis`,
+    and everything else (coordinates, products, norms, conjugation) is
+    derived from them in integer arithmetic:
 
     * ``hermite[i]`` is ``den * e_i`` over (t, x, y, z), ``den`` the least
       common denominator: row r has its positive pivot in column r, and
       the rows solved after it vanish there (see :func:`_solve`);
     * ``table[i][j]`` holds the coordinates of ``e_i e_j`` in the basis;
-    * ``traces[i]`` is ``trd(e_i)``, so ``traces[0] == 2``.
+    * ``traces[i]`` is ``trd(e_i)``, so ``traces[0] == 2``;
+    * ``trace_form[i][j]`` is ``trd(e_i e_j)``;
+    * ``norm_form[i][j]`` is ``trd(e_i conj(e_j))``, so that
+      ``nrd(sum c_i e_i) = (1/2) c G c^T`` and the diagonal carries
+      ``2 nrd(e_i)``.
     """
 
     algebra: QuatAlgebra
@@ -256,6 +261,8 @@ class QuatOrder:
     den: int = dataclasses.field(compare=False, repr=False)
     table: tuple[tuple[tuple[int, ...], ...], ...] = dataclasses.field(compare=False, repr=False)
     traces: tuple[int, int, int, int] = dataclasses.field(compare=False, repr=False)
+    trace_form: tuple[tuple[int, ...], ...] = dataclasses.field(compare=False, repr=False)
+    norm_form: tuple[tuple[int, ...], ...] = dataclasses.field(compare=False, repr=False)
 
     @classmethod
     def from_basis(cls, algebra: QuatAlgebra, rows: Iterable[Sequence[Fraction]]) -> "QuatOrder":
@@ -303,7 +310,12 @@ class QuatOrder:
             raise ValueError("order basis is not closed under multiplication")
         basis = tuple(QuatElt(algebra, tuple(Fraction(c, den) for c in row)) for row in hermite)
         traces = tuple(2 * row[0] // den for row in hermite)
-        return cls(algebra, basis, hermite, den, table, traces)
+        trace_form = tuple(tuple(sum(c * t for c, t in zip(prod, traces)) for prod in row)
+                           for row in table)
+        # conj(e_j) = trd(e_j) - e_j, so trd(e_i conj(e_j)) = trd(e_i) trd(e_j) - trd(e_i e_j)
+        norm_form = tuple(tuple(traces[i] * traces[j] - g for j, g in enumerate(row))
+                          for i, row in enumerate(trace_form))
+        return cls(algebra, basis, hermite, den, table, traces, trace_form, norm_form)
 
     # -- linear algebra over the basis ---------------------------------------
 
@@ -337,28 +349,17 @@ class QuatOrder:
     # -- integer arithmetic from the multiplication table ----------------------
 
     def gram_trd(self) -> list[list[int]]:
-        """Integer matrix trd(e_i e_j) = sum_k table[i][j][k] trd(e_k)."""
-        return [
-            [sum(c * t for c, t in zip(prod, self.traces)) for prod in row]
-            for row in self.table
-        ]
+        """Integer matrix trd(e_i e_j), a copy of ``trace_form``."""
+        return [list(row) for row in self.trace_form]
 
     def norm_gram(self) -> list[list[int]]:
-        """Integer Gram matrix of the bilinear form trd(x conj(y)).
-
-        Since conj(e_j) = trd(e_j) - e_j, the entry is
-        ``trd(e_i) trd(e_j) - trd(e_i e_j)``.  ``nrd(sum c_i e_i) = (1/2)
-        c G c^T``; the diagonal carries ``2 nrd(e_i)``.
-        """
-        t = self.traces
-        return [
-            [t[i] * t[j] - g for j, g in enumerate(row)]
-            for i, row in enumerate(self.gram_trd())
-        ]
+        """Integer Gram matrix of the bilinear form trd(x conj(y)), a copy of
+        ``norm_form``."""
+        return [list(row) for row in self.norm_form]
 
     def nrd(self, coords: Sequence[int]) -> int:
         """Reduced norm of the element with integer coordinates ``coords``."""
-        return _eval_gram(self.norm_gram(), coords) // 2
+        return _eval_gram(self.norm_form, coords) // 2
 
     def multiply(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int, int]:
         """Coordinates of x y for x, y with integer coordinates u, v."""
@@ -388,8 +389,7 @@ class QuatOrder:
         conj = [-c for c in beta]  # conj(b) = trd(b) - b
         conj[0] += sum(c * t for c, t in zip(beta, self.traces))
         rows = []
-        for i in range(4):
-            unit = [1 if r == i else 0 for r in range(4)]
+        for unit in UNIT_VECTORS:
             row = []
             for c in self.multiply(self.multiply(conj, unit), beta):
                 q, rem = divmod(c, n)
@@ -401,6 +401,17 @@ class QuatOrder:
 
     def __repr__(self) -> str:
         return f"QuatOrder({self.algebra!r}, basis={[str(e) for e in self.basis]})"
+
+
+#: The coordinates of the basis elements e_1, ..., e_4 of an order.
+UNIT_VECTORS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def span_mod(basis: Sequence[Sequence[int]], p: int) -> Iterator[tuple[int, int, int, int]]:
+    """The vectors sum c_i b_i mod p of order coordinates, for (c_1, ..., c_k)
+    in lexicographic order over [0, p)^k; the empty basis yields 0 alone."""
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        yield tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(4))
 
 
 def _solve(hermite: Sequence[Sequence[int]], w: Sequence[int]) -> tuple[int, ...] | None:
@@ -436,8 +447,7 @@ def standard_order(alg: QuatAlgebra) -> QuatOrder:
 
 def reduced_discriminant(order: QuatOrder) -> int:
     """Positive square root of |det(trd(e_i e_j))| over the order basis."""
-    gram = order.gram_trd()
-    det = det_bareiss(gram)
+    det = det_bareiss(order.trace_form)
     root = math.isqrt(abs(det))
     if root * root != abs(det):
         raise ValueError("invariant violation: |det trd(e_i e_j)| is not a square")
@@ -496,15 +506,11 @@ def _enlarge_at(order: QuatOrder, p: int) -> QuatOrder | None:
     discriminant is smaller.
     """
     # the kernel is the identity half of the rows of [G | I] whose G half reduces to 0
-    augmented = [row + [int(r == c) for c in range(4)] for r, row in enumerate(order.gram_trd())]
+    augmented = [row + unit for row, unit in zip(order.trace_form, UNIT_VECTORS)]
     kernel = [row[4:] for row in rref_mod(augmented, p) if not any(row[:4])]
-    gram = order.norm_gram()
     rows = order.basis_matrix()
-    for lam in itertools.product(range(p), repeat=len(kernel)):
-        if not any(lam):
-            continue
-        c = [sum(l * b[k] for l, b in zip(lam, kernel)) % p for k in range(4)]
-        if _eval_gram(gram, c) % (2 * p * p):
+    for c in span_mod(kernel, p):
+        if not any(c) or _eval_gram(order.norm_form, c) % (2 * p * p):
             continue
         w = [Fraction(x, p) for x in order.element(c).coords]
         try:
@@ -588,14 +594,13 @@ def atkin_lehner_group(order: QuatOrder, max_height: int = 12) -> dict[int, Quat
     disc = discriminant(order.algebra)
     divisors = [m for m in range(1, disc + 1) if disc % m == 0]
     reps: dict[int, QuatElt] = {1: order.algebra.one}
-    gram = order.norm_gram()
     remaining = set(divisors) - {1}
     for coords in _box_coordinates(max_height):
         if not remaining:
             break
         if math.gcd(*coords) != 1:
             continue
-        n2 = _eval_gram(gram, coords)  # 2 nrd
+        n2 = _eval_gram(order.norm_form, coords)  # 2 nrd
         m = abs(n2) // 2
         if m in remaining:
             if order.conjugation_rows(coords) is None:
@@ -633,7 +638,7 @@ def find_trace_zero(order: QuatOrder, m: int, height: int = 30) -> list[QuatElt]
         raise ValueError("height must be >= 1")
     if m == 0:
         raise ValueError("m must be a nonzero integer")
-    g = order.norm_gram()
+    g = order.norm_form
     traces = order.traces
     # nrd(c) = c1^2 + c1*(g12 c2 + g13 c3 + g14 c4) + C(c2, c3, c4); all integer
     out: list[tuple[int, int, int, int]] = []

@@ -38,9 +38,11 @@ from quatorsion.exact import hnf_rows, rref_mod, smith_invariants
 from quatorsion.quat import (
     QuatAlgebra,
     QuatOrder,
+    atkin_lehner_group,
     discriminant,
     find_trace_zero,
     maximal_order,
+    order_to_json,
     standard_order,
 )
 
@@ -91,13 +93,49 @@ def test_non_normalizing_element_is_rejected(omax_1_6):
         AutClass.from_element(omax_1_6, b.element(0))
 
 
-def test_class_multiplication_matches_element_product(omax_1_6):
+# every ordered pair of generators of the five actions of ``all_actions``
+GENERATOR_PAIRS = [("D1", 0, 0)] + [
+    (kind, s, t) for kind in ("D2", "D4", "D3", "D6") for s in range(2) for t in range(2)
+]
+
+
+@pytest.mark.parametrize("kind, s, t", GENERATOR_PAIRS)
+def test_class_multiplication_matches_element_product(all_actions, kind, s, t):
+    # the integer product of stored coordinates against the QuatElt product
+    g, h = all_actions[kind].generators[s], all_actions[kind].generators[t]
+    order = g.order
+    product = g * h
+    assert product == AutClass.from_element(order, g.rep * h.rep)
+    assert product.is_identity() == (g.rep * h.rep).is_scalar()
+    for cls in (g, h, product):
+        assert cls.coords == tuple(int(c) for c in order.coordinates(cls.rep))
+
+
+def test_orders_keep_their_gram_forms(monkeypatch, omax_1_6):
+    # from_basis computes the trace and norm forms once; no later call rebuilds them
     b = omax_1_6.algebra
-    jk2 = b.element(0, 0, HALF, HALF)
-    gi = AutClass.from_element(omax_1_6, b.i)
-    gjk = AutClass.from_element(omax_1_6, jk2)
-    assert gi * gjk == AutClass.from_element(omax_1_6, b.i * jk2)
-    assert (gi * gi).is_identity()
+    box = list(itertools.product(range(-1, 2), repeat=4))
+
+    def run():
+        o36 = maximal_order(QuatAlgebra(-3, 6))
+        return (
+            [omax_1_6.nrd(c) for c in box],
+            omax_1_6.conjugation_rows((-1, 2, 0, -1)),  # i
+            AutClass.from_element(omax_1_6, b.one + b.i).matrix,
+            order_to_json(o36),
+            atkin_lehner_group(o36),
+            find_trace_zero(omax_1_6, -1, 2),
+        )
+
+    expected = run()
+    assert expected[0] == [omax_1_6.element(c).nrd() for c in box]
+
+    def rebuilt(self):
+        raise AssertionError("a Gram matrix was rebuilt")
+
+    monkeypatch.setattr(QuatOrder, "gram_trd", rebuilt)
+    monkeypatch.setattr(QuatOrder, "norm_gram", rebuilt)
+    assert run() == expected
 
 
 def test_conjugation_matrix_acts_as_conjugation(omax_1_6):
@@ -442,7 +480,7 @@ def _scan_lattice(order, ell):
     """
     firsts = {}
     for coords in _line_representatives(ell):
-        firsts.setdefault(tuple(_left_ideal_basis(order.table, coords, ell)), coords)
+        firsts.setdefault(tuple(_left_ideal_basis(order, coords, ell)), coords)
     modules = [generated_by(order, ell, coords) for coords in firsts.values()]
     modules.sort(key=lambda mod: (len(mod), sorted(mod)))
     return modules

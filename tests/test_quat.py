@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -722,6 +723,19 @@ def test_norm_gram_evaluates_the_norm(omax_1_6, c):
     gram = omax_1_6.norm_gram()
     value = sum(c[r] * gram[r][s] * c[s] for r in range(4) for s in range(4))
     assert Fraction(value, 2) == omax_1_6.element(c).nrd()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_span_mod_runs_lexicographically(p):
+    # on a reduced echelon basis the pivot coordinates are the coefficients
+    basis, pivots = [(1, 0, 2, 0), (0, 1, 4, 0), (0, 0, 0, 1)], (0, 1, 3)
+    for k in range(4):
+        vectors = list(quat.span_mod(basis[:k], p))
+        assert [tuple(v[c] for c in pivots[:k]) for v in vectors] == list(
+            itertools.product(range(p), repeat=k)
+        )
+        assert len(set(vectors)) == p**k
+    assert list(quat.span_mod([], p)) == [(0, 0, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
