@@ -11,16 +11,22 @@ from scratch, so the shipped fixtures are reproducible offline:
   quotient of the free module on Manin symbols, indexed by P^1(Z/N), by
   the two-term and three-term relations x + xS = 0, x + xT + xT^2 = 0
   (Stein, "Modular Forms: A Computational Approach", GSM 79, 2007).
-* Hecke operators T_p (p not dividing N) act through the coset matrices
-  [[p,0],[0,1]] and [[1,k],[0,p]]; images are converted back to Manin
-  symbols with Manin's continued-fraction algorithm.
-* Eigenvalue systems are located as joint kernels of small candidate
-  polynomials in the T_p (the Weil bound |a_p| <= 2*sqrt(p) leaves only
-  a handful of candidates per prime), lifted to exact integers, and
-  computed twice, over the first two working primes q = 1 (mod 24),
-  whose lifts must agree.  The square root of each quadratic radicand
-  is taken mod q; a check confirms it exists (-1, 2 and 3 are squares
-  mod every such q), and there is no rerun on another prime.
+* Hecke operators T_p (p not dividing N) act on Manin symbols through
+  Merel's Heilbronn matrices of determinant p: (u : v) T_p is the sum of
+  (ua + vc : ub + vd) over the (a, b, c, d) with ad - bc = p, a > b >= 0
+  and d > c >= 0 (Merel, "Universal Fourier expansions of modular
+  forms", 1994; Stein, GSM 79, section 8.3).
+* Eigenvalue systems are found by one splitter: starting from the whole
+  space, each probe prime p replaces every candidate subspace by the
+  kernels of small candidate polynomials in T_p (the Weil bound
+  |a_p| <= 2*sqrt(p) leaves only a handful per prime).  The twist and
+  the CM searches differ only in their probes.  A 4-dimensional
+  candidate is one orbit; it is sliced to the embedding that a probe
+  names, and every a_p is lifted to u + v*sqrt(m) exactly.  Each search
+  runs twice, over the first two working primes q = 1 (mod 24), whose
+  lifts must agree.  The square root of each quadratic radicand is
+  taken mod q; a check confirms it exists (-1, 2 and 3 are squares mod
+  every such q), and there is no rerun on another prime.
 * Every run re-derives the anchor values that the package's unit tests
   freeze (a_2^2 = 6 and the L-values L_2(1) = 3, L_13(1) = 225 for the
   level-243 orbit), and the orbit letter "d" from the full level-243
@@ -30,14 +36,14 @@ from scratch, so the shipped fixtures are reproducible offline:
   ArithmeticError, also under ``python -O``; no fixture is written from
   unverified data.
 
-Eisenstein systems never appear in the extracted kernels because their
-eigenvalues a_p = p + 1 violate the Weil-bound candidate ranges, and
-old systems are excluded because their joint eigenspaces are strictly
-larger than the two-dimensional-per-embedding newform slice.
+Eisenstein systems never reach the reader because their eigenvalues
+a_p = p + 1 violate the Weil-bound candidate ranges, and old systems
+are excluded because their joint eigenspaces are strictly larger than
+the two-dimensional-per-embedding newform slice.
 
 The package's own arithmetic (``quatorsion.exact``) supplies the number
 theory; the script needs numpy besides, and no sympy.  It takes no
-options and runs in about 90 s on two CPUs:
+options and runs in about 16 s on two CPUs:
 
     python -O scripts/gen_newform_fixtures.py
 """
@@ -130,67 +136,33 @@ def totient(n: int) -> int:
 # ----------------------------------------------------------------------
 
 class P1List:
-    """Canonical representatives of P^1(Z/N) with O(1)-ish normalization.
+    """Representatives of P^1(Z/N) and a table of their indices.
 
     An element is the unit-scaling class of a pair (u, v) with
-    gcd(u, v, N) = 1.  The canonical representative has first coordinate
-    g = gcd(u, N) (a divisor of N) and the second coordinate minimized
-    over the stabilizer scalars t = 1 + k*(N/g) that are units mod N.
+    gcd(u, v, N) = 1.  Scaling keeps g = gcd(u, N), so every class has
+    members (g, v) with g a divisor of N; its representative is the one
+    with the least v, the first member met as (g, v) runs ascending over
+    the divisors g and 0 <= v < N.  ``table[u, v]`` is the index of the
+    class of (u, v) for 0 <= u, v < N, and -1 off P^1(Z/N).
     """
 
     def __init__(self, N: int):
         if N < 1:
             raise ValueError(f"level {N} is not a positive integer")
         self.N = N
-        self._cache: dict[tuple[int, int], tuple[int, int]] = {}
-        reps: list[tuple[int, int]] = []
-        index: dict[tuple[int, int], int] = {}
+        units = np.array([t for t in range(N) if gcd(t, N) == 1])
+        self.table = np.full((N, N), -1, dtype=np.int64)
+        self.reps: list[tuple[int, int]] = []
         for u in divisors(N):
             for v in range(N):
-                if gcd(gcd(u, v), N) != 1:
-                    continue
-                cu, cv = self.normalize(u, v)
-                if (cu, cv) not in index:
-                    index[(cu, cv)] = len(reps)
-                    reps.append((cu, cv))
-        self.reps = reps
-        self.index = index
+                if gcd(gcd(u, v), N) == 1 and self.table[u % N, v] < 0:
+                    self.table[units * u % N, units * v % N] = len(self.reps)
+                    self.reps.append((u % N, v))
 
-    def normalize(self, u: int, v: int) -> tuple[int, int]:
-        N = self.N
-        if N == 1:
-            return (0, 0)
-        u %= N
-        v %= N
-        hit = self._cache.get((u, v))
-        if hit is not None:
-            return hit
-        out = self._normalize(u, v)
-        self._cache[(u, v)] = out
-        return out
+    def index(self, u: int, v: int) -> int:
+        """The index of the class of (u : v)."""
 
-    def _normalize(self, u: int, v: int) -> tuple[int, int]:
-        N = self.N
-        g = gcd(u, N)
-        if gcd(g, v) != 1:
-            raise ValueError(f"({u} : {v}) is not a point of P^1(Z/{N})")
-        if u == 0:
-            return (0, 1)
-        # scale by a unit s with s*u = g (mod N): s = (u/g)^-1 mod N/g,
-        # lifted along s + k*(N/g) until it is a unit mod N (a unit lift
-        # exists because gcd(s, N/g) = 1 and N/g is invertible modulo the
-        # remaining prime factors).
-        m = N // g
-        s = pow(u // g, -1, m)
-        while gcd(s, N) != 1:
-            s += m
-        # v is well defined modulo m up to stabilizer units t = 1 (mod m);
-        # t = 1 (k = 0) is always one of them
-        v = (s * v) % N
-        if g == 1:
-            return (1, v)
-        units = (t for t in (1 + k * m for k in range(g)) if gcd(t, N) == 1)
-        return (g, min(t * v % N for t in units))
+        return int(self.table[u % self.N, v % self.N])
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -217,37 +189,24 @@ def lift_to_sl2(c: int, d: int, N: int) -> tuple[int, int, int, int]:
     return a, (a * d2 - 1) // c2, c2, d2
 
 
-def manin_infty_chain(num: int, den: int) -> list[tuple[int, int]]:
-    """Decompose {oo, num/den} as a sum of Manin symbols.
+def heilbronn(n: int) -> list[tuple[int, int, int, int]]:
+    """Merel's Heilbronn matrices of determinant n: the (a, b, c, d) with
+    ad - bc = n, a > b >= 0 and d > c >= 0.
 
-    Returns pairs (c, d) meaning + x_{(c : d)}; the modular symbol
-    {oo, num/den} equals the sum of x at those projective points.  Uses
-    the continued-fraction convergents p_k/q_k of num/den: each
-    consecutive pair {p_{k-1}/q_{k-1}, p_k/q_k} is the Manin symbol at
-    (q_k : (-1)^(k-1) q_{k-1}).
+    bc <= (a - 1)(d - 1) bounds a + d by n + 1; for each (a, d), c runs
+    over the divisors of bc = ad - n with bc / c < a and c < d.
     """
 
-    if den == 0:
-        return []
-    if den < 0:
-        num, den = -num, -den
-    terms: list[tuple[int, int]] = []
-    q_prev, q_cur = 0, None  # q_{-1}, then q_k as we go
-    n, d = num, den
-    k = 0
-    while True:
-        a = n // d  # floor division; standard CF of a rational
-        if k == 0:
-            q_cur = 1
-        else:
-            q_cur, q_prev = a * q_cur + q_prev, q_cur
-        sign = -1 if k % 2 == 0 else 1  # (-1)^(k-1)
-        terms.append((q_cur, sign * q_prev))
-        n, d = d, n - a * d
-        if d == 0:
-            break
-        k += 1
-    return terms
+    out = []
+    for a in range(1, n + 1):
+        for d in range(-(-n // a), n + 2 - a):
+            bc = a * d - n
+            if bc == 0:
+                out += [(a, b, 0, d) for b in range(a)]
+                out += [(a, 0, c, d) for c in range(1, d)]
+            else:
+                out += [(a, bc // c, c, d) for c in range(bc // a + 1, d) if bc % c == 0]
+    return out
 
 
 class ManinSpace:
@@ -270,7 +229,7 @@ class ManinSpace:
         seen_t: set[int] = set()
         for i, (c, d) in enumerate(self.p1.reps):
             # S relation: x + xS, with (c:d)S = (d : -c)
-            j = self.p1.index[self.p1.normalize(d, -c)]
+            j = self.p1.index(d, -c)
             if i not in seen_s:
                 seen_s.update((i, j))
                 row = np.zeros(n, dtype=np.int64)
@@ -278,8 +237,8 @@ class ManinSpace:
                 row[j] += 1
                 rows.append(row % q)
             # T relation: x + xT + xT^2, (c:d)T = (d : -c-d)
-            jt = self.p1.index[self.p1.normalize(d, -c - d)]
-            jtt = self.p1.index[self.p1.normalize(-c - d, c)]
+            jt = self.p1.index(d, -c - d)
+            jtt = self.p1.index(-c - d, c)
             if i not in seen_t:
                 seen_t.update((i, jt, jtt))
                 row = np.zeros(n, dtype=np.int64)
@@ -290,22 +249,16 @@ class ManinSpace:
 
         rel = np.array(rows, dtype=np.int64)
         rref, pivots = rref_mod(rel, q)
-        basis = [j for j in range(n) if j not in set(pivots)]
+        basis = sorted(set(range(n)) - set(pivots))
         self.basis = basis
         self.dim = len(basis)
         check(self.dim <= MAX_DIM, "quotient too large for int64 products")
 
-        # projection matrix: symbol e_j -> coordinates in the basis
-        proj = np.zeros((n, self.dim), dtype=np.int64)
-        pos = {j: t for t, j in enumerate(basis)}
-        for t, j in enumerate(basis):
-            proj[j, t] = 1
-        for r, j in enumerate(pivots):
-            # e_j = -sum_{b non-pivot} rref[r, b] e_b
-            for b in basis:
-                if rref[r, b]:
-                    proj[j, pos[b]] = (-int(rref[r, b])) % q
-        self.proj = proj
+        # projection matrix: symbol e_j -> coordinates in the basis; a
+        # pivot symbol is e_j = -sum_{b non-pivot} rref[r, b] e_b
+        self.proj = np.zeros((n, self.dim), dtype=np.int64)
+        self.proj[basis, range(self.dim)] = 1
+        self.proj[pivots] = -rref[: len(pivots), basis] % q
 
         # dimension check against 2 g + (#cusps) - 1 from the genus formula
         g, cusps = gamma0_genus_cusps(N)
@@ -328,23 +281,16 @@ class ManinSpace:
             return self._tp_cache[p]
         if not isprime(p) or self.N % p == 0:
             raise ValueError(f"T_{p} needs a prime not dividing {self.N}")
-        N, q = self.N, self.q
-        mats = [(p, 0, 0, 1)] + [(1, k, 0, p) for k in range(p)]
-        T = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for t, j in enumerate(self.basis):
-            c, d = self.p1.reps[j]
-            a, b, c2, d2 = lift_to_sl2(c, d, N)
-            col = np.zeros(self.dim, dtype=np.int64)
-            for (m00, m01, m10, m11) in mats:
-                # x_{(c:d)} = {b/d2, a/c2}; T_p adds {delta b/d2, delta a/c2}
-                a_num, a_den = m00 * b + m01 * d2, m10 * b + m11 * d2
-                b_num, b_den = m00 * a + m01 * c2, m10 * a + m11 * c2
-                # {alpha, beta} = -{oo, alpha} + {oo, beta}
-                for (cc, dd) in manin_infty_chain(a_num, a_den):
-                    col -= self.proj[self.p1.index[self.p1.normalize(cc, dd)]]
-                for (cc, dd) in manin_infty_chain(b_num, b_den):
-                    col += self.proj[self.p1.index[self.p1.normalize(cc, dd)]]
-            T[:, t] = col % q
+        # column (u : v) is the sum of the symbols (ua + vc : ub + vd) over
+        # the Heilbronn matrices; the float product is exact because each
+        # entry is at most #X_p * q < 2^53
+        N = self.N
+        a, b, c, d = np.array(heilbronn(p)).T
+        u, v = np.array([self.p1.reps[j] for j in self.basis]).T[:, :, None]
+        hits = self.p1.table[(u * a + v * c) % N, (u * b + v * d) % N]
+        counts = np.zeros((self.dim, len(self.p1)))
+        np.add.at(counts, (np.arange(self.dim)[:, None], hits), 1)
+        T = (self.proj.T.astype(float) @ counts.T).astype(np.int64) % self.q
         self._tp_cache[p] = T
         return T
 
@@ -467,13 +413,10 @@ def kernel_mod(A: np.ndarray, q: int) -> np.ndarray:
     """Columns spanning ker(A) mod q (A need not be square)."""
 
     R, pivots = rref_mod(A.copy(), q)
-    n = A.shape[1]
-    free = [j for j in range(n) if j not in set(pivots)]
-    K = np.zeros((n, len(free)), dtype=np.int64)
-    for t, j in enumerate(free):
-        K[j, t] = 1
-        for r, pc in enumerate(pivots):
-            K[pc, t] = (-int(R[r, j])) % q
+    free = sorted(set(range(A.shape[1])) - set(pivots))
+    K = np.zeros((A.shape[1], len(free)), dtype=np.int64)
+    K[free, range(len(free))] = 1
+    K[pivots] = -R[: len(pivots), free] % q
     return K
 
 
@@ -512,10 +455,10 @@ def matpoly(T: np.ndarray, coeffs: list[int], q: int) -> np.ndarray:
 
 @dataclass
 class QuadSystem:
-    """One Galois orbit of a quadratic (or rational) eigenvalue system.
+    """One Galois orbit of a real quadratic eigenvalue system.
 
     ``ap`` maps p -> (u, v): a_p = u + v*sqrt(m) for the stored embedding.
-    ``m`` is the squarefree coefficient-field radicand (1 for rational).
+    ``m`` > 1 is the squarefree coefficient-field radicand.
     """
 
     level: int
@@ -523,139 +466,161 @@ class QuadSystem:
     ap: dict[int, tuple[Fraction, Fraction]]
 
 
-def find_twist_orbits(space: ManinSpace, psi: int) -> list[QuadSystem]:
-    """Find all eigen systems in ``space`` with the inner-twist pattern of
-    the quadratic character psi: a_p rational for chi_psi(p) = 1 and
-    a_p = b*sqrt(m) (pure quadratic) for chi_psi(p) = -1.
+#: A prime p and the candidate polynomials f (ascending coefficients)
+#: whose kernels at T_p split the space.  Each f carries the root
+#: (x + y sqrt(m))/2 of f, as (x, y, m), that names an embedding of the
+#: orbits in its kernel, or None when it names none.
+Probe = tuple[int, list[tuple[list[int], tuple[int, int, int] | None]]]
 
-    Probes joint kernels over the first two inert and the first two
-    split good primes, then extends each surviving candidate to all good
-    p <= COEFF_BOUND and validates the twist relation along the way.
-    Systems whose joint eigenspace is not exactly 4-dimensional (one
-    orbit, multiplicity one, doubled by complex conjugation on symbols)
-    are discarded: old systems appear with strictly larger multiplicity.
+
+def good_primes(N: int) -> list[int]:
+    """The primes p <= COEFF_BOUND that do not divide N."""
+
+    return [p for p in primerange(2, COEFF_BOUND + 1) if N % p]
+
+
+def find_orbits(space: ManinSpace, probes: list[Probe]) -> list[QuadSystem]:
+    """The quadratic orbits whose eigenvalues pass every probe.
+
+    Starting from the whole space, each probe replaces every candidate
+    subspace V by the nonzero kernels of f(T_p) on V, one per candidate
+    polynomial f.  A final candidate of dimension exactly 4 (one orbit
+    of multiplicity one, doubled by the star involution on symbols) is
+    read off by ``read_orbit`` in the embedding named by its first
+    naming probe.  Old systems have strictly larger joint eigenspaces,
+    and Eisenstein systems (a_p = p + 1) fail the Weil-bounded
+    candidates.
     """
 
-    N, q = space.N, space.q
-    primes = [p for p in primerange(2, COEFF_BOUND + 1) if N % p]
-    split = [p for p in primes if kronecker_symbol(psi, p) == 1]
-    inert = [p for p in primes if kronecker_symbol(psi, p) == -1]
-    # inert first: the quadratic condition prunes hardest
-    probes = [(p, "inert") for p in inert[:2]] + [(p, "split") for p in split[:2]]
-
-    candidates: list[np.ndarray] = [np.eye(space.dim, dtype=np.int64)]
-    traces: list[dict] = [{}]
-    for p, kind in probes:
+    q = space.q
+    candidates = [(np.eye(space.dim, dtype=np.int64), None)]
+    for p, polys in probes:
         T = space.hecke_matrix(p)
-        bound = isqrt(4 * p)
-        new_candidates: list[np.ndarray] = []
-        new_traces: list[dict] = []
-        for V, tr in zip(candidates, traces):
-            TV = restrict(T, V, q) if V.shape[1] != space.dim else T
-            if kind == "split":
-                for a in range(-bound, bound + 1):
-                    K = kernel_mod((TV - a * np.eye(TV.shape[0], dtype=np.int64)) % q, q)
-                    if K.shape[1]:
-                        W = V @ K % q if V.shape[1] != space.dim else K
-                        new_candidates.append(W)
-                        new_traces.append({**tr, p: ("split", a)})
-            else:
-                for c in range(0, 4 * p + 1):
-                    M = (TV @ TV - c * np.eye(TV.shape[0], dtype=np.int64)) % q
-                    K = kernel_mod(M, q)
-                    if K.shape[1]:
-                        W = V @ K % q if V.shape[1] != space.dim else K
-                        new_candidates.append(W)
-                        new_traces.append({**tr, p: ("inert2", c)})
-        candidates, traces = new_candidates, new_traces
+        split = []
+        for V, name in candidates:
+            powers = [np.eye(V.shape[1], dtype=np.int64), restrict(T, V, q)]
+            while len(powers) < max(len(f) for f, _ in polys):
+                powers.append(powers[-1] @ powers[1] % q)
+            for f, root in polys:
+                K = kernel_mod(sum(c % q * P for c, P in zip(f, powers)) % q, q)
+                if K.shape[1]:
+                    named = name if name or not root else (p, *root)
+                    split.append((V @ K % q, named))
+        candidates = split
+    orbits = [read_orbit(space, V, *name) for V, name in candidates
+              if V.shape[1] == 4 and name]
+    return [o for o in orbits if o is not None]
 
-    # Keep candidates of joint dimension exactly 4 (newform orbit pair).
-    orbits: list[QuadSystem] = []
-    for V, tr in zip(candidates, traces):
-        if V.shape[1] != 4:
+
+def read_orbit(
+    space: ManinSpace, V: np.ndarray, p0: int, x: int, y: int, m: int
+) -> QuadSystem | None:
+    """Exact a_p at every good p <= COEFF_BOUND of the orbit on the
+    4-dimensional V, in the embedding with a_{p0} = (x + y sqrt(m))/2.
+
+    None when V holds no such orbit: that eigenvalue of T_{p0} has no
+    2-dimensional eigenspace, some T_p is not scalar on it, or some
+    eigenvalue has no Weil-bounded lift.
+    """
+
+    q = space.q
+    check(kronecker_symbol(m, q) == 1, f"sqrt({m}) does not exist mod q = {q}")
+    s = sqrt_mod(m, q)
+    lam = (x + y * s) * pow(2, -1, q) % q
+    T0 = restrict(space.hecke_matrix(p0), V, q)
+    K = kernel_mod((T0 - lam * np.eye(4, dtype=np.int64)) % q, q)
+    if K.shape[1] != 2:
+        return None
+    W = V @ K % q
+    ap: dict[int, tuple[Fraction, Fraction]] = {}
+    for p in good_primes(space.N):
+        lam = _scalar_of(restrict(space.hecke_matrix(p), W, q), q)
+        uv = None if lam is None else lift_quadratic(lam, m, s, p, q)
+        if uv is None:
+            return None
+        ap[p] = uv
+    return QuadSystem(level=space.N, m=m, ap=ap)
+
+
+def lift_quadratic(
+    lam: int, m: int, s: int, p: int, q: int
+) -> tuple[Fraction, Fraction] | None:
+    """Lift an eigenvalue mod q to u + v sqrt(m), s = sqrt(m) mod q, with
+    both embeddings Weil-bounded at p and 2u, 2v integers of equal
+    parity, both even unless m = 1 (mod 4): the ring of integers of
+    Q(sqrt(m))."""
+
+    bound = 2 * isqrt(4 * p) + 2
+    inv_s = pow(s, -1, q)
+    x = None
+    for t in range(-bound, bound + 1):  # t = 2u
+        v2 = lift_small((2 * lam - t) * inv_s % q, bound, q)
+        if v2 is None:
             continue
-        sys_ = _extract_system(space, psi, V, tr, primes, inert)
-        if sys_ is not None:
-            verify_twist_pattern(sys_, psi)
-            orbits.append(sys_)
+        if (t - v2) % 2 != 0 or (m % 4 != 1 and (t % 2 or v2 % 2)):
+            continue
+        u, v = Fraction(t, 2), Fraction(v2, 2)
+        if newform._weil_bounded(u, v, m, p):
+            if x is None:
+                x = (u, v)
+            elif (u, v) != x:
+                return None  # ambiguous lift; q too small (never at 2^26)
+    return x
+
+
+def find_twist_orbits(space: ManinSpace, psi: int) -> list[QuadSystem]:
+    """The orbits with the inner-twist pattern of the quadratic character
+    psi: a_p rational where chi_psi(p) = 1, a_p = v sqrt(m) where
+    chi_psi(p) = -1.
+
+    Probes a_p^2 = c at the first two inert primes and a_p = a at the
+    first two split primes.  The first c = m w^2 != 0 names the
+    embedding a_p = -w sqrt(m); ``verify_twist_pattern`` then checks the
+    pattern of each orbit found at every stored prime.
+    """
+
+    primes = good_primes(space.N)
+    inert = [p for p in primes if kronecker_symbol(psi, p) == -1][:2]
+    split = [p for p in primes if kronecker_symbol(psi, p) == 1][:2]
+    probes = [(p, [([-c, 0, 1], _pure_root(c)) for c in range(4 * p + 1)]) for p in inert]
+    probes += [(p, [([-a, 1], None) for a in range(-isqrt(4 * p), isqrt(4 * p) + 1)])
+               for p in split]
+    orbits = find_orbits(space, probes)
+    for sys_ in orbits:
+        verify_twist_pattern(sys_, psi)
     return orbits
 
 
-def _extract_system(
-    space: ManinSpace,
-    psi: int,
-    V: np.ndarray,
-    tr: dict,
-    primes: list[int],
-    inert: list[int],
-) -> QuadSystem | None:
-    """Turn a 4-dim joint eigenspace into exact eigenvalue data."""
+def _pure_root(c: int) -> tuple[int, int, int] | None:
+    """(0, -2w, m), naming the root -w sqrt(m) of x^2 - c, when c = m w^2
+    with m > 1 squarefree; None when c is 0 or a square."""
 
-    q = space.q
-    # determine m from the first nonzero inert quadratic value
-    m = 0
-    for p in inert:
-        if p in tr and tr[p][0] == "inert2" and tr[p][1] != 0:
-            m = rational_square_class(tr[p][1])[0]
-            break
-    if m == 0:
-        # all probed inert values zero: extend until nonzero or give up (CM)
-        for p in inert:
-            T = restrict(space.hecke_matrix(p), V, q)
-            c = _scalar_of(T @ T % q, q)
-            if c is None:
-                return None
-            cl = lift_small(c, 4 * p, q)
-            if cl is None:
-                return None
-            if cl != 0:
-                m = rational_square_class(cl)[0]
-                break
-        if m == 0:
-            m = 1  # fully self-twisted candidate; records as rational
-    check(kronecker_symbol(m, q) == 1, f"sqrt({m}) does not exist mod q = {q}")
+    m = rational_square_class(c)[0] if c else 1
+    return (0, -2 * isqrt(c // m), m) if m > 1 else None
 
-    s = 0 if m == 1 else sqrt_mod(m, q)
 
-    # split V into the two embeddings when m > 1: eigenspaces of the first
-    # inert prime with nonzero eigenvalue
-    if m > 1:
-        W = None
-        for p in inert:
-            T = restrict(space.hecke_matrix(p), V, q)
-            # T has eigenvalues +- b s; pick kernel of (T - b s) per b
-            for b in range(-isqrt(4 * p // m) - 1, isqrt(4 * p // m) + 2):
-                lam = b * s % q
-                K = kernel_mod((T - lam * np.eye(4, dtype=np.int64)) % q, q)
-                if K.shape[1] == 2 and b != 0:
-                    W = V @ K % q
-                    break
-            if W is not None:
-                break
-        if W is None:
-            return None  # could not isolate an embedding (CM-like)
-    else:
-        W = V
+def find_cm_orbits(space: ManinSpace, D: int) -> list[QuadSystem]:
+    """Self-twist orbits for the imaginary discriminant D with a real
+    quadratic coefficient field.
 
-    # read a_p off the embedding slice for every good p
-    ap: dict[int, tuple[Fraction, Fraction]] = {}
-    for p in primes:
-        T = restrict(space.hecke_matrix(p), W, q)
-        lam = _scalar_of(T, q)
-        if lam is None:
-            return None
-        chi = kronecker_symbol(psi, p)
-        if chi == 1 or m == 1:
-            a = lift_small(lam, isqrt(4 * p), q)
-            if a is None:
-                return None
-            ap[p] = (Fraction(a), Fraction(0))
-        else:
-            b = lift_small(lam * pow(s, -1, q) % q, isqrt(4 * p // m) + 1, q)
-            if b is None:
-                return None
-            ap[p] = (Fraction(0), Fraction(b))
-    return QuadSystem(level=space.N, m=m, ap=ap)
+    Probes a_p = 0 at the first four primes inert in Q(sqrt(D)), then at
+    the first split prime p0 every x^2 - t x + n with t^2 - 4n = m y^2,
+    m > 1 squarefree and |t|, |n| in the Weil range; each names the
+    embedding a_{p0} = (t + y sqrt(m))/2 with y > 0.
+    """
+
+    primes = good_primes(space.N)
+    inert = [p for p in primes if kronecker_symbol(D, p) == -1][:4]
+    p0 = next(p for p in primes if kronecker_symbol(D, p) == 1)
+    quadratics = []
+    tb = 2 * isqrt(4 * p0) + 2
+    for t in range(-tb, tb + 1):
+        for n in range(-4 * p0, 4 * p0 + 1):
+            disc = t * t - 4 * n
+            m = rational_square_class(disc)[0] if disc > 0 else 1
+            if m > 1:
+                quadratics.append(([n, -t, 1], (t, isqrt(disc // m), m)))
+    return find_orbits(space, [(p, [([0, 1], None)]) for p in inert] + [(p0, quadratics)])
 
 
 def charpoly_mod(A: np.ndarray, q: int) -> list[int]:
@@ -936,105 +901,6 @@ def letter_at_243(sys_: QuadSystem) -> str:
     ]
     check(len(hits) == 1 and hits[0] < 26, f"trace match not unique: {hits}")
     return chr(ord("a") + hits[0])
-
-
-# ----------------------------------------------------------------------
-# CM (self-twist) orbit search
-# ----------------------------------------------------------------------
-
-def lift_quadratic(
-    lam: int, m: int, s: int, p: int, q: int
-) -> tuple[Fraction, Fraction] | None:
-    """Lift an eigenvalue mod q to u + v sqrt(m) with 2u, 2v integers,
-    both embeddings Weil-bounded at p, and x = 2u = 2v = y parity
-    matching the ring of integers of Q(sqrt(m))."""
-
-    bound = 2 * isqrt(4 * p) + 2
-    inv_s = pow(s, -1, q)
-    x = None
-    for t in range(-bound, bound + 1):  # t = 2u
-        v2 = lift_small((2 * lam - t) * inv_s % q, bound, q)
-        if v2 is None:
-            continue
-        if (t - v2) % 2 != 0 or (m % 4 != 1 and (t % 2 or v2 % 2)):
-            continue
-        u, v = Fraction(t, 2), Fraction(v2, 2)
-        if newform._weil_bounded(u, v, m, p):
-            if x is None:
-                x = (u, v)
-            elif (u, v) != x:
-                return None  # ambiguous lift; q too small (never at 2^26)
-    return x
-
-
-def find_cm_orbits(space: ManinSpace, D: int) -> list[QuadSystem]:
-    """Self-twist orbits for the imaginary discriminant D with a real
-    quadratic coefficient field: a_p = 0 at every p inert in Q(sqrt(D)),
-    a_p = u + v sqrt(m) (v not always 0) at split p."""
-
-    N, q = space.N, space.q
-    primes = [p for p in primerange(2, COEFF_BOUND + 1) if N % p]
-    split = [p for p in primes if kronecker_symbol(D, p) == 1]
-    inert = [p for p in primes if kronecker_symbol(D, p) == -1]
-    V = np.eye(space.dim, dtype=np.int64)
-    for p in inert[:4]:
-        T = restrict(space.hecke_matrix(p), V, q) if V.shape[1] != space.dim else space.hecke_matrix(p)
-        K = kernel_mod(T, q)
-        if K.shape[1] == 0:
-            return []
-        V = V @ K % q if V.shape[1] != space.dim else K
-    p0 = split[0]
-    T0 = restrict(space.hecke_matrix(p0), V, q)
-    out: list[QuadSystem] = []
-    tb = 2 * isqrt(4 * p0) + 2
-    for t in range(-tb, tb + 1):
-        for nn in range(-4 * p0, 4 * p0 + 1):
-            disc = t * t - 4 * nn
-            rad, is_sq = (0, True) if disc <= 0 else rational_square_class(disc)
-            if disc <= 0 or is_sq:
-                continue
-            m = rad
-            M = matpoly(T0, [nn, -t, 1], q)
-            K = kernel_mod(M, q)
-            if K.shape[1] == 0:
-                continue
-            if K.shape[1] != 4:
-                continue  # not a single multiplicity-one orbit
-            check(kronecker_symbol(m, q) == 1, f"sqrt({m}) does not exist mod q = {q}")
-            W4 = V @ K % q
-            s = sqrt_mod(m, q)
-            # embedding slice: eigenvalue (t + v2 s)/2 of T_{p0}
-            v2m = (disc) // m
-            v2 = isqrt(v2m)
-            check(v2 * v2 == v2m, f"{disc} is not {m} times a square")
-            lam = (t + v2 * s) * pow(2, -1, q) % q
-            T0w = restrict(space.hecke_matrix(p0), W4, q)
-            K2 = kernel_mod((T0w - lam * np.eye(4, dtype=np.int64)) % q, q)
-            if K2.shape[1] != 2:
-                continue
-            W2 = W4 @ K2 % q
-            ap: dict[int, tuple[Fraction, Fraction]] = {}
-            ok = True
-            for p in primes:
-                Tp = restrict(space.hecke_matrix(p), W2, q)
-                lamp = _scalar_of(Tp, q)
-                if lamp is None:
-                    ok = False
-                    break
-                uv = lift_quadratic(lamp, m, s, p, q)
-                if uv is None:
-                    ok = False
-                    break
-                if p in inert and uv != (0, 0):
-                    ok = False  # self-twist fails after all
-                    break
-                ap[p] = uv
-            if not ok:
-                continue
-            if all(v == 0 for (_, v) in ap.values()):
-                continue  # rational; coefficient field not quadratic
-            out.append(QuadSystem(level=N, m=m, ap=ap))
-    return out
 
 
 # ----------------------------------------------------------------------

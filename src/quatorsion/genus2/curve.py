@@ -370,20 +370,17 @@ def curve_lpolys(curve: GenusTwoCurve, bound: int):
     The recurrence runs on one integer model with f(0) f_6 != 0 (step 1
     of the module docstring), forward and reversed: about B steps on
     integers of about 1.44 B bits for B = bound, in O(B) bits of memory.
-    A prime p >= 7 that divides f(0) f_6 of that model gets the
-    recurrence for p alone, on a model for p alone.
+    A prime p >= 7 that divides f(0) f_6 of that model gets
+    ``curve_lpoly``, as every p <= 5 does.
     """
     f = _hasse_witt_model(curve.coeffs)
     primes = good_primes(curve, bound)
     batch = _hasse_witt_traces(f, [p for p in primes if p > 5 and f[0] * f[6] % p])
     for p in primes:
-        if p <= 5:
+        if p <= 5 or f[0] * f[6] % p == 0:
             yield p, curve_lpoly(curve, p)
             continue
-        if f[0] * f[6] % p:
-            _, trace, det = next(batch)
-        else:
-            trace, det = _hasse_witt([v % p for v in curve.coeffs], p)
+        _, trace, det = next(batch)
         yield p, _lpoly_from_hasse_witt(curve, p, trace, det)
 
 

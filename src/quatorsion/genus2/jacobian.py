@@ -573,10 +573,11 @@ def _settle_by_annihilation(c, p: int, candidates, degrees, model, rng) -> WeilP
 class JacobianGroup:
     """Order, invariant factors (ascending chain), and 2-rank of J(F_p).
 
-    ``invariants`` is None when the structure is not proved: no
-    odd-degree model exists mod p (the sextic has no F_p-root), or 16
-    classes left a Sylow subgroup open.  The order and the 2-rank are
-    always reported.
+    ``invariants`` is None when the order and rank bounds leave a Sylow
+    subgroup open and probing could not close it: either there is no
+    quintic model to probe on (the sextic has no F_p-root), or 16
+    classes left it open.  The order and the 2-rank are always
+    reported.
     """
 
     p: int
@@ -726,6 +727,8 @@ def jacobian_group_mod_p(
     16 probes, or open when the sextic has no F_p-root and so no quintic
     model, leaves the structure unproved, and ``invariants`` is None.
     """
+    if not good_prime(curve, p):
+        raise ValueError(f"p = {p} is not a good prime for this curve")
     degrees = _factor_degrees(curve, p)
     two_rank = _two_rank(degrees)
     f5 = odd_degree_model(curve, p)

@@ -528,6 +528,9 @@ def maximal_order(alg: QuatAlgebra) -> QuatOrder:
     (a/c^2, b/d^2).  From Z<1, i, j, k> itself it can stall when c or d
     exceeds 1 (see :func:`saturate_to_maximal`).
     """
+    if alg.a.denominator != 1 or alg.b.denominator != 1:
+        raise ValueError(
+            f"maximal_order needs integer parameters, got a = {alg.a}, b = {alg.b}")
     c, d = (math.prod(p ** (e // 2) for p, e in factorint(x.numerator).items())
             for x in (alg.a, alg.b))
     rows = [[Fraction(int(r == k), s) for k, s in enumerate((1, c, d, c * d))] for r in range(4)]

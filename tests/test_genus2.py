@@ -437,6 +437,14 @@ def test_jacobian_group_without_odd_model():
     assert g.two_rank == 0  # odd order forces trivial 2-torsion
 
 
+@pytest.mark.parametrize("scale, p", [(1, 1), (1, 0), (1, 4), (3, 3), (3, 9)])
+def test_jacobian_group_rejects_bad_primes(scale, p):
+    # p = 0, 1, 4 and 9 are not primes; 3 divides the discriminant of 3(x^5 + 1)
+    curve = GenusTwoCurve.from_coefficients([scale, 0, 0, 0, 0, scale])
+    with pytest.raises(ValueError, match=f"p = {p} is not a good prime"):
+        jacobian_group_mod_p(curve, p)
+
+
 def test_divisor_order_edge_cases():
     f5 = F5_MOD7
     assert divisor_order(identity_divisor(7), f5, 1) == 1

@@ -462,6 +462,13 @@ def test_maximal_order_when_a_parameter_has_a_square_factor(a, b):
     assert quat.reduced_discriminant(order) == quat.discriminant(order.algebra)
 
 
+@pytest.mark.parametrize("a, b", [(Fraction(3, 2), Fraction(-7, 6)), (43, Fraction(-28, 9))])
+def test_maximal_order_names_non_integer_parameters(a, b):
+    alg = quat.QuatAlgebra(a, b)
+    with pytest.raises(ValueError, match=f"integer parameters, got a = {alg.a}, b = {alg.b}"):
+        quat.maximal_order(alg)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([-1, -2, -3, -5, -7, -11, 2, 3, 5]),
        st.sampled_from([-1, -3, 2, 3, 5, 7, -7, 11, 13]),
