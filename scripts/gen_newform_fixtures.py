@@ -72,6 +72,7 @@ from quatorsion import newform  # noqa: E402
 from quatorsion.exact import (  # noqa: E402
     factorint,
     fp_factor,
+    fp_gcd,
     fp_mul,
     isprime,
     kronecker_symbol,
@@ -484,12 +485,13 @@ def find_orbits(space: ManinSpace, probes: list[Probe]) -> list[QuadSystem]:
 
     Starting from the whole space, each probe replaces every candidate
     subspace V by the nonzero kernels of f(T_p) on V, one per candidate
-    polynomial f.  A final candidate of dimension exactly 4 (one orbit
-    of multiplicity one, doubled by the star involution on symbols) is
-    read off by ``read_orbit`` in the embedding named by its first
-    naming probe.  Old systems have strictly larger joint eigenspaces,
-    and Eisenstein systems (a_p = p + 1) fail the Weil-bounded
-    candidates.
+    polynomial f.  A kernel is computed only when f shares a root with
+    the characteristic polynomial of T_p on V, taken once per V.  A
+    final candidate of dimension exactly 4 (one orbit of multiplicity
+    one, doubled by the star involution on symbols) is read off by
+    ``read_orbit`` in the embedding named by its first naming probe.
+    Old systems have strictly larger joint eigenspaces, and Eisenstein
+    systems (a_p = p + 1) fail the Weil-bounded candidates.
     """
 
     q = space.q
@@ -501,7 +503,11 @@ def find_orbits(space: ManinSpace, probes: list[Probe]) -> list[QuadSystem]:
             powers = [np.eye(V.shape[1], dtype=np.int64), restrict(T, V, q)]
             while len(powers) < max(len(f) for f, _ in polys):
                 powers.append(powers[-1] @ powers[1] % q)
+            chi = charpoly_mod(powers[1], q)
             for f, root in polys:
+                # f(T) is singular on V exactly when f shares a root with chi
+                if len(fp_gcd(chi, [c % q for c in f], q)) == 1:
+                    continue
                 K = kernel_mod(sum(c % q * P for c, P in zip(f, powers)) % q, q)
                 if K.shape[1]:
                     named = name if name or not root else (p, *root)

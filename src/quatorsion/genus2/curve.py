@@ -29,9 +29,13 @@ every good p <= B come from one pass, in four steps:
    bound |a1| <= 4 sqrt(p) < p/2 fixes a1; below it, a1 comes from
    counting the points over F_p.
 3. The Weil bounds leave a few a2 in that residue class.  The 2-torsion
-   of J(F_p), read off the factorization of f mod p, is also that of
-   the quadratic twist, so it must fit in groups of orders L(1) and
-   L(-1), and only the candidates where it does are kept.
+   of J(F_p), read off the factorization type of f mod p, is also that
+   of the quadratic twist, so it must fit in groups of orders L(1) and
+   L(-1), and only the candidates where it does are kept.  The type
+   needs no factorization: the roots of f in F_p, the parity of the
+   number of factors (Stickelberger's theorem on the binary
+   discriminant) and, for a sextic without a root, its roots in
+   F_{p^2} fix it, from one ladder for x^p mod f (``jacobian``).
 4. L(1) = #J(F_p) annihilates every class of J(F_p), and L(-1) every
    class of the twist's Jacobian: random classes rule out the other
    candidates (Kedlaya-Sutherland, ANTS VIII, 2008).  The classes live

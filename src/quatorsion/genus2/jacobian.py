@@ -30,9 +30,12 @@ below its depth.  Independent such t bound each rank r_k = dim
 (ell^k S)[ell] from below, and the r_k sum to v, so S is proved once a
 single shape Z/ell^e1 x Z/ell^e2 x ... fits the bounds, the ell-rank
 <= 4 (<= 2 unless ell | p - 1, by the Weil pairing) and, for ell = 2,
-the exact 2-rank read off the factorization type of f mod p (found by
-distinct-degree factorization).  Probing stops as soon as every Sylow
-subgroup is proved.
+the exact 2-rank read off the factorization type of f mod p.  That type
+comes from one power x^p mod f per prime: the number of roots, the
+parity of the number of factors (Stickelberger, from the binary
+discriminant) and, for a sextic without a root, x^(p^2) = h(h) for
+h = x^p fix it (``_factor_degrees``).  Probing stops as soon as every
+Sylow subgroup is proved.
 
 Degree-6 models are handled by passing to an odd-degree model: move a
 rational Weierstrass point to infinity (x = a + 1/z) when the sextic has
@@ -61,9 +64,9 @@ from math import prod
 from ..exact import (
     factorint,
     fp_add,
-    fp_distinct_degree,
     fp_divmod,
     fp_exact_div,
+    fp_gcd,
     fp_gcdext,
     fp_mod,
     fp_monic,
@@ -335,17 +338,24 @@ def cantor_neg(d: MumfordDivisor) -> MumfordDivisor:
 
 
 def cantor_mul(n: int, d: MumfordDivisor, f5) -> MumfordDivisor:
-    """n-th multiple of a divisor class (n may be negative)."""
+    """n-th multiple of a divisor class (n may be negative).
+
+    A left-to-right ladder on the non-adjacent form of n: -D = (u, -v)
+    costs nothing, so each nonzero digit is one addition of D or -D, on
+    average one for every three doublings.  Digit i of that form is bit
+    i of 3n minus bit i of n.
+    """
     if n < 0:
         return cantor_mul(-n, cantor_neg(d), f5)
-    acc = identity_divisor(d.p)
-    sq = d
-    while n:
-        if n & 1:
-            acc = cantor_add(acc, sq, f5)
-        n >>= 1
-        if n:
-            sq = cantor_add(sq, sq, f5)
+    if n == 0:
+        return identity_divisor(d.p)
+    neg = cantor_neg(d)
+    triple, acc = 3 * n, d
+    for i in range(triple.bit_length() - 2, 0, -1):
+        acc = cantor_add(acc, acc, f5)
+        digit = (triple >> i & 1) - (n >> i & 1)
+        if digit:
+            acc = cantor_add(acc, d if digit > 0 else neg, f5)
     return acc
 
 
@@ -587,10 +597,117 @@ class JacobianGroup:
 
 
 def _factor_degrees(curve: GenusTwoCurve, p: int) -> list[int]:
-    """Degrees of the irreducible factors of f mod a good prime p, from
-    the distinct-degree split of the squarefree f."""
-    f = fp_monic(fp_trim([c % p for c in curve.coeffs]), p)
-    return [k for k, g in fp_distinct_degree(f, p) for _ in range(_deg(g) // k)]
+    """Degrees of the irreducible factors of f mod a good prime p,
+    ascending.
+
+    Three numbers fix the pattern.  r1 = deg gcd(f, x^p - x) counts the
+    roots, and Stickelberger's theorem gives the parity of the number of
+    factors: the discriminant of a squarefree f of degree n with k
+    irreducible factors is a square mod p exactly when n - k is even.
+    The binary discriminant of the curve is that of f mod p times a
+    nonzero square, also when the degree drops.  Of what is left, of
+    degree rest = n - r1, a rest of 2 or 3 is one factor, and parity
+    tells [rest] from [2, rest - 2] when rest is 4 or 5.  Only a sextic
+    without a root needs more, x^(p^2) = h(h) for h = x^p: parity leaves
+    (6) or (2, 2, 2), told apart by x^(p^2) = x, or (3, 3) or (2, 4),
+    told apart by a second gcd, with x^(p^2) - x.
+
+    A quintic g goes through the same kernel as the sextic x g, which
+    has one more root in F_p when g(0) != 0.  The kernel works on six
+    coefficients mod f (``_sextic_rows``, ``_frobenius``, ``_mulmod``).
+    """
+    g = fp_monic(fp_trim([v % p for v in curve.coeffs]), p)
+    sextic = g if len(g) == 7 else (0, *g)
+    rows = _sextic_rows(sextic, p)
+    h = _frobenius(rows, p)
+    x = (0, 1)
+    roots = _deg(fp_gcd(sextic, fp_sub(h, x, p), p)) - (len(g) == 6 and g[0] != 0)
+    rest = _deg(g) - roots
+    even = pow(curve.binary_disc, (p - 1) // 2, p) == 1  # (-1)^(n - k) = 1
+    if rest == 6:
+        h2 = (h[5], 0, 0, 0, 0, 0)
+        for c in reversed(h[:5]):
+            h2 = _mulmod(h2, h, rows, p)
+            h2 = ((h2[0] + c) % p, *h2[1:])
+        if not even:  # (6) or (2, 2, 2), where x^(p^2) = x
+            tail = [2, 2, 2] if h2 == (0, 1, 0, 0, 0, 0) else [6]
+        else:  # (3, 3) or (2, 4)
+            tail = [2, 4] if len(fp_gcd(sextic, fp_sub(h2, x, p), p)) > 1 else [3, 3]
+    elif rest >= 4 and even == (rest % 2 == 0):
+        tail = [2, rest - 2]
+    else:
+        tail = [rest] if rest else []
+    return [1] * roots + tail
+
+
+def _sextic_rows(f, p: int):
+    """The rows x^6, ..., x^10 mod a monic sextic f over F_p, six
+    coefficients each."""
+    rows = [tuple(-c % p for c in f[:6])]
+    for _ in range(4):
+        rows.append(_times_x(rows[-1], rows[0], p))
+    return rows
+
+
+def _times_x(a, r6, p: int) -> tuple[int, ...]:
+    """x a mod f: a shift, with the x^6 term folded in by the row r6 of
+    x^6 mod f."""
+    a0, a1, a2, a3, a4, a5 = a
+    return (a5 * r6[0] % p, (a0 + a5 * r6[1]) % p, (a1 + a5 * r6[2]) % p,
+            (a2 + a5 * r6[3]) % p, (a3 + a5 * r6[4]) % p, (a4 + a5 * r6[5]) % p)
+
+
+def _frobenius(rows, p: int) -> tuple[int, ...]:
+    """x^p mod a monic sextic f over F_p, from the rows of f.
+
+    A left-to-right ladder of straight-line squarings of a0 + ... + a5
+    x^5 (``_fold``), from x^t for the top three bits t of p, which is a
+    row or a monomial; multiplying by x is ``_times_x``.
+    """
+    bits = bin(p)[2:]
+    top = int(bits[:3], 2)
+    a = rows[top - 6] if top >= 6 else tuple(int(i == top) for i in range(6))
+    for bit in bits[3:]:
+        a0, a1, a2, a3, a4, a5 = a
+        a = _fold((
+            a0 * a0, 2 * a0 * a1, 2 * a0 * a2 + a1 * a1, 2 * (a0 * a3 + a1 * a2),
+            2 * (a0 * a4 + a1 * a3) + a2 * a2, 2 * (a0 * a5 + a1 * a4 + a2 * a3),
+            2 * (a1 * a5 + a2 * a4) + a3 * a3, 2 * (a2 * a5 + a3 * a4),
+            2 * a3 * a5 + a4 * a4, 2 * a4 * a5, a5 * a5), rows, p)
+        if bit == "1":
+            a = _times_x(a, rows[0], p)
+    return a
+
+
+def _mulmod(a, b, rows, p: int) -> tuple[int, ...]:
+    """a b mod f for a, b of degree <= 5 (six coefficients each), from
+    the rows of f."""
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3, b4, b5 = b
+    return _fold((
+        a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+        a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0,
+        a0 * b5 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a5 * b0,
+        a1 * b5 + a2 * b4 + a3 * b3 + a4 * b2 + a5 * b1,
+        a2 * b5 + a3 * b4 + a4 * b3 + a5 * b2, a3 * b5 + a4 * b4 + a5 * b3,
+        a4 * b5 + a5 * b4, a5 * b5), rows, p)
+
+
+def _fold(c, rows, p: int) -> tuple[int, ...]:
+    """c_0 + ... + c_10 x^10 mod f, with the terms of x^6, ..., x^10
+    folded in by the rows of f."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = c
+    c6, c7, c8, c9, c10 = c6 % p, c7 % p, c8 % p, c9 % p, c10 % p
+    R6, R7, R8, R9, R10 = rows
+    return (
+        (c0 + c6 * R6[0] + c7 * R7[0] + c8 * R8[0] + c9 * R9[0] + c10 * R10[0]) % p,
+        (c1 + c6 * R6[1] + c7 * R7[1] + c8 * R8[1] + c9 * R9[1] + c10 * R10[1]) % p,
+        (c2 + c6 * R6[2] + c7 * R7[2] + c8 * R8[2] + c9 * R9[2] + c10 * R10[2]) % p,
+        (c3 + c6 * R6[3] + c7 * R7[3] + c8 * R8[3] + c9 * R9[3] + c10 * R10[3]) % p,
+        (c4 + c6 * R6[4] + c7 * R7[4] + c8 * R8[4] + c9 * R9[4] + c10 * R10[4]) % p,
+        (c5 + c6 * R6[5] + c7 * R7[5] + c8 * R8[5] + c9 * R9[5] + c10 * R10[5]) % p,
+    )
 
 
 def _two_rank(degrees) -> int:
@@ -723,15 +840,18 @@ def jacobian_group_mod_p(
     ``_SylowProof`` from at most 16 uniformly random classes (seeded,
     hence deterministic) on the quintic model; probing stops as soon as
     every one is proved, which needs no probe, and no model, where order
-    and rank bounds leave one shape.  A Sylow subgroup still open after
-    16 probes, or open when the sextic has no F_p-root and so no quintic
-    model, leaves the structure unproved, and ``invariants`` is None.
+    and rank bounds leave one shape.  A sextic whose factorization type
+    has no linear factor has no F_p-root and so no quintic model, and
+    none is sought.  A Sylow subgroup still open after 16 probes, or
+    open without a quintic model, leaves the structure unproved, and
+    ``invariants`` is None.
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
     degrees = _factor_degrees(curve, p)
     two_rank = _two_rank(degrees)
-    f5 = odd_degree_model(curve, p)
+    rootless = curve.coeffs[6] % p and 1 not in degrees
+    f5 = None if rootless else odd_degree_model(curve, p)
     order = curve_lpoly(curve, p, degrees=degrees, model=f5).point_count()
     sylows = [_SylowProof(ell, v, p, two_rank) for ell, v in factorint(order).items()]
     rng = random.Random(seed)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import functools
 import importlib
 import itertools
 import math
@@ -24,7 +25,16 @@ from hypothesis import strategies as st
 import quatorsion
 import quatorsion.genus2
 from grid_oracle import count_model
-from quatorsion.exact import fp_divmod, poly_eval
+from quatorsion import exact
+from quatorsion.exact import (
+    fp_distinct_degree,
+    fp_divmod,
+    fp_monic,
+    fp_mul,
+    fp_trim,
+    nextprime,
+    poly_eval,
+)
 from quatorsion.genus2 import jacobian
 from quatorsion.genus2.curve import (
     GenusTwoCurve,
@@ -635,6 +645,170 @@ def test_factor_degrees_match_sympy_random(coeffs, p):
     f = sympy.Poly(sum(c * x**i for i, c in enumerate(curve.coeffs)), x, modulus=p)
     expected = sorted(g.degree() for g, m in f.factor_list()[1] for _ in range(m))
     assert sorted(jacobian._factor_degrees(curve, p)) == expected
+
+
+def _distinct_degree_oracle(curve: GenusTwoCurve, p: int) -> list[int]:
+    f = fp_monic(fp_trim([c % p for c in curve.coeffs]), p)
+    return [k for k, g in fp_distinct_degree(f, p) for _ in range((len(g) - 1) // k)]
+
+
+# every factorization pattern of a squarefree sextic and quintic, ascending
+PATTERNS = [tuple(reversed(s)) for n in (6, 5) for s in jacobian._partitions(n, n)]
+
+
+def test_patterns_are_the_partitions_of_five_and_six():
+    assert sum(sum(s) == 6 for s in PATTERNS) == 11
+    assert sum(sum(s) == 5 for s in PATTERNS) == 7
+
+
+def test_factor_degrees_match_distinct_degree_on_the_table_curves():
+    for row in TABLE:
+        for p in good_primes(row.curve, 10_000):
+            assert jacobian._factor_degrees(row.curve, p) == _distinct_degree_oracle(
+                row.curve, p), (row.torsion, p)
+
+
+def _curve_with_pattern(pattern, p: int, rng: random.Random, drop: bool) -> GenusTwoCurve:
+    """A curve whose f mod p is lead times distinct random irreducible
+    factors of the given degrees; a quintic pattern with ``drop`` is the
+    reduction of a sextic with p | f_6."""
+    factors: set[tuple[int, ...]] = set()
+    for k in pattern:
+        while True:
+            g = tuple(rng.randrange(p) for _ in range(k)) + (1,)
+            if g not in factors and fp_distinct_degree(g, p) == [(k, g)]:
+                factors.add(g)
+                break
+    f = functools.reduce(lambda a, b: fp_mul(a, b, p), sorted(factors))
+    lead = rng.randrange(1, p)
+    coeffs = [c * lead % p for c in f]
+    if len(coeffs) == 6:
+        coeffs.append(p if drop else 0)
+    curve = GenusTwoCurve.from_coefficients(coeffs)
+    assert good_prime(curve, p)
+    return curve
+
+
+PRIMES_TO_A_MILLION = st.integers(10, 999_982).map(nextprime)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=["".join(map(str, s)) for s in PATTERNS])
+@settings(max_examples=8, deadline=None)
+@given(p=PRIMES_TO_A_MILLION, seed=st.integers(0, 2**32), drop=st.booleans())
+def test_factor_degrees_find_every_pattern(pattern, p, seed, drop):
+    curve = _curve_with_pattern(pattern, p, random.Random(seed), drop)
+    assert _distinct_degree_oracle(curve, p) == list(pattern)
+    assert jacobian._factor_degrees(curve, p) == list(pattern)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=6, max_size=7), PRIMES_TO_A_MILLION)
+def test_factor_degrees_match_distinct_degree_random(coeffs, p):
+    try:
+        curve = GenusTwoCurve.from_coefficients(coeffs)
+    except ValueError:  # degree below 5, or singular
+        return
+    if good_prime(curve, p):
+        assert jacobian._factor_degrees(curve, p) == _distinct_degree_oracle(curve, p)
+
+
+@pytest.mark.parametrize("index, p", [(1, 5), (4, 5), (2, 263)])
+def test_factor_degrees_where_the_degree_drops(index, p):
+    curve = TABLE[index].curve
+    assert curve.coeffs[6] % p == 0 and good_prime(curve, p)
+    assert jacobian._factor_degrees(curve, p) == _distinct_degree_oracle(curve, p)
+
+
+def test_factor_degrees_at_three_and_five():
+    # x^5 - x vanishes on all of F_5: no t in F_5 has f(t) != 0
+    x5 = GenusTwoCurve.from_coefficients([0, -1, 0, 0, 0, 1])
+    assert jacobian._factor_degrees(x5, 5) == [1, 1, 1, 1, 1]
+    checked = 0
+    for coeffs in itertools.product(range(-2, 3), repeat=4):
+        for top in ([1], [0, 1], [1, 1], [2, 0, 3]):
+            try:
+                curve = GenusTwoCurve.from_coefficients([*coeffs, *top])
+            except ValueError:
+                continue
+            for p in (3, 5):
+                if good_prime(curve, p):
+                    assert jacobian._factor_degrees(curve, p) == _distinct_degree_oracle(
+                        curve, p), (curve.coeffs, p)
+                    checked += 1
+    assert checked > 500
+
+
+def test_factor_degrees_need_no_distinct_degree_split(monkeypatch):
+    rng = random.Random(3)
+    cases = [(pattern, p, _curve_with_pattern(pattern, p, rng, drop))
+             for pattern in PATTERNS for p in (7, 10007) for drop in (False, True)]
+
+    def refuse(*args):
+        raise AssertionError("fp_distinct_degree was called")
+
+    monkeypatch.setattr(exact, "fp_distinct_degree", refuse)
+    assert not hasattr(jacobian, "fp_distinct_degree")
+    for pattern, p, curve in cases:
+        assert jacobian._factor_degrees(curve, p) == list(pattern)
+
+
+@pytest.mark.parametrize("index, p, group", [
+    (1, 37, JacobianGroup(37, 1396, (2, 698), 2)),
+    (2, 7, JacobianGroup(7, 51, (51,), 0)),
+    (2, 23, JacobianGroup(23, 531, None, 0)),
+    (3, 11, JacobianGroup(11, 126, None, 1)),
+    (4, 13, JacobianGroup(13, 168, (2, 84), 2)),
+])
+def test_jacobian_group_seeks_no_model_for_a_rootless_sextic(index, p, group, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_quintic_model was called")
+
+    monkeypatch.setattr(jacobian, "_quintic_model", refuse)
+    assert jacobian_group_mod_p(TABLE[index].curve, p) == group
+
+
+def _binary_ladder(n: int, d, f5):
+    """The right-to-left binary ladder that ``cantor_mul`` replaced."""
+    if n < 0:
+        return _binary_ladder(-n, cantor_neg(d), f5)
+    acc, sq = identity_divisor(d.p), d
+    while n:
+        if n & 1:
+            acc = cantor_add(acc, sq, f5)
+        n >>= 1
+        if n:
+            sq = cantor_add(sq, sq, f5)
+    return acc
+
+
+def _ladder_models(p: int):
+    """A monic quintic and a sextic with a non-square leading coefficient."""
+    c = [v % p for v in TABLE[2].curve.coeffs]
+    return [odd_degree_model(TABLE[0].curve, p), jacobian._inert_model(c, p)]
+
+
+def test_cantor_mul_matches_repeated_addition():
+    rng = random.Random(4)
+    for p in (7, 23):
+        for f in _ladder_models(p):
+            for _ in range(3):
+                d = random_divisor(f, p, rng)
+                assert cantor_mul(0, d, f).is_identity
+                acc = identity_divisor(p)
+                for n in range(1, 101):
+                    acc = cantor_add(acc, d, f)
+                    assert cantor_mul(n, d, f) == acc
+                    assert cantor_mul(-n, d, f) == cantor_neg(acc)
+
+
+def test_cantor_mul_matches_the_binary_ladder():
+    rng = random.Random(5)
+    for p in (23, 10007):
+        for f in _ladder_models(p):
+            for _ in range(20):
+                d, n = random_divisor(f, p, rng), rng.randrange(1 << 40)
+                assert cantor_mul(n, d, f) == _binary_ladder(n, d, f)
+                assert cantor_mul(-n, d, f) == _binary_ladder(-n, d, f)
 
 
 # ---------------------------------------------------------------------------
