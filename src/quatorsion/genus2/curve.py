@@ -38,9 +38,13 @@ every good p <= B come from one pass, in four steps:
    F_{p^2} fix it, from one ladder for x^p mod f (``jacobian``).
 4. L(1) = #J(F_p) annihilates every class of J(F_p), and L(-1) every
    class of the twist's Jacobian: random classes rule out the other
-   candidates (Kedlaya-Sutherland, ANTS VIII, 2008).  The classes live
-   on a monic quintic model when f has an F_p-root, and otherwise on
-   the sextic z^6 f(a + 1/z) with f(a) a non-square (see ``jacobian``).
+   candidates (Kedlaya-Sutherland, ANTS VIII, 2008).  Each class costs
+   one full ladder, for [L(1)] D; when that vanishes the order of D
+   divides L(1), and a ladder of a few bits, for the gcd with the next
+   candidate's order, decides that one.  The classes live on a monic
+   quintic model when f has an F_p-root, and otherwise on the sextic
+   z^6 f(a + 1/z) with f(a) a non-square (see ``jacobian``); the twist's
+   model is built only when the curve leaves more than one candidate.
    If more than one candidate survives, ArithmeticError: the result is
    never a guess.
 

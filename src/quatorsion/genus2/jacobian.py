@@ -6,18 +6,22 @@ u | f - v^2.  The group law is Cantor's composition and reduction, and
 the reduced representative of a class is unique, so any correct route
 to the sum gives the same pair.
 
-``cantor_add`` takes explicit straight-line formulas (after Lange,
-"Formulae for arithmetic on genus 2 hyperelliptic curves", 2005) in the
-common cases: two classes with deg u1 = deg u2 = 2 and gcd(u1, u2) = 1,
-and the doubling of a class with deg u = 2 and gcd(u, v) = 1.  Both
-compose to (U, V) with U = u1 u2 (or u^2) and V = v1 + s u1, where s of
-degree <= 1 costs one inverse mod p, and reduce in one step to
-u' = monic((f - V^2) / U), v' = -V mod u'.  D + (-D), the sum of two
-points and the doubling of W + P with W a Weierstrass point (2P) are
-closed forms too.  The rest -- a point plus a weight-two class, u1 != u2
-with a common root, u1 = u2 with v1 != +-v2 -- goes through the generic
-polynomial Cantor algorithm (``_cantor_generic``), which is also the
-test oracle for the formulas.
+Explicit straight-line formulas (after Lange, "Formulae for arithmetic
+on genus 2 hyperelliptic curves", 2005) cover the common cases: two
+classes with deg u1 = deg u2 = 2 and gcd(u1, u2) = 1, and the doubling
+of a class with deg u = 2 and gcd(u, v) = 1.  Both compose to (U, V)
+with U = u1 u2 (or u^2) and V = v1 + s u1, where s of degree <= 1 costs
+one inverse mod p, and reduce in one step to u' = monic((f - V^2) / U),
+v' = -V mod u'.  They live in one integer kernel, ``_add_weight_two``,
+which maps the eight integers u0, u1, v0, v1 of the two classes to the
+four of the sum, or declines.  ``cantor_add`` wraps it, and the ladder
+of ``cantor_mul`` keeps its state in those integers and builds a
+divisor only at the end.  D + (-D), the sum of two points and the
+doubling of W + P with W a Weierstrass point (2P) are closed forms too.
+The rest -- a point plus a weight-two class, u1 != u2 with a common
+root, u1 = u2 with v1 != +-v2 -- goes through the generic polynomial
+Cantor algorithm (``_cantor_generic``), which is also the test oracle
+for the formulas.
 
 Combined with the group order from the zeta function this proves the
 abstract structure of J(F_p), one Sylow subgroup S at a time, for
@@ -59,14 +63,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from ..exact import (
     factorint,
     fp_add,
     fp_divmod,
     fp_exact_div,
-    fp_gcd,
     fp_gcdext,
     fp_mod,
     fp_monic,
@@ -158,19 +161,31 @@ def cantor_add(
     if d1.u == d2.u and d2.v == fp_neg(d1.v, p):
         return identity_divisor(p)
     out = None
-    if len(f5) == 6 and f5[5] % p == 1:
-        if len(d1.u) == 3 and len(d2.u) == 3:
-            out = _add_weight_two(d1, d2, f5)
-        elif len(d1.u) == 2 and len(d2.u) == 2:
-            out = _add_points(f5, p, -d1.u[0], (d1.v or (0,))[0],
-                              -d2.u[0], (d2.v or (0,))[0])
-    elif len(f5) == 7 and len(d1.u) == 3 and len(d2.u) == 3:
-        out = _add_weight_two(d1, d2, f5)
-    return out if out is not None else _cantor_generic(d1, d2, f5)
+    if len(d1.u) == 3 and len(d2.u) == 3:
+        out = _add_weight_two(f5, p, *_weight_two(d1), *_weight_two(d2))
+    elif len(d1.u) == 2 and len(d2.u) == 2 and len(f5) == 6 and f5[5] % p == 1:
+        out = _add_points(f5, p, -d1.u[0], (d1.v or (0,))[0], -d2.u[0], (d2.v or (0,))[0])
+    return _divisor(p, out) if out is not None else _cantor_generic(d1, d2, f5)
 
 
-def _add_points(f5, p: int, x1: int, y1: int, x2: int, y2: int) -> MumfordDivisor:
-    """(x1, y1) + (x2, y2) - 2 infinity, for affine points with P2 != -P1.
+def _weight_two(d: MumfordDivisor) -> tuple[int, int, int, int]:
+    """(u0, u1, v0, v1) of a class with u = x^2 + u1 x + u0, v = v1 x + v0."""
+    v = d.v
+    return d.u[0], d.u[1], v[0] if v else 0, v[1] if len(v) == 2 else 0
+
+
+def _divisor(p: int, t) -> MumfordDivisor:
+    """The class of the kernel's integers: (u0, u1, v0, v1) of weight two,
+    or (u0, v0) of u = x + u0, v = v0."""
+    if len(t) == 2:
+        return MumfordDivisor(p, (t[0], 1), (t[1],) if t[1] else ())
+    u0, u1, v0, v1 = t
+    return MumfordDivisor(p, (u0, u1, 1), (v0, v1) if v1 else (v0,) if v0 else ())
+
+
+def _add_points(f5, p: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int]:
+    """(x1, y1) + (x2, y2) - 2 infinity, for affine points with P2 != -P1,
+    as the kernel's four integers.
 
     u = (x - x1)(x - x2) and v the line through both points, or the
     tangent at P1 when P2 = P1 (then y1 != 0).
@@ -182,50 +197,49 @@ def _add_points(f5, p: int, x1: int, y1: int, x2: int, y2: int) -> MumfordDiviso
         for i in range(5, 0, -1):
             slope = (slope * x1 + i * f5[i]) % p
         lam = slope * pow(2 * y1, -1, p) % p
-    c = (y1 - lam * x1) % p
-    v = (c, lam) if lam else ((c,) if c else ())
-    return MumfordDivisor(p, (x1 * x2 % p, -(x1 + x2) % p, 1), v)
+    return x1 * x2 % p, -(x1 + x2) % p, (y1 - lam * x1) % p, lam
 
 
-def _add_weight_two(
-    d1: MumfordDivisor, d2: MumfordDivisor, f5
-) -> MumfordDivisor | None:
-    """Explicit sum of two weight-two classes, or None.
+def _add_weight_two(f5, p: int, a0: int, a1: int, b0: int, b1: int,
+                    c0: int, c1: int, e0: int, e1: int):
+    """The sum of two weight-two classes, (x^2 + a1 x + a0, b1 x + b0) and
+    (x^2 + c1 x + c0, e1 x + e0), with coefficients in [0, p): the
+    integers (u0, u1, v0, v1) of the reduced sum, (u0, v0) when it has
+    weight one (u = x + u0), or None.
 
-    The model is a monic quintic or a sextic with a non-square leading
-    coefficient (module docstring).  D2 = -D1 must have been ruled out by
-    the caller.
+    This is the one home of the straight-line formulas.  The model is a
+    monic quintic or a sextic with a non-square leading coefficient
+    (module docstring).  D2 = -D1 must have been ruled out by the caller.
 
-    None means the case is not covered: u1 = u2 with v1 != +-v2, a
-    common root of u1 and u2, or on a sextic the doubling of a class with
-    gcd(u, v) != 1, or a leading coefficient that is a square.
+    None means the case is not covered: a quintic that is not monic,
+    u1 = u2 with v1 != +-v2, a common root of u1 and u2, or on a sextic
+    the doubling of a class with gcd(u, v) != 1, or a leading
+    coefficient that is a square.
     """
     sextic = len(f5) == 7
-    p = d1.p
-    a0, a1, _ = d1.u
-    b0, b1 = (d1.v + (0, 0))[:2]
-    if d1.u != d2.u:
+    if not sextic and f5[5] % p != 1:
+        return None
+    if a0 != c0 or a1 != c1:
         # s = (v2 - v1) / u1 mod u2.  With u1 = u2 + r mod u2, r = r1 x + r0,
         # r (t1 x + t0) = res mod u2 and res = Res(u2, r) != 0 iff coprime.
-        c0, c1, _ = d2.u
-        e0, e1 = (d2.v + (0, 0))[:2]
         r1, r0 = a1 - c1, a0 - c0
         t1, t0 = -r1, r0 - r1 * c1
         res = (r0 * t0 + r1 * r1 * c0) % p
         if res == 0:
             return None
         w1, w0 = e1 - b1, e0 - b0
-    elif d1.v == d2.v:
-        # doubling: s = k / (2 v) mod u with k = (f - v^2) / u reduced mod u
-        c0, c1 = a0, a1
-        if sextic:
-            w1, w0 = _quotient_mod_u(f5, a0, a1, b1, p)
-        else:
-            k2 = f5[4] - a1
-            k1 = f5[3] - a1 * k2 - a0
-            k0 = f5[2] - b1 * b1 - a1 * k1 - a0 * k2
-            w1 = k1 + a1 * a1 - a0 - k2 * a1
-            w0 = k0 + a1 * a0 - k2 * a0
+    elif b0 == e0 and b1 == e1:
+        # doubling: s = k / (2 v) mod u with k = (f - v^2) / u reduced mod u,
+        # by synthetic division; the quotient k reads only the coefficients
+        # of degree >= 2, where f - v^2 differs from f by b1^2 alone
+        k4 = f5[6] if sextic else 0
+        k3 = f5[5] - a1 * k4
+        k2 = f5[4] - a1 * k3 - a0 * k4
+        k1 = f5[3] - a1 * k2 - a0 * k3
+        k0 = f5[2] - b1 * b1 - a1 * k1 - a0 * k2
+        q1 = k3 - a1 * k4  # k = (k4 x^2 + q1 x + q0) u + w1 x + w0
+        q0 = k2 - a1 * q1 - a0 * k4
+        w1, w0 = k1 - a1 * q0 - a0 * q1, k0 - a0 * q0
         t1, t0 = -b1, b0 - b1 * a1
         res = 2 * (b0 * t0 + b1 * b1 * a0) % p
         if res == 0 and sextic:
@@ -257,8 +271,7 @@ def _add_weight_two(
     elif s1 == 0:
         # deg V <= 2: (f - V^2) / U = x + m0, and v' = -V(-m0)
         m0 = (f5[4] - a1 - s0 * s0 - c1) % p
-        n0 = -((v2 * m0 - v1) * m0 + v0) % p
-        return MumfordDivisor(p, (m0, 1), (n0,) if n0 else ())
+        return m0, -((v2 * m0 - v1) * m0 + v0) % p
     else:
         # (f - V^2) / (u1 u2) = (k - s (2 v1 + s u1)) / u2 with
         # k = (f - v1^2) / u1 monic cubic, so the quotient's three
@@ -274,28 +287,7 @@ def _add_weight_two(
     # v' = -V mod x^2 + m1 x + m0, with x^3 = (m1^2 - m0) x + m1 m0
     n1 = -(v1 + s1 * (m1 * m1 - m0) - v2 * m1) % p
     n0 = -(v0 + s1 * m1 * m0 - v2 * m0) % p
-    v = (n0, n1) if n1 else ((n0,) if n0 else ())
-    return MumfordDivisor(p, (m0, m1, 1), v)
-
-
-def _quotient_mod_u(f, a0: int, a1: int, b1: int, p: int):
-    """(k1, k0) with k1 x + k0 = ((f - v^2) / u) mod u, for u = x^2 + a1 x
-    + a0 and v = b1 x + b0: two synthetic divisions by the monic u.
-
-    The quotient reads only the coefficients of degree >= 2, where f - v^2
-    differs from f by b1^2 alone.
-    """
-    g = [0, 0, f[2] - b1 * b1, *f[3:]]
-    k = [0] * (len(g) - 2)
-    for i in range(len(k) - 1, -1, -1):
-        k[i] = q = g[i + 2] % p
-        g[i + 1] -= q * a1
-        g[i] -= q * a0
-    for i in range(len(k) - 3, -1, -1):
-        q = k[i + 2] % p
-        k[i + 1] -= q * a1
-        k[i] -= q * a0
-    return k[1], k[0]
+    return m0, m1, n0, n1
 
 
 def _cantor_generic(
@@ -343,20 +335,43 @@ def cantor_mul(n: int, d: MumfordDivisor, f5) -> MumfordDivisor:
     A left-to-right ladder on the non-adjacent form of n: -D = (u, -v)
     costs nothing, so each nonzero digit is one addition of D or -D, on
     average one for every three doublings.  Digit i of that form is bit
-    i of 3n minus bit i of n.
+    i of 3n minus bit i of n.  The ladder keeps a weight-two class as the
+    four integers of ``_add_weight_two`` and steps on them; a step that
+    the formulas do not cover goes through ``cantor_add``, and the
+    divisor is built once, at the end.
     """
     if n < 0:
         return cantor_mul(-n, cantor_neg(d), f5)
     if n == 0:
         return identity_divisor(d.p)
-    neg = cantor_neg(d)
-    triple, acc = 3 * n, d
+    p = d.p
+    plus, minus = _ladder_state(d), _ladder_state(cantor_neg(d))
+    triple, acc = 3 * n, plus
     for i in range(triple.bit_length() - 2, 0, -1):
-        acc = cantor_add(acc, acc, f5)
+        acc = _ladder_add(acc, acc, f5, p)
         digit = (triple >> i & 1) - (n >> i & 1)
         if digit:
-            acc = cantor_add(acc, d if digit > 0 else neg, f5)
-    return acc
+            acc = _ladder_add(acc, plus if digit > 0 else minus, f5, p)
+    return _divisor(p, acc) if type(acc) is tuple else acc
+
+
+def _ladder_state(d: MumfordDivisor):
+    """The four integers of a weight-two class, or the class itself."""
+    return _weight_two(d) if len(d.u) == 3 else d
+
+
+def _ladder_add(x, y, f5, p: int):
+    """x + y for two ladder states (``_ladder_state``)."""
+    if type(x) is tuple and type(y) is tuple and (
+            x[0] != y[0] or x[1] != y[1] or (x[2] + y[2]) % p or (x[3] + y[3]) % p):
+        out = _add_weight_two(f5, p, *x, *y)
+        if out is not None:
+            return out if len(out) == 4 else _divisor(p, out)
+    if type(x) is tuple:
+        x = _divisor(p, x)
+    if type(y) is tuple:
+        y = _divisor(p, y)
+    return _ladder_state(cantor_add(x, y, f5))
 
 
 def divisor_order(d: MumfordDivisor, f5, group_order: int) -> int:
@@ -443,7 +458,9 @@ def random_divisor(f, p: int, rng: random.Random) -> MumfordDivisor:
     four, both uniformly, and keeps the root of that index if there is
     one.  So every class comes with the same probability, and a try
     succeeds with probability #J(F_p) / (4 * the number of u), about
-    1/4.  A model without affine points is no exception.
+    1/4.  A model without affine points is no exception.  The number of
+    roots comes from Legendre symbols (``_root_count``), so only a try
+    that succeeds extracts square roots.
     """
     lines = 0 if len(f) == 7 else p  # the u of degree 1
     while True:
@@ -455,9 +472,51 @@ def random_divisor(f, p: int, rng: random.Random) -> MumfordDivisor:
         else:
             u0, u1 = divmod(n - 1 - lines, p)
             u = (u0, u1, 1)
-        roots = _square_roots_mod(f, u, p)
-        if i < len(roots):
-            return MumfordDivisor(p, u, roots[i])
+        if i < _root_count(f, u, p):
+            return MumfordDivisor(p, u, _square_roots_mod(f, u, p)[i])
+
+
+def _root_count(f, u, p: int) -> int:
+    """len(_square_roots_mod(f, u, p)), without extracting a square root
+    of f.
+
+    With the notation of ``_square_roots_mod``, F_p[x]/u is F_{p^2} when
+    delta is a non-square, and a + b X != 0 is a square there exactly
+    when its norm a^2 - delta b^2 is one in F_p.  When delta = s^2 != 0,
+    u = (X - s)(X + s) and the count is the product of the counts of a
+    + b s and a - b s, whose product is again the norm.
+    """
+    if len(u) == 1:
+        return 1
+    if len(u) == 2:
+        return 1 + _legendre(poly_eval(f, -u[0]), p)
+    a, b, delta, _ = _mod_quadratic(f, u, p)
+    if delta == 0:
+        return 1 + _legendre(a, p) if a else 0
+    norm = _legendre(a * a - delta * b * b, p)
+    if norm < 0:
+        return 0
+    if _legendre(delta, p) < 0:
+        return 1 + norm
+    s = sqrt_mod(delta, p)
+    return (1 + _legendre(a + b * s, p)) * (1 + _legendre(a - b * s, p))
+
+
+def _legendre(w: int, p: int) -> int:
+    """The Legendre symbol (w / p) for an odd prime p: 0, 1 or -1."""
+    r = pow(w, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def _mod_quadratic(f, u, p: int) -> tuple[int, int, int, int]:
+    """(a, b, delta, h) with f = a + b X mod u = X^2 - delta, X = x + h,
+    for u = x^2 + u1 x + u0: h = u1 / 2."""
+    u0, u1 = u[0], u[1]
+    r1 = r0 = 0  # r1 x + r0 = the top coefficients of f mod u, by Horner
+    for c in reversed(f):
+        r1, r0 = (r0 - r1 * u1) % p, c - r1 * u0
+    h = u1 * ((p + 1) // 2) % p
+    return (r0 - r1 * h) % p, r1, (h * h - u0) % p, h
 
 
 def _square_roots_mod(f, u, p: int) -> list[tuple[int, ...]]:
@@ -474,15 +533,8 @@ def _square_roots_mod(f, u, p: int) -> list[tuple[int, ...]]:
         return [()]
     if len(u) == 2:
         return [fp_trim([y]) for y in _square_roots(poly_eval(f, -u[0]) % p, p)]
-    u0, u1 = u[0], u[1]
-    r = list(f)  # f mod u by synthetic division
-    for i in range(len(r) - 1, 1, -1):
-        r[i - 1] -= r[i] * u1
-        r[i - 2] -= r[i] * u0
+    a, b, delta, h = _mod_quadratic(f, u, p)
     half = (p + 1) // 2
-    h = u1 * half % p
-    delta = (h * h - u0) % p
-    a, b = (r[0] - r[1] * h) % p, r[1] % p
     if delta == 0:
         pairs = {(c, b * pow(2 * c, -1, p) % p) for c in _square_roots(a, p) if c}
     else:
@@ -521,19 +573,26 @@ def _inert_model(c, p: int, twist: int = 1):
 
 
 def _class_models(c, p: int, degrees, model):
-    """Models of y^2 = c(x) and of its quadratic twist y^2 = d c(x) on
-    which Cantor's algorithm adds classes, each None where there is none.
+    """Models of y^2 = c(x) and then of its quadratic twist y^2 = d c(x)
+    on which Cantor's algorithm adds classes, each None where there is
+    none, and each built when it is asked for.
 
     A rational Weierstrass point gives monic quintics; ``model`` is the
     curve's when the caller has it.  Without one, the models are sextics
     with a non-square leading coefficient.
     """
+    inert = c[6] and 1 not in degrees
+    if inert:
+        f5 = _inert_model(c, p)
+    else:
+        f5 = model if model is not None else _quintic_model(c, p)
+    yield f5
     d = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
-    if c[6] and 1 not in degrees:
-        return _inert_model(c, p), _inert_model(c, p, d)
-    f5 = model if model is not None else _quintic_model(c, p)
-    # y^2 = d f5(x), and X = d x, Y = d^2 y make it monic
-    return f5, tuple(a * pow(d, 5 - i, p) % p for i, a in enumerate(f5))
+    if inert:
+        yield _inert_model(c, p, d)
+    else:
+        # y^2 = d f5(x), and X = d x, Y = d^2 y make it monic
+        yield tuple(a * pow(d, 5 - i, p) % p for i, a in enumerate(f5))
 
 
 def _settle_by_annihilation(c, p: int, candidates, degrees, model, rng) -> WeilPoly2:
@@ -541,30 +600,43 @@ def _settle_by_annihilation(c, p: int, candidates, degrees, model, rng) -> WeilP
     annihilates the Jacobian of the quadratic twist.
 
     The candidates share a1, and their a2, L(1) and L(-1) differ by
-    multiples of p.  For a class D and R = [p] D, the candidate with
-    order n_0 + k p is ruled out unless [n_0] D + k R = 0.  Each round
-    draws a class on the curve and, while more than one candidate is
-    left, one on the twist, with ``random_divisor`` on the monic quintic
-    or on the sextic with a non-square leading coefficient.  The true
-    candidate is never ruled out; if more than one is left after 16
-    rounds, ArithmeticError.
+    multiples of p: n_0 < n_1 < ... with n_i - n_0 a multiple of p.  For
+    a class D, [n_0] D comes first, one full ladder.  If it vanishes, the
+    order of D divides n_0, so candidate i survives exactly when
+    [gcd(n_i, n_0)] D = 0, a ladder of a few bits.  Otherwise candidate
+    0 is ruled out, and with R = [p] D the candidate of order n_0 + k p
+    survives only if [n_0] D + k R = 0.  Each round draws a class on the
+    curve and, while more than one candidate is left, one on the twist,
+    with ``random_divisor`` on the monic quintic or on the sextic with a
+    non-square leading coefficient; the twist's model is built only when
+    the curve leaves more than one candidate.  The true candidate is
+    never ruled out; if more than one is left after 16 rounds,
+    ArithmeticError.
     """
     alive = sorted(candidates, key=lambda w: w.a2)
-    models = zip(_class_models(c, p, degrees, model), (1, -1))
-    sides = [(F, sign) for F, sign in models if F is not None]
+    models, built = _class_models(c, p, degrees, model), []
     for _ in range(16):
-        for F, sign in sides:
+        for side, sign in enumerate((1, -1)):
+            if side == len(built):
+                built.append(next(models))
+            F = built[side]
+            if F is None:
+                continue
             d = random_divisor(F, p, rng)
             orders = [WeilPoly2(p, sign * w.a1, w.a2).point_count() for w in alive]
-            step = cantor_mul(p, d, F)
-            acc, at = cantor_mul(orders[0], d, F), orders[0]
-            kept = []
-            for w, n in zip(alive, orders):
-                while at < n:
-                    acc, at = cantor_add(acc, step, F), at + p
-                if acc.is_identity:
-                    kept.append(w)
-            alive = kept
+            n0 = orders[0]
+            acc = cantor_mul(n0, d, F)
+            if acc.is_identity:
+                alive = [alive[0]] + [w for w, n in zip(alive[1:], orders[1:])
+                                      if cantor_mul(gcd(n, n0), d, F).is_identity]
+            else:
+                step, at, kept = cantor_mul(p, d, F), n0, []
+                for w, n in zip(alive[1:], orders[1:]):
+                    while at < n:
+                        acc, at = cantor_add(acc, step, F), at + p
+                    if acc.is_identity:
+                        kept.append(w)
+                alive = kept
             if len(alive) == 1:
                 return alive[0]
             if not alive:
@@ -614,14 +686,14 @@ def _factor_degrees(curve: GenusTwoCurve, p: int) -> list[int]:
 
     A quintic g goes through the same kernel as the sextic x g, which
     has one more root in F_p when g(0) != 0.  The kernel works on six
-    coefficients mod f (``_sextic_rows``, ``_frobenius``, ``_mulmod``).
+    coefficients mod f (``_sextic_rows``, ``_frobenius``, ``_mulmod``),
+    and so do both gcds (``_gcd_degree``).
     """
     g = fp_monic(fp_trim([v % p for v in curve.coeffs]), p)
     sextic = g if len(g) == 7 else (0, *g)
     rows = _sextic_rows(sextic, p)
     h = _frobenius(rows, p)
-    x = (0, 1)
-    roots = _deg(fp_gcd(sextic, fp_sub(h, x, p), p)) - (len(g) == 6 and g[0] != 0)
+    roots = _gcd_degree(sextic, _minus_x(h, p), p) - (len(g) == 6 and g[0] != 0)
     rest = _deg(g) - roots
     even = pow(curve.binary_disc, (p - 1) // 2, p) == 1  # (-1)^(n - k) = 1
     if rest == 6:
@@ -632,12 +704,38 @@ def _factor_degrees(curve: GenusTwoCurve, p: int) -> list[int]:
         if not even:  # (6) or (2, 2, 2), where x^(p^2) = x
             tail = [2, 2, 2] if h2 == (0, 1, 0, 0, 0, 0) else [6]
         else:  # (3, 3) or (2, 4)
-            tail = [2, 4] if len(fp_gcd(sextic, fp_sub(h2, x, p), p)) > 1 else [3, 3]
+            tail = [2, 4] if _gcd_degree(sextic, _minus_x(h2, p), p) else [3, 3]
     elif rest >= 4 and even == (rest % 2 == 0):
         tail = [2, rest - 2]
     else:
         tail = [rest] if rest else []
     return [1] * roots + tail
+
+
+def _minus_x(h, p: int) -> tuple[int, ...]:
+    """h - x for h of degree <= 5 given by six coefficients."""
+    return (h[0], (h[1] - 1) % p, *h[2:])
+
+
+def _gcd_degree(f, g, p: int) -> int:
+    """deg gcd(f, g) over F_p for the monic sextic f and g of degree <= 5
+    given by six coefficients in [0, p): Euclid on coefficient lists."""
+    a, b = list(f), list(g)
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        top = len(b) - 1
+        inv = pow(b[top], -1, p)
+        for k in range(len(a) - 1, top - 1, -1):
+            q = a[k] * inv % p
+            if q:
+                for j in range(top):
+                    a[k - top + j] = (a[k - top + j] - q * b[j]) % p
+        del a[top:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
 def _sextic_rows(f, p: int):

@@ -168,7 +168,12 @@ def _int_to_letters(value: int) -> str:
 
 
 def parse_label(s: str) -> WeilPoly2:
-    """Decode an isogeny class label "2.q.c1_c2"."""
+    """Decode an isogeny class label "2.q.c1_c2".
+
+    Only the canonical label of a class is accepted, the one that
+    ``format_label`` gives back: no sign, leading zero or space in q, and
+    no repeated "a" of a negative coefficient.
+    """
     parts = s.split(".")
     if len(parts) != 3:
         raise ValueError(f"expected three dot-separated parts in {s!r}")
@@ -187,7 +192,11 @@ def parse_label(s: str) -> WeilPoly2:
     offset = len(parts[0]) + len(parts[1]) + 2
     a1 = _letters_to_int(coeffs[0], offset)
     a2 = _letters_to_int(coeffs[1], offset + len(coeffs[0]) + 1)
-    return WeilPoly2(q, a1, a2)
+    w = WeilPoly2(q, a1, a2)
+    canonical = format_label(w)
+    if canonical != s:
+        raise ValueError(f"{s!r} is not a canonical label; the canonical label is {canonical!r}")
+    return w
 
 
 def format_label(w: WeilPoly2) -> str:

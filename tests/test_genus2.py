@@ -781,9 +781,11 @@ def _binary_ladder(n: int, d, f5):
     return acc
 
 
-def _ladder_models(p: int):
-    """A monic quintic and a sextic with a non-square leading coefficient."""
-    c = [v % p for v in TABLE[2].curve.coeffs]
+def _ladder_models(p: int, sextic_row: int = 2):
+    """A monic quintic and a sextic with a non-square leading coefficient
+    (the table curve of index 2 is bad at 11 and 13, that of index 3 is
+    good at 7, 11, 13, 23 and 10007)."""
+    c = [v % p for v in TABLE[sextic_row].curve.coeffs]
     return [odd_degree_model(TABLE[0].curve, p), jacobian._inert_model(c, p)]
 
 
@@ -809,6 +811,151 @@ def test_cantor_mul_matches_the_binary_ladder():
                 d, n = random_divisor(f, p, rng), rng.randrange(1 << 40)
                 assert cantor_mul(n, d, f) == _binary_ladder(n, d, f)
                 assert cantor_mul(-n, d, f) == _binary_ladder(-n, d, f)
+
+
+def _cantor_add_ladder(n: int, d, f5):
+    """The non-adjacent-form ladder of ``cantor_mul`` with every step a
+    ``cantor_add``, as it was before the ladder kept integers."""
+    if n < 0:
+        return _cantor_add_ladder(-n, cantor_neg(d), f5)
+    if n == 0:
+        return identity_divisor(d.p)
+    neg = cantor_neg(d)
+    triple, acc = 3 * n, d
+    for i in range(triple.bit_length() - 2, 0, -1):
+        acc = cantor_add(acc, acc, f5)
+        digit = (triple >> i & 1) - (n >> i & 1)
+        if digit:
+            acc = cantor_add(acc, d if digit > 0 else neg, f5)
+    return acc
+
+
+def _special_starts(f, p: int) -> list:
+    """On a quintic a class with deg u = 1, and where f has a root alpha
+    mod p a class W + P with W = (alpha, 0): gcd(u, v) = x - alpha."""
+    alpha = next((x for x in range(p) if poly_eval(f, x) % p == 0), None)
+    x, y = next((x, y) for x in range(p) if x != alpha
+                for y in [sympy.sqrt_mod(poly_eval(f, x) % p, p)] if y)
+    starts = [divisor_from_point(f, p, x, y)] if len(f) == 6 else []
+    if alpha is not None:
+        lam = y * pow(x - alpha, -1, p) % p
+        starts.append(mumford_divisor(f, p, (alpha * x, -(alpha + x), 1), (-lam * alpha, lam)))
+    return starts
+
+
+def test_integer_ladder_matches_the_cantor_add_ladder():
+    rng = random.Random(6)
+    kinds = collections.Counter()
+    for p in (23, 10007):
+        for f in _ladder_models(p):
+            special = _special_starts(f, p)
+            kinds["deg u = 1"] += sum(len(d.u) == 2 for d in special)
+            kinds["gcd(u, v) != 1"] += sum(len(exact.fp_gcd(d.u, d.v, p)) == 2 for d in special)
+            for d in special + [random_divisor(f, p, rng) for _ in range(3)]:
+                for n in [*range(-100, 101), *(rng.randrange(1 << 40) for _ in range(10))]:
+                    assert cantor_mul(n, d, f) == _cantor_add_ladder(n, d, f), (p, f, d, n)
+    # deg u = 1 on both quintics; gcd(u, v) != 1 on both quintics and on
+    # the sextic at 10007, the one model of the four with a root
+    assert kinds == {"deg u = 1": 2, "gcd(u, v) != 1": 3}, kinds
+
+
+def test_integer_ladder_returns_to_the_kernel_after_a_fallback(monkeypatch):
+    # from a point P, each addition of +-P is a point plus a weight-two
+    # class, which the formulas do not cover, while the doublings between
+    # them are: cantor_add runs once for the first doubling and once per
+    # nonzero digit, not at every step
+    p = 10007
+    f5 = _ladder_models(p)[0]
+    start = _special_starts(f5, p)[0]
+    calls = []
+    original = jacobian.cantor_add
+    monkeypatch.setattr(jacobian, "cantor_add",
+                        lambda d, e, f: calls.append(1) or original(d, e, f))
+    n = random.Random(8).randrange(1 << 40)
+    expected = _cantor_add_ladder(n, start, f5)
+    calls.clear()
+    assert cantor_mul(n, start, f5) == expected
+    nonzero = sum((3 * n >> i & 1) != (n >> i & 1) for i in range(1, (3 * n).bit_length() - 1))
+    assert len(calls) == 1 + nonzero < (3 * n).bit_length() - 2
+
+
+def test_a_quintic_that_is_not_monic_takes_the_generic_path():
+    p = 11
+    f = tuple(2 * c % p for c in odd_degree_model(TABLE[0].curve, p))
+    weight_two = [d for d in _enumerate_classes(f, p) if len(d.u) == 3]
+    rng = random.Random(9)
+    for d, e in [*(rng.sample(weight_two, 2) for _ in range(50)), *((d, d) for d in weight_two[:50])]:
+        assert jacobian._add_weight_two(f, p, *jacobian._weight_two(d),
+                                        *jacobian._weight_two(e)) is None
+        assert cantor_add(d, e, f) == jacobian._cantor_generic(d, e, f)
+
+
+def _monic_up_to_quadratic(p: int):
+    yield (1,)
+    yield from ((u0, 1) for u0 in range(p))
+    yield from ((u0, u1, 1) for u0 in range(p) for u1 in range(p))
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_root_count_matches_the_square_roots(p):
+    counts = collections.Counter()
+    for f in _ladder_models(p, sextic_row=3):
+        for u in _monic_up_to_quadratic(p):
+            count = jacobian._root_count(f, u, p)
+            assert count == len(jacobian._square_roots_mod(f, u, p)), (f, u)
+            counts[count] += 1
+    assert set(counts) == {0, 1, 2, 4}, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([23, 10007]), st.booleans(), st.integers(0, 10**6),
+       st.integers(-1, 10**6))
+def test_root_count_matches_the_square_roots_random(p, sextic, u0, u1):
+    f = _ladder_models(p)[sextic]
+    u = (u0 % p, 1) if u1 < 0 else (u0 % p, u1 % p, 1)
+    assert jacobian._root_count(f, u, p) == len(jacobian._square_roots_mod(f, u, p))
+
+
+def _random_divisor_by_extraction(f, p: int, rng: random.Random):
+    """The sampler as it was before the root count: every try extracts
+    the square roots of f mod u."""
+    lines = 0 if len(f) == 7 else p
+    while True:
+        n, i = rng.randrange(1 + lines + p * p), rng.randrange(4)
+        if n == 0:
+            u = (1,)
+        elif n <= lines:
+            u = (n - 1, 1)
+        else:
+            u0, u1 = divmod(n - 1 - lines, p)
+            u = (u0, u1, 1)
+        roots = jacobian._square_roots_mod(f, u, p)
+        if i < len(roots):
+            return jacobian.MumfordDivisor(p, u, roots[i])
+
+
+def test_random_divisor_draws_as_the_extracting_sampler():
+    for p in (7, 11, 13, 23, 10007):
+        models = _ladder_models(p, sextic_row=3)
+        for f, seed in itertools.product(models, range(3)):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert ([random_divisor(f, p, ours) for _ in range(40)]
+                    == [_random_divisor_by_extraction(f, p, theirs) for _ in range(40)])
+            assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("shared", range(7))
+def test_gcd_degree_matches_fp_gcd(shared):
+    # f and g share a factor of degree `shared`; by chance their gcd
+    # can be larger, and fp_gcd says by how much
+    rng = random.Random(shared)
+    for p in (7, 11, 13, 101, 10007):
+        for _ in range(25):
+            k = (*(rng.randrange(p) for _ in range(shared)), 1)
+            f = fp_mul(k, (*(rng.randrange(p) for _ in range(6 - shared)), 1), p)
+            g = fp_mul(k, [rng.randrange(p) for _ in range(6 - shared)], p)
+            six = g + (0,) * (6 - len(g))
+            assert jacobian._gcd_degree(f, six, p) == len(exact.fp_gcd(f, g, p)) - 1 >= shared
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +1029,8 @@ def test_cantor_add_matches_generic_cantor():
                 if case in ("random", "doubling", "weight-one sum") and (
                         len(d.u) == len(e.u) == 3 and e != cantor_neg(d)):
                     seen["weight two"] += 1
-                    seen["explicit"] += jacobian._add_weight_two(d, e, f5) is not None
+                    seen["explicit"] += jacobian._add_weight_two(
+                        f5, p, *jacobian._weight_two(d), *jacobian._weight_two(e)) is not None
     assert len(seen) == 10 and min(seen.values()) >= 10, seen
     assert seen["explicit"] >= 0.8 * seen["weight two"], seen
 
@@ -894,7 +1042,10 @@ def test_jacobian_group_matches_generic_path(seed, monkeypatch):
         for i, row in enumerate(TABLE)
         for p in good_primes(row.curve, 100)
     }
+    # the kernel declines every sum, so each one, the ladder's included,
+    # runs on the generic algorithm
     monkeypatch.setattr(jacobian, "cantor_add", jacobian._cantor_generic)
+    monkeypatch.setattr(jacobian, "_add_weight_two", lambda *args: None)
     for (i, p), g in groups.items():
         assert jacobian_group_mod_p(TABLE[i].curve, p, seed) == g
 

@@ -211,14 +211,40 @@ def test_twist_only_case(monkeypatch):
     # curve's own classes cannot separate them: without the twist, no answer
     candidates = [WeilPoly2(p, a1, a2) for a2 in left]
     f5 = odd_degree_model(TWIST_ONLY, p)
-    models = jacobian._class_models(c, p, degrees, f5)
+    model = next(jacobian._class_models(c, p, degrees, f5))
     for n in (w.point_count(), WeilPoly2(p, a1, 1).point_count()):
-        d = jacobian.random_divisor(models[0], p, random.Random(n))
-        assert cantor_mul(n, d, models[0]).is_identity
+        d = jacobian.random_divisor(model, p, random.Random(n))
+        assert cantor_mul(n, d, model).is_identity
     original = jacobian._class_models
-    monkeypatch.setattr(jacobian, "_class_models", lambda *args: (original(*args)[0], None))
+    monkeypatch.setattr(jacobian, "_class_models",
+                        lambda *args: iter([next(original(*args)), None]))
     with pytest.raises(ArithmeticError, match="annihilate every class"):
         jacobian._settle_by_annihilation(c, p, candidates, degrees, f5, random.Random(0))
+
+
+def test_settle_takes_one_full_ladder_per_class(monkeypatch):
+    calls = []
+    original = jacobian.cantor_mul
+    monkeypatch.setattr(jacobian, "cantor_mul",
+                        lambda n, d, f: calls.append(n) or original(n, d, f))
+    curve = TABLE[0].curve
+    # at 13, [n_0] D != 0 for n_0 = 152 rules out the first candidate, and
+    # R = [13] D steps to the others
+    assert curve_lpoly(curve, 13) == oracle_lpoly(curve.coeffs, 13)
+    assert calls == [152, 13]
+    # at 17, [n_0] D = 0 for n_0 = 266, so the order of D divides 266, and
+    # the other candidate survives only if [gcd(n_1, 266)] D = [2] D = 0
+    calls.clear()
+    assert curve_lpoly(curve, 17) == oracle_lpoly(curve.coeffs, 17)
+    assert calls == [266, 2]
+    # the twist's model is built only when the curve leaves two candidates
+    built = []
+    models = jacobian._class_models
+    monkeypatch.setattr(jacobian, "_class_models",
+                        lambda *args: (built.append(f) or f for f in models(*args)))
+    curve_lpoly(curve, 17)
+    curve_lpoly(TWIST_ONLY, 41)
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -306,7 +332,7 @@ def test_large_prime_flat_memory_and_annihilation():
     assert is_weil_valid(w)
     c = [v % p for v in SIX_CURVE.coeffs]
     degrees = jacobian._factor_degrees(SIX_CURVE, p)
-    model = jacobian._class_models(c, p, degrees, odd_degree_model(SIX_CURVE, p))[0]
+    model = next(jacobian._class_models(c, p, degrees, odd_degree_model(SIX_CURVE, p)))
     rng = random.Random(11)
     classes = [jacobian.random_divisor(model, p, rng) for _ in range(8)]
     assert not any(d.is_identity for d in classes)
@@ -331,7 +357,8 @@ def test_inert_sextic_fast_path_matches_generic_cantor():
                 for d2 in classes + [d1]:
                     expected = jacobian._cantor_generic(d1, d2, F)
                     assert jacobian.cantor_add(d1, d2, F) == expected
-                    hits += jacobian._add_weight_two(d1, d2, F) is not None
+                    hits += jacobian._add_weight_two(
+                        F, p, *jacobian._weight_two(d1), *jacobian._weight_two(d2)) is not None
                 for _ in range(4):
                     expected = jacobian._cantor_generic(acc, acc, F)
                     acc = jacobian.cantor_add(acc, acc, F)

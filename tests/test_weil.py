@@ -234,6 +234,10 @@ def test_leading_a_negates_the_following_letters():
         ("2.3.A_e", "invalid coefficient letter"),
         ("2.3.a_", "invalid coefficient letter"),
         ("2.3._e", "invalid coefficient letter"),
+        ("2.5.aab_c", "canonical label is '2.5.b_c'"),
+        ("2.05.b_c", "canonical label is '2.5.b_c'"),
+        ("2.+5.b_c", "canonical label is '2.5.b_c'"),
+        ("2. 5.b_c", "canonical label is '2.5.b_c'"),
     ],
 )
 def test_malformed_labels_are_rejected(label, message):
