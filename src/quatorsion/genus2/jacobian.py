@@ -31,7 +31,10 @@ uniformly random class D projects to Q = [#J / ell^v] D in S, and the
 ladder that multiplies Q by ell until it vanishes (shared with
 ``divisor_order``) ends at a class t of order ell in ell^k S for every k
 below its depth.  Independent such t bound each rank r_k = dim
-(ell^k S)[ell] from below, and the r_k sum to v, so S is proved once a
+(ell^k S)[ell] from below; whether a new t is a combination of m found
+ones is a balanced baby-step giant-step search with about ell^(m/2)
+classes a side (``_coordinates``), so telling (Z/ell)^2 from Z/ell^2
+takes O(sqrt(ell)) additions.  The r_k sum to v, so S is proved once a
 single shape Z/ell^e1 x Z/ell^e2 x ... fits the bounds, the ell-rank
 <= 4 (<= 2 unless ell | p - 1, by the Weil pairing) and, for ell = 2,
 the exact 2-rank read off the factorization type of f mod p.  That type
@@ -63,7 +66,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from ..exact import (
     factorint,
@@ -896,27 +899,48 @@ def _coordinates(t: MumfordDivisor, ts, ell: int, f5) -> tuple[int, ...] | None:
     """(c_i) in [0, ell) with t = sum c_i t_i, for F_ell-independent
     classes t_i of order ell, or None when t is not in their span.
 
-    Baby steps hold the span of the first half of the t_i, ell^(m // 2)
-    classes for m of them, and giant steps walk the span of the rest.
+    A balanced baby-step giant-step search.  For m of the t_i, the baby
+    steps hold the span of the first m // 2 and the giant steps walk t
+    minus the span of the last m // 2.  For odd m the multiples c t of
+    the middle t are split at k = ceil(sqrt(ell)), as c = a + b k with
+    a < k on the baby side and b < ceil(ell / k) on the giant side; the
+    giant steps run b outermost, so the first hit has a + b k = c < ell.
+    Each side has about ell^(m/2) classes, one ``cantor_add`` each, and
+    the baby table holds O(ell^(m/2)) of them.
     """
-    half = len(ts) // 2
-    baby = dict(_span(ts[:half], t.p, ell, f5))
-    for s, cs in _span(ts[half:], t.p, ell, f5):
-        hit = baby.get(cantor_add(t, cantor_neg(s), f5))
+    m, half = len(ts), len(ts) // 2
+    babies = [(s, ell) for s in ts[:half]]
+    giants = [(cantor_neg(s), ell) for s in ts[m - half:]]
+    if m % 2:
+        k = isqrt(ell - 1) + 1
+        babies.append((ts[half], k))
+    baby = dict(_span(identity_divisor(t.p), babies, f5))
+    if m % 2:  # the table starts with 0, t, ..., (k - 1) t for the middle t
+        kt = cantor_add(list(baby)[k - 1], ts[half], f5)
+        giants.insert(0, (cantor_neg(kt), -(-ell // k)))
+    for s, cs in _span(t, giants, f5):
+        hit = baby.get(s)
         if hit is not None:
+            if m % 2:
+                hit = (*hit[:-1], hit[-1] + k * cs[0])
+                cs = cs[1:]
             return hit + cs
     return None
 
 
-def _span(ts, p: int, ell: int, f5):
-    """(sum c_i t_i, (c_i)) for every (c_i) in [0, ell)^len(ts)."""
-    if not ts:
-        yield identity_divisor(p), ()
+def _span(start: MumfordDivisor, steps, f5):
+    """(start + sum c_i s_i, (c_i)) for every (c_i) with 0 <= c_i < n_i,
+    over the steps (s_i, n_i), the last c_i running fastest: one
+    ``cantor_add`` per class after the first."""
+    if not steps:
+        yield start, ()
         return
-    for s, cs in _span(ts[:-1], p, ell, f5):
-        for c in range(ell):
-            yield s, cs + (c,)
-            s = cantor_add(s, ts[-1], f5)
+    *outer, (s, n) = steps
+    for x, cs in _span(start, outer, f5):
+        yield x, (*cs, 0)
+        for c in range(1, n):
+            x = cantor_add(x, s, f5)
+            yield x, (*cs, c)
 
 
 def _invariant_factors(sylows) -> tuple[int, ...]:

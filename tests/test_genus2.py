@@ -621,6 +621,121 @@ def test_unproved_sylow_subgroup_leaves_the_structure_open(monkeypatch):
     assert len(probes) == 16
 
 
+def _walk_coordinates(t, ts, ell: int, f5):
+    """Oracle for ``_coordinates``: a table of the span of the first
+    len(ts) // 2 classes, and a one-sided walk over the span of the rest,
+    ell^(m - m // 2) steps for m classes."""
+    half = len(ts) // 2
+    baby = dict(_walk_span(ts[:half], t.p, ell, f5))
+    for s, cs in _walk_span(ts[half:], t.p, ell, f5):
+        hit = baby.get(cantor_add(t, cantor_neg(s), f5))
+        if hit is not None:
+            return hit + cs
+    return None
+
+
+def _walk_span(ts, p: int, ell: int, f5):
+    if not ts:
+        yield identity_divisor(p), ()
+        return
+    for s, cs in _walk_span(ts[:-1], p, ell, f5):
+        for c in range(ell):
+            yield s, cs + (c,)
+            s = cantor_add(s, ts[-1], f5)
+
+
+@functools.lru_cache(maxsize=None)
+def _order_ell_classes(curve, p: int, ell: int, rank: int):
+    """The quintic model, ``rank`` F_ell-independent classes of order ell
+    (independent by the oracle), and a class w with ell w != 0."""
+    f5 = odd_degree_model(curve, p)
+    order = curve_lpoly(curve, p).point_count()
+    v = exact.factorint(order)[ell]
+    rng, ts, w = random.Random(0), [], None
+    while len(ts) < rank or w is None:
+        d = random_divisor(f5, p, rng)
+        if w is None and not cantor_mul(ell, d, f5).is_identity:
+            w = d
+        k, t = jacobian._ell_ladder(cantor_mul(order // ell**v, d, f5), ell, v, f5)
+        if k and len(ts) < rank and _walk_coordinates(t, ts, ell, f5) is None:
+            ts.append(t)
+    return f5, tuple(ts), w
+
+
+# (curve, p, ell, ell-rank of J(F_p)): J = (Z/2)^2 x (Z/28)^2 at 61,
+# (Z/14)^2 at 17, (Z/82)^2 at 83, (Z/958)^2 at 1013 and (Z/3)^2 x (Z/114)^2
+# at 331 on the (2,2) row; Z/2 x (Z/10)^2 x Z/110 at 151 on y^2 = x^5 + 1
+ORDER_ELL_CASES = [(TABLE[1].curve, 61, 2, 4), (TABLE[1].curve, 331, 3, 4),
+                   (QUINTIC, 151, 5, 3), (TABLE[1].curve, 17, 7, 2),
+                   (TABLE[1].curve, 83, 41, 2), (TABLE[1].curve, 1013, 479, 2)]
+
+
+@pytest.mark.parametrize("curve, p, ell, rank", ORDER_ELL_CASES,
+                         ids=[f"ell={c[2]}@{c[1]}" for c in ORDER_ELL_CASES])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_coordinates_match_the_walk(curve, p, ell, rank, data):
+    f5, ts, w = _order_ell_classes(curve, p, ell, rank)
+    m = data.draw(st.integers(0, min(rank, 3)), label="m")
+    cs = tuple(data.draw(st.lists(st.integers(0, ell - 1), min_size=m, max_size=m), label="cs"))
+    t = functools.reduce(lambda x, y: cantor_add(x, y, f5),
+                         (cantor_mul(c, t_i, f5) for c, t_i in zip(cs, ts)), identity_divisor(p))
+    assert jacobian._coordinates(t, ts[:m], ell, f5) == _walk_coordinates(t, ts[:m], ell, f5) == cs
+    # off the span: t plus a multiple of a class of order ell independent
+    # of ts[:m], or t + w, which ell does not kill
+    offs = [cantor_mul(data.draw(st.integers(1, ell - 1)), t_m, f5) for t_m in ts[m:m + 1]]
+    for x in (cantor_add(t, off, f5) for off in (*offs, w)):
+        assert jacobian._coordinates(x, ts[:m], ell, f5) is None
+        assert _walk_coordinates(x, ts[:m], ell, f5) is None
+
+
+def _count_cantor_add(monkeypatch, within=None) -> list:
+    """Calls of cantor_add made by jacobian, or only those made inside
+    the function of that name."""
+    calls, depth = [], []
+    add = jacobian.cantor_add
+
+    def counted(*args):
+        if within is None or depth:
+            calls.append(args)
+        return add(*args)
+
+    monkeypatch.setattr(jacobian, "cantor_add", counted)
+    if within is not None:
+        inner = getattr(jacobian, within)
+
+        def entered(*args):
+            depth.append(args)
+            try:
+                return inner(*args)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(jacobian, within, entered)
+    return calls
+
+
+@pytest.mark.parametrize("p, ell", [(17, 7), (83, 41), (1013, 479)])
+def test_coordinates_take_about_two_square_roots_of_ell_additions(p, ell, monkeypatch):
+    f5, (t1, t2), _ = _order_ell_classes(TABLE[1].curve, p, ell, 2)
+    calls = _count_cantor_add(monkeypatch)
+    # t2 is off the span of t1, so every giant step is taken
+    assert jacobian._coordinates(t2, [t1], ell, f5) is None
+    assert len(calls) <= 2 * (isqrt(ell - 1) + 1) + 2
+    calls.clear()
+    assert jacobian._coordinates(cantor_mul(ell - 1, t1, f5), [t1], ell, f5) == (ell - 1,)
+    assert len(calls) <= 2 * (isqrt(ell - 1) + 1) + 2
+
+
+def test_square_sylow_proof_takes_far_fewer_than_ell_additions(monkeypatch):
+    # J(F_1013) = (Z/958)^2 on the (2,2) row: the proof of (Z/479)^2, not
+    # Z/479^2, asks whether a second class of order 479 is a multiple of
+    # the first, which took up to 2 * 479 additions as a walk
+    calls = _count_cantor_add(monkeypatch, within="_coordinates")
+    assert jacobian_group_mod_p(TABLE[1].curve, 1013).invariants == (958, 958)
+    assert 0 < len(calls) <= 100
+
+
 def test_factor_degrees_match_sympy():
     x = sympy.Symbol("x")
     for row in TABLE:
