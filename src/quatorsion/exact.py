@@ -1111,12 +1111,23 @@ def _gcd_z(f, g) -> tuple[int, ...]:
     return poly_primitive([int(c * den) for c in a])
 
 
+def _square_free_mod(h, dh, p: int) -> bool:
+    """Whether p does not divide lead(h) and h, with derivative dh, is
+    square-free mod p.  Then h is square-free over Q: h = g^2 k would
+    stay so mod p, with deg g kept."""
+    hp = fp_trim([c % p for c in h])
+    return h[-1] % p != 0 and len(fp_gcd(hp, fp_trim([c % p for c in dh]), p)) == 1
+
+
 def _squarefree_parts(f) -> list[tuple[tuple[int, ...], int]]:
     """Yun's decomposition of a primitive f of positive degree: pairs
     (a_i, i) with f = prod a_i^i, the a_i primitive, square-free and
     pairwise coprime; a_i = 1 is left out.  Every quotient is exact in
-    Z[x] by Gauss's lemma."""
+    Z[x] by Gauss's lemma.  An f square-free mod one of the first three
+    odd primes is its own decomposition."""
     df = poly_derivative(f)
+    if any(_square_free_mod(f, df, p) for p in _TRIAL_PRIMES[1:4]):
+        return [(f, 1)]
     a0 = _gcd_z(f, df)
     b = _divide_z(f, a0)
     d = poly_add(_divide_z(df, a0), poly_neg(poly_derivative(b)))
@@ -1132,16 +1143,38 @@ def _squarefree_parts(f) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _modular_factors(h) -> tuple[int, list[tuple[int, ...]]]:
+_DEGREE_SET_PRIMES = 3
+
+
+def _modular_factors(h) -> tuple[int, list[tuple[int, ...]]] | None:
     """The least odd prime p not dividing lead(h) with h square-free mod
-    p, and the monic irreducible factors of h mod p."""
+    p, and the monic irreducible factors of h mod p; or None when h is
+    irreducible by Musser's degree-set test.
+
+    A factor of h over Q has a degree that is a sum of factor degrees
+    mod every such p.  The distinct-degree splits at the first three of
+    them give those sums, and when no degree in 1..deg h - 1 is one at
+    every prime, h is irreducible.
+    """
     dh = poly_derivative(h)
-    for p in _TRIAL_PRIMES[1:]:
-        hp = fp_trim([c % p for c in h])
-        if h[-1] % p == 0 or len(fp_gcd(hp, fp_trim([c % p for c in dh]), p)) != 1:
-            continue
-        return p, [g for g, _ in fp_factor(hp, p, random.Random(f"{p}/{h}"))]
-    raise ArithmeticError(f"no prime below 1000 keeps {h} square-free")
+    primes = (p for p in _TRIAL_PRIMES[1:] if _square_free_mod(h, dh, p))
+    possible = set(range(1, len(h) - 1))
+    first = None
+    for p in itertools.islice(primes, _DEGREE_SET_PRIMES):
+        split = fp_distinct_degree(fp_monic(fp_trim([c % p for c in h]), p), p)
+        sums = {0}
+        for k, g in split:
+            for _ in range((len(g) - 1) // k):
+                sums |= {t + k for t in sums}
+        possible &= sums
+        if not possible:
+            return None
+        first = first or (p, split)
+    if first is None:
+        raise ArithmeticError(f"no prime below 1000 keeps {h} square-free")
+    p, split = first
+    rng = random.Random(f"{p}/{h}")
+    return p, [g for k, gk in split for g in _fp_equal_degree(gk, k, p, rng)]
 
 
 def _hensel_pair(f, g, h, p: int, modulus: int):
@@ -1208,9 +1241,10 @@ def _factor_squarefree(h) -> list[tuple[int, ...]]:
     """The irreducible factors of a primitive square-free h over Z."""
     if len(h) <= 2:
         return [h]
-    p, factors = _modular_factors(h)
-    if len(factors) == 1:
+    modular = _modular_factors(h)
+    if modular is None or len(modular[1]) == 1:
         return [h]
+    p, factors = modular
     # Mignotte: a factor of h has coefficients at most 2^deg ||h||_2, and
     # the candidates carry an extra factor lead(h)
     bound = abs(h[-1]) * 2 ** (len(h) - 1) * (math.isqrt(sum(c * c for c in h)) + 1)

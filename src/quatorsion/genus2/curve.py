@@ -27,26 +27,33 @@ every good p <= B come from one pass, in four steps:
    ``curve_lpoly``, run it for one prime on a model for that prime.
 2. a1 = -tr W and a2 = det W mod p (Manin).  For p >= 67 the Weil
    bound |a1| <= 4 sqrt(p) < p/2 fixes a1; below it, a1 comes from
-   counting the points over F_p.
-3. The Weil bounds leave a few a2 in that residue class.  The 2-torsion
-   of J(F_p), read off the factorization type of f mod p, is also that
-   of the quadratic twist, so it must fit in groups of orders L(1) and
-   L(-1), and only the candidates where it does are kept.  The type
-   needs no factorization: the roots of f in F_p, the parity of the
-   number of factors (Stickelberger's theorem on the binary
-   discriminant) and, for a sextic without a root, its roots in
-   F_{p^2} fix it, from one ladder for x^p mod f (``jacobian``).
+   counting the points over F_p, with the values of f from its forward
+   differences at 0.
+3. The Weil bounds leave the a2 of that residue class in [2 |a1|
+   sqrt(p) - 2p, a1^2/4 + 2p], at most nine, found in integers.  The
+   2-torsion of J(F_p), read off the factorization type of f mod p, is
+   also that of the quadratic twist, so it must fit in groups of the
+   integer orders L(1) and L(-1) = 1 +- a1 (1 + p) + p^2 + a2, and only
+   the candidates where it does are kept, a lone one too: there it is
+   the one check of the Hasse-Witt step.  The type needs no
+   factorization: the roots of f in F_p, the parity of the number of
+   factors (Stickelberger's theorem on the binary discriminant) and,
+   for a sextic without a root, its roots in F_{p^2} fix it, from one
+   ladder for x^p mod f (``jacobian``).
 4. L(1) = #J(F_p) annihilates every class of J(F_p), and L(-1) every
-   class of the twist's Jacobian: random classes rule out the other
-   candidates (Kedlaya-Sutherland, ANTS VIII, 2008).  Each class costs
-   one full ladder, for [L(1)] D; when that vanishes the order of D
-   divides L(1), and a ladder of a few bits, for the gcd with the next
-   candidate's order, decides that one.  The classes live on a monic
-   quintic model when f has an F_p-root, and otherwise on the sextic
-   z^6 f(a + 1/z) with f(a) a non-square (see ``jacobian``); the twist's
-   model is built only when the curve leaves more than one candidate.
-   If more than one candidate survives, ArithmeticError: the result is
-   never a guess.
+   class of the twist's Jacobian: classes rule out the other candidates
+   (Kedlaya-Sutherland, ANTS VIII, 2008).  The candidates are taken
+   from the largest a2 down, where a reduction isogenous to a square
+   sits.  Each class costs one full ladder, for [L(1)] D; when that
+   vanishes the order of D divides L(1), and a ladder of a few bits,
+   for the gcd with the next candidate's order, decides that one, and
+   otherwise steps of -[p] D walk down the others.  A class is the sum
+   of two random affine points less D_inf, on a monic quintic model
+   when the caller has one, and otherwise on the sextic z^6 f(a + 1/z)
+   with f(a) a non-square, which needs no root of f (see ``jacobian``);
+   the twist's model is built only when the curve leaves more than one
+   candidate.  If more than one candidate survives, ArithmeticError:
+   the result is never a guess.
 
 At p <= 5, where those models need not exist, the counts over F_p and
 F_{p^2} are made directly (at most 25 values of x), and they give L.
@@ -58,7 +65,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from ..exact import factorint, isprime, poly_discriminant, poly_eval, poly_taylor, primerange
 from ..weil import WeilPoly2, is_weil_valid
@@ -175,33 +182,43 @@ def good_primes(curve: GenusTwoCurve, bound: int) -> list[int]:
 
 
 def _count_points(c, p: int, n: int) -> int:
-    """#C(F_{p^n}) of y^2 = c(x), c reduced mod p, by evaluating c at every
-    x in F_{p^n}: O(p^n) time.
+    """#C(F_{p^n}) of y^2 = c(x), c reduced mod p: O(p^n) time.
 
     c must stay squarefree of degree 5 or 6 mod p (a good prime).  The
     smooth model has one point at infinity in degree 5; in degree 6 it
     has two when the leading coefficient is a square in the field (always
-    so in F_{p^2}) and none otherwise.  F_{p^2} = F_p(s) with s^2 = r a
-    non-residue, and A + B s != 0 is a square iff its norm A^2 - r B^2
-    is a square in F_p.
+    so in F_{p^2}) and none otherwise.  Over F_p the values c(0), ...,
+    c(p - 1) come from the forward differences of c at 0, six additions
+    per x, and a table of the square roots mod p counts the y.  Over
+    F_{p^2} = F_p(s) with s^2 = r a non-residue, A + B s != 0 is a square
+    iff its norm A^2 - r B^2 is a square in F_p.
     """
-    squares = {x * x % p for x in range(1, p)}
-
-    def roots(a: int) -> int:  # solutions of y^2 = a for a in F_p, or of norm a
-        return 1 if a == 0 else 2 * (a in squares)
-
+    roots = [0] * p  # roots[a] = #{y : y^2 = a}
+    for y in range(p):
+        roots[y * y % p] += 1
     deg = 6 if c[6] else 5
     if n == 1:
-        affine = sum(roots(poly_eval(c, x) % p) for x in range(p))
-        return affine + (1 if deg == 5 else roots(c[6]))
-    r = next(a for a in range(2, p) if a not in squares)
+        # d_k = (Delta^k c)(0) from c(0), ..., c(6); then c(x + 1) = c(x) + d_1
+        # and each d_k(x + 1) = d_k(x) + d_(k+1)(x)
+        d = [poly_eval(c, x) for x in range(7)]
+        for k in range(1, 7):
+            for i in range(6, k - 1, -1):
+                d[i] -= d[i - 1]
+        d0, d1, d2, d3, d4, d5, d6 = (t % p for t in d)
+        affine = 0
+        for _ in range(p):
+            affine += roots[d0]
+            d0, d1, d2, d3, d4, d5 = ((d0 + d1) % p, (d1 + d2) % p, (d2 + d3) % p,
+                                      (d3 + d4) % p, (d4 + d5) % p, (d5 + d6) % p)
+        return affine + (1 if deg == 5 else roots[c[6]])
+    r = next(a for a in range(2, p) if not roots[a])
     affine = 0
     for u in range(p):
         for v in range(p):
             A, B = c[deg], 0
             for i in range(deg - 1, -1, -1):
                 A, B = (A * u + r * B * v + c[i]) % p, (A * v + B * u) % p
-            affine += roots((A * A - r * B * B) % p)
+            affine += roots[(A * A - r * B * B) % p]
     return affine + (1 if deg == 5 else 2)
 
 
@@ -325,26 +342,27 @@ def _hasse_witt(c, p: int) -> tuple[int, int]:
     return trace, det
 
 
-def _weil_candidates(p: int, a1: int, a2_mod_p: int) -> list[WeilPoly2]:
-    """Weil-valid L-polynomials with the given a1 and a2 mod p.
+def _weil_a2s(p: int, a1: int, a2_mod_p: int) -> range:
+    """The a2 = a2_mod_p mod p with 1 + a1 T + a2 T^2 + p a1 T^3 + p^2 T^4
+    Weil-valid, descending.
 
-    Weil-valid a2 lie in [-2p, a1^2/4 + 2p]: at most nine residues.
+    That is a1^2 <= 16 p and 2 |a1| sqrt(p) - 2 p <= a2 <= a1^2 / 4 + 2 p
+    (``weil.is_weil_valid``), with the square root rounded up in
+    integers: at most nine values.
     """
-    lo = -2 * p
-    a2 = lo + (a2_mod_p - lo) % p
-    out = []
-    while a2 <= a1 * a1 // 4 + 2 * p:
-        w = WeilPoly2(p, a1, a2)
-        if is_weil_valid(w):
-            out.append(w)
-        a2 += p
-    return out
+    if a1 * a1 > 16 * p:
+        return range(0)
+    square = 4 * p * a1 * a1  # (2 |a1| sqrt(p))^2
+    low = (isqrt(square - 1) + 1 if square else 0) - 2 * p
+    top = a1 * a1 // 4 + 2 * p
+    return range(top - (top - a2_mod_p) % p, low - 1, -p)
 
 
-def _two_part_fits(w: WeilPoly2, two_rank: int) -> bool:
+def _two_part_fits(p: int, a1: int, a2: int, two_rank: int) -> bool:
     """Whether J(F_p)[2] = (Z/2)^two_rank fits in groups of orders L(1)
-    and L(-1): the quadratic twist has the same 2-torsion."""
-    orders = (w.point_count(), WeilPoly2(w.q, -w.a1, w.a2).point_count())
+    and L(-1) = 1 -+ a1 (1 + p) + p^2 + a2: the quadratic twist has the
+    same 2-torsion."""
+    orders = (1 + p * p + a2 + a1 * (1 + p), 1 + p * p + a2 - a1 * (1 + p))
     if two_rank == 0:
         return all(n % 2 for n in orders)
     return all(n % (1 << two_rank) == 0 for n in orders)
@@ -409,10 +427,10 @@ def _lpoly_from_hasse_witt(
     if degrees is None:
         degrees = jacobian._factor_degrees(curve, p)
     two_rank = jacobian._two_rank(degrees)
-    candidates = [w for w in _weil_candidates(p, a1, det) if _two_part_fits(w, two_rank)]
-    if len(candidates) == 1:
-        return candidates[0]
-    if not candidates:
+    fits = [a2 for a2 in _weil_a2s(p, a1, det) if _two_part_fits(p, a1, a2, two_rank)]
+    if not fits:
         raise ArithmeticError(f"no Weil polynomial fits the Hasse-Witt matrix mod {p}")
-    rng = random.Random(f"{p}/{curve.coeffs}")
-    return jacobian._settle_by_annihilation(c, p, candidates, degrees, model, rng)
+    if len(fits) > 1:
+        rng = random.Random(f"{p}/{curve.coeffs}")
+        return WeilPoly2(p, a1, jacobian._settle_by_annihilation(c, p, a1, fits, model, rng))
+    return WeilPoly2(p, a1, fits[0])

@@ -18,10 +18,14 @@ four of the sum, or declines.  ``cantor_add`` wraps it, and the ladder
 of ``cantor_mul`` keeps its state in those integers and builds a
 divisor only at the end.  D + (-D), the sum of two points and the
 doubling of W + P with W a Weierstrass point (2P) are closed forms too.
-The rest -- a point plus a weight-two class, u1 != u2 with a common
-root, u1 = u2 with v1 != +-v2 -- goes through the generic polynomial
-Cantor algorithm (``_cantor_generic``), which is also the test oracle
-for the formulas.
+Two weight-two classes with one common root al are P + B and +-P + G
+over x = al, be, ga, all in F_p: their sum is B + G, or (2P) + (B + G)
+with coprime u; and u1 = u2 with v1 != +-v2 sums to 2P for the root
+where v1 = v2.  A point plus a weight-two class composes to U = u (x -
+x0) with a constant s and reduces in one step (``_add_point``).  Only
+3P + B, from u = (x - al)^2 and a point over al, and a quintic that is
+not monic go through the generic polynomial Cantor algorithm
+(``_cantor_generic``), which is also the test oracle for the formulas.
 
 Combined with the group order from the zeta function this proves the
 abstract structure of J(F_p), one Sylow subgroup S at a time, for
@@ -48,18 +52,20 @@ Degree-6 models are handled by passing to an odd-degree model: move a
 rational Weierstrass point to infinity (x = a + 1/z) when the sextic has
 a root a in F_p, then rescale to a monic quintic.
 
-Without such a root, the L-polynomial step of ``curve`` still adds
-classes, on the sextic z^6 f(a + 1/z) for an a with f(a) a non-square.
-The leading coefficient of that model is f(a), so its two points at
-infinity are conjugate over F_p and their sum D_inf is rational.  Every
-class of J(F_p) is then D - D_inf for a unique reduced effective D of
-degree 0 or 2; a rational point alone is not a class.  Cantor's
+The L-polynomial step of ``curve`` needs no root: unless the caller
+has a quintic model, it adds classes on the sextic z^6 f(a + 1/z) for
+an a with f(a) a non-square, and on the twist's, found in a few values
+of f.  The leading coefficient of that model is f(a), so its two points
+at infinity are conjugate over F_p and their sum D_inf is rational.
+Every class of J(F_p) is then D - D_inf for a unique reduced effective
+D of degree 0 or 2; a rational point alone is not a class.  Cantor's
 algorithm works unchanged: composing two such D gives deg u = 4, and
 since f - v^2 keeps degree 6 (f(a) is not a square), one reduction
 step brings u to degree 6 - 4 = 2.  An odd-degree u would stay at
 degree 3, so ``_cantor_generic`` raises there rather than loop.  The
 weight-two formulas above carry over, with the top three coefficients
-of the sextic f - V^2 in the reduction.
+of the sextic f - V^2 in the reduction, and so does the sum of two
+points, P1 + P2 - D_inf.
 """
 
 from __future__ import annotations
@@ -85,7 +91,6 @@ from ..exact import (
     sqrt_mod,
     validate_invariants,
 )
-from ..weil import WeilPoly2
 from .curve import GenusTwoCurve, curve_lpoly, good_prime
 from .torsion import two_torsion_count
 
@@ -149,10 +154,10 @@ def cantor_add(
     """Sum of two divisor classes on y^2 = f5(x).
 
     The inputs must be reduced Mumford pairs on this curve.  On a monic
-    quintic, D + (-D), sums of two points and weight-two sums use
-    explicit formulas, and on a sextic with a non-square leading
-    coefficient D + (-D) and weight-two sums do; the rest use the
-    generic Cantor algorithm.
+    quintic, D + (-D), sums of two points, a point plus a weight-two
+    class and weight-two sums use explicit formulas, and on a sextic
+    with a non-square leading coefficient D + (-D) and weight-two sums
+    do; the rest use the generic Cantor algorithm.
     """
     p = d1.p
     if p != d2.p:
@@ -166,8 +171,12 @@ def cantor_add(
     out = None
     if len(d1.u) == 3 and len(d2.u) == 3:
         out = _add_weight_two(f5, p, *_weight_two(d1), *_weight_two(d2))
-    elif len(d1.u) == 2 and len(d2.u) == 2 and len(f5) == 6 and f5[5] % p == 1:
-        out = _add_points(f5, p, -d1.u[0], (d1.v or (0,))[0], -d2.u[0], (d2.v or (0,))[0])
+    elif len(f5) == 6 and f5[5] % p == 1:
+        if len(d1.u) == 2 and len(d2.u) == 2:
+            out = _add_points(f5, p, -d1.u[0], (d1.v or (0,))[0], -d2.u[0], (d2.v or (0,))[0])
+        else:
+            two, one = (d1, d2) if len(d1.u) == 3 else (d2, d1)
+            out = _add_point(f5, p, *_weight_two(two), -one.u[0] % p, (one.v or (0,))[0])
     return _divisor(p, out) if out is not None else _cantor_generic(d1, d2, f5)
 
 
@@ -187,8 +196,9 @@ def _divisor(p: int, t) -> MumfordDivisor:
 
 
 def _add_points(f5, p: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int]:
-    """(x1, y1) + (x2, y2) - 2 infinity, for affine points with P2 != -P1,
-    as the kernel's four integers.
+    """P1 + P2 - D_inf for affine points P1 = (x1, y1) and P2 = (x2, y2) !=
+    -P1, as the kernel's four integers: D_inf is twice the point at
+    infinity of a quintic, or the sum of the two at infinity of a sextic.
 
     u = (x - x1)(x - x2) and v the line through both points, or the
     tangent at P1 when P2 = P1 (then y1 != 0).
@@ -197,7 +207,7 @@ def _add_points(f5, p: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, in
         lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     else:
         slope = 0  # f'(x1)
-        for i in range(5, 0, -1):
+        for i in range(len(f5) - 1, 0, -1):
             slope = (slope * x1 + i * f5[i]) % p
         lam = slope * pow(2 * y1, -1, p) % p
     return x1 * x2 % p, -(x1 + x2) % p, (y1 - lam * x1) % p, lam
@@ -210,18 +220,19 @@ def _add_weight_two(f5, p: int, a0: int, a1: int, b0: int, b1: int,
     integers (u0, u1, v0, v1) of the reduced sum, (u0, v0) when it has
     weight one (u = x + u0), or None.
 
-    This is the one home of the straight-line formulas.  The model is a
-    monic quintic or a sextic with a non-square leading coefficient
-    (module docstring).  D2 = -D1 must have been ruled out by the caller.
+    This is the home of the straight-line formulas, with ``_add_point``
+    and ``_add_points``.  The model is a monic quintic or a sextic with
+    a non-square leading coefficient (module docstring).
 
-    None means the case is not covered: a quintic that is not monic,
-    u1 = u2 with v1 != +-v2, a common root of u1 and u2, or on a sextic
-    the doubling of a class with gcd(u, v) != 1, or a leading
-    coefficient that is a square.
+    None means the case is not covered: D2 = -D1, a quintic that is not
+    monic, 3P + B from a common root (module docstring), or on a sextic
+    a leading coefficient that is a square.
     """
     sextic = len(f5) == 7
     if not sextic and f5[5] % p != 1:
         return None
+    if a0 == c0 and a1 == c1 and (b0 + e0) % p == 0 and (b1 + e1) % p == 0:
+        return None  # D2 = -D1
     if a0 != c0 or a1 != c1:
         # s = (v2 - v1) / u1 mod u2.  With u1 = u2 + r mod u2, r = r1 x + r0,
         # r (t1 x + t0) = res mod u2 and res = Res(u2, r) != 0 iff coprime.
@@ -229,7 +240,19 @@ def _add_weight_two(f5, p: int, a0: int, a1: int, b0: int, b1: int,
         t1, t0 = -r1, r0 - r1 * c1
         res = (r0 * t0 + r1 * r1 * c0) % p
         if res == 0:
-            return None
+            # one common root al = -r0 / r1: D1 = P + B and D2 = Q + G over
+            # x = al, be, ga, with Q = +-P
+            al = r0 * pow(-r1, -1, p) % p
+            be, ga = (-a1 - al) % p, (-c1 - al) % p
+            y, yb, yg = (b1 * al + b0) % p, (b1 * be + b0) % p, (e1 * ga + e0) % p
+            if (y + e1 * al + e0) % p == 0:  # Q = -P: the sum is B + G
+                return _add_points(f5, p, be, yb, ga, yg)
+            if al == be or al == ga:  # 3P + G or 3P + B
+                return None
+            # Q = P: the sum is 2P + (B + G), and u = (x - al)^2 is prime to
+            # (x - be)(x - ga)
+            return _add_weight_two(f5, p, *_add_points(f5, p, al, y, al, y),
+                                   *_add_points(f5, p, be, yb, ga, yg))
         w1, w0 = e1 - b1, e0 - b0
     elif b0 == e0 and b1 == e1:
         # doubling: s = k / (2 v) mod u with k = (f - v^2) / u reduced mod u,
@@ -245,8 +268,6 @@ def _add_weight_two(f5, p: int, a0: int, a1: int, b0: int, b1: int,
         w1, w0 = k1 - a1 * q0 - a0 * q1, k0 - a0 * q0
         t1, t0 = -b1, b0 - b1 * a1
         res = 2 * (b0 * t0 + b1 * b1 * a0) % p
-        if res == 0 and sextic:
-            return None
         if res == 0:
             # v = b1 (x - alpha) vanishes at a root alpha of u, so D = W + P
             # with W = (alpha, 0) of order 2, P = (beta, v(beta)), 2D = 2P
@@ -254,7 +275,12 @@ def _add_weight_two(f5, p: int, a0: int, a1: int, b0: int, b1: int,
             y = (b1 * beta + b0) % p
             return _add_points(f5, p, beta, y, beta, y)
     else:
-        return None
+        # u1 = u2 and v1 != +-v2: the classes agree over one root al of u,
+        # where v1 = v2, and are opposite over the other, so the sum is 2P
+        # for P = (al, v1(al))
+        al = (e0 - b0) * pow(b1 - e1, -1, p) % p
+        y = (b1 * al + b0) % p
+        return _add_points(f5, p, al, y, al, y)
     # s = (w1 x + w0)(t1 x + t0) / res mod (x^2 + c1 x + c0)
     inv = pow(res, -1, p)
     s1 = (w1 * t0 + w0 * t1 - w1 * t1 * c1) * inv % p
@@ -291,6 +317,37 @@ def _add_weight_two(f5, p: int, a0: int, a1: int, b0: int, b1: int,
     n1 = -(v1 + s1 * (m1 * m1 - m0) - v2 * m1) % p
     n0 = -(v0 + s1 * m1 * m0 - v2 * m0) % p
     return m0, m1, n0, n1
+
+
+def _add_point(f5, p: int, a0: int, a1: int, b0: int, b1: int, x0: int, y0: int):
+    """The class (x^2 + a1 x + a0, b1 x + b0) plus the point (x0, y0) minus
+    infinity on a monic quintic, coefficients in [0, p): the kernel's
+    integers of the sum, or None when it is 3P + B.
+
+    Composition gives U = u (x - x0) and V = v + s u with s a constant:
+    V(x0) = y0 when u(x0) != 0; otherwise x0 is a root of u, and D + P is
+    the other point B of D when D holds -P, or, when D holds P, V is the
+    tangent at P.  One reduction step gives u' = (f - V^2) / U, monic of
+    degree 2, from the top three coefficients, and v' = -V mod u'.
+    """
+    w = (x0 * (x0 + a1) + a0) % p  # u(x0)
+    if w:
+        s = (y0 - b1 * x0 - b0) * pow(w, -1, p) % p
+    else:
+        x1 = (-a1 - x0) % p  # the other root of u
+        if (b1 * x0 + b0 + y0) % p == 0:
+            return -x1 % p, (b1 * x1 + b0) % p
+        if x1 == x0:
+            return None
+        slope = 0  # f'(x0), and V'(x0) = f'(x0) / (2 y0) = b1 + s (x0 - x1)
+        for i in range(5, 0, -1):
+            slope = (slope * x0 + i * f5[i]) % p
+        s = (slope * pow(2 * y0, -1, p) - b1) * pow(x0 - x1, -1, p) % p
+    v1, v0 = s * a1 + b1, s * a0 + b0  # V = s x^2 + v1 x + v0
+    u2, u1 = a1 - x0, a0 - a1 * x0  # U = x^3 + u2 x^2 + u1 x - a0 x0
+    m1 = (f5[4] - s * s - u2) % p
+    m0 = (f5[3] - 2 * s * v1 - m1 * u2 - u1) % p
+    return m0, m1, (s * m0 - v0) % p, (s * m1 - v1) % p
 
 
 def _cantor_generic(
@@ -575,70 +632,95 @@ def _inert_model(c, p: int, twist: int = 1):
     return None
 
 
-def _class_models(c, p: int, degrees, model):
+def _class_models(c, p: int, model):
     """Models of y^2 = c(x) and then of its quadratic twist y^2 = d c(x)
     on which Cantor's algorithm adds classes, each None where there is
     none, and each built when it is asked for.
 
-    A rational Weierstrass point gives monic quintics; ``model`` is the
-    curve's when the caller has it.  Without one, the models are sextics
-    with a non-square leading coefficient.
+    ``model`` is a monic quintic of the curve from the caller, and the
+    twist's is then one too.  Without it, both models are sextics with a
+    non-square leading coefficient (``_inert_model``), which needs no
+    root of c.
     """
-    inert = c[6] and 1 not in degrees
-    if inert:
-        f5 = _inert_model(c, p)
-    else:
-        f5 = model if model is not None else _quintic_model(c, p)
-    yield f5
+    yield model if model is not None else _inert_model(c, p)
     d = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
-    if inert:
+    if model is None:
         yield _inert_model(c, p, d)
     else:
         # y^2 = d f5(x), and X = d x, Y = d^2 y make it monic
-        yield tuple(a * pow(d, 5 - i, p) % p for i, a in enumerate(f5))
+        yield tuple(a * pow(d, 5 - i, p) % p for i, a in enumerate(model))
 
 
-def _settle_by_annihilation(c, p: int, candidates, degrees, model, rng) -> WeilPoly2:
-    """The candidate L whose L(1) annihilates J(F_p) and whose L(-1)
-    annihilates the Jacobian of the quadratic twist.
+def _point_class(f, p: int, rng: random.Random) -> MumfordDivisor:
+    """The class P1 + P2 - D_inf of two random affine points of y^2 =
+    f(x), on a monic quintic or on a sextic with a non-square leading
+    coefficient (``_add_points``); zero when P2 = -P1.  Not uniform:
+    each point is drawn as x uniform in F_p until f(x) is a square, and
+    one of its square roots.  f must have an affine point.
+    """
+    points = []
+    while len(points) < 2:
+        x = rng.randrange(p)
+        y = sqrt_mod(poly_eval(f, x), p)
+        if y is not None:
+            points.append((x, p - y if y and rng.randrange(2) else y))
+    (x1, y1), (x2, y2) = points
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return identity_divisor(p)
+    return _divisor(p, _add_points(f, p, x1, y1, x2, y2))
 
-    The candidates share a1, and their a2, L(1) and L(-1) differ by
-    multiples of p: n_0 < n_1 < ... with n_i - n_0 a multiple of p.  For
-    a class D, [n_0] D comes first, one full ladder.  If it vanishes, the
-    order of D divides n_0, so candidate i survives exactly when
-    [gcd(n_i, n_0)] D = 0, a ladder of a few bits.  Otherwise candidate
-    0 is ruled out, and with R = [p] D the candidate of order n_0 + k p
-    survives only if [n_0] D + k R = 0.  Each round draws a class on the
-    curve and, while more than one candidate is left, one on the twist,
-    with ``random_divisor`` on the monic quintic or on the sextic with a
-    non-square leading coefficient; the twist's model is built only when
-    the curve leaves more than one candidate.  The true candidate is
+
+def _settle_by_annihilation(c, p: int, a1: int, a2s, model, rng) -> int:
+    """The one a2 of ``a2s`` whose L = 1 + a1 T + a2 T^2 + ... has L(1)
+    annihilating J(F_p) and L(-1) annihilating the Jacobian of the
+    quadratic twist.
+
+    The a2 are taken from the largest down.  The reductions of an
+    abelian surface with QM are geometrically squares (Jordan), and one
+    isogenous to E x E over F_p has L = (1 + a T + p T^2)^2, with a2 =
+    a1^2 / 4 + 2 p at the top of the Weil interval.  The orders n_0 >
+    n_1 > ... of one side differ by multiples of p.  For a class D, [n_0] D comes first, one full
+    ladder.  If it vanishes, the order of D divides n_0, so candidate i
+    survives exactly when [gcd(n_i, n_0)] D = 0, a ladder of a few bits.
+    Otherwise candidate 0 is ruled out, and with R = -[p] D the
+    candidate of order n_0 - k p survives only if [n_0] D + k R = 0.
+    Each round draws a class on the curve and, while more than one
+    candidate is left, one on the twist, on the models of
+    ``_class_models``; the twist's is built only when the curve leaves
+    more than one candidate.  The first 8 rounds draw P1 + P2 - D_inf
+    from affine points (``_point_class``), on a model with at least two;
+    the rest draw uniform classes (``random_divisor``).  The true a2 is
     never ruled out; if more than one is left after 16 rounds,
     ArithmeticError.
     """
-    alive = sorted(candidates, key=lambda w: w.a2)
-    models, built = _class_models(c, p, degrees, model), []
-    for _ in range(16):
+    alive = sorted(a2s, reverse=True)
+    models, built = _class_models(c, p, model), []
+    for round_ in range(16):
         for side, sign in enumerate((1, -1)):
             if side == len(built):
                 built.append(next(models))
             F = built[side]
             if F is None:
                 continue
-            d = random_divisor(F, p, rng)
-            orders = [WeilPoly2(p, sign * w.a1, w.a2).point_count() for w in alive]
-            n0 = orders[0]
+            # #C(F_p) = p + 1 -+ a1, less the point at infinity of a quintic
+            affine = p + 1 + sign * a1 - (len(F) == 6)
+            if round_ < 8 and affine >= 2:
+                d = _point_class(F, p, rng)
+            else:
+                d = random_divisor(F, p, rng)
+            base = 1 + sign * a1 * (1 + p) + p * p
+            n0 = base + alive[0]
             acc = cantor_mul(n0, d, F)
             if acc.is_identity:
-                alive = [alive[0]] + [w for w, n in zip(alive[1:], orders[1:])
-                                      if cantor_mul(gcd(n, n0), d, F).is_identity]
+                alive = [alive[0]] + [a2 for a2 in alive[1:]
+                                      if cantor_mul(gcd(base + a2, n0), d, F).is_identity]
             else:
-                step, at, kept = cantor_mul(p, d, F), n0, []
-                for w, n in zip(alive[1:], orders[1:]):
-                    while at < n:
-                        acc, at = cantor_add(acc, step, F), at + p
+                step, at, kept = cantor_neg(cantor_mul(p, d, F)), n0, []
+                for a2 in alive[1:]:
+                    while at > base + a2:
+                        acc, at = cantor_add(acc, step, F), at - p
                     if acc.is_identity:
-                        kept.append(w)
+                        kept.append(a2)
                 alive = kept
             if len(alive) == 1:
                 return alive[0]

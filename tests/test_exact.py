@@ -828,6 +828,27 @@ def test_recombination_runs_on_swinnerton_dyer():
     assert exact.factor_poly_q(SWINNERTON_DYER)[1] == [SWINNERTON_DYER]
 
 
+# f of the table curves of quatorsion.genus2 with torsion (3) and (3, 3).
+# The first is [3, 3] mod 7 and [6] mod 17, and not square-free mod 11 and
+# 13; the second is [1, 1, 2, 2] mod 7, [2, 4] mod 11 and [3, 3] mod 13
+IRREDUCIBLE_SEXTICS = (
+    (-634465, -540930, -43680, 234260, 602160, 345930, 17095),
+    (105, 270, -45, -270, 315, -270, -15),
+)
+
+
+@pytest.mark.parametrize("f", IRREDUCIBLE_SEXTICS)
+def test_degree_sets_prove_irreducibility_without_a_lift(f, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_hensel_lift was called")
+
+    expected = _sympy_factor_poly_q(f)
+    assert len(expected[1]) == 1
+    monkeypatch.setattr(exact, "_hensel_lift", refuse)
+    assert exact._modular_factors(exact.poly_primitive(f)) is None
+    assert exact.factor_poly_q(f) == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(-50, 50), min_size=5, max_size=6),
        st.integers(-50, 50).filter(bool))

@@ -976,9 +976,9 @@ def test_integer_ladder_matches_the_cantor_add_ladder():
 
 def test_integer_ladder_returns_to_the_kernel_after_a_fallback(monkeypatch):
     # from a point P, each addition of +-P is a point plus a weight-two
-    # class, which the formulas do not cover, while the doublings between
-    # them are: cantor_add runs once for the first doubling and once per
-    # nonzero digit, not at every step
+    # class, which the integer ladder hands to cantor_add, while it keeps
+    # the doublings between them: cantor_add runs once for the first
+    # doubling and once per nonzero digit, not at every step
     p = 10007
     f5 = _ladder_models(p)[0]
     start = _special_starts(f5, p)[0]
@@ -1148,6 +1148,86 @@ def test_cantor_add_matches_generic_cantor():
                         f5, p, *jacobian._weight_two(d), *jacobian._weight_two(e)) is not None
     assert len(seen) == 10 and min(seen.values()) >= 10, seen
     assert seen["explicit"] >= 0.8 * seen["weight two"], seen
+
+
+def _formula_models():
+    """(p, model) for the monic quintics of ``_oracle_models`` and the
+    sextics with a non-square leading coefficient of the table curves at
+    the same primes."""
+    yield from _oracle_models()
+    for row in TABLE:
+        for p in ORACLE_PRIMES:
+            if good_prime(row.curve, p):
+                sextic = jacobian._inert_model([c % p for c in row.curve.coeffs], p)
+                if sextic is not None:
+                    yield p, sextic
+
+
+def _formula_pairs(f, p: int, rng: random.Random):
+    """Pairs of classes by the case of the formulas they exercise: a
+    point plus a weight-two class (quintics only), two weight-two classes
+    with one common root, u1 = u2 with v1 != +-v2, and the doubling of
+    W + P for a Weierstrass point W."""
+    pts = [(x, y) for x in range(p) for y in range(p) if (y * y - poly_eval(f, x)) % p == 0]
+    weierstrass = [pt for pt in pts if pt[1] == 0]
+    by_x = {x: (x, y) for x, y in pts if y}
+
+    def two(a, b):  # P_a + P_b - D_inf
+        return jacobian._divisor(p, jacobian._add_points(f, p, *a, *b))
+
+    def opposite(pt):
+        return pt[0], -pt[1] % p
+
+    cases = collections.defaultdict(list)
+    for _ in range(6):
+        if len(by_x) >= 3:
+            a, b, c = (by_x[x] for x in rng.sample(sorted(by_x), 3))
+            cases["one common root"] += [(two(a, b), two(a, c)), (two(a, b), two(opposite(a), c)),
+                                         (two(a, a), two(opposite(a), c))]
+            cases["u1 = u2, v1 != +-v2"].append((two(a, b), two(a, opposite(b))))
+            if len(f) == 6:
+                cases["point + weight two"] += [
+                    (divisor_from_point(f, p, *a), two(b, c)),
+                    (two(b, c), divisor_from_point(f, p, *b)),
+                    (two(b, c), divisor_from_point(f, p, *opposite(b)))]
+        for w in weierstrass[:1]:
+            if by_x:
+                a = by_x[rng.choice(sorted(by_x))]
+                cases["doubling W + P"].append((two(w, a), two(w, a)))
+                if len(f) == 6:
+                    cases["point + weight two"].append((two(w, a), divisor_from_point(f, p, *w)))
+    return cases
+
+
+def test_mixed_and_common_root_formulas_match_generic_cantor(monkeypatch):
+    rng = random.Random(3)
+    seen = collections.Counter()
+    for p, f in _formula_models():
+        for case, pairs in _formula_pairs(f, p, rng).items():
+            for d, e in pairs:
+                expected = jacobian._cantor_generic(d, e, f)
+                generic = []
+                monkeypatch.setattr(jacobian, "_cantor_generic",
+                                    lambda *args: generic.append(1) or expected)
+                assert cantor_add(d, e, f) == expected, (case, p, f, d, e)
+                monkeypatch.undo()
+                seen[f"{case}, {'sextic' if len(f) == 7 else 'quintic'}"] += 1
+                seen["generic"] += len(generic)
+    cases = {"one common root", "u1 = u2, v1 != +-v2", "doubling W + P"}
+    assert all(seen[f"{case}, {kind}"] >= 10 for case in cases for kind in ("quintic", "sextic"))
+    assert seen["point + weight two, quintic"] >= 50, seen
+    # what the formulas leave is 3P + B, from u = (x - al)^2 and a point over al
+    assert seen["generic"] == 0, seen
+
+
+def test_a_point_three_times_takes_the_generic_path():
+    p, f5 = next((p, f5) for p, f5 in _oracle_models() if p == 29)
+    x, y = next((x, y) for x in range(p) for y in range(1, p)
+                if (y * y - poly_eval(f5, x)) % p == 0)
+    double = jacobian._divisor(p, jacobian._add_points(f5, p, x, y, x, y))
+    assert jacobian._add_point(f5, p, *jacobian._weight_two(double), x, y) is None
+    point = divisor_from_point(f5, p, x, y)
+    assert cantor_add(double, point, f5) == jacobian._cantor_generic(double, point, f5)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -6,6 +6,7 @@ The grid in ``grid_oracle`` counts points over F_p and F_{p^2} in O(p^2);
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 
@@ -44,6 +45,50 @@ QUINTICS = [
 TWIST_ONLY = GenusTwoCurve.from_coefficients([33, 13, 18, -29, -22, -33, 3])
 SIX_CURVE = next(row.curve for row in TABLE if row.torsion == (6,))
 CURVES = [row.curve for row in TABLE] + QUINTICS
+
+
+def _weil_candidates(p: int, a1: int, a2_mod_p: int) -> list[WeilPoly2]:
+    """Weil-valid L-polynomials with the given a1 and a2 mod p, by
+    ``is_weil_valid`` on every a2 = a2_mod_p mod p in [-2p, a1^2/4 + 2p]."""
+    lo = -2 * p
+    a2 = lo + (a2_mod_p - lo) % p
+    out = []
+    while a2 <= a1 * a1 // 4 + 2 * p:
+        w = WeilPoly2(p, a1, a2)
+        if is_weil_valid(w):
+            out.append(w)
+        a2 += p
+    return out
+
+
+def _two_part_fits_poly(w: WeilPoly2, two_rank: int) -> bool:
+    """Whether (Z/2)^two_rank fits in groups of orders L(1) and L(-1),
+    from the point counts of w and of its twist."""
+    orders = (w.point_count(), WeilPoly2(w.q, -w.a1, w.a2).point_count())
+    if two_rank == 0:
+        return all(n % 2 for n in orders)
+    return all(n % (1 << two_rank) == 0 for n in orders)
+
+
+@pytest.mark.parametrize("p", list(sympy.primerange(3, 100)))
+def test_weil_interval_matches_the_enumeration(p):
+    # every a1 up to past the Weil bound |a1| <= 4 sqrt(p), every residue
+    for a1 in range(-4 * math.isqrt(p) - 6, 4 * math.isqrt(p) + 7):
+        for r in range(p):
+            ws = _weil_candidates(p, a1, r)[::-1]
+            assert list(curve_mod._weil_a2s(p, a1, r)) == [w.a2 for w in ws], (p, a1, r)
+            for two_rank in range(5):
+                assert ([w for w in ws if curve_mod._two_part_fits(p, a1, w.a2, two_rank)]
+                        == [w for w in ws if _two_part_fits_poly(w, two_rank)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(sympy.primerange(3, 10**4))), st.floats(-1.05, 1.05),
+       st.integers(0, 10**4))
+def test_weil_interval_matches_the_enumeration_random(p, where, r):
+    a1 = round(where * 4 * math.sqrt(p))
+    expected = [w.a2 for w in reversed(_weil_candidates(p, a1, r % p))]
+    assert list(curve_mod._weil_a2s(p, a1, r % p)) == expected
 
 
 def _hasse_witt_from_power(c, p: int) -> tuple[int, int]:
@@ -201,17 +246,15 @@ def test_twist_only_case(monkeypatch):
     a1 = -trace if 2 * trace < p else p - trace
     degrees = jacobian._factor_degrees(TWIST_ONLY, p)
     two_rank = jacobian._two_rank(degrees)
-    left = [w.a2 for w in curve_mod._weil_candidates(p, a1, det)
-            if curve_mod._two_part_fits(w, two_rank)]
+    left = [w.a2 for w in _weil_candidates(p, a1, det) if _two_part_fits_poly(w, two_rank)]
     assert left == [1, 83]
     w = curve_lpoly(TWIST_ONLY, p)
     assert (w.a1, w.a2, w.point_count()) == (-2, 83, 41**2)
     assert w == oracle_lpoly(TWIST_ONLY.coeffs, p)
     # J(F_41) has exponent 41, which divides both candidate orders, so the
     # curve's own classes cannot separate them: without the twist, no answer
-    candidates = [WeilPoly2(p, a1, a2) for a2 in left]
     f5 = odd_degree_model(TWIST_ONLY, p)
-    model = next(jacobian._class_models(c, p, degrees, f5))
+    model = next(jacobian._class_models(c, p, f5))
     for n in (w.point_count(), WeilPoly2(p, a1, 1).point_count()):
         d = jacobian.random_divisor(model, p, random.Random(n))
         assert cantor_mul(n, d, model).is_identity
@@ -219,24 +262,30 @@ def test_twist_only_case(monkeypatch):
     monkeypatch.setattr(jacobian, "_class_models",
                         lambda *args: iter([next(original(*args)), None]))
     with pytest.raises(ArithmeticError, match="annihilate every class"):
-        jacobian._settle_by_annihilation(c, p, candidates, degrees, f5, random.Random(0))
+        jacobian._settle_by_annihilation(c, p, a1, left, f5, random.Random(0))
 
 
 def test_settle_takes_one_full_ladder_per_class(monkeypatch):
-    calls = []
-    original = jacobian.cantor_mul
+    calls, adds = [], []
+    original, add = jacobian.cantor_mul, jacobian.cantor_add
     monkeypatch.setattr(jacobian, "cantor_mul",
                         lambda n, d, f: calls.append(n) or original(n, d, f))
+    monkeypatch.setattr(jacobian, "cantor_add",
+                        lambda d, e, f: adds.append(1) or add(d, e, f))
     curve = TABLE[0].curve
-    # at 13, [n_0] D != 0 for n_0 = 152 rules out the first candidate, and
-    # R = [13] D steps to the others
+    # the candidates are taken from the largest a2 down.  At 13, [n_0] D = 0
+    # for n_0 = 178, the true order, so the order of D divides 178, and the
+    # other candidate, of order 152, survives only if [gcd(152, 178)] D =
+    # [2] D = 0
     assert curve_lpoly(curve, 13) == oracle_lpoly(curve.coeffs, 13)
-    assert calls == [152, 13]
-    # at 17, [n_0] D = 0 for n_0 = 266, so the order of D divides 266, and
-    # the other candidate survives only if [gcd(n_1, 266)] D = [2] D = 0
+    assert calls == [178, 2]
+    # at 17, [n_0] D != 0 for n_0 = 300 rules out the first candidate, and
+    # R = -[17] D steps down to the other, of order 266 = 300 - 2 * 17
     calls.clear()
+    adds.clear()
     assert curve_lpoly(curve, 17) == oracle_lpoly(curve.coeffs, 17)
-    assert calls == [266, 2]
+    assert calls == [300, 17]
+    assert len(adds) == 2
     # the twist's model is built only when the curve leaves two candidates
     built = []
     models = jacobian._class_models
@@ -245,6 +294,31 @@ def test_settle_takes_one_full_ladder_per_class(monkeypatch):
     curve_lpoly(curve, 17)
     curve_lpoly(TWIST_ONLY, 41)
     assert len(built) == 3
+
+
+def test_settle_draws_uniform_classes_on_a_model_with_no_affine_point(monkeypatch):
+    # the monic quintic model of this curve mod 7 has one point, at
+    # infinity, and J(F_7) has order 18 (a1 = -7, a2 = 24).  Against a false
+    # candidate of order 25 the settle must draw a uniform class there, as
+    # it has no affine point to draw from
+    p = 7
+    curve = GenusTwoCurve.from_coefficients([6, 4, 1, 3, 4, 1])
+    assert curve_lpoly(curve, p) == WeilPoly2(p, -7, 24)
+    f5 = odd_degree_model(curve, p)
+    draws = []
+    from_points, uniform = jacobian._point_class, jacobian.random_divisor
+
+    def point_class(f, q, rng):
+        assert sum((y * y - poly_eval(f, x)) % q == 0 for x in range(q) for y in range(q)) >= 2
+        draws.append("points")
+        return from_points(f, q, rng)
+
+    monkeypatch.setattr(jacobian, "_point_class", point_class)
+    monkeypatch.setattr(jacobian, "random_divisor",
+                        lambda *args: draws.append("uniform") or uniform(*args))
+    c = [v % p for v in curve.coeffs]
+    assert jacobian._settle_by_annihilation(c, p, -7, [31, 24], f5, random.Random(0)) == 24
+    assert draws == ["uniform"]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -269,10 +343,50 @@ def test_two_part_filter_reads_both_orders():
     # L(1) = 32 and L(-1) = 20: (Z/2)^3 fits in the curve's group only
     w = WeilPoly2(5, 1, 0)
     assert (w.point_count(), WeilPoly2(5, -1, 0).point_count()) == (32, 20)
-    assert curve_mod._two_part_fits(w, 2)
-    assert not curve_mod._two_part_fits(w, 3)
-    assert not curve_mod._two_part_fits(w, 0)
-    assert curve_mod._two_part_fits(WeilPoly2(5, 1, 1), 0)  # 33 and 21
+    assert curve_mod._two_part_fits(5, 1, 0, 2)
+    assert not curve_mod._two_part_fits(5, 1, 0, 3)
+    assert not curve_mod._two_part_fits(5, 1, 0, 0)
+    assert curve_mod._two_part_fits(5, 1, 1, 0)  # 33 and 21
+
+
+def test_finite_difference_count_matches_grid():
+    seen = 0
+    for row in TABLE:
+        for p in good_primes(row.curve, 66):
+            c = [v % p for v in row.curve.coeffs]
+            assert curve_mod._count_points(c, p, 1) == count_model(row.curve.coeffs, p, 1), p
+            seen += 1
+    assert seen > 70
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_COEFF, min_size=7, max_size=7), st.sampled_from(["quintic", "sextic", "p | f6"]),
+       st.sampled_from(list(sympy.primerange(3, 67))))
+def test_finite_difference_count_matches_grid_random(coeffs, kind, p):
+    if kind == "quintic":
+        coeffs[6] = 0
+    elif kind == "p | f6":
+        coeffs[6] = p * (coeffs[6] or 1)
+    try:
+        curve = GenusTwoCurve.from_coefficients(coeffs)
+    except ValueError:  # degree below 5, or singular
+        return
+    if not good_prime(curve, p):
+        return
+    c = [v % p for v in curve.coeffs]
+    assert curve_mod._count_points(c, p, 1) == count_model(curve.coeffs, p, 1)
+
+
+def test_curve_lpolys_seek_no_root_of_the_sextic(monkeypatch):
+    # without a model from the caller the settle works on sextics with a
+    # non-square leading coefficient, which need no root mod p
+    def refuse(*args):
+        raise AssertionError("_quintic_model was called")
+
+    expected = {row.curve: list(curve_lpolys(row.curve, 400)) for row in TABLE}
+    monkeypatch.setattr(jacobian, "_quintic_model", refuse)
+    for row in TABLE:
+        assert list(curve_lpolys(row.curve, 400)) == expected[row.curve]
 
 
 def test_count_points_curve_over_fp2_reads_the_lpoly():
@@ -306,9 +420,9 @@ def test_curve_lpoly_rng_is_seeded_by_p_and_f(monkeypatch):
     draws = []
     original = jacobian._settle_by_annihilation
 
-    def spy(c, p, candidates, degrees, model, rng):
+    def spy(c, p, a1, a2s, model, rng):
         draws.append((p, rng.getstate()))
-        return original(c, p, candidates, degrees, model, rng)
+        return original(c, p, a1, a2s, model, rng)
 
     monkeypatch.setattr(jacobian, "_settle_by_annihilation", spy)
     for seed in (1, 2):
@@ -331,8 +445,7 @@ def test_large_prime_flat_memory_and_annihilation():
     assert peak < 5 * 2**20
     assert is_weil_valid(w)
     c = [v % p for v in SIX_CURVE.coeffs]
-    degrees = jacobian._factor_degrees(SIX_CURVE, p)
-    model = next(jacobian._class_models(c, p, degrees, odd_degree_model(SIX_CURVE, p)))
+    model = next(jacobian._class_models(c, p, odd_degree_model(SIX_CURVE, p)))
     rng = random.Random(11)
     classes = [jacobian.random_divisor(model, p, rng) for _ in range(8)]
     assert not any(d.is_identity for d in classes)
