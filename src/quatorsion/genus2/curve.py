@@ -48,8 +48,7 @@ every good p <= B come from one pass, in four steps:
    vanishes the order of D divides L(1), and a ladder of a few bits,
    for the gcd with the next candidate's order, decides that one, and
    otherwise steps of -[p] D walk down the others.  A class is the sum
-   of two random affine points less D_inf, on a monic quintic model
-   when the caller has one, and otherwise on the sextic z^6 f(a + 1/z)
+   of two random affine points less D_inf on the sextic z^6 f(a + 1/z)
    with f(a) a non-square, which needs no root of f (see ``jacobian``);
    the twist's model is built only when the curve leaves more than one
    candidate.  If more than one candidate survives, ArithmeticError:
@@ -368,16 +367,13 @@ def _two_part_fits(p: int, a1: int, a2: int, two_rank: int) -> bool:
     return all(n % (1 << two_rank) == 0 for n in orders)
 
 
-def curve_lpoly(
-    curve: GenusTwoCurve, p: int, *, degrees=None, model=None
-) -> WeilPoly2:
+def curve_lpoly(curve: GenusTwoCurve, p: int, *, degrees=None) -> WeilPoly2:
     """Weil polynomial of the reduction of the curve mod a good prime p.
 
     O(p) time and O(1) memory, in the four steps of the module
     docstring.  A caller that already has them may pass the degrees of
-    the irreducible factors of f mod p and a monic quintic model of the
-    reduction (``jacobian.odd_degree_model``); the result does not depend
-    on them.  The random classes of the last step come from an RNG
+    the irreducible factors of f mod p; the result does not depend on
+    them.  The random classes of the last step come from an RNG
     seeded by p and f, so the result is deterministic.  ArithmeticError
     means the random classes could not single out one candidate.
     """
@@ -386,7 +382,7 @@ def curve_lpoly(
     c = [v % p for v in curve.coeffs]
     if p <= 5:
         return lpoly_from_counts(_count_points(c, p, 1), _count_points(c, p, 2), p)
-    return _lpoly_from_hasse_witt(curve, p, *_hasse_witt(c, p), degrees, model)
+    return _lpoly_from_hasse_witt(curve, p, *_hasse_witt(c, p), degrees)
 
 
 def curve_lpolys(curve: GenusTwoCurve, bound: int):
@@ -411,7 +407,7 @@ def curve_lpolys(curve: GenusTwoCurve, bound: int):
 
 
 def _lpoly_from_hasse_witt(
-    curve: GenusTwoCurve, p: int, trace: int, det: int, degrees=None, model=None
+    curve: GenusTwoCurve, p: int, trace: int, det: int, degrees=None
 ) -> WeilPoly2:
     """Steps 2 to 4 of the module docstring, from tr W and det W mod p >= 7."""
     from . import jacobian  # jacobian imports this module
@@ -432,5 +428,5 @@ def _lpoly_from_hasse_witt(
         raise ArithmeticError(f"no Weil polynomial fits the Hasse-Witt matrix mod {p}")
     if len(fits) > 1:
         rng = random.Random(f"{p}/{curve.coeffs}")
-        return WeilPoly2(p, a1, jacobian._settle_by_annihilation(c, p, a1, fits, model, rng))
+        return WeilPoly2(p, a1, jacobian._settle_by_annihilation(c, p, a1, fits, rng))
     return WeilPoly2(p, a1, fits[0])

@@ -1,31 +1,47 @@
 """Mumford arithmetic on genus-2 Jacobians over prime fields.
 
-Divisor classes on y^2 = f(x) with f monic of degree 5 are written in
-Mumford form (u, v): u monic of degree <= 2, deg v < deg u, and
-u | f - v^2.  The group law is Cantor's composition and reduction, and
-the reduced representative of a class is unique, so any correct route
-to the sum gives the same pair.
+Divisor classes on y^2 = f(x) are written in Mumford form (u, v): u
+monic of degree <= 2, deg v < deg u, and u | f - v^2.  The group law is
+Cantor's composition and reduction (``_cantor_generic``), and the
+reduced representative of a class is unique, so any correct route to
+the sum gives the same pair.
 
-Explicit straight-line formulas (after Lange, "Formulae for arithmetic
-on genus 2 hyperelliptic curves", 2005) cover the common cases: two
-classes with deg u1 = deg u2 = 2 and gcd(u1, u2) = 1, and the doubling
-of a class with deg u = 2 and gcd(u, v) = 1.  Both compose to (U, V)
-with U = u1 u2 (or u^2) and V = v1 + s u1, where s of degree <= 1 costs
-one inverse mod p, and reduce in one step to u' = monic((f - V^2) / U),
-v' = -V mod u'.  They live in one integer kernel, ``_add_weight_two``,
-which maps the eight integers u0, u1, v0, v1 of the two classes to the
-four of the sum, or declines.  ``cantor_add`` wraps it, and the ladder
-of ``cantor_mul`` keeps its state in those integers and builds a
-divisor only at the end.  D + (-D), the sum of two points and the
-doubling of W + P with W a Weierstrass point (2P) are closed forms too.
-Two weight-two classes with one common root al are P + B and +-P + G
-over x = al, be, ga, all in F_p: their sum is B + G, or (2P) + (B + G)
-with coprime u; and u1 = u2 with v1 != +-v2 sums to 2P for the root
-where v1 = v2.  A point plus a weight-two class composes to U = u (x -
-x0) with a constant s and reduces in one step (``_add_point``).  Only
-3P + B, from u = (x - al)^2 and a point over al, and a quintic that is
-not monic go through the generic polynomial Cantor algorithm
-(``_cantor_generic``), which is also the test oracle for the formulas.
+Classes are added on the "inert" sextic z^6 f(a + 1/z) for an a with
+f(a) a non-square (``_inert_model``), found in a few values of f, which
+needs no root of f: the L-polynomial step of ``curve`` draws classes
+there and on the twist's, and ``jacobian_group_mod_p`` probes there.
+The leading coefficient of that model is f(a), so its two points at
+infinity are conjugate over F_p and their sum D_inf is rational.  Every
+class of J(F_p) is then D - D_inf for a unique reduced effective D of
+degree 0 or 2; a rational point alone is not a class.  Cantor's
+algorithm works unchanged: composing two such D gives deg u = 4, and
+since f - v^2 keeps degree 6 (f(a) is not a square), one reduction step
+brings u to degree 6 - 4 = 2.  An odd-degree u would stay at degree 3,
+so ``_cantor_generic`` raises there rather than loop.
+
+On that model explicit straight-line formulas (after Lange, "Formulae
+for arithmetic on genus 2 hyperelliptic curves", 2005) cover the common
+cases: two classes with deg u1 = deg u2 = 2 and gcd(u1, u2) = 1, and
+the doubling of a class with deg u = 2 and gcd(u, v) = 1.  Both compose
+to (U, V) with U = u1 u2 (or u^2) and V = v1 + s u1, where s of degree
+<= 1 costs one inverse mod p, and reduce in one step to u' = monic((f -
+V^2) / U), v' = -V mod u', from the top three coefficients of f - V^2
+and of U.  They live in one integer kernel, ``_add_weight_two``, which
+maps the eight integers u0, u1, v0, v1 of the two classes to the four
+of the sum, or declines.  ``cantor_add`` wraps it, and the ladder of
+``cantor_mul`` keeps its state in those integers and builds a divisor
+only at the end.  D + (-D), the sum P1 + P2 - D_inf of two points and
+the doubling of W + P with W a Weierstrass point (2P) are closed forms
+too.  Two weight-two classes with one common root al are P + B and +-P
++ G over x = al, be, ga, all in F_p: their sum is B + G, or (2P) + (B +
+G) with coprime u; and u1 = u2 with v1 != +-v2 sums to 2P for the root
+where v1 = v2.  Only 3P + B, from u = (x - al)^2 and a point over al,
+goes through ``_cantor_generic``, which is also the test oracle for the
+formulas.  So does every sum on any other model: the monic quintics of
+``odd_degree_model``, on which the public ``mumford_divisor``,
+``divisor_from_point``, ``random_divisor``, ``cantor_add``,
+``cantor_mul`` and ``divisor_order`` work too, and which J(F_p) probes
+on at the few small primes where the sextic has no inert model.
 
 Combined with the group order from the zeta function this proves the
 abstract structure of J(F_p), one Sylow subgroup S at a time, for
@@ -47,25 +63,6 @@ parity of the number of factors (Stickelberger, from the binary
 discriminant) and, for a sextic without a root, x^(p^2) = h(h) for
 h = x^p fix it (``_factor_degrees``).  Probing stops as soon as every
 Sylow subgroup is proved.
-
-Degree-6 models are handled by passing to an odd-degree model: move a
-rational Weierstrass point to infinity (x = a + 1/z) when the sextic has
-a root a in F_p, then rescale to a monic quintic.
-
-The L-polynomial step of ``curve`` needs no root: unless the caller
-has a quintic model, it adds classes on the sextic z^6 f(a + 1/z) for
-an a with f(a) a non-square, and on the twist's, found in a few values
-of f.  The leading coefficient of that model is f(a), so its two points
-at infinity are conjugate over F_p and their sum D_inf is rational.
-Every class of J(F_p) is then D - D_inf for a unique reduced effective
-D of degree 0 or 2; a rational point alone is not a class.  Cantor's
-algorithm works unchanged: composing two such D gives deg u = 4, and
-since f - v^2 keeps degree 6 (f(a) is not a square), one reduction
-step brings u to degree 6 - 4 = 2.  An odd-degree u would stay at
-degree 3, so ``_cantor_generic`` raises there rather than loop.  The
-weight-two formulas above carry over, with the top three coefficients
-of the sextic f - V^2 in the reduction, and so does the sum of two
-points, P1 + P2 - D_inf.
 """
 
 from __future__ import annotations
@@ -153,11 +150,10 @@ def cantor_add(
 ) -> MumfordDivisor:
     """Sum of two divisor classes on y^2 = f5(x).
 
-    The inputs must be reduced Mumford pairs on this curve.  On a monic
-    quintic, D + (-D), sums of two points, a point plus a weight-two
-    class and weight-two sums use explicit formulas, and on a sextic
-    with a non-square leading coefficient D + (-D) and weight-two sums
-    do; the rest use the generic Cantor algorithm.
+    The inputs must be reduced Mumford pairs on this curve.  D + (-D)
+    is a closed form, and on a sextic two weight-two classes go through
+    the explicit formulas of ``_add_weight_two``; the rest use the
+    generic Cantor algorithm.
     """
     p = d1.p
     if p != d2.p:
@@ -169,14 +165,8 @@ def cantor_add(
     if d1.u == d2.u and d2.v == fp_neg(d1.v, p):
         return identity_divisor(p)
     out = None
-    if len(d1.u) == 3 and len(d2.u) == 3:
+    if len(f5) == 7 and len(d1.u) == 3 and len(d2.u) == 3:
         out = _add_weight_two(f5, p, *_weight_two(d1), *_weight_two(d2))
-    elif len(f5) == 6 and f5[5] % p == 1:
-        if len(d1.u) == 2 and len(d2.u) == 2:
-            out = _add_points(f5, p, -d1.u[0], (d1.v or (0,))[0], -d2.u[0], (d2.v or (0,))[0])
-        else:
-            two, one = (d1, d2) if len(d1.u) == 3 else (d2, d1)
-            out = _add_point(f5, p, *_weight_two(two), -one.u[0] % p, (one.v or (0,))[0])
     return _divisor(p, out) if out is not None else _cantor_generic(d1, d2, f5)
 
 
@@ -187,18 +177,14 @@ def _weight_two(d: MumfordDivisor) -> tuple[int, int, int, int]:
 
 
 def _divisor(p: int, t) -> MumfordDivisor:
-    """The class of the kernel's integers: (u0, u1, v0, v1) of weight two,
-    or (u0, v0) of u = x + u0, v = v0."""
-    if len(t) == 2:
-        return MumfordDivisor(p, (t[0], 1), (t[1],) if t[1] else ())
+    """The class of the kernel's integers (u0, u1, v0, v1)."""
     u0, u1, v0, v1 = t
     return MumfordDivisor(p, (u0, u1, 1), (v0, v1) if v1 else (v0,) if v0 else ())
 
 
-def _add_points(f5, p: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int]:
+def _add_points(f, p: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int]:
     """P1 + P2 - D_inf for affine points P1 = (x1, y1) and P2 = (x2, y2) !=
-    -P1, as the kernel's four integers: D_inf is twice the point at
-    infinity of a quintic, or the sum of the two at infinity of a sextic.
+    -P1 of the inert sextic, as the kernel's four integers.
 
     u = (x - x1)(x - x2) and v the line through both points, or the
     tangent at P1 when P2 = P1 (then y1 != 0).
@@ -207,30 +193,25 @@ def _add_points(f5, p: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, in
         lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     else:
         slope = 0  # f'(x1)
-        for i in range(len(f5) - 1, 0, -1):
-            slope = (slope * x1 + i * f5[i]) % p
+        for i in range(len(f) - 1, 0, -1):
+            slope = (slope * x1 + i * f[i]) % p
         lam = slope * pow(2 * y1, -1, p) % p
     return x1 * x2 % p, -(x1 + x2) % p, (y1 - lam * x1) % p, lam
 
 
-def _add_weight_two(f5, p: int, a0: int, a1: int, b0: int, b1: int,
+def _add_weight_two(f, p: int, a0: int, a1: int, b0: int, b1: int,
                     c0: int, c1: int, e0: int, e1: int):
     """The sum of two weight-two classes, (x^2 + a1 x + a0, b1 x + b0) and
     (x^2 + c1 x + c0, e1 x + e0), with coefficients in [0, p): the
-    integers (u0, u1, v0, v1) of the reduced sum, (u0, v0) when it has
-    weight one (u = x + u0), or None.
+    integers (u0, u1, v0, v1) of the reduced sum, or None.
 
-    This is the home of the straight-line formulas, with ``_add_point``
-    and ``_add_points``.  The model is a monic quintic or a sextic with
-    a non-square leading coefficient (module docstring).
+    This is the home of the straight-line formulas, with ``_add_points``.
+    The model is a sextic with a non-square leading coefficient (module
+    docstring).
 
-    None means the case is not covered: D2 = -D1, a quintic that is not
-    monic, 3P + B from a common root (module docstring), or on a sextic
-    a leading coefficient that is a square.
+    None means the case is not covered: D2 = -D1, 3P + B from a common
+    root (module docstring), or a leading coefficient that is a square.
     """
-    sextic = len(f5) == 7
-    if not sextic and f5[5] % p != 1:
-        return None
     if a0 == c0 and a1 == c1 and (b0 + e0) % p == 0 and (b1 + e1) % p == 0:
         return None  # D2 = -D1
     if a0 != c0 or a1 != c1:
@@ -246,23 +227,23 @@ def _add_weight_two(f5, p: int, a0: int, a1: int, b0: int, b1: int,
             be, ga = (-a1 - al) % p, (-c1 - al) % p
             y, yb, yg = (b1 * al + b0) % p, (b1 * be + b0) % p, (e1 * ga + e0) % p
             if (y + e1 * al + e0) % p == 0:  # Q = -P: the sum is B + G
-                return _add_points(f5, p, be, yb, ga, yg)
+                return _add_points(f, p, be, yb, ga, yg)
             if al == be or al == ga:  # 3P + G or 3P + B
                 return None
             # Q = P: the sum is 2P + (B + G), and u = (x - al)^2 is prime to
             # (x - be)(x - ga)
-            return _add_weight_two(f5, p, *_add_points(f5, p, al, y, al, y),
-                                   *_add_points(f5, p, be, yb, ga, yg))
+            return _add_weight_two(f, p, *_add_points(f, p, al, y, al, y),
+                                   *_add_points(f, p, be, yb, ga, yg))
         w1, w0 = e1 - b1, e0 - b0
     elif b0 == e0 and b1 == e1:
         # doubling: s = k / (2 v) mod u with k = (f - v^2) / u reduced mod u,
         # by synthetic division; the quotient k reads only the coefficients
         # of degree >= 2, where f - v^2 differs from f by b1^2 alone
-        k4 = f5[6] if sextic else 0
-        k3 = f5[5] - a1 * k4
-        k2 = f5[4] - a1 * k3 - a0 * k4
-        k1 = f5[3] - a1 * k2 - a0 * k3
-        k0 = f5[2] - b1 * b1 - a1 * k1 - a0 * k2
+        k4 = f[6]
+        k3 = f[5] - a1 * k4
+        k2 = f[4] - a1 * k3 - a0 * k4
+        k1 = f[3] - a1 * k2 - a0 * k3
+        k0 = f[2] - b1 * b1 - a1 * k1 - a0 * k2
         q1 = k3 - a1 * k4  # k = (k4 x^2 + q1 x + q0) u + w1 x + w0
         q0 = k2 - a1 * q1 - a0 * k4
         w1, w0 = k1 - a1 * q0 - a0 * q1, k0 - a0 * q0
@@ -273,14 +254,14 @@ def _add_weight_two(f5, p: int, a0: int, a1: int, b0: int, b1: int,
             # with W = (alpha, 0) of order 2, P = (beta, v(beta)), 2D = 2P
             beta = (b0 * pow(b1, -1, p) - a1) % p
             y = (b1 * beta + b0) % p
-            return _add_points(f5, p, beta, y, beta, y)
+            return _add_points(f, p, beta, y, beta, y)
     else:
         # u1 = u2 and v1 != +-v2: the classes agree over one root al of u,
         # where v1 = v2, and are opposite over the other, so the sum is 2P
         # for P = (al, v1(al))
         al = (e0 - b0) * pow(b1 - e1, -1, p) % p
         y = (b1 * al + b0) % p
-        return _add_points(f5, p, al, y, al, y)
+        return _add_points(f, p, al, y, al, y)
     # s = (w1 x + w0)(t1 x + t0) / res mod (x^2 + c1 x + c0)
     inv = pow(res, -1, p)
     s1 = (w1 * t0 + w0 * t1 - w1 * t1 * c1) * inv % p
@@ -289,65 +270,19 @@ def _add_weight_two(f5, p: int, a0: int, a1: int, b0: int, b1: int,
     v2 = s1 * a1 + s0
     v1 = s1 * a0 + s0 * a1 + b1
     v0 = s0 * a0 + b0
-    if sextic:
-        # f - V^2 has degree 6, so (f - V^2) / (u1 u2) is a quadratic whose
-        # coefficients need the top three of f - V^2 and of u1 u2
-        q2 = (f5[6] - s1 * s1) % p
-        if q2 == 0:
-            return None
-        q1 = f5[5] - 2 * s1 * v2 - q2 * (a1 + c1)
-        q0 = f5[4] - 2 * s1 * v1 - v2 * v2 - q2 * (a0 + a1 * c1 + c0) - q1 * (a1 + c1)
-    elif s1 == 0:
-        # deg V <= 2: (f - V^2) / U = x + m0, and v' = -V(-m0)
-        m0 = (f5[4] - a1 - s0 * s0 - c1) % p
-        return m0, -((v2 * m0 - v1) * m0 + v0) % p
-    else:
-        # (f - V^2) / (u1 u2) = (k - s (2 v1 + s u1)) / u2 with
-        # k = (f - v1^2) / u1 monic cubic, so the quotient's three
-        # coefficients need only the top three of the quartic
-        # k - s (2 v1 + s u1).
-        ss = s1 * s1
-        q2 = -ss
-        q1 = 1 - ss * a1 - 2 * s0 * s1 - q2 * c1
-        q0 = f5[4] - a1 - ss * a0 - 2 * s0 * s1 * a1 - 2 * s1 * b1 - s0 * s0
-        q0 -= q1 * c1 + q2 * c0
+    # f - V^2 has degree 6, so (f - V^2) / (u1 u2) is a quadratic whose
+    # coefficients need the top three of f - V^2 and of u1 u2
+    q2 = (f[6] - s1 * s1) % p
+    if q2 == 0:
+        return None
+    q1 = f[5] - 2 * s1 * v2 - q2 * (a1 + c1)
+    q0 = f[4] - 2 * s1 * v1 - v2 * v2 - q2 * (a0 + a1 * c1 + c0) - q1 * (a1 + c1)
     lead = pow(q2, -1, p)
     m1, m0 = q1 * lead % p, q0 * lead % p
     # v' = -V mod x^2 + m1 x + m0, with x^3 = (m1^2 - m0) x + m1 m0
     n1 = -(v1 + s1 * (m1 * m1 - m0) - v2 * m1) % p
     n0 = -(v0 + s1 * m1 * m0 - v2 * m0) % p
     return m0, m1, n0, n1
-
-
-def _add_point(f5, p: int, a0: int, a1: int, b0: int, b1: int, x0: int, y0: int):
-    """The class (x^2 + a1 x + a0, b1 x + b0) plus the point (x0, y0) minus
-    infinity on a monic quintic, coefficients in [0, p): the kernel's
-    integers of the sum, or None when it is 3P + B.
-
-    Composition gives U = u (x - x0) and V = v + s u with s a constant:
-    V(x0) = y0 when u(x0) != 0; otherwise x0 is a root of u, and D + P is
-    the other point B of D when D holds -P, or, when D holds P, V is the
-    tangent at P.  One reduction step gives u' = (f - V^2) / U, monic of
-    degree 2, from the top three coefficients, and v' = -V mod u'.
-    """
-    w = (x0 * (x0 + a1) + a0) % p  # u(x0)
-    if w:
-        s = (y0 - b1 * x0 - b0) * pow(w, -1, p) % p
-    else:
-        x1 = (-a1 - x0) % p  # the other root of u
-        if (b1 * x0 + b0 + y0) % p == 0:
-            return -x1 % p, (b1 * x1 + b0) % p
-        if x1 == x0:
-            return None
-        slope = 0  # f'(x0), and V'(x0) = f'(x0) / (2 y0) = b1 + s (x0 - x1)
-        for i in range(5, 0, -1):
-            slope = (slope * x0 + i * f5[i]) % p
-        s = (slope * pow(2 * y0, -1, p) - b1) * pow(x0 - x1, -1, p) % p
-    v1, v0 = s * a1 + b1, s * a0 + b0  # V = s x^2 + v1 x + v0
-    u2, u1 = a1 - x0, a0 - a1 * x0  # U = x^3 + u2 x^2 + u1 x - a0 x0
-    m1 = (f5[4] - s * s - u2) % p
-    m0 = (f5[3] - 2 * s * v1 - m1 * u2 - u1) % p
-    return m0, m1, (s * m0 - v0) % p, (s * m1 - v1) % p
 
 
 def _cantor_generic(
@@ -395,17 +330,18 @@ def cantor_mul(n: int, d: MumfordDivisor, f5) -> MumfordDivisor:
     A left-to-right ladder on the non-adjacent form of n: -D = (u, -v)
     costs nothing, so each nonzero digit is one addition of D or -D, on
     average one for every three doublings.  Digit i of that form is bit
-    i of 3n minus bit i of n.  The ladder keeps a weight-two class as the
-    four integers of ``_add_weight_two`` and steps on them; a step that
-    the formulas do not cover goes through ``cantor_add``, and the
-    divisor is built once, at the end.
+    i of 3n minus bit i of n.  On a sextic the ladder keeps a weight-two
+    class as the four integers of ``_add_weight_two`` and steps on them;
+    a step that the formulas do not cover goes through ``cantor_add``,
+    and the divisor is built once, at the end.  On any other model every
+    step is a ``cantor_add``.
     """
     if n < 0:
         return cantor_mul(-n, cantor_neg(d), f5)
     if n == 0:
         return identity_divisor(d.p)
     p = d.p
-    plus, minus = _ladder_state(d), _ladder_state(cantor_neg(d))
+    plus, minus = _ladder_state(d, f5), _ladder_state(cantor_neg(d), f5)
     triple, acc = 3 * n, plus
     for i in range(triple.bit_length() - 2, 0, -1):
         acc = _ladder_add(acc, acc, f5, p)
@@ -415,9 +351,10 @@ def cantor_mul(n: int, d: MumfordDivisor, f5) -> MumfordDivisor:
     return _divisor(p, acc) if type(acc) is tuple else acc
 
 
-def _ladder_state(d: MumfordDivisor):
-    """The four integers of a weight-two class, or the class itself."""
-    return _weight_two(d) if len(d.u) == 3 else d
+def _ladder_state(d: MumfordDivisor, f5):
+    """The four integers of a weight-two class on a sextic, or the class
+    itself."""
+    return _weight_two(d) if len(d.u) == 3 and len(f5) == 7 else d
 
 
 def _ladder_add(x, y, f5, p: int):
@@ -426,12 +363,12 @@ def _ladder_add(x, y, f5, p: int):
             x[0] != y[0] or x[1] != y[1] or (x[2] + y[2]) % p or (x[3] + y[3]) % p):
         out = _add_weight_two(f5, p, *x, *y)
         if out is not None:
-            return out if len(out) == 4 else _divisor(p, out)
+            return out
     if type(x) is tuple:
         x = _divisor(p, x)
     if type(y) is tuple:
         y = _divisor(p, y)
-    return _ladder_state(cantor_add(x, y, f5))
+    return _ladder_state(cantor_add(x, y, f5), f5)
 
 
 def divisor_order(d: MumfordDivisor, f5, group_order: int) -> int:
@@ -479,7 +416,8 @@ def odd_degree_model(curve: GenusTwoCurve, p: int):
     reductions need a rational Weierstrass point, i.e. a root a of the
     sextic mod p, which x -> a + 1/z sends to infinity.  Returns the
     quintic's six coefficients ascending (last one 1), or None when the
-    sextic has no root in F_p.
+    sextic has no root in F_p.  ``jacobian_group_mod_p`` probes on it
+    only where the curve has no inert model (``_inert_model``).
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
@@ -632,31 +570,20 @@ def _inert_model(c, p: int, twist: int = 1):
     return None
 
 
-def _class_models(c, p: int, model):
-    """Models of y^2 = c(x) and then of its quadratic twist y^2 = d c(x)
-    on which Cantor's algorithm adds classes, each None where there is
-    none, and each built when it is asked for.
-
-    ``model`` is a monic quintic of the curve from the caller, and the
-    twist's is then one too.  Without it, both models are sextics with a
-    non-square leading coefficient (``_inert_model``), which needs no
-    root of c.
-    """
-    yield model if model is not None else _inert_model(c, p)
+def _class_models(c, p: int):
+    """The inert models (``_inert_model``) of y^2 = c(x) and then of its
+    quadratic twist y^2 = d c(x), each None where there is none, and
+    each built when it is asked for."""
+    yield _inert_model(c, p)
     d = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
-    if model is None:
-        yield _inert_model(c, p, d)
-    else:
-        # y^2 = d f5(x), and X = d x, Y = d^2 y make it monic
-        yield tuple(a * pow(d, 5 - i, p) % p for i, a in enumerate(model))
+    yield _inert_model(c, p, d)
 
 
 def _point_class(f, p: int, rng: random.Random) -> MumfordDivisor:
     """The class P1 + P2 - D_inf of two random affine points of y^2 =
-    f(x), on a monic quintic or on a sextic with a non-square leading
-    coefficient (``_add_points``); zero when P2 = -P1.  Not uniform:
-    each point is drawn as x uniform in F_p until f(x) is a square, and
-    one of its square roots.  f must have an affine point.
+    f(x), on an inert sextic (``_add_points``); zero when P2 = -P1.  Not
+    uniform: each point is drawn as x uniform in F_p until f(x) is a
+    square, and one of its square roots.  f must have an affine point.
     """
     points = []
     while len(points) < 2:
@@ -670,7 +597,7 @@ def _point_class(f, p: int, rng: random.Random) -> MumfordDivisor:
     return _divisor(p, _add_points(f, p, x1, y1, x2, y2))
 
 
-def _settle_by_annihilation(c, p: int, a1: int, a2s, model, rng) -> int:
+def _settle_by_annihilation(c, p: int, a1: int, a2s, rng) -> int:
     """The one a2 of ``a2s`` whose L = 1 + a1 T + a2 T^2 + ... has L(1)
     annihilating J(F_p) and L(-1) annihilating the Jacobian of the
     quadratic twist.
@@ -679,8 +606,8 @@ def _settle_by_annihilation(c, p: int, a1: int, a2s, model, rng) -> int:
     abelian surface with QM are geometrically squares (Jordan), and one
     isogenous to E x E over F_p has L = (1 + a T + p T^2)^2, with a2 =
     a1^2 / 4 + 2 p at the top of the Weil interval.  The orders n_0 >
-    n_1 > ... of one side differ by multiples of p.  For a class D, [n_0] D comes first, one full
-    ladder.  If it vanishes, the order of D divides n_0, so candidate i
+    n_1 > ... of one side differ by multiples of p.  For a class D,
+    [n_0] D comes first, one full ladder.  If it vanishes, the order of D divides n_0, so candidate i
     survives exactly when [gcd(n_i, n_0)] D = 0, a ladder of a few bits.
     Otherwise candidate 0 is ruled out, and with R = -[p] D the
     candidate of order n_0 - k p survives only if [n_0] D + k R = 0.
@@ -694,7 +621,7 @@ def _settle_by_annihilation(c, p: int, a1: int, a2s, model, rng) -> int:
     ArithmeticError.
     """
     alive = sorted(a2s, reverse=True)
-    models, built = _class_models(c, p, model), []
+    models, built = _class_models(c, p), []
     for round_ in range(16):
         for side, sign in enumerate((1, -1)):
             if side == len(built):
@@ -702,9 +629,8 @@ def _settle_by_annihilation(c, p: int, a1: int, a2s, model, rng) -> int:
             F = built[side]
             if F is None:
                 continue
-            # #C(F_p) = p + 1 -+ a1, less the point at infinity of a quintic
-            affine = p + 1 + sign * a1 - (len(F) == 6)
-            if round_ < 8 and affine >= 2:
+            # #C(F_p) = p + 1 +- a1, and no point is at infinity
+            if round_ < 8 and p + 1 + sign * a1 >= 2:
                 d = _point_class(F, p, rng)
             else:
                 d = random_divisor(F, p, rng)
@@ -741,10 +667,10 @@ class JacobianGroup:
     """Order, invariant factors (ascending chain), and 2-rank of J(F_p).
 
     ``invariants`` is None when the order and rank bounds leave a Sylow
-    subgroup open and probing could not close it: either there is no
-    quintic model to probe on (the sextic has no F_p-root), or 16
-    classes left it open.  The order and the 2-rank are always
-    reported.
+    subgroup open and probing did not close it: either 16 classes left
+    it open, or the sextic has no root mod p, where
+    ``jacobian_group_mod_p`` does not probe, as a cost policy.  The
+    order and the 2-rank are always reported.
     """
 
     p: int
@@ -1042,31 +968,44 @@ def jacobian_group_mod_p(
     The order comes from the zeta function and the 2-rank from the
     factorization type of f mod p.  Each Sylow subgroup is proved by
     ``_SylowProof`` from at most 16 uniformly random classes (seeded,
-    hence deterministic) on the quintic model; probing stops as soon as
-    every one is proved, which needs no probe, and no model, where order
-    and rank bounds leave one shape.  A sextic whose factorization type
-    has no linear factor has no F_p-root and so no quintic model, and
-    none is sought.  A Sylow subgroup still open after 16 probes, or
-    open without a quintic model, leaves the structure unproved, and
-    ``invariants`` is None.
+    hence deterministic) on the inert sextic (``_inert_model``); probing
+    stops as soon as every one is proved, which needs no probe, and no
+    model, where order and rank bounds leave one shape.  Where every
+    value of f mod p is 0 or a square there is no inert sextic, and the
+    probes run on the monic quintic of ``odd_degree_model``; by the
+    Hasse-Weil bound that happens only at p <= 23.
+
+    Probing runs only where f mod p has a root or degree 5.  A Sylow
+    subgroup still open after 16 probes, or open at a sextic without a
+    root mod p, leaves the structure unproved, and ``invariants`` is
+    None.  The second is a cost policy, not a limit of the model:
+    probing there too proves the 33 such primes among the 107 good
+    p <= 100 of the five table curves, but it made a pass over the
+    ``genus2`` benchmark items (those 107, and certification of the five
+    curves to B = 400) take 1.13-1.17 times as long and its
+    90th-percentile item 1.13-1.37 times (5 alternating pairs of 10 s
+    runs on a 2-CPU Xeon host, Python 3.11), against a 1.25 bound.
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
     degrees = _factor_degrees(curve, p)
     two_rank = _two_rank(degrees)
-    rootless = curve.coeffs[6] % p and 1 not in degrees
-    f5 = None if rootless else odd_degree_model(curve, p)
-    order = curve_lpoly(curve, p, degrees=degrees, model=f5).point_count()
+    order = curve_lpoly(curve, p, degrees=degrees).point_count()
     sylows = [_SylowProof(ell, v, p, two_rank) for ell, v in factorint(order).items()]
-    rng = random.Random(seed)
-    for _ in range(16):
-        open_ = [s for s in sylows if s.shape is None]
-        if not open_ or f5 is None:
-            break
-        d = random_divisor(f5, p, rng)
-        for s in open_:
-            s.add(cantor_mul(order // s.ell**s.v, d, f5), f5)
-    if any(s.shape is None for s in sylows):
+    open_ = [s for s in sylows if s.shape is None]
+    rootless = curve.coeffs[6] % p and 1 not in degrees
+    if open_ and not rootless:
+        c = [v % p for v in curve.coeffs]
+        f = _inert_model(c, p) or odd_degree_model(curve, p)
+        rng = random.Random(seed)
+        for _ in range(16):
+            d = random_divisor(f, p, rng)
+            for s in open_:
+                s.add(cantor_mul(order // s.ell**s.v, d, f), f)
+            open_ = [s for s in open_ if s.shape is None]
+            if not open_:
+                break
+    if open_:
         return JacobianGroup(p, order, None, two_rank)
     cyclic = [[s.ell**e for e in s.shape] for s in sylows]
     return JacobianGroup(p, order, _invariant_factors(cyclic), two_rank)

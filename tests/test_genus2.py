@@ -526,12 +526,13 @@ ENUMERATED += [(TABLE[1].curve, 43), (NO_AFFINE_POINT_MOD_7, 7)]
                          ids=[f"{','.join(map(str, c.coeffs))}@{p}" for c, p in ENUMERATED])
 def test_jacobian_group_matches_class_enumeration(curve, p):
     # finite abelian groups with the same number of elements of each
-    # order are isomorphic
-    f5 = odd_degree_model(curve, p)
+    # order are isomorphic; the classes are those of the inert sextic,
+    # which the probes use
+    f = jacobian._inert_model([c % p for c in curve.coeffs], p)
     order = curve_lpoly(curve, p).point_count()
-    classes = _enumerate_classes(f5, p)
+    classes = _enumerate_classes(f, p)
     assert len(set(classes)) == len(classes) == order
-    counts = collections.Counter(divisor_order(d, f5, order) for d in classes)
+    counts = collections.Counter(divisor_order(d, f, order) for d in classes)
     assert counts == _order_counts(jacobian_group_mod_p(curve, p).invariants)
 
 
@@ -606,19 +607,22 @@ def test_probing_proves_every_structure_before_sixteen_probes(monkeypatch):
 
 
 def test_unproved_sylow_subgroup_leaves_the_structure_open(monkeypatch):
-    # draws confined to a cyclic subgroup of J = Z/6 x Z/6 cannot prove
-    # the 3-part: all 16 probes run, and the structure is not proved
-    f5 = odd_degree_model(TABLE[3].curve, 7)
+    # draws confined to a cyclic subgroup of J = Z/6 x Z/6 on the inert
+    # sextic cannot prove the 3-part: all 16 probes run, and the structure
+    # is not proved
+    p = 7
+    sextic = jacobian._inert_model([c % p for c in TABLE[3].curve.coeffs], p)
     rng = random.Random(0)
-    d = random_divisor(f5, 7, rng)
-    while divisor_order(d, f5, 36) != 6:
-        d = random_divisor(f5, 7, rng)
+    d = random_divisor(sextic, p, rng)
+    while divisor_order(d, sextic, 36) != 6:
+        d = random_divisor(sextic, p, rng)
     monkeypatch.setattr(jacobian, "random_divisor",
                         lambda f, p, rng: cantor_mul(rng.randrange(6), d, f))
     probes = _count_probes(monkeypatch)
-    g = jacobian_group_mod_p(TABLE[3].curve, 7)
+    g = jacobian_group_mod_p(TABLE[3].curve, p)
     assert (g.order, g.invariants, g.two_rank) == (36, None, 2)
     assert len(probes) == 16
+    assert {f for f, _, _ in probes} == {sextic}
 
 
 def _walk_coordinates(t, ts, ell: int, f5):
@@ -646,9 +650,9 @@ def _walk_span(ts, p: int, ell: int, f5):
 
 @functools.lru_cache(maxsize=None)
 def _order_ell_classes(curve, p: int, ell: int, rank: int):
-    """The quintic model, ``rank`` F_ell-independent classes of order ell
+    """The inert sextic, ``rank`` F_ell-independent classes of order ell
     (independent by the oracle), and a class w with ell w != 0."""
-    f5 = odd_degree_model(curve, p)
+    f5 = jacobian._inert_model([c % p for c in curve.coeffs], p)
     order = curve_lpoly(curve, p).point_count()
     v = exact.factorint(order)[ell]
     rng, ts, w = random.Random(0), [], None
@@ -882,6 +886,34 @@ def test_jacobian_group_seeks_no_model_for_a_rootless_sextic(index, p, group, mo
     assert jacobian_group_mod_p(TABLE[index].curve, p) == group
 
 
+# y^2 = 4x^6 - 4x^5 + x^4 - 4x^3 - 3x^2 + 7x: every value of f mod 13 is
+# 0 or a square
+NO_INERT_MODEL_MOD_13 = GenusTwoCurve.from_coefficients([0, 7, -3, -4, 1, -4, 4])
+
+
+def test_jacobian_group_probes_on_the_quintic_without_an_inert_model(monkeypatch):
+    # J(F_13) has order 400 = 2^4 5^2 and 2-rank 2, which leave Z/2 x Z/8
+    # or (Z/4)^2, and Z/25 or (Z/5)^2: the probes run on the monic quintic
+    p, curve = 13, NO_INERT_MODEL_MOD_13
+    c = [v % p for v in curve.coeffs]
+    assert jacobian._inert_model(c, p) is None
+    w = curve_lpoly(curve, p)
+    assert (w.a1, w.a2) == (12, 62)
+    assert w == lpoly_from_counts(count_model(c, p, 1), count_model(c, p, 2), p)
+    models = []
+    quintic = jacobian._quintic_model
+    monkeypatch.setattr(jacobian, "_quintic_model",
+                        lambda *args: models.append(args) or quintic(*args))
+    for seed in (0, 1):
+        assert jacobian_group_mod_p(curve, p, seed) == JacobianGroup(p, 400, (20, 20), 2)
+    assert len(models) == 2
+    f5 = odd_degree_model(curve, p)
+    classes = _enumerate_classes(f5, p)
+    assert len(set(classes)) == len(classes) == w.point_count()
+    counts = collections.Counter(divisor_order(d, f5, 400) for d in classes)
+    assert counts == _order_counts((20, 20))
+
+
 def _binary_ladder(n: int, d, f5):
     """The right-to-left binary ladder that ``cantor_mul`` replaced."""
     if n < 0:
@@ -974,35 +1006,44 @@ def test_integer_ladder_matches_the_cantor_add_ladder():
     assert kinds == {"deg u = 1": 2, "gcd(u, v) != 1": 3}, kinds
 
 
+def _ladder_fallbacks(n: int, m: int) -> list[bool]:
+    """For each step of the ladder of ``cantor_mul(n, D)``, D of odd order
+    m on the inert sextic, whether the kernel leaves it to ``cantor_add``:
+    zero is the one class of weight below two, so those are the steps
+    with kD = 0 or a sum of zero."""
+    triple, k, out = 3 * n, 1, []
+    for i in range(triple.bit_length() - 2, 0, -1):
+        out.append(k % m == 0)  # 2kD = 0 only if kD = 0, for m odd
+        k *= 2
+        digit = (triple >> i & 1) - (n >> i & 1)
+        if digit:
+            out.append(k % m == 0 or (k + digit) % m == 0)
+            k += digit
+    return out
+
+
 def test_integer_ladder_returns_to_the_kernel_after_a_fallback(monkeypatch):
-    # from a point P, each addition of +-P is a point plus a weight-two
-    # class, which the integer ladder hands to cantor_add, while it keeps
-    # the doublings between them: cantor_add runs once for the first
-    # doubling and once per nonzero digit, not at every step
+    # for D of order 11 and n = 11 * 2^25 + r, the multiples of D in the
+    # ladder reach zero at 11 D and stay there through the zero bits; the
+    # ladder hands those steps, and any other at zero, to cantor_add and
+    # takes the bits of r in the kernel again
     p = 10007
-    f5 = _ladder_models(p)[0]
-    start = _special_starts(f5, p)[0]
+    f = _ladder_models(p)[1]
+    order = curve_lpoly(TABLE[2].curve, p).point_count()
+    rng = random.Random(8)
+    d = identity_divisor(p)
+    while d.is_identity:
+        d = cantor_mul(order // 11, random_divisor(f, p, rng), f)
+    n = (11 << 25) + rng.randrange(1 << 19, 1 << 20)
+    expected = _cantor_add_ladder(n, d, f)
     calls = []
     original = jacobian.cantor_add
     monkeypatch.setattr(jacobian, "cantor_add",
                         lambda d, e, f: calls.append(1) or original(d, e, f))
-    n = random.Random(8).randrange(1 << 40)
-    expected = _cantor_add_ladder(n, start, f5)
-    calls.clear()
-    assert cantor_mul(n, start, f5) == expected
-    nonzero = sum((3 * n >> i & 1) != (n >> i & 1) for i in range(1, (3 * n).bit_length() - 1))
-    assert len(calls) == 1 + nonzero < (3 * n).bit_length() - 2
-
-
-def test_a_quintic_that_is_not_monic_takes_the_generic_path():
-    p = 11
-    f = tuple(2 * c % p for c in odd_degree_model(TABLE[0].curve, p))
-    weight_two = [d for d in _enumerate_classes(f, p) if len(d.u) == 3]
-    rng = random.Random(9)
-    for d, e in [*(rng.sample(weight_two, 2) for _ in range(50)), *((d, d) for d in weight_two[:50])]:
-        assert jacobian._add_weight_two(f, p, *jacobian._weight_two(d),
-                                        *jacobian._weight_two(e)) is None
-        assert cantor_add(d, e, f) == jacobian._cantor_generic(d, e, f)
+    assert cantor_mul(n, d, f) == expected
+    steps = _ladder_fallbacks(n, 11)
+    assert len(calls) == sum(steps) > 0
+    assert False in steps[steps.index(True):] and 2 * sum(steps) < len(steps)
 
 
 def _monic_up_to_quadratic(p: int):
@@ -1081,43 +1122,36 @@ ORACLE_PRIMES = (3, 5, 7, 11, 13, 29, 53, 97)
 
 
 def _oracle_models():
-    """(p, monic quintic) for every odd-degree model of the table curves."""
+    """(p, inert sextic) of the table curves at the oracle primes."""
     for row in TABLE:
         for p in ORACLE_PRIMES:
             if good_prime(row.curve, p):
-                f5 = odd_degree_model(row.curve, p)
-                if f5 is not None:
-                    yield p, f5
+                sextic = jacobian._inert_model([c % p for c in row.curve.coeffs], p)
+                if sextic is not None:
+                    yield p, sextic
 
 
-def _oracle_pairs(f5, p: int, rng: random.Random):
+def _oracle_pairs(f, p: int, rng: random.Random):
     """Pairs of reduced classes, by the case of the addition they exercise."""
     pts = [(x, y) for x in range(p) for y in range(p)
-           if (y * y - poly_eval(f5, x)) % p == 0]
+           if (y * y - poly_eval(f, x)) % p == 0]
     weierstrass = [pt for pt in pts if pt[1] == 0]
     by_x = {x: (x, y) for x, y in pts if y}  # one point with y != 0 per x
-
-    def point(pt):
-        return divisor_from_point(f5, p, *pt)
 
     def opposite(pt):
         return pt[0], -pt[1] % p
 
     def two(a, b):
-        return jacobian._cantor_generic(point(a), point(b), f5)
+        # a single point is no class on the sextic, but Cantor's composition
+        # of two gives P_a + P_b - D_inf
+        return jacobian._cantor_generic(divisor_from_point(f, p, *a), divisor_from_point(f, p, *b), f)
 
     cases = collections.defaultdict(list)
     for _ in range(6):
-        d, e = random_divisor(f5, p, rng), random_divisor(f5, p, rng)
-        a, b = rng.choice(pts), rng.choice(pts)
+        d, e = random_divisor(f, p, rng), random_divisor(f, p, rng)
         cases["random"].append((d, e))
         cases["doubling"].append((d, d))
         cases["D + (-D)"].append((d, cantor_neg(d)))
-        # D + (P - D) = P: a sum of weight one
-        cases["weight-one sum"].append(
-            (d, jacobian._cantor_generic(point(a), cantor_neg(d), f5)))
-        cases["deg u = 1"] += [(point(a), d), (d, point(a)), (point(a), point(b)),
-                               (point(a), point(a)), (point(a), point(opposite(a)))]
         if len(by_x) >= 3:
             a, b, c = (by_x[x] for x in rng.sample(sorted(by_x), 3))
             cases["u1 = u2, v1 != +-v2"].append((two(a, b), two(a, opposite(b))))
@@ -1135,39 +1169,25 @@ def _oracle_pairs(f5, p: int, rng: random.Random):
 def test_cantor_add_matches_generic_cantor():
     rng = random.Random(2)
     seen = collections.Counter()
-    for p, f5 in _oracle_models():
-        for case, pairs in _oracle_pairs(f5, p, rng).items():
+    for p, f in _oracle_models():
+        for case, pairs in _oracle_pairs(f, p, rng).items():
             for d, e in pairs:
-                out = cantor_add(d, e, f5)
-                assert out == jacobian._cantor_generic(d, e, f5), (case, p, d, e)
+                out = cantor_add(d, e, f)
+                assert out == jacobian._cantor_generic(d, e, f), (case, p, d, e)
                 seen[case] += 1
-                if case in ("random", "doubling", "weight-one sum") and (
+                if case in ("random", "doubling") and (
                         len(d.u) == len(e.u) == 3 and e != cantor_neg(d)):
                     seen["weight two"] += 1
                     seen["explicit"] += jacobian._add_weight_two(
-                        f5, p, *jacobian._weight_two(d), *jacobian._weight_two(e)) is not None
-    assert len(seen) == 10 and min(seen.values()) >= 10, seen
+                        f, p, *jacobian._weight_two(d), *jacobian._weight_two(e)) is not None
+    assert len(seen) == 8 and min(seen.values()) >= 10, seen
     assert seen["explicit"] >= 0.8 * seen["weight two"], seen
 
 
-def _formula_models():
-    """(p, model) for the monic quintics of ``_oracle_models`` and the
-    sextics with a non-square leading coefficient of the table curves at
-    the same primes."""
-    yield from _oracle_models()
-    for row in TABLE:
-        for p in ORACLE_PRIMES:
-            if good_prime(row.curve, p):
-                sextic = jacobian._inert_model([c % p for c in row.curve.coeffs], p)
-                if sextic is not None:
-                    yield p, sextic
-
-
 def _formula_pairs(f, p: int, rng: random.Random):
-    """Pairs of classes by the case of the formulas they exercise: a
-    point plus a weight-two class (quintics only), two weight-two classes
-    with one common root, u1 = u2 with v1 != +-v2, and the doubling of
-    W + P for a Weierstrass point W."""
+    """Pairs of classes by the case of the formulas they exercise: two
+    weight-two classes with one common root, u1 = u2 with v1 != +-v2,
+    and the doubling of W + P for a Weierstrass point W."""
     pts = [(x, y) for x in range(p) for y in range(p) if (y * y - poly_eval(f, x)) % p == 0]
     weierstrass = [pt for pt in pts if pt[1] == 0]
     by_x = {x: (x, y) for x, y in pts if y}
@@ -1185,24 +1205,17 @@ def _formula_pairs(f, p: int, rng: random.Random):
             cases["one common root"] += [(two(a, b), two(a, c)), (two(a, b), two(opposite(a), c)),
                                          (two(a, a), two(opposite(a), c))]
             cases["u1 = u2, v1 != +-v2"].append((two(a, b), two(a, opposite(b))))
-            if len(f) == 6:
-                cases["point + weight two"] += [
-                    (divisor_from_point(f, p, *a), two(b, c)),
-                    (two(b, c), divisor_from_point(f, p, *b)),
-                    (two(b, c), divisor_from_point(f, p, *opposite(b)))]
         for w in weierstrass[:1]:
             if by_x:
                 a = by_x[rng.choice(sorted(by_x))]
                 cases["doubling W + P"].append((two(w, a), two(w, a)))
-                if len(f) == 6:
-                    cases["point + weight two"].append((two(w, a), divisor_from_point(f, p, *w)))
     return cases
 
 
 def test_mixed_and_common_root_formulas_match_generic_cantor(monkeypatch):
     rng = random.Random(3)
     seen = collections.Counter()
-    for p, f in _formula_models():
+    for p, f in _oracle_models():
         for case, pairs in _formula_pairs(f, p, rng).items():
             for d, e in pairs:
                 expected = jacobian._cantor_generic(d, e, f)
@@ -1211,23 +1224,55 @@ def test_mixed_and_common_root_formulas_match_generic_cantor(monkeypatch):
                                     lambda *args: generic.append(1) or expected)
                 assert cantor_add(d, e, f) == expected, (case, p, f, d, e)
                 monkeypatch.undo()
-                seen[f"{case}, {'sextic' if len(f) == 7 else 'quintic'}"] += 1
+                seen[case] += 1
                 seen["generic"] += len(generic)
-    cases = {"one common root", "u1 = u2, v1 != +-v2", "doubling W + P"}
-    assert all(seen[f"{case}, {kind}"] >= 10 for case in cases for kind in ("quintic", "sextic"))
-    assert seen["point + weight two, quintic"] >= 50, seen
+    cases = ("one common root", "u1 = u2, v1 != +-v2", "doubling W + P")
+    assert all(seen[case] >= 10 for case in cases), seen
     # what the formulas leave is 3P + B, from u = (x - al)^2 and a point over al
     assert seen["generic"] == 0, seen
 
 
 def test_a_point_three_times_takes_the_generic_path():
-    p, f5 = next((p, f5) for p, f5 in _oracle_models() if p == 29)
-    x, y = next((x, y) for x in range(p) for y in range(1, p)
-                if (y * y - poly_eval(f5, x)) % p == 0)
-    double = jacobian._divisor(p, jacobian._add_points(f5, p, x, y, x, y))
-    assert jacobian._add_point(f5, p, *jacobian._weight_two(double), x, y) is None
-    point = divisor_from_point(f5, p, x, y)
-    assert cantor_add(double, point, f5) == jacobian._cantor_generic(double, point, f5)
+    # 2P + (P + B): u = (x - al)^2 and (x - al)(x - be) share the root al
+    p, f = next((p, f) for p, f in _oracle_models() if p == 29)
+    (x, y), (xb, yb) = [(x, y) for x in range(p) for y in range(1, p)
+                        if (y * y - poly_eval(f, x)) % p == 0][::2][:2]
+    assert x != xb
+    double = jacobian._divisor(p, jacobian._add_points(f, p, x, y, x, y))
+    plus = jacobian._divisor(p, jacobian._add_points(f, p, x, y, xb, yb))
+    for d, e in ((double, plus), (plus, double)):
+        assert jacobian._add_weight_two(f, p, *jacobian._weight_two(d),
+                                        *jacobian._weight_two(e)) is None
+        assert cantor_add(d, e, f) == jacobian._cantor_generic(d, e, f)
+
+
+def test_quintic_arithmetic_is_generic_cantor(monkeypatch):
+    # the straight-line kernel serves only the inert sextic: on a monic
+    # quintic, and on one that is not monic, cantor_add and cantor_mul are
+    # the generic algorithm
+    def refuse(*args):
+        raise AssertionError("_add_weight_two was called on a quintic")
+
+    monkeypatch.setattr(jacobian, "_add_weight_two", refuse)
+    rng = random.Random(9)
+    seen = collections.Counter()
+    for row in TABLE:
+        for p in ORACLE_PRIMES:
+            f5 = odd_degree_model(row.curve, p) if good_prime(row.curve, p) else None
+            if f5 is None:
+                continue
+            for f in (f5, tuple(2 * c % p for c in f5)):
+                classes = [random_divisor(f, p, rng) for _ in range(5)]
+                for d in classes:
+                    for e in classes:
+                        assert cantor_add(d, e, f) == jacobian._cantor_generic(d, e, f)
+                        seen[len(d.u) - 1, len(e.u) - 1] += 1
+                    acc = d
+                    for n in range(2, 13):
+                        acc = jacobian._cantor_generic(acc, d, f)
+                        assert cantor_mul(n, d, f) == acc
+                        assert cantor_mul(-n, d, f) == cantor_neg(acc)
+    assert min(seen[k] for k in ((1, 1), (1, 2), (2, 2))) >= 10, seen
 
 
 @pytest.mark.parametrize("seed", [0, 1])

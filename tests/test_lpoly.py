@@ -31,7 +31,6 @@ from quatorsion.genus2.jacobian import (
     MumfordDivisor,
     cantor_mul,
     jacobian_group_mod_p,
-    odd_degree_model,
 )
 from quatorsion.genus2.torsion import table_curves
 from quatorsion.weil import WeilPoly2, is_weil_valid
@@ -253,8 +252,7 @@ def test_twist_only_case(monkeypatch):
     assert w == oracle_lpoly(TWIST_ONLY.coeffs, p)
     # J(F_41) has exponent 41, which divides both candidate orders, so the
     # curve's own classes cannot separate them: without the twist, no answer
-    f5 = odd_degree_model(TWIST_ONLY, p)
-    model = next(jacobian._class_models(c, p, f5))
+    model = next(jacobian._class_models(c, p))
     for n in (w.point_count(), WeilPoly2(p, a1, 1).point_count()):
         d = jacobian.random_divisor(model, p, random.Random(n))
         assert cantor_mul(n, d, model).is_identity
@@ -262,7 +260,7 @@ def test_twist_only_case(monkeypatch):
     monkeypatch.setattr(jacobian, "_class_models",
                         lambda *args: iter([next(original(*args)), None]))
     with pytest.raises(ArithmeticError, match="annihilate every class"):
-        jacobian._settle_by_annihilation(c, p, a1, left, f5, random.Random(0))
+        jacobian._settle_by_annihilation(c, p, a1, left, random.Random(0))
 
 
 def test_settle_takes_one_full_ladder_per_class(monkeypatch):
@@ -297,14 +295,16 @@ def test_settle_takes_one_full_ladder_per_class(monkeypatch):
 
 
 def test_settle_draws_uniform_classes_on_a_model_with_no_affine_point(monkeypatch):
-    # the monic quintic model of this curve mod 7 has one point, at
-    # infinity, and J(F_7) has order 18 (a1 = -7, a2 = 24).  Against a false
-    # candidate of order 25 the settle must draw a uniform class there, as
-    # it has no affine point to draw from
+    # this quintic has one point mod 7, at infinity, which its inert sextic
+    # z^6 f(a + 1/z) puts at z = 0, and J(F_7) has order 18 (a1 = -7, a2 =
+    # 24).  Against a false candidate of order 25 the settle must draw a
+    # uniform class there, as it has no two affine points to draw from
     p = 7
     curve = GenusTwoCurve.from_coefficients([6, 4, 1, 3, 4, 1])
     assert curve_lpoly(curve, p) == WeilPoly2(p, -7, 24)
-    f5 = odd_degree_model(curve, p)
+    c = [v % p for v in curve.coeffs]
+    sextic = jacobian._inert_model(c, p)
+    assert [x for x in range(p) if sympy.sqrt_mod(poly_eval(sextic, x) % p, p) is not None] == [0]
     draws = []
     from_points, uniform = jacobian._point_class, jacobian.random_divisor
 
@@ -316,8 +316,7 @@ def test_settle_draws_uniform_classes_on_a_model_with_no_affine_point(monkeypatc
     monkeypatch.setattr(jacobian, "_point_class", point_class)
     monkeypatch.setattr(jacobian, "random_divisor",
                         lambda *args: draws.append("uniform") or uniform(*args))
-    c = [v % p for v in curve.coeffs]
-    assert jacobian._settle_by_annihilation(c, p, -7, [31, 24], f5, random.Random(0)) == 24
+    assert jacobian._settle_by_annihilation(c, p, -7, [31, 24], random.Random(0)) == 24
     assert draws == ["uniform"]
 
 
@@ -404,9 +403,7 @@ def test_shared_work_gives_the_same_lpoly(monkeypatch):
             if p < 7:
                 continue
             degrees = jacobian._factor_degrees(row.curve, p)
-            shared = curve_lpoly(row.curve, p, degrees=degrees,
-                                 model=odd_degree_model(row.curve, p))
-            assert shared == curve_lpoly(row.curve, p)
+            assert curve_lpoly(row.curve, p, degrees=degrees) == curve_lpoly(row.curve, p)
     calls = []
     original = jacobian._factor_degrees
     monkeypatch.setattr(jacobian, "_factor_degrees",
@@ -420,9 +417,9 @@ def test_curve_lpoly_rng_is_seeded_by_p_and_f(monkeypatch):
     draws = []
     original = jacobian._settle_by_annihilation
 
-    def spy(c, p, a1, a2s, model, rng):
+    def spy(c, p, a1, a2s, rng):
         draws.append((p, rng.getstate()))
-        return original(c, p, a1, a2s, model, rng)
+        return original(c, p, a1, a2s, rng)
 
     monkeypatch.setattr(jacobian, "_settle_by_annihilation", spy)
     for seed in (1, 2):
@@ -445,7 +442,7 @@ def test_large_prime_flat_memory_and_annihilation():
     assert peak < 5 * 2**20
     assert is_weil_valid(w)
     c = [v % p for v in SIX_CURVE.coeffs]
-    model = next(jacobian._class_models(c, p, odd_degree_model(SIX_CURVE, p)))
+    model = next(jacobian._class_models(c, p))
     rng = random.Random(11)
     classes = [jacobian.random_divisor(model, p, rng) for _ in range(8)]
     assert not any(d.is_identity for d in classes)
