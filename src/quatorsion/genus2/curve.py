@@ -84,6 +84,8 @@ class GenusTwoCurve:
     @classmethod
     def from_coefficients(cls, coeffs) -> "GenusTwoCurve":
         vals = [Fraction(c) for c in coeffs]
+        while len(vals) > 7 and vals[-1] == 0:
+            vals.pop()
         if len(vals) > 7:
             raise ValueError("f must have degree at most 6")
         vals += [Fraction(0)] * (7 - len(vals))
@@ -221,20 +223,14 @@ def _count_points(c, p: int, n: int) -> int:
     return affine + (1 if deg == 5 else 2)
 
 
-def count_points_curve(curve: GenusTwoCurve, p: int, n: int = 1) -> int:
-    """#C(F_{p^n}) of the reduction mod a good prime p, for n in {1, 2}.
+def count_points_curve(curve: GenusTwoCurve, p: int) -> int:
+    """#C(F_p) of the reduction mod a good prime p, counted in O(p).
 
-    n = 1 is counted directly in O(p); n = 2 is p^2 + 1 - a1^2 + 2 a2,
-    read off ``curve_lpoly``.
+    #C(F_{p^2}) = p^2 + 1 - a1^2 + 2 a2 comes from ``curve_lpoly``.
     """
-    if n not in (1, 2):
-        raise ValueError("only n = 1 and n = 2 are supported")
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
-    if n == 1:
-        return _count_points([v % p for v in curve.coeffs], p, 1)
-    w = curve_lpoly(curve, p)
-    return p * p + 1 - w.a1 * w.a1 + 2 * w.a2
+    return _count_points([v % p for v in curve.coeffs], p, 1)
 
 
 def lpoly_from_counts(count1: int, count2: int, p: int) -> WeilPoly2:

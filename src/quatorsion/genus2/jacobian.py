@@ -21,27 +21,33 @@ so ``_cantor_generic`` raises there rather than loop.
 
 On that model explicit straight-line formulas (after Lange, "Formulae
 for arithmetic on genus 2 hyperelliptic curves", 2005) cover the common
-cases: two classes with deg u1 = deg u2 = 2 and gcd(u1, u2) = 1, and
-the doubling of a class with deg u = 2 and gcd(u, v) = 1.  Both compose
-to (U, V) with U = u1 u2 (or u^2) and V = v1 + s u1, where s of degree
-<= 1 costs one inverse mod p, and reduce in one step to u' = monic((f -
-V^2) / U), v' = -V mod u', from the top three coefficients of f - V^2
-and of U.  They live in one integer kernel, ``_add_weight_two``, which
-maps the eight integers u0, u1, v0, v1 of the two classes to the four
-of the sum, or declines.  ``cantor_add`` wraps it, and the ladder of
-``cantor_mul`` keeps its state in those integers and builds a divisor
-only at the end.  D + (-D), the sum P1 + P2 - D_inf of two points and
-the doubling of W + P with W a Weierstrass point (2P) are closed forms
-too.  Two weight-two classes with one common root al are P + B and +-P
-+ G over x = al, be, ga, all in F_p: their sum is B + G, or (2P) + (B +
-G) with coprime u; and u1 = u2 with v1 != +-v2 sums to 2P for the root
-where v1 = v2.  Only 3P + B, from u = (x - al)^2 and a point over al,
-goes through ``_cantor_generic``, which is also the test oracle for the
-formulas.  So does every sum on any other model: the monic quintics of
-``odd_degree_model``, on which the public ``mumford_divisor``,
-``divisor_from_point``, ``random_divisor``, ``cantor_add``,
-``cantor_mul`` and ``divisor_order`` work too, and which J(F_p) probes
-on at the few small primes where the sextic has no inert model.
+cases: two classes with deg u1 = deg u2 = 2 and gcd(u1, u2) = 1, and the
+doubling of a class with deg u = 2 and gcd(u, v) = 1.  Both compose to
+(U, V) with U = u1 u2 (or u^2) and V = v1 + s u1, where s of degree <= 1
+costs one inverse mod p, and reduce in one step to u' = monic((f - V^2)
+/ U), v' = -V mod u', from the top three coefficients of f - V^2 and of
+U.  They live in one integer kernel, ``_add_weight_two``, which maps the
+eight integers u0, u1, v0, v1 of the two classes to the four of the sum,
+or declines.  The ladder of ``cantor_mul`` keeps its state in those
+integers and builds a divisor only at the end.  D + (-D), the sum P1 +
+P2 - D_inf of two points and the doubling of W + P with W a Weierstrass
+point (2P) are closed forms too.  Two weight-two classes with one common
+root al are P + B and +-P + G over x = al, be, ga, all in F_p: their sum
+is B + G, or (2P) + (B + G) with coprime u; and u1 = u2 with v1 != +-v2
+sums to 2P for the root where v1 = v2.  Only 3P + B, from u = (x - al)^2
+and a point over al, goes through ``_cantor_generic``, which is also the
+test oracle for the formulas.  So does every sum on the quintic of
+``odd_degree_model`` (z^6 f(a + 1/z) for a root a of f, or f itself
+where its degree drops mod p), which ``jacobian_group_mod_p`` probes on
+only at the few small primes where the sextic has no inert model.
+``_ladder_add`` is the one place that picks the route of a sum, for
+``cantor_add`` and for the ladder of ``cantor_mul`` alike.
+
+A class enters through ``mumford_divisor`` or ``random_divisor``, and
+both check the model there: f must be a quintic (f_5 != 0 mod p) or a
+sextic with a non-square leading coefficient, on which a u of degree 1
+is no class.  Any other model, a split sextic for one, raises
+ValueError rather than give classes the group order does not kill.
 
 Combined with the group order from the zeta function this proves the
 abstract structure of J(F_p), one Sylow subgroup S at a time, for
@@ -118,26 +124,35 @@ def identity_divisor(p: int) -> MumfordDivisor:
     return MumfordDivisor(p, (1,), ())
 
 
-def mumford_divisor(f5, p: int, u, v) -> MumfordDivisor:
-    """Validated Mumford divisor on y^2 = f5(x), f5 monic quintic mod p."""
+def mumford_divisor(f, p: int, u, v) -> MumfordDivisor:
+    """The class of the Mumford pair (u, v) on y^2 = f(x), validated.
+
+    f is a model that ``_check_model`` accepts.  On a quintic, an affine
+    point (a, b) less the point at infinity is the pair (x - a, b).
+    """
+    _check_model(f, p)
     u = fp_trim([c % p for c in u])
     v = fp_trim([c % p for c in v])
     if not u or u[-1] != 1 or _deg(u) > 2:
         raise ValueError("u must be monic of degree <= 2")
+    if _deg(u) == 1 and len(f) == 7:
+        raise ValueError("u of degree 1 is no class on a sextic model")
     if _deg(v) >= _deg(u):
         raise ValueError("v must have degree < deg u")
-    _, rem = fp_divmod(fp_sub(tuple(f5), fp_mul(v, v, p), p), u, p)
+    _, rem = fp_divmod(fp_sub(tuple(f), fp_mul(v, v, p), p), u, p)
     if rem:
         raise ValueError("u does not divide f - v^2")
     return MumfordDivisor(p, u, v)
 
 
-def divisor_from_point(f5, p: int, x: int, y: int) -> MumfordDivisor:
-    """The class of the affine point (x, y) minus infinity."""
-    x, y = x % p, y % p
-    if y * y % p != poly_eval(f5, x) % p:
-        raise ValueError(f"({x}, {y}) is not on the curve mod {p}")
-    return MumfordDivisor(p, ((p - x) % p, 1), (y,) if y else ())
+def _check_model(f, p: int) -> None:
+    """ValueError unless y^2 = f(x) mod p is a model the arithmetic serves:
+    a quintic (six coefficients, f_5 != 0 mod p) or a sextic (seven)
+    whose leading coefficient is a non-square mod p (module docstring)."""
+    if not (len(f) == 6 and f[5] % p or len(f) == 7 and _legendre(f[6], p) < 0):
+        raise ValueError(
+            f"y^2 = f(x) mod {p} is neither a quintic nor a sextic with a "
+            "non-square leading coefficient")
 
 
 # ---------------------------------------------------------------------------
@@ -145,29 +160,13 @@ def divisor_from_point(f5, p: int, x: int, y: int) -> MumfordDivisor:
 # ---------------------------------------------------------------------------
 
 
-def cantor_add(
-    d1: MumfordDivisor, d2: MumfordDivisor, f5
-) -> MumfordDivisor:
-    """Sum of two divisor classes on y^2 = f5(x).
-
-    The inputs must be reduced Mumford pairs on this curve.  D + (-D)
-    is a closed form, and on a sextic two weight-two classes go through
-    the explicit formulas of ``_add_weight_two``; the rest use the
-    generic Cantor algorithm.
-    """
+def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor, f) -> MumfordDivisor:
+    """Sum of two classes of y^2 = f(x), given as reduced Mumford pairs:
+    ``_ladder_add`` on their ladder states."""
     p = d1.p
     if p != d2.p:
         raise ValueError("divisors live over different prime fields")
-    if d1.u == (1,):
-        return d2
-    if d2.u == (1,):
-        return d1
-    if d1.u == d2.u and d2.v == fp_neg(d1.v, p):
-        return identity_divisor(p)
-    out = None
-    if len(f5) == 7 and len(d1.u) == 3 and len(d2.u) == 3:
-        out = _add_weight_two(f5, p, *_weight_two(d1), *_weight_two(d2))
-    return _divisor(p, out) if out is not None else _cantor_generic(d1, d2, f5)
+    return _from_state(p, _ladder_add(_ladder_state(d1, f), _ladder_state(d2, f), f, p))
 
 
 def _weight_two(d: MumfordDivisor) -> tuple[int, int, int, int]:
@@ -180,6 +179,39 @@ def _divisor(p: int, t) -> MumfordDivisor:
     """The class of the kernel's integers (u0, u1, v0, v1)."""
     u0, u1, v0, v1 = t
     return MumfordDivisor(p, (u0, u1, 1), (v0, v1) if v1 else (v0,) if v0 else ())
+
+
+def _ladder_state(d: MumfordDivisor, f):
+    """The four integers of a weight-two class on a sextic, or the class
+    itself."""
+    return _weight_two(d) if len(d.u) == 3 and len(f) == 7 else d
+
+
+def _from_state(p: int, x) -> MumfordDivisor:
+    """The class of a ladder state (``_ladder_state``)."""
+    return _divisor(p, x) if type(x) is tuple else x
+
+
+def _ladder_add(x, y, f, p: int):
+    """x + y for two ladder states (``_ladder_state``), as a ladder state.
+
+    The one place that picks the route of a sum: Lange's kernel
+    ``_add_weight_two`` for two weight-two classes on a sextic, the
+    identity, D + (-D), and ``_cantor_generic`` for the rest, which is
+    every sum on a quintic.
+    """
+    if type(x) is tuple and type(y) is tuple:
+        out = _add_weight_two(f, p, *x, *y)
+        if out is not None:
+            return out
+    d1, d2 = _from_state(p, x), _from_state(p, y)
+    if d1.u == (1,):
+        return y
+    if d2.u == (1,):
+        return x
+    if d1.u == d2.u and d2.v == fp_neg(d1.v, p):
+        return identity_divisor(p)
+    return _ladder_state(_cantor_generic(d1, d2, f), f)
 
 
 def _add_points(f, p: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int]:
@@ -285,12 +317,10 @@ def _add_weight_two(f, p: int, a0: int, a1: int, b0: int, b1: int,
     return m0, m1, n0, n1
 
 
-def _cantor_generic(
-    d1: MumfordDivisor, d2: MumfordDivisor, f5
-) -> MumfordDivisor:
+def _cantor_generic(d1: MumfordDivisor, d2: MumfordDivisor, f) -> MumfordDivisor:
     """Cantor composition and reduction with polynomial arithmetic."""
     p = d1.p
-    f = tuple(c % p for c in f5)
+    f = tuple(c % p for c in f)
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
 
     g1, e1, e2 = fp_gcdext(u1, u2, p)
@@ -324,54 +354,32 @@ def cantor_neg(d: MumfordDivisor) -> MumfordDivisor:
     return MumfordDivisor(d.p, d.u, fp_neg(d.v, d.p))
 
 
-def cantor_mul(n: int, d: MumfordDivisor, f5) -> MumfordDivisor:
+def cantor_mul(n: int, d: MumfordDivisor, f) -> MumfordDivisor:
     """n-th multiple of a divisor class (n may be negative).
 
     A left-to-right ladder on the non-adjacent form of n: -D = (u, -v)
     costs nothing, so each nonzero digit is one addition of D or -D, on
     average one for every three doublings.  Digit i of that form is bit
     i of 3n minus bit i of n.  On a sextic the ladder keeps a weight-two
-    class as the four integers of ``_add_weight_two`` and steps on them;
-    a step that the formulas do not cover goes through ``cantor_add``,
-    and the divisor is built once, at the end.  On any other model every
-    step is a ``cantor_add``.
+    class as the four integers of ``_add_weight_two`` and steps on them
+    with ``_ladder_add``, and the divisor is built once, at the end.
     """
     if n < 0:
-        return cantor_mul(-n, cantor_neg(d), f5)
+        return cantor_mul(-n, cantor_neg(d), f)
     if n == 0:
         return identity_divisor(d.p)
     p = d.p
-    plus, minus = _ladder_state(d, f5), _ladder_state(cantor_neg(d), f5)
+    plus, minus = _ladder_state(d, f), _ladder_state(cantor_neg(d), f)
     triple, acc = 3 * n, plus
     for i in range(triple.bit_length() - 2, 0, -1):
-        acc = _ladder_add(acc, acc, f5, p)
+        acc = _ladder_add(acc, acc, f, p)
         digit = (triple >> i & 1) - (n >> i & 1)
         if digit:
-            acc = _ladder_add(acc, plus if digit > 0 else minus, f5, p)
-    return _divisor(p, acc) if type(acc) is tuple else acc
+            acc = _ladder_add(acc, plus if digit > 0 else minus, f, p)
+    return _from_state(p, acc)
 
 
-def _ladder_state(d: MumfordDivisor, f5):
-    """The four integers of a weight-two class on a sextic, or the class
-    itself."""
-    return _weight_two(d) if len(d.u) == 3 and len(f5) == 7 else d
-
-
-def _ladder_add(x, y, f5, p: int):
-    """x + y for two ladder states (``_ladder_state``)."""
-    if type(x) is tuple and type(y) is tuple and (
-            x[0] != y[0] or x[1] != y[1] or (x[2] + y[2]) % p or (x[3] + y[3]) % p):
-        out = _add_weight_two(f5, p, *x, *y)
-        if out is not None:
-            return out
-    if type(x) is tuple:
-        x = _divisor(p, x)
-    if type(y) is tuple:
-        y = _divisor(p, y)
-    return _ladder_state(cantor_add(x, y, f5), f5)
-
-
-def divisor_order(d: MumfordDivisor, f5, group_order: int) -> int:
+def divisor_order(d: MumfordDivisor, f, group_order: int) -> int:
     """Exact order of the class, given a multiple of it (the group order).
 
     One ladder per prime: for ell^v || N, Q = [N / ell^v] D is multiplied
@@ -384,12 +392,12 @@ def divisor_order(d: MumfordDivisor, f5, group_order: int) -> int:
         raise ValueError("group_order does not annihilate the divisor")
     order = 1
     for ell, v in factorint(group_order).items():
-        k, _ = _ell_ladder(cantor_mul(group_order // ell**v, d, f5), ell, v, f5)
+        k, _ = _ell_ladder(cantor_mul(group_order // ell**v, d, f), ell, v, f)
         order *= ell**k
     return order
 
 
-def _ell_ladder(q: MumfordDivisor, ell: int, v: int, f5) -> tuple[int, MumfordDivisor]:
+def _ell_ladder(q: MumfordDivisor, ell: int, v: int, f) -> tuple[int, MumfordDivisor]:
     """(k, t) for a class q killed by ell^v: ell^k is its order and t =
     [ell^(k - 1)] q its last nonzero multiple (q itself when k = 0).
 
@@ -399,7 +407,7 @@ def _ell_ladder(q: MumfordDivisor, ell: int, v: int, f5) -> tuple[int, MumfordDi
     while not q.is_identity:
         if k == v:
             raise ValueError("group_order does not annihilate the divisor")
-        t, q = q, cantor_mul(ell, q, f5)
+        t, q = q, cantor_mul(ell, q, f)
         k += 1
     return k, t
 
@@ -410,49 +418,35 @@ def _ell_ladder(q: MumfordDivisor, ell: int, v: int, f5) -> tuple[int, MumfordDi
 
 
 def odd_degree_model(curve: GenusTwoCurve, p: int):
-    """A monic quintic F_p-model of the curve, or None.
+    """A quintic F_p-model of the curve, or None.
 
-    Degree-5 reductions rescale to a monic model directly; degree-6
-    reductions need a rational Weierstrass point, i.e. a root a of the
-    sextic mod p, which x -> a + 1/z sends to infinity.  Returns the
-    quintic's six coefficients ascending (last one 1), or None when the
-    sextic has no root in F_p.  ``jacobian_group_mod_p`` probes on it
-    only where the curve has no inert model (``_inert_model``).
+    A reduction of degree 5 is its own model.  One of degree 6 needs a
+    rational Weierstrass point, a root a of the sextic mod p, which x =
+    a + 1/z sends to infinity: z^6 f(a + 1/z) has degree 5, since a is a
+    simple root at a good prime.  Returns the quintic's six coefficients
+    ascending, or None when the sextic has no root in F_p.
+    ``jacobian_group_mod_p`` probes on it only where the curve has no
+    inert model (``_inert_model``).
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
-    return _quintic_model([v % p for v in curve.coeffs], p)
-
-
-def _quintic_model(c, p: int):
-    """``odd_degree_model`` of y^2 = c(x), c reduced mod a good prime p."""
-    if c[6] == 0:
-        quintic = c[:6]
-    else:
+    c = [v % p for v in curve.coeffs]
+    if c[6]:
         a = next((a for a in range(p) if poly_eval(c, a) % p == 0), None)
         if a is None:
             return None
-        taylor = [t % p for t in poly_taylor(c, a)]
-        if taylor[0] != 0 or taylor[1] == 0:
-            raise ArithmeticError(
-                f"x = {a} is not a simple root of the sextic mod {p}")
-        quintic = [taylor[6 - j] for j in range(6)]
-    # rescale x -> x / lead, y -> y / lead^2 to make the quintic monic
-    lead = quintic[5]
-    model = tuple(quintic[i] * pow(lead, 4 - i, p) % p for i in range(6))
-    if model[5] != 1:
-        raise ArithmeticError(f"rescaled quintic mod {p} is not monic")
-    return model
+        c = [t % p for t in reversed(poly_taylor(c, a))]
+    return tuple(c[:6])
 
 
 def random_divisor(f, p: int, rng: random.Random) -> MumfordDivisor:
     """A uniformly random class of J(F_p) on y^2 = f(x).
 
-    f is a monic quintic, or a sextic with a non-square leading
-    coefficient (module docstring).  Every class is one reduced pair
-    (u, v): u monic of degree 0, 1 or 2 on the quintic and of degree 0
-    or 2 on the sextic, v one of the at most four square roots of f mod
-    u of degree < deg u.  Each try draws such a u and an index below
+    f is a quintic, or a sextic with a non-square leading coefficient
+    (``_check_model``, which raises ValueError for any other model).
+    Every class is one reduced pair (u, v): u monic of degree 0, 1 or 2
+    on the quintic and of degree 0 or 2 on the sextic, v one of the at
+    most four square roots of f mod u of degree < deg u.  Each try draws such a u and an index below
     four, both uniformly, and keeps the root of that index if there is
     one.  So every class comes with the same probability, and a try
     succeeds with probability #J(F_p) / (4 * the number of u), about
@@ -460,6 +454,7 @@ def random_divisor(f, p: int, rng: random.Random) -> MumfordDivisor:
     roots comes from Legendre symbols (``_root_count``), so only a try
     that succeeds extracts square roots.
     """
+    _check_model(f, p)
     lines = 0 if len(f) == 7 else p  # the u of degree 1
     while True:
         n, i = rng.randrange(1 + lines + p * p), rng.randrange(4)
@@ -849,7 +844,7 @@ class _SylowProof:
     def shape(self) -> tuple[int, ...] | None:
         return self.shapes[0] if len(self.shapes) == 1 else None
 
-    def add(self, q: MumfordDivisor, f5) -> None:
+    def add(self, q: MumfordDivisor, f) -> None:
         """Take in a class q of S.
 
         Let q have depth d and last nonzero multiple t.  If t is not in
@@ -865,17 +860,17 @@ class _SylowProof:
         while pending and self.shape is None:
             q = pending.pop()
             while True:
-                depth, t = _ell_ladder(q, ell, self.v, f5)
+                depth, t = _ell_ladder(q, ell, self.v, f)
                 if self._settled_below(depth):
                     break
-                coords = _coordinates(t, [t_i for _, _, t_i in self.basis], ell, f5)
+                coords = _coordinates(t, [t_i for _, _, t_i in self.basis], ell, f)
                 if coords is None:
                     self.basis.append((q, depth, t))
                     break
                 deeper = [(c, b, e) for c, (b, e, _) in zip(coords, self.basis)
                           if c and e >= depth]
                 for c, b, e in deeper:
-                    q = cantor_add(q, cantor_mul(-c * ell ** (e - depth), b, f5), f5)
+                    q = cantor_add(q, cantor_mul(-c * ell ** (e - depth), b, f), f)
                 if not deeper:
                     j = next(i for i, c in enumerate(coords) if c)
                     pending.append(self.basis[j][0])
@@ -903,7 +898,7 @@ def _partitions(v: int, most: int, top: int | None = None):
             yield (first, *rest)
 
 
-def _coordinates(t: MumfordDivisor, ts, ell: int, f5) -> tuple[int, ...] | None:
+def _coordinates(t: MumfordDivisor, ts, ell: int, f) -> tuple[int, ...] | None:
     """(c_i) in [0, ell) with t = sum c_i t_i, for F_ell-independent
     classes t_i of order ell, or None when t is not in their span.
 
@@ -922,11 +917,11 @@ def _coordinates(t: MumfordDivisor, ts, ell: int, f5) -> tuple[int, ...] | None:
     if m % 2:
         k = isqrt(ell - 1) + 1
         babies.append((ts[half], k))
-    baby = dict(_span(identity_divisor(t.p), babies, f5))
+    baby = dict(_span(identity_divisor(t.p), babies, f))
     if m % 2:  # the table starts with 0, t, ..., (k - 1) t for the middle t
-        kt = cantor_add(list(baby)[k - 1], ts[half], f5)
+        kt = cantor_add(list(baby)[k - 1], ts[half], f)
         giants.insert(0, (cantor_neg(kt), -(-ell // k)))
-    for s, cs in _span(t, giants, f5):
+    for s, cs in _span(t, giants, f):
         hit = baby.get(s)
         if hit is not None:
             if m % 2:
@@ -936,7 +931,7 @@ def _coordinates(t: MumfordDivisor, ts, ell: int, f5) -> tuple[int, ...] | None:
     return None
 
 
-def _span(start: MumfordDivisor, steps, f5):
+def _span(start: MumfordDivisor, steps, f):
     """(start + sum c_i s_i, (c_i)) for every (c_i) with 0 <= c_i < n_i,
     over the steps (s_i, n_i), the last c_i running fastest: one
     ``cantor_add`` per class after the first."""
@@ -944,10 +939,10 @@ def _span(start: MumfordDivisor, steps, f5):
         yield start, ()
         return
     *outer, (s, n) = steps
-    for x, cs in _span(start, outer, f5):
+    for x, cs in _span(start, outer, f):
         yield x, (*cs, 0)
         for c in range(1, n):
-            x = cantor_add(x, s, f5)
+            x = cantor_add(x, s, f)
             yield x, (*cs, c)
 
 
@@ -972,8 +967,8 @@ def jacobian_group_mod_p(
     stops as soon as every one is proved, which needs no probe, and no
     model, where order and rank bounds leave one shape.  Where every
     value of f mod p is 0 or a square there is no inert sextic, and the
-    probes run on the monic quintic of ``odd_degree_model``; by the
-    Hasse-Weil bound that happens only at p <= 23.
+    probes run on the quintic of ``odd_degree_model``; by the Hasse-Weil
+    bound that happens only at p <= 23.
 
     Probing runs only where f mod p has a root or degree 5.  A Sylow
     subgroup still open after 16 probes, or open at a sextic without a

@@ -7,8 +7,9 @@ torsion subgroup T of J(Q):
   good reduction, so in particular it divides their gcd;
 * rational 2-torsion is visible in the factorization of f over Q: the
   Galois orbits of the six (or five plus infinity) Weierstrass points
-  bound #J(Q)[2] from below by a count depending only on the factor
-  degrees, and any claimed 2-torsion must fit under that bound.
+  give #J(Q)[2] exactly, as a count depending only on the factor
+  degrees (``two_torsion_count``), and the claimed 2-torsion must fit
+  in it.
 
 A report is CONSISTENT when both hold over all good odd primes up to the
 chosen bound; it can never prove the claim, only fail to refute it.
@@ -61,7 +62,7 @@ def two_torsion_count(degrees) -> int:
 
 
 def _rational_two_torsion_bound(curve: GenusTwoCurve) -> int:
-    """Lower bound for #J(Q)[2] from the factorization of f over Q."""
+    """#J(Q)[2], exactly, from the degrees of the factors of f over Q."""
     _, factors = factor_poly_q(curve.coeffs)
     return two_torsion_count([poly_degree(f) for f in factors])
 
@@ -77,8 +78,9 @@ class CertificationReport:
 
     ``orders`` lists (p, #J(F_p)) over the good odd primes used;
     ``divisibility_failures`` the primes where the claimed order does not
-    divide #J(F_p); ``two_torsion_lower`` the Weierstrass-orbit lower
-    bound for #J(Q)[2] compared against the claimed exponent-2 subgroup.
+    divide #J(F_p); ``two_torsion_lower`` the Weierstrass-orbit count,
+    which is #J(Q)[2] exactly (the name is kept from when it was read as
+    a lower bound), compared against the claimed exponent-2 subgroup.
     """
 
     curve: GenusTwoCurve
@@ -103,8 +105,8 @@ def certify_torsion(
     ``claimed`` is the invariant-factor chain of the claimed subgroup,
     e.g. (2, 2) or (6,).  The verdict is CONSISTENT when the claimed
     order divides #J(F_p) at every good odd prime up to ``prime_bound``
-    and the claimed 2-torsion fits under the Weierstrass-orbit bound,
-    INCONSISTENT otherwise.
+    and the claimed 2-torsion fits in #J(Q)[2], which the Weierstrass
+    orbits count exactly, INCONSISTENT otherwise.
 
     Each #J(F_p) is exact: ``curve_lpolys`` either yields the one
     L-polynomial its checks leave or raises.  Its Hasse-Witt recurrence

@@ -348,15 +348,6 @@ class QuatOrder:
 
     # -- integer arithmetic from the multiplication table ----------------------
 
-    def gram_trd(self) -> list[list[int]]:
-        """Integer matrix trd(e_i e_j), a copy of ``trace_form``."""
-        return [list(row) for row in self.trace_form]
-
-    def norm_gram(self) -> list[list[int]]:
-        """Integer Gram matrix of the bilinear form trd(x conj(y)), a copy of
-        ``norm_form``."""
-        return [list(row) for row in self.norm_form]
-
     def nrd(self, coords: Sequence[int]) -> int:
         """Reduced norm of the element with integer coordinates ``coords``."""
         return _eval_gram(self.norm_form, coords) // 2

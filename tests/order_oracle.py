@@ -52,7 +52,7 @@ def enlarge_by_full_scan(order: quat.QuatOrder, p: int) -> quat.QuatOrder | None
     necessary, before ``from_basis`` decides.
     """
     rows = order.basis_matrix()
-    gram = order.norm_gram()
+    gram = order.norm_form
     for c in itertools.product(range(p), repeat=4):
         if not any(c):
             continue

@@ -3,16 +3,23 @@
 Each entry is (order, invariants, 2-rank): 74 structures are proved,
 and 33 are left open (None), at primes where the sextic has no root mod
 p.  The probes draw from a seeded RNG, so the table is checked at two
-seeds, with ``_quintic_model`` refusing to run: no entry needs the
-monic quintic model.
+seeds, with ``odd_degree_model`` refusing to run: no entry needs the
+quintic model.
+
+J(F_p) is pinned also where the quintic is the only model: 22 seeded
+random curves at p <= 17 where every value of f mod p is 0 or a square,
+so that there is no inert sextic, and f has a root.  Twelve of them are
+probed on the quintic; the rest are settled by the order and rank
+bounds alone.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from quatorsion.exact import poly_eval
 from quatorsion.genus2 import jacobian
-from quatorsion.genus2.curve import good_primes
+from quatorsion.genus2.curve import GenusTwoCurve, good_primes
 from quatorsion.genus2.jacobian import JacobianGroup, jacobian_group_mod_p
 from quatorsion.genus2.torsion import table_curves
 
@@ -60,11 +67,39 @@ GROUPS = {
 }
 
 
+# f (ascending, reduced mod p), p, (order, invariants, 2-rank) at seeds 0
+# and 1, and whether the probes ran on the quintic
+QUINTIC_ONLY = [
+    ((0, 1, 5, 1, 2, 1, 5), 7, (105, (105,), 0), False),
+    ((2, 6, 6, 6, 1, 1, 1), 7, (131, (131,), 0), False),
+    ((4, 6, 5, 2, 0, 0, 6), 7, (106, (106,), 1), False),
+    ((0, 6, 5, 2, 2, 6, 1), 7, (120, (120,), 1), False),
+    ((2, 6, 4, 0, 6, 4, 6), 7, (105, (105,), 0), False),
+    ((1, 6, 5, 2, 1, 3, 4), 7, (130, (130,), 1), False),
+    ((4, 1, 3, 2, 5, 0, 6), 7, (84, (2, 42), 2), False),
+    ((1, 6, 1, 1, 5, 2, 6), 7, (80, (2, 40), 2), True),
+    ((9, 4, 3, 6, 7, 1, 4), 11, (288, (288,), 1), True),
+    ((9, 0, 8, 5, 2, 6, 4), 11, (288, (288,), 1), True),
+    ((4, 2, 0, 0, 1, 1, 7), 11, (252, (2, 126), 2), True),
+    ((0, 5, 0, 1, 8, 4, 5), 11, (256, (2, 8, 16), 3), True),
+    ((9, 9, 4, 6, 5, 2, 2), 11, (270, (270,), 1), True),
+    ((5, 10, 0, 2, 2, 6, 9), 11, (288, (288,), 1), True),
+    ((1, 0, 2, 9, 3, 8, 3), 11, (305, (305,), 0), False),
+    ((0, 4, 8, 12, 2, 10, 7), 13, (360, (3, 120), 1), True),
+    ((3, 0, 7, 10, 9, 9, 1), 13, (400, (20, 20), 2), True),
+    ((4, 7, 10, 1, 8, 7, 5), 13, (358, (358,), 1), False),
+    ((0, 11, 1, 3, 4, 3, 3), 13, (400, (20, 20), 2), True),
+    ((0, 1, 12, 2, 11, 2, 8), 13, (358, (358,), 1), False),
+    ((9, 7, 16, 13, 9, 14, 0), 17, (576, (2, 2, 12, 12), 4), True),
+    ((9, 11, 6, 10, 14, 16, 0), 17, (576, (2, 2, 12, 12), 4), True),
+]
+
+
 def _refuse_quintic_model(monkeypatch) -> None:
     def refuse(*args):
-        raise AssertionError("_quintic_model was called")
+        raise AssertionError("odd_degree_model was called")
 
-    monkeypatch.setattr(jacobian, "_quintic_model", refuse)
+    monkeypatch.setattr(jacobian, "odd_degree_model", refuse)
 
 
 def test_the_table_covers_every_good_prime():
@@ -95,3 +130,19 @@ def test_square_sylow_subgroups_need_no_quintic_model(monkeypatch):
     curve = TABLE[1].curve
     assert {p: jacobian_group_mod_p(curve, p).invariants for p in (83, 1013)} == {
         83: (82, 82), 1013: (958, 958)}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_jacobian_groups_on_the_quintic_match_the_pins(seed, monkeypatch):
+    models = []
+    quintic = jacobian.odd_degree_model
+    monkeypatch.setattr(jacobian, "odd_degree_model",
+                        lambda *args: models.append(args) or quintic(*args))
+    for f, p, entry, probed in QUINTIC_ONLY:
+        curve = GenusTwoCurve.from_coefficients(f)
+        c = [v % p for v in curve.coeffs]
+        assert jacobian._inert_model(c, p) is None
+        assert any(poly_eval(c, a) % p == 0 for a in range(p))
+        models.clear()
+        assert jacobian_group_mod_p(curve, p, seed) == JacobianGroup(p, *entry), (f, p)
+        assert bool(models) == probed, (f, p)

@@ -403,12 +403,12 @@ def test_reduced_discriminant_of_standard_order():
     # Gram matrix trd(e_i e_j) of Z<1,i,j,k> in (-1,6) is diag(2,-2,12,12),
     # so |det| = 576 and the reduced discriminant is 24.
     order = quat.standard_order(_alg16())
-    assert order.gram_trd() == [
-        [2, 0, 0, 0],
-        [0, -2, 0, 0],
-        [0, 0, 12, 0],
-        [0, 0, 0, 12],
-    ]
+    assert order.trace_form == (
+        (2, 0, 0, 0),
+        (0, -2, 0, 0),
+        (0, 0, 12, 0),
+        (0, 0, 0, 12),
+    )
     assert quat.reduced_discriminant(order) == 24
 
 
@@ -716,8 +716,8 @@ def test_primitive_in_order(omax_1_6):
 
 
 def test_gram_matrices(omax_1_6):
-    gram = omax_1_6.gram_trd()
-    norm_gram = omax_1_6.norm_gram()
+    gram = omax_1_6.trace_form
+    norm_gram = omax_1_6.norm_form
     for r in range(4):
         assert norm_gram[r][r] == 2 * omax_1_6.basis[r].nrd()
         for s in range(4):
@@ -727,7 +727,7 @@ def test_gram_matrices(omax_1_6):
 
 @given(coord_ints)
 def test_norm_gram_evaluates_the_norm(omax_1_6, c):
-    gram = omax_1_6.norm_gram()
+    gram = omax_1_6.norm_form
     value = sum(c[r] * gram[r][s] * c[s] for r in range(4) for s in range(4))
     assert Fraction(value, 2) == omax_1_6.element(c).nrd()
 
