@@ -23,8 +23,10 @@ every good p <= B come from one pass, in four steps:
    integer model, reduced modulo the product of the primes not yet
    passed: about B steps on integers of about 1.44 B bits, in O(B)
    bits of memory, against sum p ~ B^2 / (2 ln B) steps one prime at a
-   time.  The few p >= 7 dividing f(0) f_6 of that model, and
-   ``curve_lpoly``, run it for one prime on a model for that prime.
+   time.  The few p >= 7 dividing f(0) f_6 of that model share one
+   more short run on a second model, shifted so that its f(0) f_6 is
+   prime to them; ``curve_lpoly`` runs it for one prime on a model for
+   that prime.
 2. a1 = -tr W and a2 = det W mod p (Manin).  For p >= 67 the Weil
    bound |a1| <= 4 sqrt(p) < p/2 fixes a1; below it, a1 comes from
    counting the points over F_p, with the values of f from its forward
@@ -64,6 +66,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm, prod
 
 from ..exact import factorint, isprime, poly_discriminant, poly_eval, poly_taylor, primerange
@@ -255,27 +258,34 @@ def lpoly_from_counts(count1: int, count2: int, p: int) -> WeilPoly2:
 # ---------------------------------------------------------------------------
 
 
-def _hasse_witt_model(c, p: int = 0) -> list[int]:
-    """A model of y^2 = c(x) with c(0) c_6 prime to p, for p >= 7; over Z
-    (c(0) c_6 != 0) for p = 0.
+def _hasse_witt_model(c, primes=()) -> list[int]:
+    """A model of y^2 = c(x) over Z with c(0) c_6 != 0 when ``primes`` is
+    empty; otherwise one modulo the product of ``primes``, all >= 7, with
+    c(0) c_6 prime to each.
 
-    x = a + 1/z when the degree drops, then x = z + b, with the least
-    a >= 0 and b >= 1 that are not roots: a quintic has at most five
-    roots and a sextic with the root 0 at most five more, so a <= 5 and
-    b <= 6.  Both substitutions are unimodular, so over Z the model keeps
-    the binary discriminant, and with it the good primes.
+    x = a + 1/z when c_6 is not such a unit, then x = z + b, with the
+    least a >= 0 and b >= 1 where c takes a unit value.  A quintic mod p
+    has at most five roots and a sextic with the root 0 at most five
+    more, so for one prime a <= 5 and b <= 6; each further prime rules
+    out at most six residues, so for a few a and b stay small.  Both
+    substitutions are unimodular, so over Z the model keeps the binary
+    discriminant, and with it the good primes.
     """
+    modulus = prod(primes)
 
-    def unit(v: int) -> int:
-        return v % p if p else v
+    def unit(v: int) -> bool:
+        return v != 0 and all(v % p for p in primes)
+
+    def reduce(v: int) -> int:
+        return v % modulus if primes else v
 
     if not unit(c[6]):
         # z^6 c(a + 1/z) has leading coefficient c(a)
-        a = next(a for a in range(7) if unit(poly_eval(c, a)))
-        c = [unit(t) for t in reversed(poly_taylor(c, a))]
+        a = next(a for a in count() if unit(poly_eval(c, a)))
+        c = [reduce(t) for t in reversed(poly_taylor(c, a))]
     if not unit(c[0]):
-        b = next(b for b in range(1, 8) if unit(poly_eval(c, b)))
-        c = [unit(t) for t in poly_taylor(c, b)]
+        b = next(b for b in count(1) if unit(poly_eval(c, b)))
+        c = [reduce(t) for t in poly_taylor(c, b)]
     return c
 
 
@@ -333,7 +343,7 @@ def _hasse_witt_traces(f, primes):
 def _hasse_witt(c, p: int) -> tuple[int, int]:
     """Trace and determinant mod p of the Hasse-Witt matrix of y^2 = c(x),
     from the recurrence for p alone on a model for p alone."""
-    _, trace, det = next(_hasse_witt_traces(_hasse_witt_model(c, p), [p]))
+    _, trace, det = next(_hasse_witt_traces(_hasse_witt_model(c, [p]), [p]))
     return trace, det
 
 
@@ -383,22 +393,25 @@ def curve_lpoly(curve: GenusTwoCurve, p: int, *, degrees=None) -> WeilPoly2:
 
 def curve_lpolys(curve: GenusTwoCurve, bound: int):
     """Yield (p, L) for every good prime p <= bound, ascending: the Weil
-    polynomials of ``curve_lpoly``, from one recurrence for all of them.
+    polynomials of ``curve_lpoly``, from two recurrences for all of them.
 
     The recurrence runs on one integer model with f(0) f_6 != 0 (step 1
     of the module docstring), forward and reversed: about B steps on
     integers of about 1.44 B bits for B = bound, in O(B) bits of memory.
-    A prime p >= 7 that divides f(0) f_6 of that model gets
-    ``curve_lpoly``, as every p <= 5 does.
+    The few p >= 7 that divide f(0) f_6 of that model share a second
+    run, on a model whose f(0) f_6 is prime to them, with coefficients
+    reduced modulo their product.  Every p <= 5 gets ``curve_lpoly``.
     """
     f = _hasse_witt_model(curve.coeffs)
     primes = good_primes(curve, bound)
-    batch = _hasse_witt_traces(f, [p for p in primes if p > 5 and f[0] * f[6] % p])
+    rest = [p for p in primes if p > 5 and f[0] * f[6] % p == 0]
+    batch = _hasse_witt_traces(f, [p for p in primes if p > 5 and p not in rest])
+    extra = _hasse_witt_traces(_hasse_witt_model(curve.coeffs, rest), rest)
     for p in primes:
-        if p <= 5 or f[0] * f[6] % p == 0:
+        if p <= 5:
             yield p, curve_lpoly(curve, p)
             continue
-        _, trace, det = next(batch)
+        _, trace, det = next(extra if p in rest else batch)
         yield p, _lpoly_from_hasse_witt(curve, p, trace, det)
 
 

@@ -51,30 +51,41 @@ ValueError rather than give classes the group order does not kill.
 
 Combined with the group order from the zeta function this proves the
 abstract structure of J(F_p), one Sylow subgroup S at a time, for
-ell^v || #J(F_p) (after Sutherland, "Structure computation and discrete
-logarithms in finite abelian p-groups", Math. Comp. 80, 2011).  A
-uniformly random class D projects to Q = [#J / ell^v] D in S, and the
-ladder that multiplies Q by ell until it vanishes (shared with
-``divisor_order``) ends at a class t of order ell in ell^k S for every k
-below its depth.  Independent such t bound each rank r_k = dim
-(ell^k S)[ell] from below; whether a new t is a combination of m found
-ones is a balanced baby-step giant-step search with about ell^(m/2)
-classes a side (``_coordinates``), so telling (Z/ell)^2 from Z/ell^2
-takes O(sqrt(ell)) additions.  The r_k sum to v, so S is proved once a
-single shape Z/ell^e1 x Z/ell^e2 x ... fits the bounds, the ell-rank
-<= 4 (<= 2 unless ell | p - 1, by the Weil pairing) and, for ell = 2,
-the exact 2-rank read off the factorization type of f mod p.  That type
-comes from one power x^p mod f per prime: the number of roots, the
-parity of the number of factors (Stickelberger, from the binary
-discriminant) and, for a sextic without a root, x^(p^2) = h(h) for
-h = x^p fix it (``_factor_degrees``).  Probing stops as soon as every
-Sylow subgroup is proved.
+ell^v || #J(F_p) (``_SylowProof``).  S is proved once one shape Z/ell^e1
+x Z/ell^e2 x ... is left, and three rules narrow the shapes, in this
+order:
+
+1. The bounds: the ell-rank is <= 4 (<= 2 unless ell | p - 1, by the
+   Weil pairing) and, for ell = 2, exactly the 2-rank read off the
+   factorization type of f mod p.  That type comes from one power x^p
+   mod f per prime: the number of roots, the parity of the number of
+   factors (Stickelberger, from the binary discriminant) and, for a
+   sextic without a root, x^(p^2) = h(h) for h = x^p fix it
+   (``_factor_degrees``).
+2. The Weil polynomial alone, with no model and no class: where ell^2
+   does not divide the discriminant of its radical m, Z_ell[pi] is
+   maximal and S = (Z/ell^e)^k with e = v_ell(m(1)) and k = 4 / deg m
+   (``_frobenius_shape``, after Tate and Lenstra).  At the 107 good
+   p <= 100 of the five table curves it proves 16 structures that the
+   bounds leave open at primes where f has no root, and the primes that
+   need classes fall from 33 to 12.
+3. Classes (after Sutherland, "Structure computation and discrete
+   logarithms in finite abelian p-groups", Math. Comp. 80, 2011).  A
+   uniformly random class D projects to Q = [#J / ell^v] D in S, and the
+   ladder that multiplies Q by ell until it vanishes (shared with
+   ``divisor_order``) ends at a class t of order ell in ell^k S for
+   every k below its depth.  Independent such t bound each rank r_k =
+   dim (ell^k S)[ell] from below, and the r_k sum to v; whether a new t
+   is a combination of m found ones is a balanced baby-step giant-step
+   search with about ell^(m/2) classes a side (``_coordinates``), so
+   telling (Z/ell)^2 from Z/ell^2 takes O(sqrt(ell)) additions.  Probing
+   stops as soon as every Sylow subgroup is proved.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt, prod
 
 from ..exact import (
@@ -89,11 +100,13 @@ from ..exact import (
     fp_neg,
     fp_sub,
     fp_trim,
+    multiplicity,
     poly_eval,
     poly_taylor,
     sqrt_mod,
     validate_invariants,
 )
+from ..weil import WeilPoly2
 from .curve import GenusTwoCurve, curve_lpoly, good_prime
 from .torsion import two_torsion_count
 
@@ -661,17 +674,26 @@ def _settle_by_annihilation(c, p: int, a1: int, a2s, rng) -> int:
 class JacobianGroup:
     """Order, invariant factors (ascending chain), and 2-rank of J(F_p).
 
-    ``invariants`` is None when the order and rank bounds leave a Sylow
-    subgroup open and probing did not close it: either 16 classes left
-    it open, or the sextic has no root mod p, where
-    ``jacobian_group_mod_p`` does not probe, as a cost policy.  The
-    order and the 2-rank are always reported.
+    ``invariants`` is None when a Sylow subgroup is left open: the order
+    and rank bounds leave more than one shape, the Weil polynomial does
+    not fix it (``_frobenius_shape``), and either 16 classes left it
+    open or the sextic has no root mod p, where ``jacobian_group_mod_p``
+    does not probe, as a cost policy.  That leaves 17 of the 107 good
+    p <= 100 of the five table curves open, all at such primes (33
+    before the Weil polynomial was read).  The order and the 2-rank are
+    always reported.
+
+    ``proved_by`` maps each prime ell dividing the order to the rule
+    that proved its Sylow subgroup, "bounds", "frobenius" or "probes",
+    or to None where it is open.  Equality ignores it, so two results
+    compare by the group alone.
     """
 
     p: int
     order: int
     invariants: tuple[int, ...] | None
     two_rank: int
+    proved_by: dict[int, str | None] = field(default_factory=dict, compare=False, repr=False)
 
 
 def _factor_degrees(curve: GenusTwoCurve, p: int) -> list[int]:
@@ -832,6 +854,10 @@ class _SylowProof:
     ell pair nontrivially under the Weil pairing, which puts mu_ell in
     F_p), and exactly ``two_rank`` parts for ell = 2.  S is proved when
     one shape is left.
+
+    ``rule`` names what proved S: "bounds" when they leave one shape,
+    "frobenius" when ``frobenius`` does, "probes" when classes taken in
+    by ``add`` do, and None while S is open.
     """
 
     def __init__(self, ell: int, v: int, p: int, two_rank: int):
@@ -839,10 +865,25 @@ class _SylowProof:
         most = 4 if (p - 1) % ell == 0 else 2
         self.shapes = [s for s in _partitions(v, most) if ell != 2 or len(s) == two_rank]
         self.basis: list[tuple[MumfordDivisor, int, MumfordDivisor]] = []
+        self.rule = "bounds" if self.shape else None
 
     @property
     def shape(self) -> tuple[int, ...] | None:
         return self.shapes[0] if len(self.shapes) == 1 else None
+
+    def frobenius(self, w: WeilPoly2) -> None:
+        """Prove S from the Weil polynomial w alone where
+        ``_frobenius_shape`` applies.  Its shape must be one the bounds
+        leave, a partition of v, so k e = v; otherwise w is not the Weil
+        polynomial of this J(F_p): ArithmeticError, also under -O."""
+        shape = _frobenius_shape(w, self.ell)
+        if shape is None:
+            return
+        if shape not in self.shapes:
+            raise ArithmeticError(
+                f"the Frobenius rule gives the {self.ell}-Sylow subgroup of "
+                f"J(F_{w.q}) the shape {shape}, against the bounds {self.shapes}")
+        self.shapes, self.rule = [shape], "frobenius"
 
     def add(self, q: MumfordDivisor, f) -> None:
         """Take in a class q of S.
@@ -879,11 +920,71 @@ class _SylowProof:
             es = sorted((e for _, e, _ in self.basis), reverse=True)
             self.shapes = [s for s in self.shapes
                            if len(s) >= len(es) and all(a >= b for a, b in zip(s, es))]
+        if self.shape:
+            self.rule = "probes"
 
     def _settled_below(self, depth: int) -> bool:
         """Whether every shape left has the same r_k for all k < depth."""
         ranks = {tuple(sum(e > k for e in s) for k in range(depth)) for s in self.shapes}
         return len(ranks) == 1
+
+
+def _frobenius_shape(w: WeilPoly2, ell: int) -> tuple[int, ...] | None:
+    """The shape (e,) * k of the ell-Sylow subgroup S of J(F_p) that the
+    Weil polynomial w forces, or None where this rule says nothing: for
+    ell = p, or when ell^2 divides disc m below.
+
+    For ell != p, S = T / (pi - 1) T for the ell-adic Tate module T, free
+    of rank 4 over Z_ell, on which Frobenius pi acts semisimply with
+    characteristic polynomial P = T^4 + a1 T^3 + a2 T^2 + p a1 T + p^2
+    (Tate, Invent. Math. 2, 1966).  Let m = P / gcd(P, P') be its radical.
+    The roots of P have absolute value sqrt(p), irrational, so the factors
+    of P over Q are quadratic or quartic, and m is P itself or the g with
+    P = g^2: g = T^2 + (a1/2) T + c with c = p, or c = -p and a1 = 0.  Let
+    k = 4 / deg m.  By semisimplicity m(pi) kills T, so T is a module over
+    R = Z_ell[T]/(m), and T (x) Q_ell is free of rank k over R (x) Q_ell,
+    as its characteristic polynomial is m^k.
+
+    Suppose v_ell(disc m) <= 1.  As disc m is disc R_max times the square
+    of the index of R in the maximal order R_max, R = R_max: a product of
+    complete discrete valuation rings R_i, one for each irreducible factor
+    m_i of m over Z_ell, and T, torsion-free, is free of rank k over each.
+    So S = (+)_i (R_i / (pi - 1))^k, and a factor where pi - 1 is a unit
+    adds nothing.  Where pi = 1 mod the prime of R_i, the residue field,
+    generated by pi mod that prime as R_i = Z_ell[pi], is F_ell, and m_i =
+    (T - 1)^(e_i) mod ell for the ramification index e_i.  Then:
+
+    - at most one factor has pi = 1 mod its prime: for two, ell would
+      divide their resultant, whose square divides disc m;
+    - for that factor v_ell(disc R_i) >= e_i - 1, with equality only when
+      ell does not divide e_i; as v_ell(disc R_i) <= 1, e_i = 1, or e_i =
+      2 for odd ell;
+    - for e_i = 1, R_i = Z_ell and R_i / (pi - 1) = Z / ell^e with e =
+      v_ell(m_i(1)) = v_ell(m(1)), the other m_j(1) being units;
+    - for e_i = 2, pi - 1 is a uniformizer, since otherwise it lies in
+      ell R_i and Z_ell[pi] is inside Z_ell + ell R_i, not all of R_i; so
+      R_i / (pi - 1) = F_ell, and v_ell(m(1)) = 1 (m_i(1) is the norm of 1 -
+      pi).
+
+    So S = (Z / ell^e)^k with e = v_ell(m(1)), and k e = v_ell(P(1)) as
+    P(1) = m(1)^k.  Lenstra proves the elliptic case ("Complex
+    multiplication structure of elliptic curves", J. Number Theory 56,
+    1996).  disc g = a1^2 / 4 - 4 c, and disc P = p^2 ((a2 + 2p)^2 - 4 p
+    a1^2) (a1^2 - 4 a2 + 8 p)^2, from P(T) = T^2 h(T + p/T) with h = x^2 +
+    a1 x + a2 - 2p; the factor p^2 is a unit at ell.
+    """
+    p, a1, a2 = w.q, w.a1, w.a2
+    if ell == p:
+        return None
+    c2 = a2 - a1 * a1 // 4  # 2 c when P = g^2
+    if a1 % 2 == 0 and (c2 == 2 * p or a1 == 0 and c2 == -2 * p):
+        k, disc, value = 2, a1 * a1 // 4 - 2 * c2, 1 + a1 // 2 + c2 // 2
+    else:
+        h = a1 * a1 - 4 * a2 + 8 * p
+        k, disc, value = 1, ((a2 + 2 * p) ** 2 - 4 * p * a1 * a1) * h * h, w.point_count()
+    if disc % (ell * ell) == 0:
+        return None
+    return (multiplicity(ell, value),) * k
 
 
 def _partitions(v: int, most: int, top: int | None = None):
@@ -962,45 +1063,62 @@ def jacobian_group_mod_p(
 
     The order comes from the zeta function and the 2-rank from the
     factorization type of f mod p.  Each Sylow subgroup is proved by
-    ``_SylowProof`` from at most 16 uniformly random classes (seeded,
-    hence deterministic) on the inert sextic (``_inert_model``); probing
-    stops as soon as every one is proved, which needs no probe, and no
-    model, where order and rank bounds leave one shape.  Where every
-    value of f mod p is 0 or a square there is no inert sextic, and the
-    probes run on the quintic of ``odd_degree_model``; by the Hasse-Weil
-    bound that happens only at p <= 23.
+    ``_SylowProof``, by the first of three rules that leaves one shape:
+    the order and rank bounds; the Weil polynomial alone, where Z_ell[pi]
+    is maximal (``_frobenius_shape``), before any model is built; and at
+    most 16 uniformly random classes (``_probe``, seeded, hence
+    deterministic).  ``proved_by`` records the rule for each ell.
 
     Probing runs only where f mod p has a root or degree 5.  A Sylow
     subgroup still open after 16 probes, or open at a sextic without a
     root mod p, leaves the structure unproved, and ``invariants`` is
-    None.  The second is a cost policy, not a limit of the model:
-    probing there too proves the 33 such primes among the 107 good
-    p <= 100 of the five table curves, but it made a pass over the
-    ``genus2`` benchmark items (those 107, and certification of the five
-    curves to B = 400) take 1.13-1.17 times as long and its
-    90th-percentile item 1.13-1.37 times (5 alternating pairs of 10 s
-    runs on a 2-CPU Xeon host, Python 3.11), against a 1.25 bound.
+    None.  The second is a cost policy, not a limit of the model.  At
+    the 107 good p <= 100 of the five table curves the policy leaves 17
+    structures open; probing there too proves all 17, but it made a pass
+    over the ``genus2`` benchmark items (those 107, and certification of
+    the five curves to B = 400) take 1.02-1.12 times as long and its
+    90th-percentile item 1.10-1.48 times (6 alternating pairs of 12 s
+    runs, seeds 1-6, on a 2-CPU host, Python 3.11).
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
     degrees = _factor_degrees(curve, p)
     two_rank = _two_rank(degrees)
-    order = curve_lpoly(curve, p, degrees=degrees).point_count()
+    w = curve_lpoly(curve, p, degrees=degrees)
+    order = w.point_count()
     sylows = [_SylowProof(ell, v, p, two_rank) for ell, v in factorint(order).items()]
-    open_ = [s for s in sylows if s.shape is None]
+    for s in sylows:
+        if s.shape is None:
+            s.frobenius(w)
     rootless = curve.coeffs[6] % p and 1 not in degrees
-    if open_ and not rootless:
-        c = [v % p for v in curve.coeffs]
-        f = _inert_model(c, p) or odd_degree_model(curve, p)
-        rng = random.Random(seed)
-        for _ in range(16):
-            d = random_divisor(f, p, rng)
-            for s in open_:
-                s.add(cantor_mul(order // s.ell**s.v, d, f), f)
-            open_ = [s for s in open_ if s.shape is None]
-            if not open_:
-                break
-    if open_:
-        return JacobianGroup(p, order, None, two_rank)
+    if not rootless:
+        _probe(curve, p, order, sylows, seed)
+    proved_by = {s.ell: s.rule for s in sylows}
+    if None in proved_by.values():
+        return JacobianGroup(p, order, None, two_rank, proved_by)
     cyclic = [[s.ell**e for e in s.shape] for s in sylows]
-    return JacobianGroup(p, order, _invariant_factors(cyclic), two_rank)
+    return JacobianGroup(p, order, _invariant_factors(cyclic), two_rank, proved_by)
+
+
+def _probe(curve: GenusTwoCurve, p: int, order: int, sylows, seed: int) -> None:
+    """Take uniformly random classes of J(F_p), #J(F_p) = order, into the
+    open proofs of ``sylows`` until none is open, at most 16.
+
+    They are drawn from an RNG seeded by ``seed`` on the inert sextic
+    (``_inert_model``), built only when a proof is open.  Where every
+    value of f mod p is 0 or a square there is no inert sextic, and they
+    are drawn on the quintic of ``odd_degree_model``; by the Hasse-Weil
+    bound that happens only at p <= 23.
+    """
+    open_ = [s for s in sylows if s.shape is None]
+    if not open_:
+        return
+    f = _inert_model([v % p for v in curve.coeffs], p) or odd_degree_model(curve, p)
+    rng = random.Random(seed)
+    for _ in range(16):
+        d = random_divisor(f, p, rng)
+        for s in open_:
+            s.add(cantor_mul(order // s.ell**s.v, d, f), f)
+        open_ = [s for s in open_ if s.shape is None]
+        if not open_:
+            return

@@ -24,11 +24,11 @@ from hypothesis import strategies as st
 
 import quatorsion
 import quatorsion.genus2
+from class_oracle import enumerate_classes
 from grid_oracle import count_model
 from quatorsion import exact
 from quatorsion.exact import (
     fp_distinct_degree,
-    fp_divmod,
     fp_monic,
     fp_mul,
     fp_trim,
@@ -553,30 +553,6 @@ def test_jacobian_probing_stops_at_largest_exponent(monkeypatch):
     assert probes == []
 
 
-def _enumerate_classes(f, p: int) -> list:
-    """Every reduced pair (u, v) on y^2 = f(x), found without the sampler:
-    deg u <= 2 on a quintic, deg u in {0, 2} on a sextic, and for
-    u = x^2 + u1 x + u0, v = v0 + v1 x solves v0^2 - u0 v1^2 = r0 and
-    2 v0 v1 - u1 v1^2 = r1 for f = r0 + r1 x mod u."""
-    roots = collections.defaultdict(list)
-    for y in range(p):
-        roots[y * y % p].append(y)
-    out = [identity_divisor(p)]
-    if len(f) == 6:
-        out += [mumford_divisor(f, p, (-x, 1), (y,)) for x in range(p)
-                for y in roots[poly_eval(f, x) % p]]
-    for u0, u1 in itertools.product(range(p), repeat=2):
-        r0, r1 = (fp_divmod(f, (u0, u1, 1), p)[1] + (0, 0))[:2]
-        for v1 in range(p):
-            if v1:
-                v0 = (r1 + u1 * v1 * v1) * pow(2 * v1, -1, p) % p
-                v0s = [v0] if (v0 * v0 - u0 * v1 * v1 - r0) % p == 0 else []
-            else:
-                v0s = roots[r0] if r1 == 0 else []
-            out += [mumford_divisor(f, p, (u0, u1, 1), (v0, v1)) for v0 in v0s]
-    return out
-
-
 def _order_counts(invariants) -> collections.Counter:
     """How many elements of Z/d1 x Z/d2 x ... have each order."""
     counts = collections.Counter()
@@ -612,7 +588,7 @@ def test_jacobian_group_matches_class_enumeration(curve, p):
     # which the probes use
     f = jacobian._inert_model([c % p for c in curve.coeffs], p)
     order = curve_lpoly(curve, p).point_count()
-    classes = _enumerate_classes(f, p)
+    classes = enumerate_classes(f, p)
     assert len(set(classes)) == len(classes) == order
     counts = collections.Counter(divisor_order(d, f, order) for d in classes)
     assert counts == _order_counts(jacobian_group_mod_p(curve, p).invariants)
@@ -634,7 +610,7 @@ def test_random_divisor_reaches_every_class_of_the_inert_sextic(index, p):
     curve = TABLE[index].curve
     assert odd_degree_model(curve, p) is None
     sextic = jacobian._inert_model([c % p for c in curve.coeffs], p)
-    classes = set(_enumerate_classes(sextic, p))
+    classes = set(enumerate_classes(sextic, p))
     assert len(classes) == curve_lpoly(curve, p).point_count()
     rng = random.Random(1)
     assert {random_divisor(sextic, p, rng) for _ in range(40 * len(classes))} == classes
@@ -649,7 +625,7 @@ def test_jacobian_group_from_the_bounds_alone_matches_the_inert_sextic(index, p,
     g = jacobian_group_mod_p(curve, p)
     assert g.invariants == invariants
     sextic = jacobian._inert_model([c % p for c in curve.coeffs], p)
-    classes = _enumerate_classes(sextic, p)
+    classes = enumerate_classes(sextic, p)
     assert len(set(classes)) == len(classes) == g.order
     counts = collections.Counter(divisor_order(d, sextic, g.order) for d in classes)
     assert counts == _order_counts(invariants)
@@ -691,8 +667,10 @@ def test_probing_proves_every_structure_before_sixteen_probes(monkeypatch):
 def test_unproved_sylow_subgroup_leaves_the_structure_open(monkeypatch):
     # draws confined to a cyclic subgroup of J = Z/6 x Z/6 on the inert
     # sextic cannot prove the 3-part: all 16 probes run, and the structure
-    # is not proved
+    # is not proved.  The Frobenius rule proves (Z/3)^2 here before any
+    # probe, so it is switched off
     p = 7
+    monkeypatch.setattr(jacobian, "_frobenius_shape", lambda w, ell: None)
     sextic = jacobian._inert_model([c % p for c in TABLE[3].curve.coeffs], p)
     rng = random.Random(0)
     d = random_divisor(sextic, p, rng)
@@ -816,7 +794,9 @@ def test_coordinates_take_about_two_square_roots_of_ell_additions(p, ell, monkey
 def test_square_sylow_proof_takes_far_fewer_than_ell_additions(monkeypatch):
     # J(F_1013) = (Z/958)^2 on the (2,2) row: the proof of (Z/479)^2, not
     # Z/479^2, asks whether a second class of order 479 is a multiple of
-    # the first, which took up to 2 * 479 additions as a walk
+    # the first, which took up to 2 * 479 additions as a walk.  The
+    # Frobenius rule proves (Z/479)^2 before any probe, so it is switched off
+    monkeypatch.setattr(jacobian, "_frobenius_shape", lambda w, ell: None)
     calls = _count_cantor_add(monkeypatch, within="_coordinates")
     assert jacobian_group_mod_p(TABLE[1].curve, 1013).invariants == (958, 958)
     assert 0 < len(calls) <= 100
@@ -990,7 +970,7 @@ def test_jacobian_group_probes_on_the_quintic_without_an_inert_model(monkeypatch
         assert jacobian_group_mod_p(curve, p, seed) == JacobianGroup(p, 400, (20, 20), 2)
     assert len(models) == 2
     f5 = odd_degree_model(curve, p)
-    classes = _enumerate_classes(f5, p)
+    classes = enumerate_classes(f5, p)
     assert len(set(classes)) == len(classes) == w.point_count()
     counts = collections.Counter(divisor_order(d, f5, 400) for d in classes)
     assert counts == _order_counts((20, 20))

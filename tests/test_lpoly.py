@@ -152,7 +152,7 @@ def test_power_pairs_match_full_power():
         for p in good_primes(curve, 60):
             if p < 7:
                 continue
-            f = curve_mod._hasse_witt_model([v % p for v in curve.coeffs], p)
+            f = curve_mod._hasse_witt_model([v % p for v in curve.coeffs], [p])
             for g in (f, f[::-1]):
                 assert next(curve_mod._power_pairs(g, [p]))[1:] == _power_from_expansion(g, p), (curve, p)
 
@@ -210,22 +210,46 @@ def test_curve_lpolys_match_curve_lpoly_random(coeffs, quintic, root_at_zero, bo
     assert list(curve_lpolys(curve, bound)) == expected
 
 
-def test_curve_lpolys_fall_back_at_primes_of_the_model(monkeypatch):
+def test_curve_lpolys_batch_the_primes_of_the_model(monkeypatch):
     # f(0) f_6 = 7 * 143 = 7 * 11 * 13 on the curve itself, which is its
-    # own global model: those three primes are good and each takes the
-    # recurrence for itself alone
+    # own global model: those three primes are good and share a second
+    # recurrence, on a model whose f(0) f_6 is prime to all three, and
+    # none takes the recurrence for itself alone
     curve = GenusTwoCurve.from_coefficients([7, 2, 0, 3, 0, 1, 143])
     assert tuple(curve_mod._hasse_witt_model(curve.coeffs)) == curve.coeffs
     assert all(good_prime(curve, p) for p in (7, 11, 13))
-    alone = []
-    original = curve_mod._hasse_witt
+    model = curve_mod._hasse_witt_model(curve.coeffs, [7, 11, 13])
+    assert all(model[0] * model[6] % p for p in (7, 11, 13))
+    assert all(0 <= t < 7 * 11 * 13 for t in model)
+    runs = []
+    original = curve_mod._power_pairs
     monkeypatch.setattr(curve_mod, "_hasse_witt",
-                        lambda c, p: alone.append(p) or original(c, p))
+                        lambda c, p: pytest.fail(f"single-prime recurrence at {p}"))
+    monkeypatch.setattr(curve_mod, "_power_pairs",
+                        lambda f, primes: runs.append(list(primes)) or original(f, primes))
     batched = list(curve_lpolys(curve, 150))
-    assert alone == [7, 11, 13]
+    assert [primes for primes in runs if 7 in primes] == [[7, 11, 13]] * 2  # forward, reversed
+    assert len(runs) == 4
     monkeypatch.undo()
     assert batched == [(p, curve_lpoly(curve, p)) for p in good_primes(curve, 150)]
     assert all(w == oracle_lpoly(curve.coeffs, p) for p, w in batched if p <= 40)
+
+
+def test_second_model_serves_the_table_curves():
+    # the primes that divide f(0) f_6 of the global model: 61 on (2), 7
+    # on (3,3), and 43, 227 and 263 on (3)
+    rest = {}
+    for row in TABLE:
+        f = curve_mod._hasse_witt_model(row.curve.coeffs)
+        primes = [p for p in good_primes(row.curve, 300) if p > 5 and f[0] * f[6] % p == 0]
+        if primes:
+            rest[row.torsion] = primes
+            model = curve_mod._hasse_witt_model(row.curve.coeffs, primes)
+            assert all(model[0] * model[6] % p for p in primes)
+            for p, trace, det in curve_mod._hasse_witt_traces(model, primes):
+                c = [v % p for v in row.curve.coeffs]
+                assert (trace, det) == curve_mod._hasse_witt(c, p)
+    assert rest == {(2,): [61], (3,): [43, 227, 263], (3, 3): [7]}
 
 
 def test_degree_drop_prime():
@@ -234,7 +258,7 @@ def test_degree_drop_prime():
     curve = GenusTwoCurve.from_coefficients([1, 2, 0, 3, 0, 1, 11])
     assert good_prime(curve, 11) and curve.coeffs[6] % 11 == 0
     assert curve_lpoly(curve, 11) == oracle_lpoly(curve.coeffs, 11)
-    model = curve_mod._hasse_witt_model([v % 11 for v in curve.coeffs], 11)
+    model = curve_mod._hasse_witt_model([v % 11 for v in curve.coeffs], [11])
     assert model[0] % 11 and model[6] % 11
 
 
