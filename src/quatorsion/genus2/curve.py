@@ -9,6 +9,13 @@ and prime to that form discriminant; this keeps primes where the degree
 drops but the reduction stays smooth (the leading coefficient vanishes
 mod p while the quintic reduction is squarefree).
 
+The degrees of the factors of f are the sizes of the Galois orbits of
+the Weierstrass points, and they fix the rational 2-torsion
+(``two_torsion_count``): over Q that is #J(Q)[2], which ``torsion``
+checks a claim against, and over F_p the 2-rank of J(F_p)
+(``_two_rank``), which step 3 below and the structure proof of
+``jacobian`` use.
+
 The L-polynomial L(T) = 1 + a1 T + a2 T^2 + p a1 T^3 + p^2 T^4 of a
 reduction takes O(p) time and O(1) memory at one prime, and those at
 every good p <= B come from one pass, in four steps:
@@ -41,7 +48,7 @@ every good p <= B come from one pass, in four steps:
    factorization: the roots of f in F_p, the parity of the number of
    factors (Stickelberger's theorem on the binary discriminant) and,
    for a sextic without a root, its roots in F_{p^2} fix it, from one
-   ladder for x^p mod f (``jacobian``).
+   ladder for x^p mod f (``_factor_degrees``).
 4. L(1) = #J(F_p) annihilates every class of J(F_p), and L(-1) every
    class of the twist's Jacobian: classes rule out the other candidates
    (Kedlaya-Sutherland, ANTS VIII, 2008).  The candidates are taken
@@ -63,13 +70,21 @@ F_{p^2} are made directly (at most 25 values of x), and they give L.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm, prod
 
-from ..exact import factorint, isprime, poly_discriminant, poly_eval, poly_taylor, primerange
+from ..exact import (
+    factorint,
+    fp_monic,
+    fp_trim,
+    isprime,
+    poly_discriminant,
+    poly_eval,
+    poly_taylor,
+    primerange,
+)
 from ..weil import WeilPoly2, is_weil_valid
 
 # ---------------------------------------------------------------------------
@@ -135,39 +150,6 @@ def _binary_sextic_disc(coeffs) -> int:
     if coeffs[6]:
         return poly_discriminant(coeffs)
     return coeffs[5] ** 2 * poly_discriminant(coeffs)
-
-
-_TERM = re.compile(r"([+-]?\d*)(x(?:\^(\d+))?)?$")
-
-
-def parse_curve(text: str) -> GenusTwoCurve:
-    """Parse a polynomial string like ``5x^6+21x^5-63x^4-49x^3+294x^2-343``.
-
-    An optional ``y^2 =`` prefix, whitespace, and ``*`` between coefficient
-    and variable are accepted.
-    """
-    body = text.replace(" ", "").replace("*", "")
-    if body.lower().startswith("y^2="):
-        body = body[4:]
-    if not body:
-        raise ValueError("empty curve expression")
-    coeffs = [0] * 7
-    for term in re.findall(r"[+-]?[^+-]+", body):
-        m = _TERM.match(term)
-        if m is None or (not m.group(1) and not m.group(2)):
-            raise ValueError(f"cannot parse term {term!r}")
-        raw = m.group(1)
-        if m.group(2) is None:
-            if raw in ("", "+", "-"):
-                raise ValueError(f"cannot parse term {term!r}")
-            c, e = int(raw), 0
-        else:
-            c = -1 if raw == "-" else (1 if raw in ("", "+") else int(raw))
-            e = int(m.group(3)) if m.group(3) is not None else 1
-        if e > 6:
-            raise ValueError("f must have degree at most 6")
-        coeffs[e] += c
-    return GenusTwoCurve.from_coefficients(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +233,184 @@ def lpoly_from_counts(count1: int, count2: int, p: int) -> WeilPoly2:
     if not is_weil_valid(w):
         raise ValueError("point counts do not satisfy the Weil bounds")
     return w
+
+
+# ---------------------------------------------------------------------------
+# the factorization type of f mod p and the 2-torsion
+# ---------------------------------------------------------------------------
+
+
+def two_torsion_count(degrees) -> int:
+    """#J[2]-classes fixed by Galois, from Weierstrass orbit sizes.
+
+    ``degrees`` lists the degrees of the Galois orbits of the affine
+    Weierstrass points: the factor degrees of f, summing to 6, or to 5
+    for an odd-degree model (the sixth point, at infinity, is rational).
+    J[2] is spanned by even-cardinality subsets of the six points modulo
+    complementation; a subset is Galois-stable iff it is a union of
+    orbits, so the count is the number of even-sum sub-multisets of the
+    degree multiset, halved in the sextic case (a stable subset is never
+    Galois-sent to its complement, which would force |S| = 3 odd).  The
+    result is 2^(c-1) when all c degrees are even and 2^(c-2) otherwise
+    for a sextic, and always 2^(c-1) for a quintic.
+    """
+    degs = tuple(int(d) for d in degrees)
+    if any(d < 1 for d in degs):
+        raise ValueError("orbit degrees must be positive")
+    total = sum(degs)
+    if total not in (5, 6):
+        raise ValueError("orbit degrees must sum to 5 or 6")
+    c = len(degs)
+    if total == 5:
+        return 2 ** (c - 1)
+    if all(d % 2 == 0 for d in degs):
+        return 2 ** (c - 1)
+    return 2 ** (c - 2)
+
+
+def _factor_degrees(curve: GenusTwoCurve, p: int) -> list[int]:
+    """Degrees of the irreducible factors of f mod a good prime p,
+    ascending.
+
+    Three numbers fix the pattern.  r1 = deg gcd(f, x^p - x) counts the
+    roots, and Stickelberger's theorem gives the parity of the number of
+    factors: the discriminant of a squarefree f of degree n with k
+    irreducible factors is a square mod p exactly when n - k is even.
+    The binary discriminant of the curve is that of f mod p times a
+    nonzero square, also when the degree drops.  Of what is left, of
+    degree rest = n - r1, a rest of 2 or 3 is one factor, and parity
+    tells [rest] from [2, rest - 2] when rest is 4 or 5.  Only a sextic
+    without a root needs more, x^(p^2) = h(h) for h = x^p: parity leaves
+    (6) or (2, 2, 2), told apart by x^(p^2) = x, or (3, 3) or (2, 4),
+    told apart by a second gcd, with x^(p^2) - x.
+
+    A quintic g goes through the same kernel as the sextic x g, which
+    has one more root in F_p when g(0) != 0.  The kernel works on six
+    coefficients mod f (``_sextic_rows``, ``_frobenius``, ``_mulmod``),
+    and so do both gcds (``_gcd_degree``).
+    """
+    g = fp_monic(fp_trim([v % p for v in curve.coeffs]), p)
+    sextic = g if len(g) == 7 else (0, *g)
+    rows = _sextic_rows(sextic, p)
+    h = _frobenius(rows, p)
+    roots = _gcd_degree(sextic, _minus_x(h, p), p) - (len(g) == 6 and g[0] != 0)
+    rest = len(g) - 1 - roots
+    even = pow(curve.binary_disc, (p - 1) // 2, p) == 1  # (-1)^(n - k) = 1
+    if rest == 6:
+        h2 = (h[5], 0, 0, 0, 0, 0)
+        for c in reversed(h[:5]):
+            h2 = _mulmod(h2, h, rows, p)
+            h2 = ((h2[0] + c) % p, *h2[1:])
+        if not even:  # (6) or (2, 2, 2), where x^(p^2) = x
+            tail = [2, 2, 2] if h2 == (0, 1, 0, 0, 0, 0) else [6]
+        else:  # (3, 3) or (2, 4)
+            tail = [2, 4] if _gcd_degree(sextic, _minus_x(h2, p), p) else [3, 3]
+    elif rest >= 4 and even == (rest % 2 == 0):
+        tail = [2, rest - 2]
+    else:
+        tail = [rest] if rest else []
+    return [1] * roots + tail
+
+
+def _minus_x(h, p: int) -> tuple[int, ...]:
+    """h - x for h of degree <= 5 given by six coefficients."""
+    return (h[0], (h[1] - 1) % p, *h[2:])
+
+
+def _gcd_degree(f, g, p: int) -> int:
+    """deg gcd(f, g) over F_p for the monic sextic f and g of degree <= 5
+    given by six coefficients in [0, p): Euclid on coefficient lists."""
+    a, b = list(f), list(g)
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        top = len(b) - 1
+        inv = pow(b[top], -1, p)
+        for k in range(len(a) - 1, top - 1, -1):
+            q = a[k] * inv % p
+            if q:
+                for j in range(top):
+                    a[k - top + j] = (a[k - top + j] - q * b[j]) % p
+        del a[top:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _sextic_rows(f, p: int):
+    """The rows x^6, ..., x^10 mod a monic sextic f over F_p, six
+    coefficients each."""
+    rows = [tuple(-c % p for c in f[:6])]
+    for _ in range(4):
+        rows.append(_times_x(rows[-1], rows[0], p))
+    return rows
+
+
+def _times_x(a, r6, p: int) -> tuple[int, ...]:
+    """x a mod f: a shift, with the x^6 term folded in by the row r6 of
+    x^6 mod f."""
+    a0, a1, a2, a3, a4, a5 = a
+    return (a5 * r6[0] % p, (a0 + a5 * r6[1]) % p, (a1 + a5 * r6[2]) % p,
+            (a2 + a5 * r6[3]) % p, (a3 + a5 * r6[4]) % p, (a4 + a5 * r6[5]) % p)
+
+
+def _frobenius(rows, p: int) -> tuple[int, ...]:
+    """x^p mod a monic sextic f over F_p, from the rows of f.
+
+    A left-to-right ladder of straight-line squarings of a0 + ... + a5
+    x^5 (``_fold``), from x^t for the top three bits t of p, which is a
+    row or a monomial; multiplying by x is ``_times_x``.
+    """
+    bits = bin(p)[2:]
+    top = int(bits[:3], 2)
+    a = rows[top - 6] if top >= 6 else tuple(int(i == top) for i in range(6))
+    for bit in bits[3:]:
+        a0, a1, a2, a3, a4, a5 = a
+        a = _fold((
+            a0 * a0, 2 * a0 * a1, 2 * a0 * a2 + a1 * a1, 2 * (a0 * a3 + a1 * a2),
+            2 * (a0 * a4 + a1 * a3) + a2 * a2, 2 * (a0 * a5 + a1 * a4 + a2 * a3),
+            2 * (a1 * a5 + a2 * a4) + a3 * a3, 2 * (a2 * a5 + a3 * a4),
+            2 * a3 * a5 + a4 * a4, 2 * a4 * a5, a5 * a5), rows, p)
+        if bit == "1":
+            a = _times_x(a, rows[0], p)
+    return a
+
+
+def _mulmod(a, b, rows, p: int) -> tuple[int, ...]:
+    """a b mod f for a, b of degree <= 5 (six coefficients each), from
+    the rows of f."""
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3, b4, b5 = b
+    return _fold((
+        a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+        a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0,
+        a0 * b5 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a5 * b0,
+        a1 * b5 + a2 * b4 + a3 * b3 + a4 * b2 + a5 * b1,
+        a2 * b5 + a3 * b4 + a4 * b3 + a5 * b2, a3 * b5 + a4 * b4 + a5 * b3,
+        a4 * b5 + a5 * b4, a5 * b5), rows, p)
+
+
+def _fold(c, rows, p: int) -> tuple[int, ...]:
+    """c_0 + ... + c_10 x^10 mod f, with the terms of x^6, ..., x^10
+    folded in by the rows of f."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = c
+    c6, c7, c8, c9, c10 = c6 % p, c7 % p, c8 % p, c9 % p, c10 % p
+    R6, R7, R8, R9, R10 = rows
+    return (
+        (c0 + c6 * R6[0] + c7 * R7[0] + c8 * R8[0] + c9 * R9[0] + c10 * R10[0]) % p,
+        (c1 + c6 * R6[1] + c7 * R7[1] + c8 * R8[1] + c9 * R9[1] + c10 * R10[1]) % p,
+        (c2 + c6 * R6[2] + c7 * R7[2] + c8 * R8[2] + c9 * R9[2] + c10 * R10[2]) % p,
+        (c3 + c6 * R6[3] + c7 * R7[3] + c8 * R8[3] + c9 * R9[3] + c10 * R10[3]) % p,
+        (c4 + c6 * R6[4] + c7 * R7[4] + c8 * R8[4] + c9 * R9[4] + c10 * R10[4]) % p,
+        (c5 + c6 * R6[5] + c7 * R7[5] + c8 * R8[5] + c9 * R9[5] + c10 * R10[5]) % p,
+    )
+
+
+def _two_rank(degrees) -> int:
+    """r with J(F_p)[2] = (Z/2)^r, from the factor degrees of f mod p."""
+    return two_torsion_count(degrees).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +579,6 @@ def _lpoly_from_hasse_witt(
     curve: GenusTwoCurve, p: int, trace: int, det: int, degrees=None
 ) -> WeilPoly2:
     """Steps 2 to 4 of the module docstring, from tr W and det W mod p >= 7."""
-    from . import jacobian  # jacobian imports this module
-
     c = [v % p for v in curve.coeffs]
     if p < 67:
         a1 = _count_points(c, p, 1) - p - 1
@@ -430,12 +588,14 @@ def _lpoly_from_hasse_witt(
         # |a1| <= 4 sqrt(p) < p / 2
         a1 = -trace if 2 * trace < p else p - trace
     if degrees is None:
-        degrees = jacobian._factor_degrees(curve, p)
-    two_rank = jacobian._two_rank(degrees)
+        degrees = _factor_degrees(curve, p)
+    two_rank = _two_rank(degrees)
     fits = [a2 for a2 in _weil_a2s(p, a1, det) if _two_part_fits(p, a1, a2, two_rank)]
     if not fits:
         raise ArithmeticError(f"no Weil polynomial fits the Hasse-Witt matrix mod {p}")
     if len(fits) > 1:
+        from . import jacobian  # jacobian imports this module
+
         rng = random.Random(f"{p}/{curve.coeffs}")
         return WeilPoly2(p, a1, jacobian._settle_by_annihilation(c, p, a1, fits, rng))
     return WeilPoly2(p, a1, fits[0])

@@ -57,18 +57,15 @@ order:
 
 1. The bounds: the ell-rank is <= 4 (<= 2 unless ell | p - 1, by the
    Weil pairing) and, for ell = 2, exactly the 2-rank read off the
-   factorization type of f mod p.  That type comes from one power x^p
-   mod f per prime: the number of roots, the parity of the number of
-   factors (Stickelberger, from the binary discriminant) and, for a
-   sextic without a root, x^(p^2) = h(h) for h = x^p fix it
-   (``_factor_degrees``).
+   factorization type of f mod p (step 3 of ``curve`` and its
+   ``_factor_degrees``).
 2. The Weil polynomial alone, with no model and no class: where ell^2
    does not divide the discriminant of its radical m, Z_ell[pi] is
    maximal and S = (Z/ell^e)^k with e = v_ell(m(1)) and k = 4 / deg m
    (``_frobenius_shape``, after Tate and Lenstra).  At the 107 good
    p <= 100 of the five table curves it proves 16 structures that the
-   bounds leave open at primes where f has no root, and the primes that
-   need classes fall from 33 to 12.
+   bounds leave open at primes where f has no root, and leaves 12
+   primes that need classes.
 3. Classes (after Sutherland, "Structure computation and discrete
    logarithms in finite abelian p-groups", Math. Comp. 80, 2011).  A
    uniformly random class D projects to Q = [#J / ell^v] D in S, and the
@@ -107,8 +104,7 @@ from ..exact import (
     validate_invariants,
 )
 from ..weil import WeilPoly2
-from .curve import GenusTwoCurve, curve_lpoly, good_prime
-from .torsion import two_torsion_count
+from .curve import GenusTwoCurve, _factor_degrees, _two_rank, curve_lpoly, good_prime
 
 
 def _deg(f) -> int:
@@ -438,8 +434,12 @@ def odd_degree_model(curve: GenusTwoCurve, p: int):
     a + 1/z sends to infinity: z^6 f(a + 1/z) has degree 5, since a is a
     simple root at a good prime.  Returns the quintic's six coefficients
     ascending, or None when the sextic has no root in F_p.
-    ``jacobian_group_mod_p`` probes on it only where the curve has no
-    inert model (``_inert_model``).
+
+    This is the slow fallback: every sum on the quintic runs
+    ``_cantor_generic`` with polynomial arithmetic, and none the integer
+    formulas of ``_add_weight_two`` (CHANGES.md has a run at p =
+    10007).  ``jacobian_group_mod_p`` probes on it only where the curve
+    has no inert model (``_inert_model``).
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
@@ -678,10 +678,9 @@ class JacobianGroup:
     and rank bounds leave more than one shape, the Weil polynomial does
     not fix it (``_frobenius_shape``), and either 16 classes left it
     open or the sextic has no root mod p, where ``jacobian_group_mod_p``
-    does not probe, as a cost policy.  That leaves 17 of the 107 good
-    p <= 100 of the five table curves open, all at such primes (33
-    before the Weil polynomial was read).  The order and the 2-rank are
-    always reported.
+    does not probe.  That leaves 17 of the 107 good p <= 100 of the
+    five table curves open, all at such primes.  The order and the
+    2-rank are always reported.
 
     ``proved_by`` maps each prime ell dividing the order to the rule
     that proved its Sylow subgroup, "bounds", "frobenius" or "probes",
@@ -694,151 +693,6 @@ class JacobianGroup:
     invariants: tuple[int, ...] | None
     two_rank: int
     proved_by: dict[int, str | None] = field(default_factory=dict, compare=False, repr=False)
-
-
-def _factor_degrees(curve: GenusTwoCurve, p: int) -> list[int]:
-    """Degrees of the irreducible factors of f mod a good prime p,
-    ascending.
-
-    Three numbers fix the pattern.  r1 = deg gcd(f, x^p - x) counts the
-    roots, and Stickelberger's theorem gives the parity of the number of
-    factors: the discriminant of a squarefree f of degree n with k
-    irreducible factors is a square mod p exactly when n - k is even.
-    The binary discriminant of the curve is that of f mod p times a
-    nonzero square, also when the degree drops.  Of what is left, of
-    degree rest = n - r1, a rest of 2 or 3 is one factor, and parity
-    tells [rest] from [2, rest - 2] when rest is 4 or 5.  Only a sextic
-    without a root needs more, x^(p^2) = h(h) for h = x^p: parity leaves
-    (6) or (2, 2, 2), told apart by x^(p^2) = x, or (3, 3) or (2, 4),
-    told apart by a second gcd, with x^(p^2) - x.
-
-    A quintic g goes through the same kernel as the sextic x g, which
-    has one more root in F_p when g(0) != 0.  The kernel works on six
-    coefficients mod f (``_sextic_rows``, ``_frobenius``, ``_mulmod``),
-    and so do both gcds (``_gcd_degree``).
-    """
-    g = fp_monic(fp_trim([v % p for v in curve.coeffs]), p)
-    sextic = g if len(g) == 7 else (0, *g)
-    rows = _sextic_rows(sextic, p)
-    h = _frobenius(rows, p)
-    roots = _gcd_degree(sextic, _minus_x(h, p), p) - (len(g) == 6 and g[0] != 0)
-    rest = _deg(g) - roots
-    even = pow(curve.binary_disc, (p - 1) // 2, p) == 1  # (-1)^(n - k) = 1
-    if rest == 6:
-        h2 = (h[5], 0, 0, 0, 0, 0)
-        for c in reversed(h[:5]):
-            h2 = _mulmod(h2, h, rows, p)
-            h2 = ((h2[0] + c) % p, *h2[1:])
-        if not even:  # (6) or (2, 2, 2), where x^(p^2) = x
-            tail = [2, 2, 2] if h2 == (0, 1, 0, 0, 0, 0) else [6]
-        else:  # (3, 3) or (2, 4)
-            tail = [2, 4] if _gcd_degree(sextic, _minus_x(h2, p), p) else [3, 3]
-    elif rest >= 4 and even == (rest % 2 == 0):
-        tail = [2, rest - 2]
-    else:
-        tail = [rest] if rest else []
-    return [1] * roots + tail
-
-
-def _minus_x(h, p: int) -> tuple[int, ...]:
-    """h - x for h of degree <= 5 given by six coefficients."""
-    return (h[0], (h[1] - 1) % p, *h[2:])
-
-
-def _gcd_degree(f, g, p: int) -> int:
-    """deg gcd(f, g) over F_p for the monic sextic f and g of degree <= 5
-    given by six coefficients in [0, p): Euclid on coefficient lists."""
-    a, b = list(f), list(g)
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        top = len(b) - 1
-        inv = pow(b[top], -1, p)
-        for k in range(len(a) - 1, top - 1, -1):
-            q = a[k] * inv % p
-            if q:
-                for j in range(top):
-                    a[k - top + j] = (a[k - top + j] - q * b[j]) % p
-        del a[top:]
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def _sextic_rows(f, p: int):
-    """The rows x^6, ..., x^10 mod a monic sextic f over F_p, six
-    coefficients each."""
-    rows = [tuple(-c % p for c in f[:6])]
-    for _ in range(4):
-        rows.append(_times_x(rows[-1], rows[0], p))
-    return rows
-
-
-def _times_x(a, r6, p: int) -> tuple[int, ...]:
-    """x a mod f: a shift, with the x^6 term folded in by the row r6 of
-    x^6 mod f."""
-    a0, a1, a2, a3, a4, a5 = a
-    return (a5 * r6[0] % p, (a0 + a5 * r6[1]) % p, (a1 + a5 * r6[2]) % p,
-            (a2 + a5 * r6[3]) % p, (a3 + a5 * r6[4]) % p, (a4 + a5 * r6[5]) % p)
-
-
-def _frobenius(rows, p: int) -> tuple[int, ...]:
-    """x^p mod a monic sextic f over F_p, from the rows of f.
-
-    A left-to-right ladder of straight-line squarings of a0 + ... + a5
-    x^5 (``_fold``), from x^t for the top three bits t of p, which is a
-    row or a monomial; multiplying by x is ``_times_x``.
-    """
-    bits = bin(p)[2:]
-    top = int(bits[:3], 2)
-    a = rows[top - 6] if top >= 6 else tuple(int(i == top) for i in range(6))
-    for bit in bits[3:]:
-        a0, a1, a2, a3, a4, a5 = a
-        a = _fold((
-            a0 * a0, 2 * a0 * a1, 2 * a0 * a2 + a1 * a1, 2 * (a0 * a3 + a1 * a2),
-            2 * (a0 * a4 + a1 * a3) + a2 * a2, 2 * (a0 * a5 + a1 * a4 + a2 * a3),
-            2 * (a1 * a5 + a2 * a4) + a3 * a3, 2 * (a2 * a5 + a3 * a4),
-            2 * a3 * a5 + a4 * a4, 2 * a4 * a5, a5 * a5), rows, p)
-        if bit == "1":
-            a = _times_x(a, rows[0], p)
-    return a
-
-
-def _mulmod(a, b, rows, p: int) -> tuple[int, ...]:
-    """a b mod f for a, b of degree <= 5 (six coefficients each), from
-    the rows of f."""
-    a0, a1, a2, a3, a4, a5 = a
-    b0, b1, b2, b3, b4, b5 = b
-    return _fold((
-        a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
-        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-        a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0,
-        a0 * b5 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a5 * b0,
-        a1 * b5 + a2 * b4 + a3 * b3 + a4 * b2 + a5 * b1,
-        a2 * b5 + a3 * b4 + a4 * b3 + a5 * b2, a3 * b5 + a4 * b4 + a5 * b3,
-        a4 * b5 + a5 * b4, a5 * b5), rows, p)
-
-
-def _fold(c, rows, p: int) -> tuple[int, ...]:
-    """c_0 + ... + c_10 x^10 mod f, with the terms of x^6, ..., x^10
-    folded in by the rows of f."""
-    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = c
-    c6, c7, c8, c9, c10 = c6 % p, c7 % p, c8 % p, c9 % p, c10 % p
-    R6, R7, R8, R9, R10 = rows
-    return (
-        (c0 + c6 * R6[0] + c7 * R7[0] + c8 * R8[0] + c9 * R9[0] + c10 * R10[0]) % p,
-        (c1 + c6 * R6[1] + c7 * R7[1] + c8 * R8[1] + c9 * R9[1] + c10 * R10[1]) % p,
-        (c2 + c6 * R6[2] + c7 * R7[2] + c8 * R8[2] + c9 * R9[2] + c10 * R10[2]) % p,
-        (c3 + c6 * R6[3] + c7 * R7[3] + c8 * R8[3] + c9 * R9[3] + c10 * R10[3]) % p,
-        (c4 + c6 * R6[4] + c7 * R7[4] + c8 * R8[4] + c9 * R9[4] + c10 * R10[4]) % p,
-        (c5 + c6 * R6[5] + c7 * R7[5] + c8 * R8[5] + c9 * R9[5] + c10 * R10[5]) % p,
-    )
-
-
-def _two_rank(degrees) -> int:
-    """r with J(F_p)[2] = (Z/2)^r, from the factor degrees of f mod p."""
-    return two_torsion_count(degrees).bit_length() - 1
 
 
 class _SylowProof:
@@ -1072,13 +926,17 @@ def jacobian_group_mod_p(
     Probing runs only where f mod p has a root or degree 5.  A Sylow
     subgroup still open after 16 probes, or open at a sextic without a
     root mod p, leaves the structure unproved, and ``invariants`` is
-    None.  The second is a cost policy, not a limit of the model.  At
-    the 107 good p <= 100 of the five table curves the policy leaves 17
-    structures open; probing there too proves all 17, but it made a pass
-    over the ``genus2`` benchmark items (those 107, and certification of
-    the five curves to B = 400) take 1.02-1.12 times as long and its
-    90th-percentile item 1.10-1.48 times (6 alternating pairs of 12 s
-    runs, seeds 1-6, on a 2-CPU host, Python 3.11).
+    None.  The second is mostly a cost policy.  At the 107 good p <= 100
+    of the five table curves it leaves 17 structures open; probing there
+    too proves all 17, but it made a pass over the ``genus2`` benchmark
+    items (those 107, and certification of the five curves to B = 400)
+    slower, and its slowest items most (run figures in CHANGES.md, on
+    the Frobenius rule).  It is also a limit of the models: a sextic
+    without a root, whose values f(a) are all nonzero squares and whose
+    leading coefficient is a square, has neither an inert model
+    (``_inert_model``) nor a quintic one (``odd_degree_model``).  Then
+    #C(F_p) = 2p + 2, so by the Hasse-Weil bound p <= 13; y^2 = 2x^6 +
+    4x^5 - 2x^4 + 19x^3 + 10x^2 - 5x + 9 at p = 7 is one such case.
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")

@@ -23,7 +23,7 @@ from math import gcd, prod
 from pathlib import Path
 
 from ..exact import factor_poly_q, poly_degree, validate_invariants
-from .curve import GenusTwoCurve, curve_lpolys
+from .curve import GenusTwoCurve, curve_lpolys, two_torsion_count
 
 _FIXTURE_DIR = Path(__file__).parents[1] / "fixtures" / "genus2"
 
@@ -31,34 +31,6 @@ _FIXTURE_DIR = Path(__file__).parents[1] / "fixtures" / "genus2"
 # ---------------------------------------------------------------------------
 # 2-torsion from Weierstrass orbits
 # ---------------------------------------------------------------------------
-
-
-def two_torsion_count(degrees) -> int:
-    """#J[2]-classes fixed by Galois, from Weierstrass orbit sizes.
-
-    ``degrees`` lists the degrees of the Galois orbits of the affine
-    Weierstrass points: the factor degrees of f, summing to 6, or to 5
-    for an odd-degree model (the sixth point, at infinity, is rational).
-    J[2] is spanned by even-cardinality subsets of the six points modulo
-    complementation; a subset is Galois-stable iff it is a union of
-    orbits, so the count is the number of even-sum sub-multisets of the
-    degree multiset, halved in the sextic case (a stable subset is never
-    Galois-sent to its complement, which would force |S| = 3 odd).  The
-    result is 2^(c-1) when all c degrees are even and 2^(c-2) otherwise
-    for a sextic, and always 2^(c-1) for a quintic.
-    """
-    degs = tuple(int(d) for d in degrees)
-    if any(d < 1 for d in degs):
-        raise ValueError("orbit degrees must be positive")
-    total = sum(degs)
-    if total not in (5, 6):
-        raise ValueError("orbit degrees must sum to 5 or 6")
-    c = len(degs)
-    if total == 5:
-        return 2 ** (c - 1)
-    if all(d % 2 == 0 for d in degs):
-        return 2 ** (c - 1)
-    return 2 ** (c - 2)
 
 
 def _rational_two_torsion_bound(curve: GenusTwoCurve) -> int:
@@ -79,8 +51,8 @@ class CertificationReport:
     ``orders`` lists (p, #J(F_p)) over the good odd primes used;
     ``divisibility_failures`` the primes where the claimed order does not
     divide #J(F_p); ``two_torsion_lower`` the Weierstrass-orbit count,
-    which is #J(Q)[2] exactly (the name is kept from when it was read as
-    a lower bound), compared against the claimed exponent-2 subgroup.
+    which is #J(Q)[2] exactly, compared against the claimed exponent-2
+    subgroup.
     """
 
     curve: GenusTwoCurve

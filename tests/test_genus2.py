@@ -35,7 +35,8 @@ from quatorsion.exact import (
     nextprime,
     poly_eval,
 )
-from quatorsion.genus2 import jacobian
+from quatorsion.genus2 import curve as curve_mod
+from quatorsion.genus2 import jacobian, torsion
 from quatorsion.genus2.curve import (
     GenusTwoCurve,
     count_points_curve,
@@ -43,7 +44,7 @@ from quatorsion.genus2.curve import (
     good_prime,
     good_primes,
     lpoly_from_counts,
-    parse_curve,
+    two_torsion_count,
 )
 from quatorsion.genus2.jacobian import (
     JacobianGroup,
@@ -61,7 +62,6 @@ from quatorsion.genus2.torsion import (
     CertificationReport,
     certify_torsion,
     table_curves,
-    two_torsion_count,
 )
 from quatorsion.weil import is_weil_valid
 
@@ -71,7 +71,7 @@ Z6_CURVE = TABLE[4].curve
 
 
 # ---------------------------------------------------------------------------
-# curves: construction, parsing, good primes
+# curves: construction, printing, good primes
 # ---------------------------------------------------------------------------
 
 
@@ -110,31 +110,15 @@ def test_from_coefficients_singular():
         GenusTwoCurve.from_coefficients([1, 0, 0, -2, 0, 0, 1])
 
 
-def test_parse_curve_table_row():
-    c = parse_curve("5x^6+21x^5-63x^4-49x^3+294x^2-343")
-    assert c == Z6_CURVE
-    assert parse_curve("y^2 = 5*x^6 + 21*x^5 - 63*x^4 - 49*x^3 + 294*x^2 - 343") == c
-
-
-def test_parse_curve_forms():
-    assert parse_curve("x^5+1") == QUINTIC
-    assert parse_curve("y^2 = x^6 - x - 1") == GenusTwoCurve.from_coefficients(
-        [-1, -1, 0, 0, 0, 0, 1])
-    # repeated powers accumulate, bare x means degree 1
-    assert parse_curve("x^5+x+x") == GenusTwoCurve.from_coefficients(
-        [0, 2, 0, 0, 0, 1])
-
-
-@pytest.mark.parametrize("bad", ["", "y^2 =", "x^7+1", "3z^2+1", "x^2+", "5"])
-def test_parse_curve_errors(bad):
-    with pytest.raises(ValueError):
-        parse_curve(bad)
-
-
 def test_curve_str_round_trips():
+    # the printed f parses back, with sympy, to the coefficients
     for row in TABLE:
-        assert parse_curve(str(row.curve)) == row.curve
-        assert str(row.curve).startswith("y^2 = ")
+        text = str(row.curve)
+        assert text.startswith("y^2 = ")
+        poly = sympy.Poly(sympy.sympify(re.sub(r"(\d)x", r"\1*x", text[6:]).replace("^", "**")))
+        assert tuple(reversed(poly.all_coeffs())) == row.curve.coeffs[:row.curve.degree + 1]
+    assert str(Z6_CURVE) == "y^2 = 5x^6+21x^5-63x^4-49x^3+294x^2-343"
+    assert str(QUINTIC) == "y^2 = x^5+1"
 
 
 def test_good_primes_degree_drop():
@@ -809,7 +793,7 @@ def test_factor_degrees_match_sympy():
             f = sum(int(c) * x**i for i, c in enumerate(row.curve.coeffs))
             poly = sympy.Poly(f, x, modulus=p)
             expected = sorted(int(g.degree()) for g, _ in poly.factor_list()[1])
-            assert sorted(jacobian._factor_degrees(row.curve, p)) == expected
+            assert sorted(curve_mod._factor_degrees(row.curve, p)) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -825,7 +809,7 @@ def test_factor_degrees_match_sympy_random(coeffs, p):
     x = sympy.Symbol("x")
     f = sympy.Poly(sum(c * x**i for i, c in enumerate(curve.coeffs)), x, modulus=p)
     expected = sorted(g.degree() for g, m in f.factor_list()[1] for _ in range(m))
-    assert sorted(jacobian._factor_degrees(curve, p)) == expected
+    assert sorted(curve_mod._factor_degrees(curve, p)) == expected
 
 
 def _distinct_degree_oracle(curve: GenusTwoCurve, p: int) -> list[int]:
@@ -845,7 +829,7 @@ def test_patterns_are_the_partitions_of_five_and_six():
 def test_factor_degrees_match_distinct_degree_on_the_table_curves():
     for row in TABLE:
         for p in good_primes(row.curve, 10_000):
-            assert jacobian._factor_degrees(row.curve, p) == _distinct_degree_oracle(
+            assert curve_mod._factor_degrees(row.curve, p) == _distinct_degree_oracle(
                 row.curve, p), (row.torsion, p)
 
 
@@ -879,7 +863,7 @@ PRIMES_TO_A_MILLION = st.integers(10, 999_982).map(nextprime)
 def test_factor_degrees_find_every_pattern(pattern, p, seed, drop):
     curve = _curve_with_pattern(pattern, p, random.Random(seed), drop)
     assert _distinct_degree_oracle(curve, p) == list(pattern)
-    assert jacobian._factor_degrees(curve, p) == list(pattern)
+    assert curve_mod._factor_degrees(curve, p) == list(pattern)
 
 
 @settings(max_examples=200, deadline=None)
@@ -890,20 +874,20 @@ def test_factor_degrees_match_distinct_degree_random(coeffs, p):
     except ValueError:  # degree below 5, or singular
         return
     if good_prime(curve, p):
-        assert jacobian._factor_degrees(curve, p) == _distinct_degree_oracle(curve, p)
+        assert curve_mod._factor_degrees(curve, p) == _distinct_degree_oracle(curve, p)
 
 
 @pytest.mark.parametrize("index, p", [(1, 5), (4, 5), (2, 263)])
 def test_factor_degrees_where_the_degree_drops(index, p):
     curve = TABLE[index].curve
     assert curve.coeffs[6] % p == 0 and good_prime(curve, p)
-    assert jacobian._factor_degrees(curve, p) == _distinct_degree_oracle(curve, p)
+    assert curve_mod._factor_degrees(curve, p) == _distinct_degree_oracle(curve, p)
 
 
 def test_factor_degrees_at_three_and_five():
     # x^5 - x vanishes on all of F_5: no t in F_5 has f(t) != 0
     x5 = GenusTwoCurve.from_coefficients([0, -1, 0, 0, 0, 1])
-    assert jacobian._factor_degrees(x5, 5) == [1, 1, 1, 1, 1]
+    assert curve_mod._factor_degrees(x5, 5) == [1, 1, 1, 1, 1]
     checked = 0
     for coeffs in itertools.product(range(-2, 3), repeat=4):
         for top in ([1], [0, 1], [1, 1], [2, 0, 3]):
@@ -913,7 +897,7 @@ def test_factor_degrees_at_three_and_five():
                 continue
             for p in (3, 5):
                 if good_prime(curve, p):
-                    assert jacobian._factor_degrees(curve, p) == _distinct_degree_oracle(
+                    assert curve_mod._factor_degrees(curve, p) == _distinct_degree_oracle(
                         curve, p), (curve.coeffs, p)
                     checked += 1
     assert checked > 500
@@ -928,9 +912,9 @@ def test_factor_degrees_need_no_distinct_degree_split(monkeypatch):
         raise AssertionError("fp_distinct_degree was called")
 
     monkeypatch.setattr(exact, "fp_distinct_degree", refuse)
-    assert not hasattr(jacobian, "fp_distinct_degree")
+    assert not hasattr(curve_mod, "fp_distinct_degree")
     for pattern, p, curve in cases:
-        assert jacobian._factor_degrees(curve, p) == list(pattern)
+        assert curve_mod._factor_degrees(curve, p) == list(pattern)
 
 
 @pytest.mark.parametrize("index, p, group", [
@@ -1180,7 +1164,7 @@ def test_gcd_degree_matches_fp_gcd(shared):
             f = fp_mul(k, (*(rng.randrange(p) for _ in range(6 - shared)), 1), p)
             g = fp_mul(k, [rng.randrange(p) for _ in range(6 - shared)], p)
             six = g + (0,) * (6 - len(g))
-            assert jacobian._gcd_degree(f, six, p) == len(exact.fp_gcd(f, g, p)) - 1 >= shared
+            assert curve_mod._gcd_degree(f, six, p) == len(exact.fp_gcd(f, g, p)) - 1 >= shared
 
 
 # ---------------------------------------------------------------------------
@@ -1387,13 +1371,35 @@ def test_package_docstrings_name_exactly_the_modules():
     assert named == files - {"quatorsion"}
 
 
+def test_curve_imports_jacobian_only_to_settle_an_lpoly():
+    # curve owns the factorization type of f mod p and the 2-torsion
+    # count: jacobian imports nothing from torsion, and curve imports
+    # jacobian only in the branch where more than one a2 survives
+    def tree(module):
+        return list(ast.walk(ast.parse(Path(module.__file__).read_text())))
+
+    def imports(nodes):
+        return [(node, {a.name for a in node.names}) for node in nodes
+                if isinstance(node, ast.ImportFrom) and node.level == 1]
+
+    assert all(node.module != "torsion" and "torsion" not in names
+               for node, names in imports(tree(jacobian)))
+    nodes = tree(curve_mod)
+    [(node, names)] = [(n, names) for n, names in imports(nodes)
+                       if n.module == "jacobian" or "jacobian" in names]
+    assert node.module is None and names == {"jacobian"} and node.col_offset > 0
+    used = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "jacobian"}
+    assert used == {"_settle_by_annihilation"}
+
+
 def test_divisor_order_check_survives_python_O():
     code = (
         "import sys\n"
-        "from quatorsion.genus2.curve import parse_curve\n"
+        "from quatorsion.genus2.curve import GenusTwoCurve\n"
         "from quatorsion.genus2.jacobian import (\n"
         "    divisor_order, mumford_divisor, odd_degree_model)\n"
-        "f5 = odd_degree_model(parse_curve('x^5 + 1'), 7)\n"
+        "f5 = odd_degree_model(GenusTwoCurve.from_coefficients([1, 0, 0, 0, 0, 1]), 7)\n"
         "try:\n"
         "    divisor_order(mumford_divisor(f5, 7, (-1, 1), (3,)), f5, 1)\n"
         "except ValueError as exc:\n"
@@ -1431,9 +1437,9 @@ def test_model_with_no_affine_point_does_not_hang():
     # subprocess so that a hang fails the test
     code = (
         "import random\n"
-        "from quatorsion.genus2.curve import parse_curve\n"
+        "from quatorsion.genus2.curve import GenusTwoCurve\n"
         "from quatorsion.genus2.jacobian import jacobian_group_mod_p, random_divisor\n"
-        "curve = parse_curve('x^5 + 4x^4 + 3x^3 + x^2 + 4x + 6')\n"
+        "curve = GenusTwoCurve.from_coefficients([6, 4, 1, 3, 4, 1])\n"
         "print(jacobian_group_mod_p(curve, 7))\n"
         "rng = random.Random(0)\n"
         "draws = [random_divisor((6, 4, 1, 3, 4, 1), 7, rng) for _ in range(200)]\n"
@@ -1501,6 +1507,7 @@ def test_two_torsion_count_matches_enumeration(degrees):
 
 
 def test_two_torsion_count_examples():
+    assert torsion.two_torsion_count is two_torsion_count
     assert two_torsion_count([2, 2, 2]) == 4
     assert two_torsion_count([6]) == 1
     assert two_torsion_count([1] * 6) == 16

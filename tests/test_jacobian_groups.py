@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from class_oracle import enumerate_classes
 from quatorsion.exact import factorint, multiplicity, poly_eval
+from quatorsion.genus2 import curve as curve_mod
 from quatorsion.genus2 import jacobian
 from quatorsion.genus2.curve import GenusTwoCurve, curve_lpoly, curve_lpolys, good_prime, good_primes
 from quatorsion.genus2.jacobian import JacobianGroup, divisor_order, jacobian_group_mod_p
@@ -132,7 +133,7 @@ def test_open_structures_are_at_primes_where_the_sextic_has_no_root():
     for i, row in enumerate(TABLE):
         for p, (_, invariants, _) in GROUPS[i].items():
             if invariants is None:
-                assert row.curve.coeffs[6] % p and 1 not in jacobian._factor_degrees(row.curve, p)
+                assert row.curve.coeffs[6] % p and 1 not in curve_mod._factor_degrees(row.curve, p)
 
 
 def test_square_sylow_subgroups_need_no_quintic_model(monkeypatch):
@@ -174,6 +175,23 @@ def test_jacobian_groups_on_the_quintic_without_the_frobenius_rule(monkeypatch):
     assert probed == 12
 
 
+def test_a_prime_without_a_model_is_left_open():
+    # mod 7 this f has type (2, 2, 2), every f(a) is a nonzero square and
+    # f_6 = 2 = 3^2 is one too: there is neither an inert sextic nor a
+    # quintic to draw classes on, and the 2-part stays open
+    curve = GenusTwoCurve.from_coefficients([9, -5, 10, 19, -2, 4, 2])
+    p = 7
+    c = [v % p for v in curve.coeffs]
+    assert curve_mod._factor_degrees(curve, p) == [2, 2, 2]
+    assert all(jacobian._legendre(poly_eval(c, a), p) == 1 for a in range(p))
+    assert jacobian._legendre(c[6], p) == 1
+    assert jacobian._inert_model(c, p) is None and jacobian.odd_degree_model(curve, p) is None
+    for seed in (0, 1):
+        group = jacobian_group_mod_p(curve, p, seed)
+        assert group == JacobianGroup(p, 144, None, 2)
+        assert group.proved_by == {2: None, 3: "frobenius"}
+
+
 # ---------------------------------------------------------------------------
 # the Frobenius rule
 
@@ -185,7 +203,7 @@ def test_the_frobenius_rule_proves_what_probes_cannot_reach():
     for i, row in enumerate(TABLE):
         for p in GROUPS[i]:
             group = jacobian_group_mod_p(row.curve, p)
-            rootless = row.curve.coeffs[6] % p and 1 not in jacobian._factor_degrees(row.curve, p)
+            rootless = row.curve.coeffs[6] % p and 1 not in curve_mod._factor_degrees(row.curve, p)
             assert sorted(group.proved_by) == sorted(factorint(group.order))
             assert (group.invariants is None) == (None in group.proved_by.values())
             if rootless:
@@ -201,7 +219,7 @@ def test_the_frobenius_rule_proves_what_probes_cannot_reach():
 def _shapes_without_the_rule(curve, p: int, seed: int = 0) -> dict[int, tuple | None]:
     """ell -> the shape of the ell-Sylow subgroup of J(F_p) proved by the
     bounds and at most 16 probes, rootless primes included, or None."""
-    two_rank = jacobian._two_rank(jacobian._factor_degrees(curve, p))
+    two_rank = curve_mod._two_rank(curve_mod._factor_degrees(curve, p))
     order = curve_lpoly(curve, p).point_count()
     sylows = [jacobian._SylowProof(ell, v, p, two_rank) for ell, v in factorint(order).items()]
     c = [v % p for v in curve.coeffs]
