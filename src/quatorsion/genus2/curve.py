@@ -32,8 +32,8 @@ every good p <= B come from one pass, in four steps:
    bits of memory, against sum p ~ B^2 / (2 ln B) steps one prime at a
    time.  The few p >= 7 dividing f(0) f_6 of that model share one
    more short run on a second model, shifted so that its f(0) f_6 is
-   prime to them; ``curve_lpoly`` runs it for one prime on a model for
-   that prime.
+   prime to them.  One prime is the same stream at [p]: a run of p
+   steps, on the coefficients reduced mod p.
 2. a1 = -tr W and a2 = det W mod p (Manin).  For p >= 67 the Weil
    bound |a1| <= 4 sqrt(p) < p/2 fixes a1; below it, a1 comes from
    counting the points over F_p, with the values of f from its forward
@@ -465,11 +465,13 @@ def _power_pairs(f, primes):
 
     T runs once over n < max(primes), modulo the product of the primes
     not yet passed: for primes up to B, about B steps on integers of
-    about 1.44 B bits, in O(B) bits of memory.
+    about 1.44 B bits, in O(B) bits of memory.  Coefficients of f at
+    least that product in size are reduced modulo it first, so one prime
+    runs on residues; a smaller negative one would grow to its size.
     """
-    f0, f1, f2, f3, f4, f5, f6 = f
-    m = -2 * f0
     modulus = prod(primes)
+    f0, f1, f2, f3, f4, f5, f6 = (t % modulus if abs(t) >= modulus else t for t in f)
+    m = -2 * f0
     t0, t1, t2, t3, t4, t5 = 1, 0, 0, 0, 0, 0
     n = 0
     for p in primes:
@@ -500,13 +502,6 @@ def _hasse_witt_traces(f, primes):
         yield p, (low1 + high2) % p, (low1 * high2 - low2 * high1) % p
 
 
-def _hasse_witt(c, p: int) -> tuple[int, int]:
-    """Trace and determinant mod p of the Hasse-Witt matrix of y^2 = c(x),
-    from the recurrence for p alone on a model for p alone."""
-    _, trace, det = next(_hasse_witt_traces(_hasse_witt_model(c, [p]), [p]))
-    return trace, det
-
-
 def _weil_a2s(p: int, a1: int, a2_mod_p: int) -> range:
     """The a2 = a2_mod_p mod p with 1 + a1 T + a2 T^2 + p a1 T^3 + p^2 T^4
     Weil-valid, descending.
@@ -533,52 +528,53 @@ def _two_part_fits(p: int, a1: int, a2: int, two_rank: int) -> bool:
     return all(n % (1 << two_rank) == 0 for n in orders)
 
 
-def curve_lpoly(curve: GenusTwoCurve, p: int, *, degrees=None) -> WeilPoly2:
-    """Weil polynomial of the reduction of the curve mod a good prime p.
+def _reductions(curve: GenusTwoCurve, primes):
+    """Yield (p, L, ``_factor_degrees(curve, p)``) for each p of
+    ``primes``, good and ascending: counts at p <= 5, then the runs of
+    step 1 of the module docstring, the second one only if some p needs
+    it."""
+    f = _hasse_witt_model(curve.coeffs)
+    rest = [p for p in primes if p > 5 and f[0] * f[6] % p == 0]
+    batch = _hasse_witt_traces(f, [p for p in primes if p > 5 and p not in rest])
+    extra = rest and _hasse_witt_traces(_hasse_witt_model(curve.coeffs, rest), rest)
+    for p in primes:
+        degrees = _factor_degrees(curve, p)
+        if p <= 5:
+            c = [v % p for v in curve.coeffs]
+            w = lpoly_from_counts(_count_points(c, p, 1), _count_points(c, p, 2), p)
+        else:
+            _, trace, det = next(extra if p in rest else batch)
+            w = _lpoly_from_hasse_witt(curve, p, trace, det, degrees)
+        yield p, w, degrees
 
-    O(p) time and O(1) memory, in the four steps of the module
-    docstring.  A caller that already has them may pass the degrees of
-    the irreducible factors of f mod p; the result does not depend on
-    them.  The random classes of the last step come from an RNG
-    seeded by p and f, so the result is deterministic.  ArithmeticError
-    means the random classes could not single out one candidate.
+
+def curve_lpoly(curve: GenusTwoCurve, p: int) -> WeilPoly2:
+    """Weil polynomial of the reduction of the curve mod a good prime p:
+    the stream of ``curve_lpolys`` at [p], in O(p) time and O(1) memory.
+
+    The random classes of step 4 come from an RNG seeded by p and f, so
+    the result is deterministic.  ArithmeticError means they could not
+    single out one candidate.
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
-    c = [v % p for v in curve.coeffs]
-    if p <= 5:
-        return lpoly_from_counts(_count_points(c, p, 1), _count_points(c, p, 2), p)
-    return _lpoly_from_hasse_witt(curve, p, *_hasse_witt(c, p), degrees)
+    return next(_reductions(curve, [p]))[1]
 
 
 def curve_lpolys(curve: GenusTwoCurve, bound: int):
-    """Yield (p, L) for every good prime p <= bound, ascending: the Weil
-    polynomials of ``curve_lpoly``, from two recurrences for all of them.
-
-    The recurrence runs on one integer model with f(0) f_6 != 0 (step 1
-    of the module docstring), forward and reversed: about B steps on
-    integers of about 1.44 B bits for B = bound, in O(B) bits of memory.
-    The few p >= 7 that divide f(0) f_6 of that model share a second
-    run, on a model whose f(0) f_6 is prime to them, with coefficients
-    reduced modulo their product.  Every p <= 5 gets ``curve_lpoly``.
-    """
-    f = _hasse_witt_model(curve.coeffs)
-    primes = good_primes(curve, bound)
-    rest = [p for p in primes if p > 5 and f[0] * f[6] % p == 0]
-    batch = _hasse_witt_traces(f, [p for p in primes if p > 5 and p not in rest])
-    extra = _hasse_witt_traces(_hasse_witt_model(curve.coeffs, rest), rest)
-    for p in primes:
-        if p <= 5:
-            yield p, curve_lpoly(curve, p)
-            continue
-        _, trace, det = next(extra if p in rest else batch)
-        yield p, _lpoly_from_hasse_witt(curve, p, trace, det)
+    """Yield (p, L) for every good prime p <= bound, ascending, from one
+    recurrence for all of them (step 1 of the module docstring): about
+    B steps on integers of about 1.44 B bits for B = bound, in O(B) bits
+    of memory."""
+    for p, w, _ in _reductions(curve, good_primes(curve, bound)):
+        yield p, w
 
 
 def _lpoly_from_hasse_witt(
-    curve: GenusTwoCurve, p: int, trace: int, det: int, degrees=None
+    curve: GenusTwoCurve, p: int, trace: int, det: int, degrees
 ) -> WeilPoly2:
-    """Steps 2 to 4 of the module docstring, from tr W and det W mod p >= 7."""
+    """Steps 2 to 4 of the module docstring, from tr W and det W mod
+    p >= 7 and the factor degrees of f mod p."""
     c = [v % p for v in curve.coeffs]
     if p < 67:
         a1 = _count_points(c, p, 1) - p - 1
@@ -587,8 +583,6 @@ def _lpoly_from_hasse_witt(
     else:
         # |a1| <= 4 sqrt(p) < p / 2
         a1 = -trace if 2 * trace < p else p - trace
-    if degrees is None:
-        degrees = _factor_degrees(curve, p)
     two_rank = _two_rank(degrees)
     fits = [a2 for a2 in _weil_a2s(p, a1, det) if _two_part_fits(p, a1, a2, two_rank)]
     if not fits:

@@ -7,9 +7,10 @@ reduced representative of a class is unique, so any correct route to
 the sum gives the same pair.
 
 Classes are added on the "inert" sextic z^6 f(a + 1/z) for an a with
-f(a) a non-square (``_inert_model``), found in a few values of f, which
-needs no root of f: the L-polynomial step of ``curve`` draws classes
-there and on the twist's, and ``jacobian_group_mod_p`` probes there.
+f(a) a non-square (``_inert_model``), found in a few values of f, or on
+f itself when only f_6 is one, which needs no root of f: the
+L-polynomial step of ``curve`` draws classes there and on the twist's,
+and ``jacobian_group_mod_p`` probes there.
 The leading coefficient of that model is f(a), so its two points at
 infinity are conjugate over F_p and their sum D_inf is rational.  Every
 class of J(F_p) is then D - D_inf for a unique reduced effective D of
@@ -104,7 +105,7 @@ from ..exact import (
     validate_invariants,
 )
 from ..weil import WeilPoly2
-from .curve import GenusTwoCurve, _factor_degrees, _two_rank, curve_lpoly, good_prime
+from .curve import GenusTwoCurve, _reductions, _two_rank, good_prime
 
 
 def _deg(f) -> int:
@@ -565,16 +566,19 @@ def _square_roots(w: int, p: int) -> list[int]:
 
 
 def _inert_model(c, p: int, twist: int = 1):
-    """z^6 g(a + 1/z) for g = twist * c and g(a) a non-square, or None.
+    """z^6 g(a + 1/z) for g = twist * c and the least a in F_p with g(a)
+    a non-square; where there is none, g itself if its leading
+    coefficient is a non-square; otherwise None.
 
-    Its leading coefficient g(a) is a non-square: the two points at
-    infinity are conjugate, and their sum D_inf is rational (module
-    docstring).
+    Its leading coefficient, g(a) or g_6, is a non-square: the two
+    points at infinity are conjugate, and their sum D_inf is rational
+    (module docstring).
     """
     for a in range(p):
-        value = twist * poly_eval(c, a) % p
-        if value and pow(value, (p - 1) // 2, p) != 1:
+        if _legendre(twist * poly_eval(c, a), p) < 0:
             return tuple(twist * t % p for t in reversed(poly_taylor(c, a)))
+    if _legendre(twist * c[6], p) < 0:
+        return tuple(twist * t % p for t in c)
     return None
 
 
@@ -583,7 +587,7 @@ def _class_models(c, p: int):
     quadratic twist y^2 = d c(x), each None where there is none, and
     each built when it is asked for."""
     yield _inert_model(c, p)
-    d = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
+    d = next(a for a in range(2, p) if _legendre(a, p) < 0)
     yield _inert_model(c, p, d)
 
 
@@ -915,8 +919,9 @@ def jacobian_group_mod_p(
 ) -> JacobianGroup:
     """Structure of J(F_p) at a good prime p.
 
-    The order comes from the zeta function and the 2-rank from the
-    factorization type of f mod p.  Each Sylow subgroup is proved by
+    The order L(1) and the 2-rank come from the L-polynomial and the
+    factorization type of f mod p, both read off the stream of
+    ``curve_lpolys`` at [p].  Each Sylow subgroup is proved by
     ``_SylowProof``, by the first of three rules that leaves one shape:
     the order and rank bounds; the Weil polynomial alone, where Z_ell[pi]
     is maximal (``_frobenius_shape``), before any model is built; and at
@@ -940,9 +945,8 @@ def jacobian_group_mod_p(
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
-    degrees = _factor_degrees(curve, p)
+    _, w, degrees = next(_reductions(curve, [p]))
     two_rank = _two_rank(degrees)
-    w = curve_lpoly(curve, p, degrees=degrees)
     order = w.point_count()
     sylows = [_SylowProof(ell, v, p, two_rank) for ell, v in factorint(order).items()]
     for s in sylows:
@@ -964,9 +968,10 @@ def _probe(curve: GenusTwoCurve, p: int, order: int, sylows, seed: int) -> None:
 
     They are drawn from an RNG seeded by ``seed`` on the inert sextic
     (``_inert_model``), built only when a proof is open.  Where every
-    value of f mod p is 0 or a square there is no inert sextic, and they
-    are drawn on the quintic of ``odd_degree_model``; by the Hasse-Weil
-    bound that happens only at p <= 23.
+    value of f mod p is 0 or a square and f_6 is a square there is no
+    inert sextic, and they are drawn on the quintic of
+    ``odd_degree_model``; by the Hasse-Weil bound that happens only at
+    p <= 23.
     """
     open_ = [s for s in sylows if s.shape is None]
     if not open_:

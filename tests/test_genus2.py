@@ -619,19 +619,19 @@ def _count_probes(monkeypatch) -> list:
     """Draws of random_divisor made by the probing of jacobian_group_mod_p,
     after the L-polynomial step, which draws classes of its own."""
     probes = []
-    draw, lpoly = jacobian.random_divisor, jacobian.curve_lpoly
+    draw, stream = jacobian.random_divisor, jacobian._reductions
 
     def counted(*args):
         probes.append(args)
         return draw(*args)
 
-    def lpoly_then_reset(*args, **kwargs):
-        out = lpoly(*args, **kwargs)
-        probes.clear()
-        return out
+    def stream_then_reset(*args):
+        for out in stream(*args):
+            probes.clear()
+            yield out
 
     monkeypatch.setattr(jacobian, "random_divisor", counted)
-    monkeypatch.setattr(jacobian, "curve_lpoly", lpoly_then_reset)
+    monkeypatch.setattr(jacobian, "_reductions", stream_then_reset)
     return probes
 
 

@@ -16,6 +16,7 @@ bounds alone.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -80,7 +81,9 @@ GROUPS = {
 
 
 # f (ascending, reduced mod p), p, (order, invariants, 2-rank) at seeds 0
-# and 1, and the Sylow subgroups not proved by the bounds, with their rule
+# and 1, and the Sylow subgroups not proved by the bounds, with their rule.
+# Every f(a) is 0 or a square and f has a root; where f_6 is a non-square
+# f itself is the inert model, and the quintic serves the others
 QUINTIC_ONLY = [
     ((0, 1, 5, 1, 2, 1, 5), 7, (105, (105,), 0), {}),
     ((2, 6, 6, 6, 1, 1, 1), 7, (131, (131,), 0), {}),
@@ -150,16 +153,21 @@ def test_jacobian_groups_on_the_quintic_match_the_pins(seed, monkeypatch):
     quintic = jacobian.odd_degree_model
     monkeypatch.setattr(jacobian, "odd_degree_model",
                         lambda *args: models.append(args) or quintic(*args))
+    quintics = 0
     for f, p, entry, rules in QUINTIC_ONLY:
         curve = GenusTwoCurve.from_coefficients(f)
         c = [v % p for v in curve.coeffs]
-        assert jacobian._inert_model(c, p) is None
+        assert all(jacobian._legendre(poly_eval(c, a), p) >= 0 for a in range(p))
         assert any(poly_eval(c, a) % p == 0 for a in range(p))
+        own = jacobian._legendre(c[6], p) < 0
+        assert jacobian._inert_model(c, p) == (tuple(c) if own else None)
         models.clear()
         group = jacobian_group_mod_p(curve, p, seed)
         assert group == JacobianGroup(p, *entry), (f, p)
         assert {ell: rule for ell, rule in group.proved_by.items() if rule != "bounds"} == rules
-        assert bool(models) == ("probes" in rules.values()), (f, p)
+        assert bool(models) == ("probes" in rules.values() and not own), (f, p)
+        quintics += bool(models)
+    assert quintics == 5
 
 
 def test_jacobian_groups_on_the_quintic_without_the_frobenius_rule(monkeypatch):
@@ -190,6 +198,26 @@ def test_a_prime_without_a_model_is_left_open():
         group = jacobian_group_mod_p(curve, p, seed)
         assert group == JacobianGroup(p, 144, None, 2)
         assert group.proved_by == {2: None, 3: "frobenius"}
+
+
+@pytest.mark.parametrize("coeffs, p, order", [([-4, -20, 0, -12, -8, 8, 11], 13, 399),
+                                              ([-2, -11, 14, 11, -11, -11, -3], 11, 289)])
+def test_a_sextic_that_is_its_own_inert_model(coeffs, p, order):
+    # every f(a) is 0 or a square and f has no root mod p, but f_6 is a
+    # non-square: no finite a gives an inert sextic and there is no
+    # quintic, so f itself is the model classes are drawn on
+    curve = GenusTwoCurve.from_coefficients(coeffs)
+    c = [v % p for v in curve.coeffs]
+    assert all(jacobian._legendre(poly_eval(c, a), p) == 1 for a in range(p))
+    assert jacobian._legendre(c[6], p) == -1 and jacobian.odd_degree_model(curve, p) is None
+    f = jacobian._inert_model(c, p)
+    assert f == tuple(c)
+    jacobian._check_model(f, p)
+    assert curve_lpoly(curve, p).point_count() == order
+    rng = random.Random(0)
+    classes = [jacobian.random_divisor(f, p, rng) for _ in range(4)]
+    assert not all(d.is_identity for d in classes)
+    assert all(jacobian.cantor_mul(order, d, f).is_identity for d in classes)
 
 
 # ---------------------------------------------------------------------------

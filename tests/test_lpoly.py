@@ -128,13 +128,18 @@ def test_curve_lpoly_matches_grid_random(coeffs, quintic, p):
 
 
 def test_hasse_witt_matches_full_power():
-    # the recurrence, on every model it builds, against f^((p-1)/2) itself
+    # the recurrence for one prime, on the model that the stream at [p]
+    # runs it on and on a model for p alone, against f^((p-1)/2) itself
     for curve in CURVES + [TWIST_ONLY]:
+        f = curve_mod._hasse_witt_model(curve.coeffs)
         for p in good_primes(curve, 60):
             if p < 7:
                 continue
             c = [v % p for v in curve.coeffs]
-            assert curve_mod._hasse_witt(c, p) == _hasse_witt_from_power(c, p), (curve, p)
+            alone = curve_mod._hasse_witt_model(curve.coeffs, [p])
+            for model in [alone] + [f] * bool(f[0] * f[6] % p):
+                _, trace, det = next(curve_mod._hasse_witt_traces(model, [p]))
+                assert (trace, det) == _hasse_witt_from_power(c, p), (curve, p, model)
 
 
 def _power_from_expansion(f, p: int) -> tuple[int, int]:
@@ -223,8 +228,6 @@ def test_curve_lpolys_batch_the_primes_of_the_model(monkeypatch):
     assert all(0 <= t < 7 * 11 * 13 for t in model)
     runs = []
     original = curve_mod._power_pairs
-    monkeypatch.setattr(curve_mod, "_hasse_witt",
-                        lambda c, p: pytest.fail(f"single-prime recurrence at {p}"))
     monkeypatch.setattr(curve_mod, "_power_pairs",
                         lambda f, primes: runs.append(list(primes)) or original(f, primes))
     batched = list(curve_lpolys(curve, 150))
@@ -237,7 +240,9 @@ def test_curve_lpolys_batch_the_primes_of_the_model(monkeypatch):
 
 def test_second_model_serves_the_table_curves():
     # the primes that divide f(0) f_6 of the global model: 61 on (2), 7
-    # on (3,3), and 43, 227 and 263 on (3)
+    # on (3,3), and 43, 227 and 263 on (3).  The stream at [p] takes each
+    # through a second model for p alone, the stream to 300 through one
+    # for all of them
     rest = {}
     for row in TABLE:
         f = curve_mod._hasse_witt_model(row.curve.coeffs)
@@ -248,8 +253,13 @@ def test_second_model_serves_the_table_curves():
             assert all(model[0] * model[6] % p for p in primes)
             for p, trace, det in curve_mod._hasse_witt_traces(model, primes):
                 c = [v % p for v in row.curve.coeffs]
-                assert (trace, det) == curve_mod._hasse_witt(c, p)
+                assert (trace, det) == _hasse_witt_from_power(c, p)
+            stream = dict(curve_lpolys(row.curve, 300))
+            for p in primes:
+                assert curve_lpoly(row.curve, p) == stream[p]
+                assert p > 61 or stream[p] == oracle_lpoly(row.curve.coeffs, p)
     assert rest == {(2,): [61], (3,): [43, 227, 263], (3, 3): [7]}
+
 
 
 def test_degree_drop_prime():
@@ -265,7 +275,9 @@ def test_degree_drop_prime():
 def test_twist_only_case(monkeypatch):
     p = 41
     c = [v % p for v in TWIST_ONLY.coeffs]
-    trace, det = curve_mod._hasse_witt(c, p)
+    f = curve_mod._hasse_witt_model(TWIST_ONLY.coeffs)
+    _, trace, det = next(curve_mod._hasse_witt_traces(f, [p]))
+    assert (trace, det) == _hasse_witt_from_power(c, p)
     a1 = -trace if 2 * trace < p else p - trace
     degrees = curve_mod._factor_degrees(TWIST_ONLY, p)
     two_rank = curve_mod._two_rank(degrees)
@@ -423,20 +435,23 @@ def test_count_points_curve_over_fp2_reads_the_lpoly():
 
 
 def test_shared_work_gives_the_same_lpoly(monkeypatch):
+    # the stream over all the primes and the stream at [p] yield the same
+    # L-polynomial and factorization type
     for row in TABLE:
-        for p in good_primes(row.curve, 120):
-            if p < 7:
-                continue
-            degrees = curve_mod._factor_degrees(row.curve, p)
-            assert curve_lpoly(row.curve, p, degrees=degrees) == curve_lpoly(row.curve, p)
-    # jacobian_group_mod_p reads the type once and hands it to curve_lpoly;
-    # each module calls its own binding, so both are counted
+        stream = list(curve_mod._reductions(row.curve, good_primes(row.curve, 120)))
+        for p, w, degrees in stream:
+            assert next(curve_mod._reductions(row.curve, [p])) == (p, w, degrees)
+            assert w == curve_lpoly(row.curve, p)
+            assert degrees == curve_mod._factor_degrees(row.curve, p)
+    # jacobian_group_mod_p and curve_lpoly read the type once, from the stream
     calls = []
     original = curve_mod._factor_degrees
-    for module in (curve_mod, jacobian):
-        monkeypatch.setattr(module, "_factor_degrees",
-                            lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(curve_mod, "_factor_degrees",
+                        lambda *args: calls.append(args) or original(*args))
     jacobian_group_mod_p(SIX_CURVE, 97, seed=3)
+    assert len(calls) == 1
+    calls.clear()
+    curve_lpoly(SIX_CURVE, 97)
     assert len(calls) == 1
 
 
