@@ -18,7 +18,7 @@ checks a claim against, and over F_p the 2-rank of J(F_p)
 
 The L-polynomial L(T) = 1 + a1 T + a2 T^2 + p a1 T^3 + p^2 T^4 of a
 reduction takes O(p) time and O(1) memory at one prime, and those at
-every good p <= B come from one pass, in four steps:
+every good p <= B come from one pass, in five steps:
 
 1. The Hasse-Witt (Cartier-Manin) matrix is W = [[c_{p-1}, c_{p-2}],
    [c_{2p-1}, c_{2p-2}]] in the coefficients c_n of f^((p-1)/2).  The
@@ -49,7 +49,17 @@ every good p <= B come from one pass, in four steps:
    factors (Stickelberger's theorem on the binary discriminant) and,
    for a sextic without a root, its roots in F_{p^2} fix it, from one
    ladder for x^p mod f (``_factor_degrees``).
-4. L(1) = #J(F_p) annihilates every class of J(F_p), and L(-1) every
+4. Where more than one candidate is left, two more tests on the
+   2-part come first, with no Cantor ladder.  Over F_{p^3}, where a
+   factor of degree 3 or 6 splits, the 2-rank there must fit the orders
+   of the base change (``_fits_over_f_p3``).  Where the 2-rank r is at
+   least 1, the Tate pairing on J(F_p)[2] gives the number r1 of cyclic
+   factors of order >= 4 of J(F_p) (``jacobian._tate_rank``, on the
+   sextic z^6 f(a + 1/z) with f(a) a non-square), so v_2(L(1)) is r
+   when r1 = 0 and at least r + r1 otherwise (``_two_sylow_fits``).  At
+   the good p <= 1000 of the five table curves they leave one candidate
+   at all 195 such primes with r >= 1 and at 33 of the 64 with r = 0.
+5. L(1) = #J(F_p) annihilates every class of J(F_p), and L(-1) every
    class of the twist's Jacobian: classes rule out the other candidates
    (Kedlaya-Sutherland, ANTS VIII, 2008).  The candidates are taken
    from the largest a2 down, where a reduction isogenous to a square
@@ -57,11 +67,11 @@ every good p <= B come from one pass, in four steps:
    vanishes the order of D divides L(1), and a ladder of a few bits,
    for the gcd with the next candidate's order, decides that one, and
    otherwise steps of -[p] D walk down the others.  A class is the sum
-   of two random affine points less D_inf on the sextic z^6 f(a + 1/z)
-   with f(a) a non-square, which needs no root of f (see ``jacobian``);
-   the twist's model is built only when the curve leaves more than one
-   candidate.  If more than one candidate survives, ArithmeticError:
-   the result is never a guess.
+   of two random affine points less D_inf on the inert sextic of step
+   4, which needs no root of f (see ``jacobian``); the twist's model is
+   built only when the curve leaves more than one candidate.  If more
+   than one candidate survives, or none, ArithmeticError: the result is
+   never a guess.
 
 At p <= 5, where those models need not exist, the counts over F_p and
 F_{p^2} are made directly (at most 25 values of x), and they give L.
@@ -72,7 +82,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import gcd, isqrt, lcm, prod
 
 from ..exact import (
@@ -80,12 +90,13 @@ from ..exact import (
     fp_monic,
     fp_trim,
     isprime,
+    multiplicity,
     poly_discriminant,
     poly_eval,
     poly_taylor,
     primerange,
 )
-from ..weil import WeilPoly2, is_weil_valid
+from ..weil import WeilPoly2, base_change, is_weil_valid
 
 # ---------------------------------------------------------------------------
 # construction and normalization
@@ -287,24 +298,21 @@ def _factor_degrees(curve: GenusTwoCurve, p: int) -> list[int]:
     A quintic g goes through the same kernel as the sextic x g, which
     has one more root in F_p when g(0) != 0.  The kernel works on six
     coefficients mod f (``_sextic_rows``, ``_frobenius``, ``_mulmod``),
-    and so do both gcds (``_gcd_degree``).
+    and so do both gcds (``_gcd``).
     """
     g = fp_monic(fp_trim([v % p for v in curve.coeffs]), p)
     sextic = g if len(g) == 7 else (0, *g)
     rows = _sextic_rows(sextic, p)
     h = _frobenius(rows, p)
-    roots = _gcd_degree(sextic, _minus_x(h, p), p) - (len(g) == 6 and g[0] != 0)
+    roots = len(_gcd(sextic, _minus_x(h, p), p)) - 1 - (len(g) == 6 and g[0] != 0)
     rest = len(g) - 1 - roots
     even = pow(curve.binary_disc, (p - 1) // 2, p) == 1  # (-1)^(n - k) = 1
     if rest == 6:
-        h2 = (h[5], 0, 0, 0, 0, 0)
-        for c in reversed(h[:5]):
-            h2 = _mulmod(h2, h, rows, p)
-            h2 = ((h2[0] + c) % p, *h2[1:])
+        h2 = _compose(h, h, rows, p)
         if not even:  # (6) or (2, 2, 2), where x^(p^2) = x
             tail = [2, 2, 2] if h2 == (0, 1, 0, 0, 0, 0) else [6]
         else:  # (3, 3) or (2, 4)
-            tail = [2, 4] if _gcd_degree(sextic, _minus_x(h2, p), p) else [3, 3]
+            tail = [2, 4] if len(_gcd(sextic, _minus_x(h2, p), p)) > 1 else [3, 3]
     elif rest >= 4 and even == (rest % 2 == 0):
         tail = [2, rest - 2]
     else:
@@ -317,9 +325,10 @@ def _minus_x(h, p: int) -> tuple[int, ...]:
     return (h[0], (h[1] - 1) % p, *h[2:])
 
 
-def _gcd_degree(f, g, p: int) -> int:
-    """deg gcd(f, g) over F_p for the monic sextic f and g of degree <= 5
-    given by six coefficients in [0, p): Euclid on coefficient lists."""
+def _gcd(f, g, p: int) -> list[int]:
+    """gcd(f, g) over F_p up to a unit, for f != 0 and g given by
+    coefficients in [0, p), ascending, such as a sextic and the six of a
+    residue mod it: Euclid on coefficient lists."""
     a, b = list(f), list(g)
     while b and not b[-1]:
         b.pop()
@@ -335,7 +344,7 @@ def _gcd_degree(f, g, p: int) -> int:
         while a and not a[-1]:
             a.pop()
         a, b = b, a
-    return len(a) - 1
+    return a
 
 
 def _sextic_rows(f, p: int):
@@ -390,6 +399,27 @@ def _mulmod(a, b, rows, p: int) -> tuple[int, ...]:
         a1 * b5 + a2 * b4 + a3 * b3 + a4 * b2 + a5 * b1,
         a2 * b5 + a3 * b4 + a4 * b3 + a5 * b2, a3 * b5 + a4 * b4 + a5 * b3,
         a4 * b5 + a5 * b4, a5 * b5), rows, p)
+
+
+def _compose(g, h, rows, p: int) -> tuple[int, ...]:
+    """g(h) mod f for g, h of degree <= 5 (six coefficients each), by
+    Horner's rule: for h = x^p, x^(p^2) = h(h)."""
+    acc = (g[5], 0, 0, 0, 0, 0)
+    for c in reversed(g[:5]):
+        acc = _mulmod(acc, h, rows, p)
+        acc = ((acc[0] + c) % p, *acc[1:])
+    return acc
+
+
+def _powmod(a, e: int, rows, p: int) -> tuple[int, ...]:
+    """a^e mod f for e >= 1 and a of degree <= 5 (six coefficients), by a
+    left-to-right ladder of ``_mulmod``."""
+    acc = a
+    for bit in bin(e)[3:]:
+        acc = _mulmod(acc, acc, rows, p)
+        if bit == "1":
+            acc = _mulmod(acc, a, rows, p)
+    return acc
 
 
 def _fold(c, rows, p: int) -> tuple[int, ...]:
@@ -528,6 +558,41 @@ def _two_part_fits(p: int, a1: int, a2: int, two_rank: int) -> bool:
     return all(n % (1 << two_rank) == 0 for n in orders)
 
 
+def _fits_over_f_p3(p: int, a1: int, a2s, degrees, two_rank: int) -> list[int]:
+    """The a2 of ``a2s`` that pass ``_two_part_fits`` over F_{p^3} too,
+    where a factor of f of degree 3 or 6 splits, and the 2-rank with it.
+
+    The Weil polynomial there is ``weil.base_change`` of 1 + a1 T + a2
+    T^2 + ..., J and its quadratic twist over F_{p^3} again share their
+    2-torsion, and a factor of degree d splits into gcd(d, 3) of degree
+    d / gcd(d, 3).  J(F_p) is a subgroup of J(F_{p^3}), and likewise for
+    the twist, so where no degree is a multiple of 3, and the 2-rank
+    stays ``two_rank``, the test over F_p implies this one unless that
+    rank is 0, where it asks for odd orders; elsewhere a2s is returned.
+    Over F_{p^k} for k = 2, 4, 5, 6 the test ruled out no candidate that
+    survives this one at the good p <= 2000 of the five table curves, so
+    it is not made.
+    """
+    if two_rank and all(d % 3 for d in degrees):
+        return a2s
+    rank = _two_rank([d // gcd(d, 3) for d in degrees for _ in range(gcd(d, 3))])
+    kept = []
+    for a2 in a2s:
+        w = base_change(WeilPoly2(p, a1, a2), 3)
+        if _two_part_fits(w.q, w.a1, w.a2, rank):
+            kept.append(a2)
+    return kept
+
+
+def _two_sylow_fits(p: int, a1: int, a2: int, two_rank: int, r1: int) -> bool:
+    """Whether a 2-Sylow subgroup with ``two_rank`` cyclic factors, r1
+    of them of order >= 4 (``jacobian._tate_rank``), fits in a group of
+    order L(1) = 1 + a1 (1 + p) + p^2 + a2: v_2(L(1)) = two_rank when r1
+    = 0, and v_2(L(1)) >= two_rank + r1 otherwise."""
+    v = multiplicity(2, 1 + a1 * (1 + p) + p * p + a2)
+    return v == two_rank if r1 == 0 else v >= two_rank + r1
+
+
 def _reductions(curve: GenusTwoCurve, primes):
     """Yield (p, L, ``_factor_degrees(curve, p)``) for each p of
     ``primes``, good and ascending: counts at p <= 5, then the runs of
@@ -552,9 +617,9 @@ def curve_lpoly(curve: GenusTwoCurve, p: int) -> WeilPoly2:
     """Weil polynomial of the reduction of the curve mod a good prime p:
     the stream of ``curve_lpolys`` at [p], in O(p) time and O(1) memory.
 
-    The random classes of step 4 come from an RNG seeded by p and f, so
-    the result is deterministic.  ArithmeticError means they could not
-    single out one candidate.
+    The random choices of steps 4 and 5 come from an RNG seeded by p and
+    f, so the result is deterministic.  ArithmeticError means they could
+    not single out one candidate.
     """
     if not good_prime(curve, p):
         raise ValueError(f"p = {p} is not a good prime for this curve")
@@ -573,7 +638,7 @@ def curve_lpolys(curve: GenusTwoCurve, bound: int):
 def _lpoly_from_hasse_witt(
     curve: GenusTwoCurve, p: int, trace: int, det: int, degrees
 ) -> WeilPoly2:
-    """Steps 2 to 4 of the module docstring, from tr W and det W mod
+    """Steps 2 to 5 of the module docstring, from tr W and det W mod
     p >= 7 and the factor degrees of f mod p."""
     c = [v % p for v in curve.coeffs]
     if p < 67:
@@ -585,11 +650,20 @@ def _lpoly_from_hasse_witt(
         a1 = -trace if 2 * trace < p else p - trace
     two_rank = _two_rank(degrees)
     fits = [a2 for a2 in _weil_a2s(p, a1, det) if _two_part_fits(p, a1, a2, two_rank)]
-    if not fits:
-        raise ArithmeticError(f"no Weil polynomial fits the Hasse-Witt matrix mod {p}")
+    if len(fits) > 1:
+        fits = _fits_over_f_p3(p, a1, fits, degrees, two_rank)
     if len(fits) > 1:
         from . import jacobian  # jacobian imports this module
 
         rng = random.Random(f"{p}/{curve.coeffs}")
-        return WeilPoly2(p, a1, jacobian._settle_by_annihilation(c, p, a1, fits, rng))
+        models = jacobian._class_models(c, p)
+        inert = next(models)
+        if two_rank:
+            r1 = jacobian._tate_rank(inert, p, degrees, rng)
+            if r1 is not None:
+                fits = [a2 for a2 in fits if _two_sylow_fits(p, a1, a2, two_rank, r1)]
+        if len(fits) > 1:
+            fits = [jacobian._settle_by_annihilation(chain([inert], models), p, a1, fits, rng)]
+    if not fits:
+        raise ArithmeticError(f"no Weil polynomial fits the Hasse-Witt matrix mod {p}")
     return WeilPoly2(p, a1, fits[0])

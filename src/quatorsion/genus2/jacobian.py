@@ -53,7 +53,7 @@ ValueError rather than give classes the group order does not kill.
 Combined with the group order from the zeta function this proves the
 abstract structure of J(F_p), one Sylow subgroup S at a time, for
 ell^v || #J(F_p) (``_SylowProof``).  S is proved once one shape Z/ell^e1
-x Z/ell^e2 x ... is left, and three rules narrow the shapes, in this
+x Z/ell^e2 x ... is left, and four rules narrow the shapes, in this
 order:
 
 1. The bounds: the ell-rank is <= 4 (<= 2 unless ell | p - 1, by the
@@ -63,11 +63,16 @@ order:
 2. The Weil polynomial alone, with no model and no class: where ell^2
    does not divide the discriminant of its radical m, Z_ell[pi] is
    maximal and S = (Z/ell^e)^k with e = v_ell(m(1)) and k = 4 / deg m
-   (``_frobenius_shape``, after Tate and Lenstra).  At the 107 good
-   p <= 100 of the five table curves it proves 16 structures that the
-   bounds leave open at primes where f has no root, and leaves 12
-   primes that need classes.
-3. Classes (after Sutherland, "Structure computation and discrete
+   (``_frobenius_shape``, after Tate and Lenstra).  It never applies at
+   ell = 2.  At the 107 good p <= 100 of the five table curves it
+   proves 16 structures that the bounds leave open at primes where f
+   has no root, and with rule 3 it leaves 7 primes that need classes.
+3. For ell = 2, the Tate pairing on J(F_p)[2], on the inert sextic: the
+   number of cyclic factors of order >= 4 is r - rank G for the Gram
+   matrix G of the pairing on a basis of J(F_p)[2] (``_tate_rank``).
+   That is one Frobenius ladder and a few gcds for the basis, and one
+   addition and r resultants for each column of G.
+4. Classes (after Sutherland, "Structure computation and discrete
    logarithms in finite abelian p-groups", Math. Comp. 80, 2011).  A
    uniformly random class D projects to Q = [#J / ell^v] D in S, and the
    ladder that multiplies Q by ell until it vanishes (shared with
@@ -95,17 +100,31 @@ from ..exact import (
     fp_mod,
     fp_monic,
     fp_mul,
+    fp_mulmod,
     fp_neg,
     fp_sub,
     fp_trim,
     multiplicity,
     poly_eval,
     poly_taylor,
+    rref_mod,
     sqrt_mod,
     validate_invariants,
 )
 from ..weil import WeilPoly2
-from .curve import GenusTwoCurve, _reductions, _two_rank, good_prime
+from .curve import (
+    GenusTwoCurve,
+    _compose,
+    _frobenius,
+    _gcd,
+    _minus_x,
+    _mulmod,
+    _powmod,
+    _reductions,
+    _sextic_rows,
+    _two_rank,
+    good_prime,
+)
 
 
 def _deg(f) -> int:
@@ -609,7 +628,170 @@ def _point_class(f, p: int, rng: random.Random) -> MumfordDivisor:
     return _divisor(p, _add_points(f, p, x1, y1, x2, y2))
 
 
-def _settle_by_annihilation(c, p: int, a1: int, a2s, rng) -> int:
+# ---------------------------------------------------------------------------
+# the Tate pairing on J(F_p)[2]
+# ---------------------------------------------------------------------------
+
+
+def _two_torsion_basis(f, p: int, degrees, rng: random.Random) -> list[tuple[int, ...]]:
+    """Monic quadratics u_1, ..., u_r dividing the inert sextic f whose
+    classes (u_i, 0) are a basis of J(F_p)[2] = (Z/2)^r, for ``degrees``
+    the factor degrees of the curve's f mod p (``curve._factor_degrees``).
+
+    A class of J[2] is a Galois-stable even set S of the six roots of f
+    modulo complement, and (u, 0) for u = the product of x - e over S
+    when |S| = 2; a stable S of size 2 is a quadratic factor or two
+    linear ones.  The quadratic factors q_1, ..., q_m and the l_1 l_j
+    over the linear factors l_1, ..., l_k are independent, but for the
+    one relation that they sum to all six roots; so the first r of them
+    are a basis.  l_1 ... l_k = gcd(f, z^p - z) and q_1 ... q_m = gcd(f,
+    z^(p^2) - z) / l_1 ... l_k come from the kernel of ``curve``, and a
+    product of more than one factor of degree d that is needed is split
+    by ``_equal_degree``.  f has the curve's factorization type, with
+    one more linear factor, z, where the degree of the curve drops mod p.
+    """
+    g = fp_monic(f, p)
+    rows = _sextic_rows(g, p)
+    h = _frobenius(rows, p)
+    r, k, m = _two_rank(degrees), degrees.count(1) + (sum(degrees) == 5), degrees.count(2)
+    linear = fp_monic(_gcd(g, _minus_x(h, p), p), p) if k else (1,)
+    quadratic = (1,)
+    if m:
+        both = fp_monic(_gcd(g, _minus_x(_compose(h, h, rows, p), p), p), p)
+        quadratic = fp_exact_div(both, linear, p)
+    if len(linear) != k + 1 or len(quadratic) != 2 * m + 1:
+        raise ArithmeticError(
+            f"the rational factors of the inert sextic mod {p} do not match "
+            f"the factorization type {degrees}")
+    us = _equal_degree(quadratic, 2, rows, h, p, rng) if m > 1 else [quadratic] if m else []
+    if len(us) < r and k == 2:
+        us.append(linear)
+    elif len(us) < r and k > 2:
+        first, *rest = _equal_degree(linear, 1, rows, h, p, rng)
+        us += [fp_mul(first, l, p) for l in rest]
+    us = us[:r]
+    if len(us) != r or any(fp_mod(g, u, p) for u in us):
+        raise ArithmeticError(f"no basis of J(F_{p})[2] from the factors of the inert sextic")
+    return us
+
+
+def _equal_degree(u, d: int, rows, h, p: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """The monic irreducible factors of u, a product of distinct ones of
+    degree d in {1, 2} that divides the sextic f of ``rows``, with h =
+    z^p mod f (Cantor-Zassenhaus).
+
+    For c in F_p, w = (z + c)^((p^d - 1) / 2) is +-1 or 0 mod each
+    factor, so the gcd with w - 1 splits a product of several for about
+    half the c.  w is taken mod f, once a round for every product left,
+    for d = 2 as ((z + c)(z^p + c))^((p - 1) / 2), since (z + c)^(p + 1)
+    is the norm of z + c.  A product of two is split in closed form
+    (``_split_pair``) where it can be.
+    """
+    done, todo = [], [u]
+    while todo:
+        pair = _split_pair(todo[-1], d, h, p) if len(todo[-1]) == 2 * d + 1 else None
+        if pair:
+            todo.pop()
+            done += pair
+            continue
+        c = rng.randrange(p)
+        base = (c, 1, 0, 0, 0, 0)
+        if d == 2:
+            base = _mulmod(base, ((h[0] + c) % p, *h[1:]), rows, p)
+        w = _powmod(base, (p - 1) // 2, rows, p)
+        w = ((w[0] - 1) % p, *w[1:])
+        for u in [todo.pop() for _ in range(len(todo))]:
+            split = fp_monic(_gcd(u, w, p), p)
+            for part in ([split, fp_exact_div(u, split, p)] if 1 < len(split) < len(u) else [u]):
+                (done if len(part) == d + 1 else todo).append(part)
+    return done
+
+
+def _split_pair(u, d: int, h, p: int) -> list[tuple[int, ...]] | None:
+    """The two monic irreducible factors of degree d of u, with h = z^p
+    mod a multiple of u, in closed form; None for two quadratics with
+    the same trace.
+
+    Two linear factors are z - t for the roots t of u.  Two quadratics
+    z^2 - t z + n, with roots th and th^p, have the traces t = th + th^p
+    in F_p, the values of tau = z + h mod each; so tau^2 - s tau + q = 0
+    mod u for s = t_a + t_b, the negated z^3 coefficient of u, and q =
+    t_a t_b, and the t are the roots of T^2 - s T + q.  The n then follow
+    from the z^2 and z coefficients of u, n_a + n_b + q and -(t_b n_a +
+    t_a n_b).
+    """
+    half = (p + 1) // 2
+    if d == 1:
+        b = u[1] * half % p
+        root = sqrt_mod(b * b - u[0], p)
+        return [((b - root) % p, 1), ((b + root) % p, 1)]
+    c0, c1, c2, c3, _ = u
+    s = -c3 % p
+    tau = fp_mod(fp_trim([h[0], (h[1] + 1) % p, *h[2:]]), u, p)
+    rest = fp_sub(fp_mulmod(tau, tau, u, p), fp_mul((s,), tau, p), p)
+    q = -rest[0] % p if rest else 0
+    root = sqrt_mod(s * s - 4 * q, p)
+    if not root:
+        return None
+    ta, tb = (s + root) * half % p, (s - root) * half % p
+    norms = c2 - q
+    na = (-c1 - ta * norms) * pow(tb - ta, -1, p) % p
+    return [(na, -ta % p, 1), ((norms - na) % p, -tb % p, 1)]
+
+
+def _tate_rank(f, p: int, degrees, rng: random.Random) -> int | None:
+    """r1 = dim (J(F_p)[2] cap 2 J(F_p)), the number of cyclic factors
+    of order >= 4 of J(F_p), from the inert sextic f of the curve
+    (``_inert_model``) and the factor degrees of f mod p; None when f is
+    None or 16 draws of x in F_p find no point (x, y) with y != 0.
+
+    The reduced Tate pairing J(F_p)[2] x J(F_p) / 2 J(F_p) -> F_p* /
+    F_p*^2 is non-degenerate (Frey-Rueck, Math. Comp. 62, 1994), so T in
+    J[2] pairs trivially with all of J[2] exactly when T is in 2 J, and
+    the F_2 Gram matrix G of the pairing on a basis T_i = (u_i, 0) of
+    J[2] (``_two_torsion_basis``) has rank r - r1.  u_i(x) has divisor 2
+    (W + W' - D_inf) for the Weierstrass points W, W' over its roots,
+    and u_i / (x - c)^2 is 1 at both points at infinity, so its value on
+    D - D_inf, for D = (u, v) effective and prime to W and W', is Res(u,
+    u_i) up to a square.  Take B = 2P - D_inf for a random point P = (x,
+    y) with y != 0, so that u_B = (X - x)^2 and Res(u_B, u_i) = u_i(x)^2
+    is a square, and A = T_j + B.  Then T_j = A - B, and
+
+        t(T_i, T_j) = chi(Res(u_A, u_i)),
+
+    where A = 0 gives 1.  A resultant that vanishes puts A on W or W',
+    and P is drawn again.
+    """
+    if f is None:
+        return None
+    us = _two_torsion_basis(f, p, degrees, rng)
+    for _ in range(16):
+        x = rng.randrange(p)
+        y = sqrt_mod(poly_eval(f, x), p)
+        if not y:
+            continue
+        b = _add_points(f, p, x, y, x, y)
+        columns = []  # column j: Res(u_A, u_i) for A = T_j + B, i = 1, ..., r
+        for t in us:
+            a = _ladder_add((t[0], t[1], 0, 0), b, f, p)
+            columns.append([_resultant(a, u, p) for u in us] if type(a) is tuple else [1] * len(us))
+        if all(all(column) for column in columns):
+            gram = [[_legendre(column[i], p) < 0 for column in columns] for i in range(len(us))]
+            return len(us) - len(rref_mod(gram, 2))
+    return None
+
+
+def _resultant(x, u, p: int) -> int:
+    """Res(x^2 + a1 x + a0, u) mod p, for the kernel's integers (a0, a1,
+    ...) of a class and a monic quadratic u: the product of u over the
+    roots al, be of the first, (s1 al + s0)(s1 be + s0) with s = u -
+    (x^2 + a1 x + a0)."""
+    a0, a1 = x[0], x[1]
+    s0, s1 = u[0] - a0, u[1] - a1
+    return (s1 * s1 * a0 - s1 * s0 * a1 + s0 * s0) % p
+
+
+def _settle_by_annihilation(models, p: int, a1: int, a2s, rng) -> int:
     """The one a2 of ``a2s`` whose L = 1 + a1 T + a2 T^2 + ... has L(1)
     annihilating J(F_p) and L(-1) annihilating the Jacobian of the
     quadratic twist.
@@ -619,21 +801,22 @@ def _settle_by_annihilation(c, p: int, a1: int, a2s, rng) -> int:
     isogenous to E x E over F_p has L = (1 + a T + p T^2)^2, with a2 =
     a1^2 / 4 + 2 p at the top of the Weil interval.  The orders n_0 >
     n_1 > ... of one side differ by multiples of p.  For a class D,
-    [n_0] D comes first, one full ladder.  If it vanishes, the order of D divides n_0, so candidate i
-    survives exactly when [gcd(n_i, n_0)] D = 0, a ladder of a few bits.
-    Otherwise candidate 0 is ruled out, and with R = -[p] D the
-    candidate of order n_0 - k p survives only if [n_0] D + k R = 0.
-    Each round draws a class on the curve and, while more than one
-    candidate is left, one on the twist, on the models of
-    ``_class_models``; the twist's is built only when the curve leaves
-    more than one candidate.  The first 8 rounds draw P1 + P2 - D_inf
-    from affine points (``_point_class``), on a model with at least two;
-    the rest draw uniform classes (``random_divisor``).  The true a2 is
-    never ruled out; if more than one is left after 16 rounds,
+    [n_0] D comes first, one full ladder.  If it vanishes, the order of
+    D divides n_0, so candidate i survives exactly when [gcd(n_i, n_0)]
+    D = 0, a ladder of a few bits.  Otherwise candidate 0 is ruled out,
+    and with R = -[p] D the candidate of order n_0 - k p survives only
+    if [n_0] D + k R = 0.  Each round draws a class on the curve and,
+    while more than one candidate is left, one on the twist, on the
+    models that ``models`` yields in that order, as ``_class_models``
+    does: the twist's is asked for only when the curve leaves more than
+    one candidate.  The first 8 rounds draw P1 + P2 - D_inf from affine
+    points (``_point_class``), on a model with at least two; the rest
+    draw uniform classes (``random_divisor``).  The true a2 is never
+    ruled out; if more than one is left after 16 rounds,
     ArithmeticError.
     """
     alive = sorted(a2s, reverse=True)
-    models, built = _class_models(c, p), []
+    built = []
     for round_ in range(16):
         for side, sign in enumerate((1, -1)):
             if side == len(built):
@@ -680,16 +863,17 @@ class JacobianGroup:
 
     ``invariants`` is None when a Sylow subgroup is left open: the order
     and rank bounds leave more than one shape, the Weil polynomial does
-    not fix it (``_frobenius_shape``), and either 16 classes left it
-    open or the sextic has no root mod p, where ``jacobian_group_mod_p``
-    does not probe.  That leaves 17 of the 107 good p <= 100 of the
-    five table curves open, all at such primes.  The order and the
-    2-rank are always reported.
+    not fix it (``_frobenius_shape``), nor for ell = 2 the Tate pairing
+    (``_tate_rank``), and either 16 classes left it open or the sextic
+    has no root mod p, where ``jacobian_group_mod_p`` does not probe.
+    That leaves 16 of the 107 good p <= 100 of the five table curves
+    open, all at such primes.  The order and the 2-rank are always
+    reported.
 
     ``proved_by`` maps each prime ell dividing the order to the rule
-    that proved its Sylow subgroup, "bounds", "frobenius" or "probes",
-    or to None where it is open.  Equality ignores it, so two results
-    compare by the group alone.
+    that proved its Sylow subgroup, "bounds", "frobenius", "tate" or
+    "probes", or to None where it is open.  Equality ignores it, so two
+    results compare by the group alone.
     """
 
     p: int
@@ -714,8 +898,9 @@ class _SylowProof:
     one shape is left.
 
     ``rule`` names what proved S: "bounds" when they leave one shape,
-    "frobenius" when ``frobenius`` does, "probes" when classes taken in
-    by ``add`` do, and None while S is open.
+    "frobenius" when ``frobenius`` does, "tate" when ``tate`` does,
+    "probes" when classes taken in by ``add`` do, and None while S is
+    open.
     """
 
     def __init__(self, ell: int, v: int, p: int, two_rank: int):
@@ -742,6 +927,22 @@ class _SylowProof:
                 f"the Frobenius rule gives the {self.ell}-Sylow subgroup of "
                 f"J(F_{w.q}) the shape {shape}, against the bounds {self.shapes}")
         self.shapes, self.rule = [shape], "frobenius"
+
+    def tate(self, r1: int | None) -> None:
+        """Keep the shapes of the 2-Sylow subgroup with exactly r1 parts
+        >= 2, for r1 = dim (S[2] cap 2 S) from the Tate pairing
+        (``_tate_rank``); nothing when r1 is None.  A shape must be
+        left; otherwise ArithmeticError, also under -O."""
+        if r1 is None:
+            return
+        shapes = [s for s in self.shapes if sum(e >= 2 for e in s) == r1]
+        if not shapes:
+            raise ArithmeticError(
+                f"the Tate pairing gives the 2-Sylow subgroup {r1} cyclic factors "
+                f"of order >= 4, against the bounds {self.shapes}")
+        self.shapes = shapes
+        if self.shape:
+            self.rule = "tate"
 
     def add(self, q: MumfordDivisor, f) -> None:
         """Take in a class q of S.
@@ -922,9 +1123,11 @@ def jacobian_group_mod_p(
     The order L(1) and the 2-rank come from the L-polynomial and the
     factorization type of f mod p, both read off the stream of
     ``curve_lpolys`` at [p].  Each Sylow subgroup is proved by
-    ``_SylowProof``, by the first of three rules that leaves one shape:
+    ``_SylowProof``, by the first of four rules that leaves one shape:
     the order and rank bounds; the Weil polynomial alone, where Z_ell[pi]
-    is maximal (``_frobenius_shape``), before any model is built; and at
+    is maximal (``_frobenius_shape``), before any model is built; for
+    ell = 2, the Tate pairing on the inert sextic (``_tate_rank``),
+    where the shapes left differ in their number of parts >= 2; and at
     most 16 uniformly random classes (``_probe``, seeded, hence
     deterministic).  ``proved_by`` records the rule for each ell.
 
@@ -932,11 +1135,11 @@ def jacobian_group_mod_p(
     subgroup still open after 16 probes, or open at a sextic without a
     root mod p, leaves the structure unproved, and ``invariants`` is
     None.  The second is mostly a cost policy.  At the 107 good p <= 100
-    of the five table curves it leaves 17 structures open; probing there
-    too proves all 17, but it made a pass over the ``genus2`` benchmark
+    of the five table curves it leaves 16 structures open; probing there
+    too proves all 16, but it made a pass over the ``genus2`` benchmark
     items (those 107, and certification of the five curves to B = 400)
     slower, and its slowest items most (run figures in CHANGES.md, on
-    the Frobenius rule).  It is also a limit of the models: a sextic
+    the Tate pairing).  It is also a limit of the models: a sextic
     without a root, whose values f(a) are all nonzero squares and whose
     leading coefficient is a square, has neither an inert model
     (``_inert_model``) nor a quintic one (``odd_degree_model``).  Then
@@ -952,9 +1155,14 @@ def jacobian_group_mod_p(
     for s in sylows:
         if s.shape is None:
             s.frobenius(w)
-    rootless = curve.coeffs[6] % p and 1 not in degrees
-    if not rootless:
-        _probe(curve, p, order, sylows, seed)
+    two = next((s for s in sylows if s.ell == 2 and s.shape is None), None)
+    if any(s.shape is None for s in sylows):
+        f = _inert_model([v % p for v in curve.coeffs], p)
+        if two and len({sum(e >= 2 for e in s) for s in two.shapes}) > 1:
+            two.tate(_tate_rank(f, p, degrees, random.Random(seed)))
+        rootless = curve.coeffs[6] % p and 1 not in degrees
+        if not rootless and any(s.shape is None for s in sylows):
+            _probe(f or odd_degree_model(curve, p), p, order, sylows, seed)
     proved_by = {s.ell: s.rule for s in sylows}
     if None in proved_by.values():
         return JacobianGroup(p, order, None, two_rank, proved_by)
@@ -962,21 +1170,17 @@ def jacobian_group_mod_p(
     return JacobianGroup(p, order, _invariant_factors(cyclic), two_rank, proved_by)
 
 
-def _probe(curve: GenusTwoCurve, p: int, order: int, sylows, seed: int) -> None:
-    """Take uniformly random classes of J(F_p), #J(F_p) = order, into the
-    open proofs of ``sylows`` until none is open, at most 16.
+def _probe(f, p: int, order: int, sylows, seed: int) -> None:
+    """Take uniformly random classes of J(F_p), #J(F_p) = order, on the
+    model f into the open proofs of ``sylows`` until none is open, at
+    most 16, drawn from an RNG seeded by ``seed``.
 
-    They are drawn from an RNG seeded by ``seed`` on the inert sextic
-    (``_inert_model``), built only when a proof is open.  Where every
-    value of f mod p is 0 or a square and f_6 is a square there is no
-    inert sextic, and they are drawn on the quintic of
-    ``odd_degree_model``; by the Hasse-Weil bound that happens only at
-    p <= 23.
+    f is the inert sextic (``_inert_model``), or where every value of f
+    mod p is 0 or a square and f_6 is a square, so that there is none,
+    the quintic of ``odd_degree_model``; by the Hasse-Weil bound that
+    happens only at p <= 23.
     """
     open_ = [s for s in sylows if s.shape is None]
-    if not open_:
-        return
-    f = _inert_model([v % p for v in curve.coeffs], p) or odd_degree_model(curve, p)
     rng = random.Random(seed)
     for _ in range(16):
         d = random_divisor(f, p, rng)

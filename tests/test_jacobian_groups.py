@@ -1,16 +1,17 @@
 """J(F_p) at the 107 good p <= 100 of the five table curves, pinned.
 
-Each entry is (order, invariants, 2-rank): 74 structures are proved,
-and 33 are left open (None), at primes where the sextic has no root mod
+Each entry is (order, invariants, 2-rank): 91 structures are proved,
+and 16 are left open (None), at primes where the sextic has no root mod
 p.  The probes draw from a seeded RNG, so the table is checked at two
 seeds, with ``odd_degree_model`` refusing to run: no entry needs the
 quintic model.
 
-J(F_p) is pinned also where the quintic is the only model: 22 seeded
-random curves at p <= 17 where every value of f mod p is 0 or a square,
-so that there is no inert sextic, and f has a root.  Twelve of them are
-probed on the quintic; the rest are settled by the order and rank
-bounds alone.
+J(F_p) is pinned also where the quintic may be the only model: 22
+seeded random curves at p <= 17 where every value of f mod p is 0 or a
+square, and f has a root.  Where f_6 is a non-square, f itself is the
+inert sextic.  Seven of them are probed, five of those on the quintic;
+the rest are settled by the order and rank bounds, the Frobenius rule
+or, on f itself, the Tate pairing.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ GROUPS = {
         17: (312, (2, 2, 78), 3), 19: (348, (2, 174), 2), 23: (558, None, 1),
         29: (882, None, 1), 31: (900, (30, 30), 2), 37: (900, (30, 30), 2),
         41: (1752, (2, 2, 438), 3), 43: (1764, (42, 42), 2), 47: (2256, (2, 2, 564), 3),
-        53: (2754, None, 1), 59: (3408, (2, 2, 852), 3), 61: (3696, None, 2),
+        53: (2754, None, 1), 59: (3408, (2, 2, 852), 3), 61: (3696, (4, 924), 2),
         67: (3600, (2, 2, 30, 30), 4), 71: (5166, None, 1), 73: (5208, (2, 2604), 2),
         79: (7056, (2, 2, 42, 42), 4), 83: (7008, (2, 4, 876), 3),
         89: (7992, (2, 6, 666), 3), 97: (9240, (2, 4620), 2)},
@@ -92,7 +93,7 @@ QUINTIC_ONLY = [
     ((2, 6, 4, 0, 6, 4, 6), 7, (105, (105,), 0), {}),
     ((1, 6, 5, 2, 1, 3, 4), 7, (130, (130,), 1), {}),
     ((4, 1, 3, 2, 5, 0, 6), 7, (84, (2, 42), 2), {}),
-    ((1, 6, 1, 1, 5, 2, 6), 7, (80, (2, 40), 2), {2: "probes"}),
+    ((1, 6, 1, 1, 5, 2, 6), 7, (80, (2, 40), 2), {2: "tate"}),
     ((9, 4, 3, 6, 7, 1, 4), 11, (288, (288,), 1), {3: "frobenius"}),
     ((9, 0, 8, 5, 2, 6, 4), 11, (288, (288,), 1), {3: "frobenius"}),
     ((4, 2, 0, 0, 1, 1, 7), 11, (252, (2, 126), 2), {3: "frobenius"}),
@@ -121,7 +122,7 @@ def test_the_table_covers_every_good_prime():
     assert [sorted(GROUPS[i]) for i in range(5)] == [good_primes(row.curve, 100) for row in TABLE]
     entries = [entry for groups in GROUPS.values() for entry in groups.values()]
     assert len(entries) == 107
-    assert sum(invariants is None for _, invariants, _ in entries) == 17
+    assert sum(invariants is None for _, invariants, _ in entries) == 16
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -171,16 +172,18 @@ def test_jacobian_groups_on_the_quintic_match_the_pins(seed, monkeypatch):
 
 
 def test_jacobian_groups_on_the_quintic_without_the_frobenius_rule(monkeypatch):
-    # the probes on the quintic prove what the rule proves: with the rule
-    # off, 12 of the 22 curves are probed there, and the groups agree
+    # the probes prove what the rule proves: with the rule off, 11 of the
+    # 22 curves are probed, one more has its 2-part from the Tate pairing
+    # on f itself, and the groups agree
     monkeypatch.setattr(jacobian, "_frobenius_shape", lambda w, ell: None)
-    probed = 0
+    probed = paired = 0
     for f, p, entry, rules in QUINTIC_ONLY:
         group = jacobian_group_mod_p(GenusTwoCurve.from_coefficients(f), p)
         assert group == JacobianGroup(p, *entry), (f, p)
-        assert set(group.proved_by.values()) - {"bounds"} <= {"probes"}
+        assert set(group.proved_by.values()) - {"bounds"} <= {"probes", "tate"}
         probed += "probes" in group.proved_by.values()
-    assert probed == 12
+        paired += "tate" in group.proved_by.values()
+    assert (probed, paired) == (11, 1)
 
 
 def test_a_prime_without_a_model_is_left_open():
@@ -225,9 +228,10 @@ def test_a_sextic_that_is_its_own_inert_model(coeffs, p, order):
 
 
 def test_the_frobenius_rule_proves_what_probes_cannot_reach():
-    # the 16 structures at rootless primes that the rule alone proves, and
-    # the record of each rule: no ell at a rootless prime is probed
-    proved, opened = 0, 0
+    # the 16 structures at rootless primes that the rule proves, the one
+    # that the Tate pairing proves, and the record of each rule: no ell at
+    # a rootless prime is probed
+    proved, paired, opened = 0, 0, 0
     for i, row in enumerate(TABLE):
         for p in GROUPS[i]:
             group = jacobian_group_mod_p(row.curve, p)
@@ -237,8 +241,13 @@ def test_the_frobenius_rule_proves_what_probes_cannot_reach():
             if rootless:
                 assert "probes" not in group.proved_by.values()
                 proved += group.invariants is not None and "frobenius" in group.proved_by.values()
+                paired += group.invariants is not None and "tate" in group.proved_by.values()
             opened += group.invariants is None
-    assert (proved, opened) == (16, 17)
+    assert (proved, paired, opened) == (16, 1, 16)
+    # the (6) curve at 61 was open only at ell = 2: Z/4 x Z/4
+    group = jacobian_group_mod_p(TABLE[4].curve, 61)
+    assert group.invariants == (4, 924)
+    assert group.proved_by == {2: "tate", 3: "bounds", 7: "bounds", 11: "bounds"}
     group = jacobian_group_mod_p(TABLE[3].curve, 97)
     assert group.invariants == (105, 105)
     assert group.proved_by == {3: "frobenius", 5: "frobenius", 7: "frobenius"}
@@ -250,9 +259,9 @@ def _shapes_without_the_rule(curve, p: int, seed: int = 0) -> dict[int, tuple | 
     two_rank = curve_mod._two_rank(curve_mod._factor_degrees(curve, p))
     order = curve_lpoly(curve, p).point_count()
     sylows = [jacobian._SylowProof(ell, v, p, two_rank) for ell, v in factorint(order).items()]
-    c = [v % p for v in curve.coeffs]
-    if jacobian._inert_model(c, p) or jacobian.odd_degree_model(curve, p):
-        jacobian._probe(curve, p, order, sylows, seed)
+    f = jacobian._inert_model([v % p for v in curve.coeffs], p) or jacobian.odd_degree_model(curve, p)
+    if f:
+        jacobian._probe(f, p, order, sylows, seed)
     return {s.ell: s.shape for s in sylows}
 
 

@@ -272,7 +272,7 @@ def test_degree_drop_prime():
     assert model[0] % 11 and model[6] % 11
 
 
-def test_twist_only_case(monkeypatch):
+def test_twist_only_case():
     p = 41
     c = [v % p for v in TWIST_ONLY.coeffs]
     f = curve_mod._hasse_witt_model(TWIST_ONLY.coeffs)
@@ -292,11 +292,17 @@ def test_twist_only_case(monkeypatch):
     for n in (w.point_count(), WeilPoly2(p, a1, 1).point_count()):
         d = jacobian.random_divisor(model, p, random.Random(n))
         assert cantor_mul(n, d, model).is_identity
-    original = jacobian._class_models
-    monkeypatch.setattr(jacobian, "_class_models",
-                        lambda *args: iter([next(original(*args)), None]))
     with pytest.raises(ArithmeticError, match="annihilate every class"):
-        jacobian._settle_by_annihilation(c, p, a1, left, random.Random(0))
+        jacobian._settle_by_annihilation(iter([model, None]), p, a1, left, random.Random(0))
+
+
+def _settle_as_the_curve_does(curve, p: int, a2s, models=jacobian._class_models) -> int:
+    """The annihilation step on the candidates a2s, with the RNG of
+    ``curve_lpoly`` and the curve's a1."""
+    c = [v % p for v in curve.coeffs]
+    a1 = oracle_lpoly(curve.coeffs, p).a1
+    rng = random.Random(f"{p}/{curve.coeffs}")
+    return jacobian._settle_by_annihilation(models(c, p), p, a1, a2s, rng)
 
 
 def test_settle_takes_one_full_ladder_per_class(monkeypatch):
@@ -310,23 +316,31 @@ def test_settle_takes_one_full_ladder_per_class(monkeypatch):
     # the candidates are taken from the largest a2 down.  At 13, [n_0] D = 0
     # for n_0 = 178, the true order, so the order of D divides 178, and the
     # other candidate, of order 152, survives only if [gcd(152, 178)] D =
-    # [2] D = 0
-    assert curve_lpoly(curve, 13) == oracle_lpoly(curve.coeffs, 13)
+    # [2] D = 0.  (The curve's own step never gets here: the Tate pairing
+    # gives Z/2 as the 2-part, and 8 divides 152.)
+    w = oracle_lpoly(curve.coeffs, 13)
+    assert w.point_count() == 178
+    assert _settle_as_the_curve_does(curve, 13, [w.a2, w.a2 - 26]) == w.a2
     assert calls == [178, 2]
     # at 17, [n_0] D != 0 for n_0 = 300 rules out the first candidate, and
     # R = -[17] D steps down to the other, of order 266 = 300 - 2 * 17
     calls.clear()
     adds.clear()
-    assert curve_lpoly(curve, 17) == oracle_lpoly(curve.coeffs, 17)
+    w = oracle_lpoly(curve.coeffs, 17)
+    assert w.point_count() == 266
+    assert _settle_as_the_curve_does(curve, 17, [w.a2, w.a2 + 34]) == w.a2
     assert calls == [300, 17]
     assert len(adds) == 2
     # the twist's model is built only when the curve leaves two candidates
     built = []
-    models = jacobian._class_models
-    monkeypatch.setattr(jacobian, "_class_models",
-                        lambda *args: (built.append(f) or f for f in models(*args)))
-    curve_lpoly(curve, 17)
-    curve_lpoly(TWIST_ONLY, 41)
+    monkeypatch.setattr(jacobian, "cantor_mul", original)
+    monkeypatch.setattr(jacobian, "cantor_add", add)
+
+    def models(c, p):
+        return (built.append(f) or f for f in jacobian._class_models(c, p))
+
+    _settle_as_the_curve_does(curve, 17, [w.a2, w.a2 + 34], models)
+    assert _settle_as_the_curve_does(TWIST_ONLY, 41, [1, 83], models) == 83
     assert len(built) == 3
 
 
@@ -352,7 +366,8 @@ def test_settle_draws_uniform_classes_on_a_model_with_no_affine_point(monkeypatc
     monkeypatch.setattr(jacobian, "_point_class", point_class)
     monkeypatch.setattr(jacobian, "random_divisor",
                         lambda *args: draws.append("uniform") or uniform(*args))
-    assert jacobian._settle_by_annihilation(c, p, -7, [31, 24], random.Random(0)) == 24
+    assert jacobian._settle_by_annihilation(
+        jacobian._class_models(c, p), p, -7, [31, 24], random.Random(0)) == 24
     assert draws == ["uniform"]
 
 
@@ -456,21 +471,28 @@ def test_shared_work_gives_the_same_lpoly(monkeypatch):
 
 
 def test_curve_lpoly_rng_is_seeded_by_p_and_f(monkeypatch):
-    # the annihilation step draws the same classes on every call
+    # the Tate pairing and the annihilation step draw the same classes on
+    # every call
     draws = []
-    original = jacobian._settle_by_annihilation
+    tate, settle = jacobian._tate_rank, jacobian._settle_by_annihilation
 
-    def spy(c, p, a1, a2s, rng):
-        draws.append((p, rng.getstate()))
-        return original(c, p, a1, a2s, rng)
+    def tate_spy(f, p, degrees, rng):
+        draws.append(("tate", p, rng.getstate()))
+        return tate(f, p, degrees, rng)
 
-    monkeypatch.setattr(jacobian, "_settle_by_annihilation", spy)
+    def settle_spy(models, p, a1, a2s, rng):
+        draws.append(("settle", p, rng.getstate()))
+        return settle(models, p, a1, a2s, rng)
+
+    monkeypatch.setattr(jacobian, "_tate_rank", tate_spy)
+    monkeypatch.setattr(jacobian, "_settle_by_annihilation", settle_spy)
     for seed in (1, 2):
         random.seed(seed)
         for p in good_primes(SIX_CURVE, 200):
             curve_lpoly(SIX_CURVE, p)
     half = len(draws) // 2
     assert half > 5 and draws[:half] == draws[half:]
+    assert any(kind == "tate" for kind, _, _ in draws)
 
 
 def test_large_prime_flat_memory_and_annihilation():
