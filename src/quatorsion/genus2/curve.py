@@ -66,12 +66,12 @@ every good p <= B come from one pass, in five steps:
    sits.  Each class costs one full ladder, for [L(1)] D; when that
    vanishes the order of D divides L(1), and a ladder of a few bits,
    for the gcd with the next candidate's order, decides that one, and
-   otherwise steps of -[p] D walk down the others.  A class is the sum
-   of two random affine points less D_inf on the inert sextic of step
-   4, which needs no root of f (see ``jacobian``); the twist's model is
-   built only when the curve leaves more than one candidate.  If more
-   than one candidate survives, or none, ArithmeticError: the result is
-   never a guess.
+   otherwise steps of -[p] D walk down the others.  A class is a
+   uniform one (``jacobian.random_divisor``) on the inert sextic of
+   step 4, which needs no root of f (see ``jacobian``); the twist's
+   model is built only when the curve leaves more than one candidate.
+   If more than one candidate survives, or none, ArithmeticError: the
+   result is never a guess.
 
 At p <= 5, where those models need not exist, the counts over F_p and
 F_{p^2} are made directly (at most 25 values of x), and they give L.
@@ -82,7 +82,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import count
 from math import gcd, isqrt, lcm, prod
 
 from ..exact import (
@@ -656,14 +656,13 @@ def _lpoly_from_hasse_witt(
         from . import jacobian  # jacobian imports this module
 
         rng = random.Random(f"{p}/{curve.coeffs}")
-        models = jacobian._class_models(c, p)
-        inert = next(models)
+        inert = jacobian._inert_model(c, p)
         if two_rank:
             r1 = jacobian._tate_rank(inert, p, degrees, rng)
             if r1 is not None:
                 fits = [a2 for a2 in fits if _two_sylow_fits(p, a1, a2, two_rank, r1)]
         if len(fits) > 1:
-            fits = [jacobian._settle_by_annihilation(chain([inert], models), p, a1, fits, rng)]
+            fits = [jacobian._settle_by_annihilation(c, inert, p, a1, fits, rng)]
     if not fits:
         raise ArithmeticError(f"no Weil polynomial fits the Hasse-Witt matrix mod {p}")
     return WeilPoly2(p, a1, fits[0])

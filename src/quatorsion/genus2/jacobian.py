@@ -8,9 +8,10 @@ the sum gives the same pair.
 
 Classes are added on the "inert" sextic z^6 f(a + 1/z) for an a with
 f(a) a non-square (``_inert_model``), found in a few values of f, or on
-f itself when only f_6 is one, which needs no root of f: the
+f itself when only f_6 is one, which needs no root of f.  The
 L-polynomial step of ``curve`` draws classes there and on the twist's,
-and ``jacobian_group_mod_p`` probes there.
+and ``jacobian_group_mod_p`` probes there, all from the one uniform
+sampler ``random_divisor``.
 The leading coefficient of that model is f(a), so its two points at
 infinity are conjugate over F_p and their sum D_inf is rational.  Every
 class of J(F_p) is then D - D_inf for a unique reduced effective D of
@@ -601,33 +602,6 @@ def _inert_model(c, p: int, twist: int = 1):
     return None
 
 
-def _class_models(c, p: int):
-    """The inert models (``_inert_model``) of y^2 = c(x) and then of its
-    quadratic twist y^2 = d c(x), each None where there is none, and
-    each built when it is asked for."""
-    yield _inert_model(c, p)
-    d = next(a for a in range(2, p) if _legendre(a, p) < 0)
-    yield _inert_model(c, p, d)
-
-
-def _point_class(f, p: int, rng: random.Random) -> MumfordDivisor:
-    """The class P1 + P2 - D_inf of two random affine points of y^2 =
-    f(x), on an inert sextic (``_add_points``); zero when P2 = -P1.  Not
-    uniform: each point is drawn as x uniform in F_p until f(x) is a
-    square, and one of its square roots.  f must have an affine point.
-    """
-    points = []
-    while len(points) < 2:
-        x = rng.randrange(p)
-        y = sqrt_mod(poly_eval(f, x), p)
-        if y is not None:
-            points.append((x, p - y if y and rng.randrange(2) else y))
-    (x1, y1), (x2, y2) = points
-    if x1 == x2 and (y1 + y2) % p == 0:
-        return identity_divisor(p)
-    return _divisor(p, _add_points(f, p, x1, y1, x2, y2))
-
-
 # ---------------------------------------------------------------------------
 # the Tate pairing on J(F_p)[2]
 # ---------------------------------------------------------------------------
@@ -791,10 +765,12 @@ def _resultant(x, u, p: int) -> int:
     return (s1 * s1 * a0 - s1 * s0 * a1 + s0 * s0) % p
 
 
-def _settle_by_annihilation(models, p: int, a1: int, a2s, rng) -> int:
+def _settle_by_annihilation(c, inert, p: int, a1: int, a2s, rng) -> int:
     """The one a2 of ``a2s`` whose L = 1 + a1 T + a2 T^2 + ... has L(1)
     annihilating J(F_p) and L(-1) annihilating the Jacobian of the
-    quadratic twist.
+    quadratic twist, for the curve y^2 = c(x) with coefficients c mod p
+    and its inert model ``inert`` (``_inert_model``, None where there is
+    none).
 
     The a2 are taken from the largest down.  The reductions of an
     abelian surface with QM are geometrically squares (Jordan), and one
@@ -805,30 +781,22 @@ def _settle_by_annihilation(models, p: int, a1: int, a2s, rng) -> int:
     D divides n_0, so candidate i survives exactly when [gcd(n_i, n_0)]
     D = 0, a ladder of a few bits.  Otherwise candidate 0 is ruled out,
     and with R = -[p] D the candidate of order n_0 - k p survives only
-    if [n_0] D + k R = 0.  Each round draws a class on the curve and,
-    while more than one candidate is left, one on the twist, on the
-    models that ``models`` yields in that order, as ``_class_models``
-    does: the twist's is asked for only when the curve leaves more than
-    one candidate.  The first 8 rounds draw P1 + P2 - D_inf from affine
-    points (``_point_class``), on a model with at least two; the rest
-    draw uniform classes (``random_divisor``).  The true a2 is never
-    ruled out; if more than one is left after 16 rounds,
-    ArithmeticError.
+    if [n_0] D + k R = 0.  Each round draws a uniform class
+    (``random_divisor``) on the curve and, while more than one candidate
+    is left, one on the twist y^2 = d c(x), d the least non-residue,
+    whose inert model is built the first time the curve leaves more
+    than one.  The true a2 is never ruled out; if more than one is left
+    after 16 rounds, ArithmeticError.
     """
-    alive = sorted(a2s, reverse=True)
-    built = []
+    alive, twist = sorted(a2s, reverse=True), None
     for round_ in range(16):
-        for side, sign in enumerate((1, -1)):
-            if side == len(built):
-                built.append(next(models))
-            F = built[side]
+        for sign in (1, -1):
+            if sign < 0 and round_ == 0:
+                twist = _inert_model(c, p, next(a for a in range(2, p) if _legendre(a, p) < 0))
+            F = inert if sign > 0 else twist
             if F is None:
                 continue
-            # #C(F_p) = p + 1 +- a1, and no point is at infinity
-            if round_ < 8 and p + 1 + sign * a1 >= 2:
-                d = _point_class(F, p, rng)
-            else:
-                d = random_divisor(F, p, rng)
+            d = random_divisor(F, p, rng)
             base = 1 + sign * a1 * (1 + p) + p * p
             n0 = base + alive[0]
             acc = cantor_mul(n0, d, F)

@@ -427,7 +427,9 @@ def test_every_model_the_package_builds_passes_the_check():
     for row in TABLE:
         for p in good_primes(row.curve, 200):
             c = [v % p for v in row.curve.coeffs]
-            models = [*jacobian._class_models(c, p), odd_degree_model(row.curve, p)]
+            d = next(a for a in range(2, p) if jacobian._legendre(a, p) < 0)
+            models = [jacobian._inert_model(c, p), jacobian._inert_model(c, p, d),
+                      odd_degree_model(row.curve, p)]
             for f in filter(None, models):
                 jacobian._check_model(f, p)
                 checked[len(f)] += 1
@@ -598,6 +600,27 @@ def test_random_divisor_reaches_every_class_of_the_inert_sextic(index, p):
     assert len(classes) == curve_lpoly(curve, p).point_count()
     rng = random.Random(1)
     assert {random_divisor(sextic, p, rng) for _ in range(40 * len(classes))} == classes
+
+
+@pytest.mark.parametrize("index, quintic", [(2, False), (3, True)], ids=["inert-sextic", "quintic"])
+def test_random_divisor_draws_every_class_equally_often(index, quintic):
+    # about 50 draws per class of J(F_7) on the (2) row's inert sextic (51
+    # classes) and on the (3,3) row's quintic (36): the chi-square statistic
+    # of the counts stays below the 0.999 quantile of its k - 1 degrees of
+    # freedom (Wilson-Hilferty)
+    p = 7
+    curve = TABLE[index].curve
+    f = odd_degree_model(curve, p) if quintic else jacobian._inert_model(
+        [c % p for c in curve.coeffs], p)
+    classes = enumerate_classes(f, p)
+    k = len(classes)
+    assert k == curve_lpoly(curve, p).point_count()
+    rng = random.Random(5)
+    counts = collections.Counter(random_divisor(f, p, rng) for _ in range(50 * k))
+    assert set(counts) == set(classes)
+    chi2 = sum((counts[d] - 50) ** 2 / 50 for d in classes)
+    dof = k - 1
+    assert chi2 < dof * (1 - 2 / (9 * dof) + 3.09 * math.sqrt(2 / (9 * dof))) ** 3, chi2
 
 
 @pytest.mark.parametrize("index, p, invariants",
@@ -1392,7 +1415,7 @@ def test_curve_imports_jacobian_only_to_settle_an_lpoly():
     assert node.module is None and names == {"jacobian"} and node.col_offset > 0
     used = {n.attr for n in nodes if isinstance(n, ast.Attribute)
             and isinstance(n.value, ast.Name) and n.value.id == "jacobian"}
-    assert used == {"_class_models", "_settle_by_annihilation", "_tate_rank"}
+    assert used == {"_inert_model", "_settle_by_annihilation", "_tate_rank"}
 
 
 def test_divisor_order_check_survives_python_O():

@@ -272,7 +272,7 @@ def test_degree_drop_prime():
     assert model[0] % 11 and model[6] % 11
 
 
-def test_twist_only_case():
+def test_twist_only_case(monkeypatch):
     p = 41
     c = [v % p for v in TWIST_ONLY.coeffs]
     f = curve_mod._hasse_witt_model(TWIST_ONLY.coeffs)
@@ -288,21 +288,23 @@ def test_twist_only_case():
     assert w == oracle_lpoly(TWIST_ONLY.coeffs, p)
     # J(F_41) has exponent 41, which divides both candidate orders, so the
     # curve's own classes cannot separate them: without the twist, no answer
-    model = next(jacobian._class_models(c, p))
+    model = jacobian._inert_model(c, p)
     for n in (w.point_count(), WeilPoly2(p, a1, 1).point_count()):
         d = jacobian.random_divisor(model, p, random.Random(n))
         assert cantor_mul(n, d, model).is_identity
+    assert jacobian._settle_by_annihilation(c, model, p, a1, left, random.Random(0)) == 83
+    monkeypatch.setattr(jacobian, "_inert_model", lambda c, p, twist=1: None)
     with pytest.raises(ArithmeticError, match="annihilate every class"):
-        jacobian._settle_by_annihilation(iter([model, None]), p, a1, left, random.Random(0))
+        jacobian._settle_by_annihilation(c, model, p, a1, left, random.Random(0))
 
 
-def _settle_as_the_curve_does(curve, p: int, a2s, models=jacobian._class_models) -> int:
+def _settle_as_the_curve_does(curve, p: int, a2s) -> int:
     """The annihilation step on the candidates a2s, with the RNG of
-    ``curve_lpoly`` and the curve's a1."""
+    ``curve_lpoly``, the curve's a1 and its inert model."""
     c = [v % p for v in curve.coeffs]
     a1 = oracle_lpoly(curve.coeffs, p).a1
     rng = random.Random(f"{p}/{curve.coeffs}")
-    return jacobian._settle_by_annihilation(models(c, p), p, a1, a2s, rng)
+    return jacobian._settle_by_annihilation(c, jacobian._inert_model(c, p), p, a1, a2s, rng)
 
 
 def test_settle_takes_one_full_ladder_per_class(monkeypatch):
@@ -331,44 +333,62 @@ def test_settle_takes_one_full_ladder_per_class(monkeypatch):
     assert _settle_as_the_curve_does(curve, 17, [w.a2, w.a2 + 34]) == w.a2
     assert calls == [300, 17]
     assert len(adds) == 2
-    # the twist's model is built only when the curve leaves two candidates
-    built = []
+    # the twist's model is built only when the curve leaves two candidates:
+    # not at 17, and at 41 by the least non-residue, 3
+    twists = []
+    inert = jacobian._inert_model
     monkeypatch.setattr(jacobian, "cantor_mul", original)
     monkeypatch.setattr(jacobian, "cantor_add", add)
-
-    def models(c, p):
-        return (built.append(f) or f for f in jacobian._class_models(c, p))
-
-    _settle_as_the_curve_does(curve, 17, [w.a2, w.a2 + 34], models)
-    assert _settle_as_the_curve_does(TWIST_ONLY, 41, [1, 83], models) == 83
-    assert len(built) == 3
+    monkeypatch.setattr(jacobian, "_inert_model",
+                        lambda c, p, twist=1: twists.append(twist) or inert(c, p, twist))
+    _settle_as_the_curve_does(curve, 17, [w.a2, w.a2 + 34])
+    assert _settle_as_the_curve_does(TWIST_ONLY, 41, [1, 83]) == 83
+    assert twists == [1, 1, 3]
 
 
-def test_settle_draws_uniform_classes_on_a_model_with_no_affine_point(monkeypatch):
+def test_settle_draws_uniform_classes_on_a_model_with_no_affine_point():
     # this quintic has one point mod 7, at infinity, which its inert sextic
     # z^6 f(a + 1/z) puts at z = 0, and J(F_7) has order 18 (a1 = -7, a2 =
-    # 24).  Against a false candidate of order 25 the settle must draw a
-    # uniform class there, as it has no two affine points to draw from
+    # 24).  The uniform classes of the settle rule out a false candidate of
+    # order 25 there all the same
     p = 7
     curve = GenusTwoCurve.from_coefficients([6, 4, 1, 3, 4, 1])
     assert curve_lpoly(curve, p) == WeilPoly2(p, -7, 24)
     c = [v % p for v in curve.coeffs]
     sextic = jacobian._inert_model(c, p)
     assert [x for x in range(p) if sympy.sqrt_mod(poly_eval(sextic, x) % p, p) is not None] == [0]
-    draws = []
-    from_points, uniform = jacobian._point_class, jacobian.random_divisor
+    assert jacobian._settle_by_annihilation(c, sextic, p, -7, [31, 24], random.Random(0)) == 24
 
-    def point_class(f, q, rng):
-        assert sum((y * y - poly_eval(f, x)) % q == 0 for x in range(q) for y in range(q)) >= 2
-        draws.append("points")
-        return from_points(f, q, rng)
 
-    monkeypatch.setattr(jacobian, "_point_class", point_class)
-    monkeypatch.setattr(jacobian, "random_divisor",
-                        lambda *args: draws.append("uniform") or uniform(*args))
-    assert jacobian._settle_by_annihilation(
-        jacobian._class_models(c, p), p, -7, [31, 24], random.Random(0)) == 24
-    assert draws == ["uniform"]
+def _random_sextics(n: int, seed: int) -> list[GenusTwoCurve]:
+    """n nonsingular sextics with small seeded random coefficients."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        coeffs = [rng.randint(-9, 9) for _ in range(6)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+        try:
+            out.append(GenusTwoCurve.from_coefficients(coeffs))
+        except ValueError:  # singular
+            pass
+    return out
+
+
+def test_settle_matches_the_grid_wherever_it_runs(monkeypatch):
+    # at every good 7 <= p <= 150 of the table curves and of ten random
+    # sextics where the Hasse-Witt, 2-part and Tate filters leave more than
+    # one a2, the settle's answer is the grid's
+    settled = []
+    settle = jacobian._settle_by_annihilation
+    monkeypatch.setattr(jacobian, "_settle_by_annihilation",
+                        lambda *args: settled.append(args[2]) or settle(*args))
+    total = 0
+    for curve in [row.curve for row in TABLE] + _random_sextics(10, 0):
+        settled.clear()
+        ws = dict(curve_lpolys(curve, 150))
+        for p in settled:
+            assert ws[p] == oracle_lpoly(curve.coeffs, p), (curve.coeffs, p)
+        total += len(settled)
+    assert total >= 40
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -480,9 +500,9 @@ def test_curve_lpoly_rng_is_seeded_by_p_and_f(monkeypatch):
         draws.append(("tate", p, rng.getstate()))
         return tate(f, p, degrees, rng)
 
-    def settle_spy(models, p, a1, a2s, rng):
+    def settle_spy(c, inert, p, a1, a2s, rng):
         draws.append(("settle", p, rng.getstate()))
-        return settle(models, p, a1, a2s, rng)
+        return settle(c, inert, p, a1, a2s, rng)
 
     monkeypatch.setattr(jacobian, "_tate_rank", tate_spy)
     monkeypatch.setattr(jacobian, "_settle_by_annihilation", settle_spy)
@@ -507,7 +527,7 @@ def test_large_prime_flat_memory_and_annihilation():
     assert peak < 5 * 2**20
     assert is_weil_valid(w)
     c = [v % p for v in SIX_CURVE.coeffs]
-    model = next(jacobian._class_models(c, p))
+    model = jacobian._inert_model(c, p)
     rng = random.Random(11)
     classes = [jacobian.random_divisor(model, p, rng) for _ in range(8)]
     assert not any(d.is_identity for d in classes)

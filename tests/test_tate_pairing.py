@@ -55,10 +55,11 @@ def _ambiguous(curve, bound: int):
 
 def _filters_keep(c, p: int, a1: int, fits, degrees, rng) -> tuple[int, list[int]]:
     """(the a2 of annihilation, what the F_{p^3} and Tate filters leave)."""
-    a2 = jacobian._settle_by_annihilation(jacobian._class_models(c, p), p, a1, fits, rng)
+    inert = jacobian._inert_model(c, p)
+    a2 = jacobian._settle_by_annihilation(c, inert, p, a1, fits, rng)
     two_rank = curve_mod._two_rank(degrees)
     left = curve_mod._fits_over_f_p3(p, a1, fits, degrees, two_rank)
-    r1 = jacobian._tate_rank(jacobian._inert_model(c, p), p, degrees, rng) if two_rank else None
+    r1 = jacobian._tate_rank(inert, p, degrees, rng) if two_rank else None
     if r1 is not None:
         left = [b for b in left if curve_mod._two_sylow_fits(p, a1, b, two_rank, r1)]
     return a2, left
@@ -213,7 +214,7 @@ def test_annihilation_runs_at_few_primes(monkeypatch):
     calls = []
     settle = jacobian._settle_by_annihilation
     monkeypatch.setattr(jacobian, "_settle_by_annihilation",
-                        lambda *args: calls.append(args[1]) or settle(*args))
+                        lambda *args: calls.append(args[2]) or settle(*args))
     for row in TABLE:
         list(curve_lpolys(row.curve, 400))
     assert 0 < len(calls) <= 15
